@@ -68,15 +68,16 @@ class _Parser(argparse.ArgumentParser):
 def parse_snr_grid(text: str) -> tuple[float, ...]:
     """Grid syntax lo:hi:step in dB, or a single value."""
     parts = text.split(":")
-    if len(parts) == 1:
-        return (float(parts[0]),)
-    if len(parts) == 3:
-        lo, hi, step = (float(p) for p in parts)
-        if step <= 0 or hi < lo:
-            raise ConfigError(f"bad SNR grid {text!r}")
-        count = int(math.floor((hi - lo) / step + 1e-9)) + 1
-        return tuple(lo + k * step for k in range(count))
-    raise ConfigError(f"bad SNR grid {text!r}, expected lo:hi:step")
+    if len(parts) not in (1, 3):
+        raise ConfigError(f"bad SNR grid {text!r}, expected lo:hi:step")
+    values = [_finite(p, f"SNR grid {text!r}") for p in parts]
+    if len(values) == 1:
+        return (values[0],)
+    lo, hi, step = values
+    if step <= 0 or hi < lo:
+        raise ConfigError(f"bad SNR grid {text!r}")
+    count = int(math.floor((hi - lo) / step + 1e-9)) + 1
+    return tuple(lo + k * step for k in range(count))
 
 
 def parse_budget(text: str) -> tuple[str, float | None]:
@@ -84,8 +85,18 @@ def parse_budget(text: str) -> tuple[str, float | None]:
     if text == "measurements":
         return "measurements", None
     if text.startswith("time:"):
-        return "time", float(text[len("time:"):])
+        return "time", _finite(text[len("time:"):], f"budget {text!r}")
     raise ConfigError(f"bad budget {text!r}, expected measurements or time:N")
+
+
+def _finite(text: str, what: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"bad {what}: {text!r} is not a finite number")
+    return value
 
 
 def _load_topology(kind: str, m: int | None, reference: int | None):

@@ -10,6 +10,8 @@ rounds.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -48,6 +50,11 @@ class ScenarioParams:
     slot_duration: float = 1.0
 
     def __post_init__(self) -> None:
+        if not (cmath.isfinite(self.line_gain)
+                and all(math.isfinite(x) for x in (
+                    self.noise_variance, self.tx_amplitude,
+                    self.rx_amplitude, self.slot_duration))):
+            raise ScenarioError("scenario parameters must be finite")
         if self.line_gain == 0:
             raise ScenarioError("line gain must be nonzero")
         if self.noise_variance < 0:
@@ -290,8 +297,8 @@ def _distance_report(t: Topology, s: ScenarioParams, repetitions: int,
                      remainder: float) -> CrlbReport:
     profile = calibration_distances(t)
     rho_a, rho_b = noise_ratios(s)
-    factors = np.array([float(Fraction(d, repetitions))
-                        for d in profile.distances])
+    # d / I is correctly rounded, hence equal to float(Fraction(d, I))
+    factors = np.asarray(profile.distances, float) / repetitions
     mean_factor = float(profile.mean / repetitions)
     return CrlbReport(
         antennas=profile.antennas,

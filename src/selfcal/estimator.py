@@ -11,7 +11,6 @@ maximum.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -63,14 +62,12 @@ def ml_estimate(ms: MeasurementSet, t: Topology, s: ScenarioParams,
                 hazard_floor: float = 1e-9) -> GainEstimates:
     """Recover all unknown gains from a collapsed measurement set.
 
-    For each line from a known parent p to a child q, the receive gain of
-    q comes from the measurement received at q over h * alpha_p, and the
-    transmit gain of q from the measurement received at p over beta_p * h.
-    Traversal is breadth-first from the reference with children in
-    ascending order; the result does not depend on the order, but a fixed
-    order keeps failures reproducible.
+    The measurements are divided by the set's sounding value and handed
+    to `ml_estimate_batch` as a batch of one trial. The set must carry
+    exactly the measurements of the wiring: both directions of every
+    line and nothing else.
 
-    Raises DivisionHazard when a divisor estimate falls below
+    Raises DivisionHazard naming the antenna whose estimate fell below
     `hazard_floor` times its nominal amplitude: everything downstream
     would be noise amplification, which signals an SNR too low for the
     chain.
@@ -79,42 +76,88 @@ def ml_estimate(ms: MeasurementSet, t: Topology, s: ScenarioParams,
         raise ValueError("collapse repetitions before estimating")
     if ref_alpha == 0 or ref_beta == 0:
         raise ValueError("reference gains must be nonzero")
-    h = complex(s.line_gain)
-    floor_a = hazard_floor * s.tx_amplitude
-    floor_b = hazard_floor * s.rx_amplitude
-    alpha = np.zeros(t.m + 1, dtype=complex)
-    beta = np.zeros(t.m + 1, dtype=complex)
-    alpha[t.reference] = ref_alpha
-    beta[t.reference] = ref_beta
     values = ms.values[:, 0]
-    for parent, child, row_out, row_back in _propagation_plan(t, ms.pairs):
-        up_alpha = alpha[parent]
-        up_beta = beta[parent]
-        if abs(up_alpha) < floor_a or abs(up_beta) < floor_b:
-            raise DivisionHazard(
-                f"estimate at antenna {parent} fell below {hazard_floor:g} "
-                "of its nominal amplitude")
-        beta[child] = values[row_out] / (h * up_alpha)
-        alpha[child] = values[row_back] / (up_beta * h)
-    picks = np.fromiter(t.ordinary, dtype=int)
-    return GainEstimates(t.ordinary, alpha[picks], beta[picks],
+    if ms.pairs != t.directed_pairs:
+        if set(ms.pairs) != set(t.directed_pairs):
+            missing = sorted(set(t.directed_pairs) - set(ms.pairs))
+            extra = sorted(set(ms.pairs) - set(t.directed_pairs))
+            raise ValueError(
+                f"measurement pairs do not match the wiring: missing "
+                f"{missing}, not on any line {extra}")
+        values = values[[ms.index[pair] for pair in t.directed_pairs]]
+    values = values / ms.sounding_value
+    est, hazard_at = ml_estimate_batch(values[None, :], t, s,
+                                       np.array([ref_alpha]),
+                                       np.array([ref_beta]), hazard_floor)
+    if hazard_at[0]:
+        raise DivisionHazard(
+            f"estimate at antenna {hazard_at[0]} fell below {hazard_floor:g} "
+            "of its nominal amplitude")
+    picks = np.array(t.ordinary) - 1
+    return GainEstimates(t.ordinary, est[0, 0, picks], est[0, 1, picks],
                          t.reference, complex(ref_alpha), complex(ref_beta))
 
 
-@lru_cache(maxsize=256)
-def _propagation_plan(t: Topology, pairs: tuple[tuple[int, int], ...]):
-    # Row indices for both directions of every rooted edge, resolved once
-    # per (topology, pair layout).
-    index = {pair: i for i, pair in enumerate(pairs)}
-    plan = []
-    for parent, child in t.rooted_edges:
-        try:
-            plan.append((parent, child,
-                         index[(parent, child)], index[(child, parent)]))
-        except KeyError:
-            raise ValueError(
-                f"measurement set lacks the line {parent}-{child}") from None
-    return tuple(plan)
+def ml_estimate_batch(values: np.ndarray, t: Topology, s: ScenarioParams,
+                      ref_alpha: np.ndarray, ref_beta: np.ndarray,
+                      hazard_floor: float = 1e-9
+                      ) -> tuple[np.ndarray, np.ndarray]:
+    """Exact ML recovery for a batch of trials, one BFS level at a time.
+
+    `values` holds one collapsed, unit-sounding observation row per trial
+    with columns in `t.directed_pairs` order; `ref_alpha` and `ref_beta`
+    hold each trial's reference gains. For each line from a known parent
+    p to a child q, the receive gain of q is the measurement received at
+    q over h * alpha_p, and the transmit gain of q the measurement
+    received at p over beta_p * h; every line of a level is solved for
+    every trial at once. Traversal order does not change the result, but
+    a fixed one keeps failures reproducible.
+
+    Returns (estimates, hazard_at). `estimates` is a (trials, 2, m) array
+    laid out like `draw_gain_batch`, with the reference gains copied in.
+    `hazard_at[k]` is 0 when trial k's walk is sound, else the antenna
+    (1-based) at which a walk in breadth-first order would first have
+    divided by an estimate below `hazard_floor` times its nominal
+    amplitude; such rows hold arbitrary values, possibly inf or NaN.
+    """
+    plan = t.propagation_plan
+    # antenna-major work arrays, so a level reads and writes whole rows;
+    # each measurement is used once, so reorder them for contiguous blocks
+    # per level and take the line gain out up front
+    measured = values.T[plan.order]
+    measured *= 1 / complex(s.line_gain)
+    work = np.empty((2, t.m, len(values)), dtype=complex)
+    alpha, beta = work
+    alpha[t.reference - 1] = ref_alpha
+    beta[t.reference - 1] = ref_beta
+    # a hazardous row may divide by zero; it is masked, not raised
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        for level in plan.levels:
+            beta[level.children] = measured[level.out] / alpha[level.parents]
+            alpha[level.children] = measured[level.back] / beta[level.parents]
+    # every divisor is final once written, so checking them all afterwards
+    # flags exactly the trials the walk would have stopped on
+    floors = hazard_floor * np.array([[s.tx_amplitude], [s.rx_amplitude]])
+    low = (np.abs(work[:, plan.parents]) < floors[..., None]).any(axis=0)
+    hazard_at = np.zeros(len(values), dtype=int)
+    if low.any():
+        hit = low.any(axis=0)
+        hazard_at[hit] = plan.parents[low[:, hit].argmax(axis=0)] + 1
+    return work.transpose(2, 0, 1), hazard_at
+
+
+def mean_sq_errors(est: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    """Per-trial average squared error over the ordinary antennas.
+
+    Both arguments are (trials, 2, m) batches, estimates from
+    `ml_estimate_batch`; returns (trials, 2) with the transmit-gain
+    average in column 0 and the receive-gain average in column 1. The
+    reference column contributes exactly zero, as the estimates copy it.
+    Rows of flagged trials may come out inf or NaN.
+    """
+    sq = np.abs(est - truth)
+    sq **= 2
+    return sq.sum(axis=2) / (truth.shape[2] - 1)
 
 
 def estimation_error(est: GainEstimates, truth: RfGains) -> EstimationError:

@@ -14,6 +14,8 @@ import csv
 import io
 import json
 import logging
+import math
+import numbers
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Iterable
@@ -27,9 +29,9 @@ from .crlb import (
     daisy_vs_star_ratio,
     optimal_reference,
 )
-from .errors import ConfigError, DivisionHazard
-from .estimator import collapse_repetitions, estimation_error, ml_estimate
-from .simulate import draw_gains, synthesize
+from .errors import ConfigError
+from .estimator import mean_sq_errors, ml_estimate_batch
+from .simulate import draw_collapsed, draw_gain_batch
 from .topology import (
     ENUMERATION_CAP,
     Topology,
@@ -92,6 +94,31 @@ SWEEP_CSV_HEADER = ("snr_db", "topology", "m", "reference", "I", "F_seconds",
 
 
 def validate_config(cfg: ExperimentConfig) -> None:
+    """Raise ConfigError unless every field has its type and a valid value.
+
+    Config files arrive as JSON, so types are checked before any value.
+    """
+    for name in ("m", "reference", "trials", "master_seed"):
+        if not _is_integer(getattr(cfg, name)):
+            raise ConfigError(
+                f"{name} must be an integer, got {getattr(cfg, name)!r}")
+    for name in ("topology_kind", "budget_mode", "output_format"):
+        if not isinstance(getattr(cfg, name), str):
+            raise ConfigError(
+                f"{name} must be a string, got {getattr(cfg, name)!r}")
+    if cfg.output_path is not None and not isinstance(cfg.output_path, str):
+        raise ConfigError(
+            f"output_path must be a string, got {cfg.output_path!r}")
+    if (not isinstance(cfg.snr_grid_db, (tuple, list))
+            or not all(_is_finite(x) for x in cfg.snr_grid_db)):
+        raise ConfigError(
+            "snr_grid_db must be a list of finite numbers, "
+            f"got {cfg.snr_grid_db!r}")
+    if cfg.budget_value is not None and not _is_finite(cfg.budget_value):
+        raise ConfigError(
+            f"budget_value must be a finite number, got {cfg.budget_value!r}")
+    if cfg.master_seed < 0:
+        raise ConfigError(f"master_seed must be >= 0, got {cfg.master_seed}")
     if cfg.m < 2:
         raise ConfigError(f"need at least 2 antennas, got m={cfg.m}")
     if not 1 <= cfg.reference <= cfg.m:
@@ -118,6 +145,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"unknown output format {cfg.output_format!r}")
 
 
+def _is_integer(x) -> bool:
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def _is_finite(x) -> bool:
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and math.isfinite(x))
+
+
 def resolve_topology(cfg: ExperimentConfig) -> Topology:
     """Build the wiring the config names."""
     kind = cfg.topology_kind
@@ -131,6 +167,11 @@ def resolve_topology(cfg: ExperimentConfig) -> Topology:
     raise ConfigError(f"unknown topology kind {kind!r}")
 
 
+#: Trials drawn and estimated together. Fixed, because every chunk's
+#: draws come from its own seed: another size would give other numbers.
+_CHUNK = 256
+
+
 def run_snr_sweep(cfg: ExperimentConfig,
                   scenario: ScenarioParams | None = None) -> list[SweepRow]:
     """Monte-Carlo estimator error across an SNR grid, next to the bounds.
@@ -138,17 +179,24 @@ def run_snr_sweep(cfg: ExperimentConfig,
     The noise variance at each grid point follows
     snr = (a * b * |h|)^2 / sigma^2 with the unit sounding signal, so in
     the default unit scenario sigma^2 = 10^(-snr_db / 10). Every trial
-    draws fresh gains, synthesizes the repetitions the budget allows,
-    collapses them, estimates, and scores against the truth. Trials ending
-    in a DivisionHazard are counted in `hazard_rate` and excluded from the
+    draws fresh gains and the collapsed observation of the rounds the
+    budget allows (one draw of noise variance sigma^2 / I per direction),
+    estimates, and scores against the truth. Trials the estimator flags as
+    division hazards are counted in `hazard_rate` and excluded from the
     error averages; rates above 1% are logged as flagged rows.
 
-    Seeds derive from (master_seed, grid index, trial index), so results
-    are reproducible no matter how trials are scheduled.
+    Seeding: the trials of a grid point run in consecutive chunks of a
+    fixed size (`_CHUNK`; the last chunk holds the rest). Chunk c of grid
+    point g is seeded by SeedSequence((master_seed, g, c)), spawned once
+    into a gain seed and a noise seed, and its trials take consecutive
+    draws from those two streams. Output is therefore a pure function of
+    the config and scenario, whatever order chunks run in; it is not
+    byte-stable across chunk sizes.
     """
     validate_config(cfg)
     base = scenario if scenario is not None else ScenarioParams()
     topo = resolve_topology(cfg)
+    ref = topo.reference - 1
     signal_power = (base.tx_amplitude * base.rx_amplitude
                     * abs(base.line_gain)) ** 2
     rows: list[SweepRow] = []
@@ -157,28 +205,26 @@ def run_snr_sweep(cfg: ExperimentConfig,
         s = replace(base, noise_variance=sigma2)
         bound = _budget_report(cfg, topo, s)
         reps = bound.repetitions
-        sum_alpha = 0.0
-        sum_beta = 0.0
+        sums = np.zeros(2)
         hazards = 0
-        for trial in range(cfg.trials):
+        for chunk, start in enumerate(range(0, cfg.trials, _CHUNK)):
+            trials = min(_CHUNK, cfg.trials - start)
             seq = np.random.SeedSequence(
-                entropy=(cfg.master_seed, grid_index, trial))
+                entropy=(cfg.master_seed, grid_index, chunk))
             gains_seed, noise_seed = seq.spawn(2)
-            gains = draw_gains(topo.m, s, gains_seed)
-            measured = synthesize(topo, gains, s, repetitions=reps,
-                                  seed=noise_seed)
-            collapsed = collapse_repetitions(measured)
-            try:
-                est = ml_estimate(collapsed, topo, s,
-                                  ref_alpha=gains.alpha[topo.reference - 1],
-                                  ref_beta=gains.beta[topo.reference - 1])
-            except DivisionHazard:
-                hazards += 1
-                continue
-            err = estimation_error(est, gains)
-            sum_alpha += err.average_alpha
-            sum_beta += err.average_beta
+            gains = draw_gain_batch(trials, topo.m, s, gains_seed)
+            observed = draw_collapsed(topo, gains, s, reps, noise_seed)
+            est, hazard_at = ml_estimate_batch(observed, topo, s,
+                                               gains[:, 0, ref],
+                                               gains[:, 1, ref])
+            sound = hazard_at == 0
+            hazards += trials - int(sound.sum())
+            # flagged rows may score inf or NaN; they are masked out
+            with np.errstate(over="ignore", invalid="ignore"):
+                errors = mean_sq_errors(est, gains)
+            sums += errors[sound].sum(axis=0)
         completed = cfg.trials - hazards
+        mse = sums / completed if completed else np.full(2, np.nan)
         hazard_rate = hazards / cfg.trials
         if hazard_rate > 0.01:
             log.warning("flagged grid point %.1f dB: hazard rate %.4f",
@@ -192,8 +238,8 @@ def run_snr_sweep(cfg: ExperimentConfig,
             remainder_seconds=bound.remainder_seconds,
             avg_crlb_alpha=bound.average_alpha,
             avg_crlb_beta=bound.average_beta,
-            avg_mse_alpha=sum_alpha / completed if completed else float("nan"),
-            avg_mse_beta=sum_beta / completed if completed else float("nan"),
+            avg_mse_alpha=float(mse[0]),
+            avg_mse_beta=float(mse[1]),
             trials=cfg.trials,
             hazard_rate=hazard_rate,
         ))

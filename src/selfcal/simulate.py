@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import cached_property
 
 import numpy as np
 
@@ -31,14 +31,31 @@ class RfGains:
 def draw_gains(m: int, s: ScenarioParams, seed) -> RfGains:
     """Random gains with fixed amplitudes and phases uniform on [-pi, pi).
 
-    Deterministic for a given seed (int or numpy SeedSequence).
+    Deterministic for a given seed (int or numpy SeedSequence); the batch
+    of one of `draw_gain_batch`.
+    """
+    (alpha, beta), = draw_gain_batch(1, m, s, seed)
+    return RfGains(alpha=alpha, beta=beta)
+
+
+def draw_gain_batch(trials: int, m: int, s: ScenarioParams,
+                    seed) -> np.ndarray:
+    """Gains of `trials` independent arrays as a (trials, 2, m) array.
+
+    Row [k, 0] holds trial k's transmit gains and [k, 1] its receive
+    gains, antenna j at column j-1. Trials are drawn in order from one
+    stream, so a batch is a prefix of any larger batch with the same seed.
     """
     if m < 2:
         raise ValueError(f"need at least 2 antennas, got m={m}")
     rng = np.random.default_rng(seed)
-    phases = rng.uniform(-np.pi, np.pi, size=(2, m))
-    return RfGains(alpha=s.tx_amplitude * np.exp(1j * phases[0]),
-                   beta=s.rx_amplitude * np.exp(1j * phases[1]))
+    phases = rng.uniform(-np.pi, np.pi, size=(trials, 2, m))
+    # exp(1j * phases) as cos + i sin written in place, without temporaries
+    gains = np.empty(phases.shape, dtype=complex)
+    np.cos(phases, out=gains.real)
+    np.sin(phases, out=gains.imag)
+    gains *= np.array([[s.tx_amplitude], [s.rx_amplitude]])
+    return gains
 
 
 @dataclass(frozen=True, eq=False)
@@ -47,7 +64,9 @@ class MeasurementSet:
 
     `pairs` lists (transmitter, receiver) in lexicographic order and
     covers both directions of every line; `values[i, r]` is the r-th
-    repetition of pair i. The sounding signal is the constant 1.
+    repetition of pair i. `sounding_value` is the constant sounding
+    signal the observations carry as a factor: 1 for synthesized sets,
+    whatever a replay file states otherwise.
     """
 
     pairs: tuple[tuple[int, int], ...]
@@ -58,7 +77,7 @@ class MeasurementSet:
     @cached_property
     def index(self) -> dict[tuple[int, int], int]:
         """Row lookup by (transmitter, receiver)."""
-        return _pair_index(self.pairs)
+        return {pair: i for i, pair in enumerate(self.pairs)}
 
     def observation(self, tx: int, rx: int, repetition: int = 1) -> complex:
         try:
@@ -69,18 +88,6 @@ class MeasurementSet:
             raise ValueError(
                 f"repetition {repetition} outside 1..{self.repetitions}")
         return complex(self.values[row, repetition - 1])
-
-
-@lru_cache(maxsize=256)
-def _pair_index(pairs: tuple[tuple[int, int], ...]) -> dict[tuple[int, int], int]:
-    return {pair: i for i, pair in enumerate(pairs)}
-
-
-@lru_cache(maxsize=256)
-def _pair_arrays(pairs: tuple[tuple[int, int], ...]) -> tuple[np.ndarray, np.ndarray]:
-    tx = np.array([p - 1 for p, _ in pairs])
-    rx = np.array([q - 1 for _, q in pairs])
-    return tx, rx
 
 
 def synthesize(t: Topology, gains: RfGains, s: ScenarioParams,
@@ -103,7 +110,7 @@ def synthesize(t: Topology, gains: RfGains, s: ScenarioParams,
     if gains.m != t.m:
         raise ValueError(f"gain vectors cover {gains.m} antennas, wiring has {t.m}")
     pairs = t.directed_pairs
-    tx, rx = _pair_arrays(pairs)
+    tx, rx = t.pair_endpoints
     # unit sounding signal, so the noiseless value is just the gain product
     noiseless = gains.beta[rx] * s.line_gain * gains.alpha[tx]
     if s.noise_variance > 0:
@@ -114,6 +121,35 @@ def synthesize(t: Topology, gains: RfGains, s: ScenarioParams,
     else:
         values = np.repeat(noiseless[:, None], repetitions, axis=1)
     return MeasurementSet(pairs, values, repetitions)
+
+
+def draw_collapsed(t: Topology, gains: np.ndarray, s: ScenarioParams,
+                   repetitions: int = 1, seed=None) -> np.ndarray:
+    """Collapsed observations of a batch of trials, drawn directly.
+
+    `gains` is a (trials, 2, m) array as from `draw_gain_batch`; row k of
+    the (trials, 2(m-1)) result, columns in `t.directed_pairs` order, is
+    distributed as `collapse_repetitions(synthesize(t, gains_k, s,
+    repetitions)).values[:, 0]`. The mean of `repetitions` i.i.d. rounds
+    is the noiseless value plus one circularly symmetric complex Gaussian
+    of variance noise_variance / repetitions, so one normal pair per
+    direction is drawn instead of one per round.
+    """
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    if gains.shape[1:] != (2, t.m):
+        raise ValueError(f"gain batch has shape {gains.shape}, "
+                         f"wiring needs (trials, 2, {t.m})")
+    tx, rx = t.pair_endpoints
+    values = gains[:, 1, rx] * s.line_gain
+    values *= gains[:, 0, tx]
+    if s.noise_variance > 0:
+        rng = np.random.default_rng(seed)
+        parts = rng.standard_normal((len(gains), len(tx), 2))
+        noise = parts.view(np.complex128)[..., 0]
+        noise *= math.sqrt(s.noise_variance / (2 * repetitions))
+        values += noise
+    return values
 
 
 def measurements_to_dict(ms: MeasurementSet) -> dict:
@@ -134,12 +170,21 @@ def measurements_to_dict(ms: MeasurementSet) -> dict:
 
 def measurements_from_dict(data: dict) -> MeasurementSet:
     """Inverse of `measurements_to_dict`; the (pair, repetition) grid must
-    be complete."""
-    repetitions = int(data["repetitions"])
-    sounding = complex(data["sounding_value"][0], data["sounding_value"][1])
+    be complete, every value finite and the sounding value nonzero."""
+    repetitions = data["repetitions"]
+    if not _is_int(repetitions) or repetitions < 1:
+        raise ValueError(
+            f"repetitions must be a positive integer, got {repetitions!r}")
+    sounding = _finite_complex(data["sounding_value"], "sounding value")
+    if sounding == 0:
+        raise ValueError("sounding value must be nonzero")
     table: dict[tuple[int, int, int], complex] = {}
     for tx, rx, r, re_, im_ in data["observations"]:
-        table[(int(tx), int(rx), int(r))] = complex(re_, im_)
+        if not (_is_int(tx) and _is_int(rx) and _is_int(r)):
+            raise ValueError(
+                f"observation keys must be integers, got {[tx, rx, r]!r}")
+        table[(tx, rx, r)] = _finite_complex(
+            [re_, im_], f"observation {tx}->{rx} repetition {r}")
     pairs = tuple(sorted({(tx, rx) for tx, rx, _ in table}))
     pair_set = set(pairs)
     for tx, rx in pairs:
@@ -156,3 +201,18 @@ def measurements_from_dict(data: dict) -> MeasurementSet:
                 raise ValueError(
                     f"missing observation {tx}->{rx} repetition {r}") from None
     return MeasurementSet(pairs, values, repetitions, sounding)
+
+
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _finite_complex(parts, what: str) -> complex:
+    # [real, imag] as JSON numbers; NaN or infinity would only resurface
+    # as NaN estimates downstream
+    if (not isinstance(parts, (list, tuple)) or len(parts) != 2
+            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
+                       and math.isfinite(x) for x in parts)):
+        raise ValueError(f"{what} must be [real, imag] finite numbers, "
+                         f"got {parts!r}")
+    return complex(parts[0], parts[1])

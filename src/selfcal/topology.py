@@ -32,6 +32,36 @@ Edge = tuple[int, int]
 ENUMERATION_CAP = 8
 
 
+@dataclass(frozen=True, eq=False)
+class PropagationLevel:
+    """The lines from antennas at hop distance d to those at d+1.
+
+    `parents` and `children` are zero-based antenna indices in
+    breadth-first edge order. `out` and `back` select, in the plan's
+    reordered measurements, the parent-to-child and the child-to-parent
+    measurement of each of these lines, in the same order.
+    """
+
+    parents: np.ndarray
+    children: np.ndarray
+    out: slice
+    back: slice
+
+
+@dataclass(frozen=True, eq=False)
+class PropagationPlan:
+    """Breadth-first levels from the reference.
+
+    `order` lists rows of `Topology.directed_pairs` so that each level's
+    measurements form one contiguous block; `parents` holds every antenna
+    with children (zero-based), in the order a walk first divides by it.
+    """
+
+    levels: tuple[PropagationLevel, ...]
+    order: np.ndarray
+    parents: np.ndarray
+
+
 @dataclass(frozen=True)
 class Topology:
     """A spanning tree on antennas 1..m with a designated reference antenna.
@@ -108,6 +138,39 @@ class Topology:
         every line, in lexicographic order."""
         pairs = list(self.edges) + [(q, p) for p, q in self.edges]
         return tuple(sorted(pairs))
+
+    @cached_property
+    def pair_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
+        """Zero-based (transmitter, receiver) index arrays of
+        `directed_pairs`."""
+        tx, rx = np.array(self.directed_pairs).T - 1
+        return tx, rx
+
+    @cached_property
+    def propagation_plan(self) -> PropagationPlan:
+        """Rooted edges grouped into breadth-first levels, as index arrays."""
+        row = {pair: i for i, pair in enumerate(self.directed_pairs)}
+        depth = {self.reference: 0}
+        grouped: list[list[Edge]] = []
+        for parent, child in self.rooted_edges:
+            depth[child] = depth[parent] + 1
+            if depth[child] > len(grouped):
+                grouped.append([])
+            grouped[-1].append((parent, child))
+        levels = []
+        order: list[int] = []
+        for level in grouped:
+            start = len(order)
+            mid = start + len(level)
+            order += [row[(p, c)] for p, c in level]
+            order += [row[(c, p)] for p, c in level]
+            levels.append(PropagationLevel(
+                parents=np.array([p - 1 for p, _ in level]),
+                children=np.array([c - 1 for _, c in level]),
+                out=slice(start, mid), back=slice(mid, len(order))))
+        parents = np.array(list(dict.fromkeys(
+            p - 1 for p, _ in self.rooted_edges)))
+        return PropagationPlan(tuple(levels), np.array(order), parents)
 
     def degree(self, antenna: int) -> int:
         return len(self.neighbors[antenna])

@@ -95,6 +95,84 @@ class TestSimulateCommand:
         assert payload["average_sq_error_alpha"] < 1e-25
 
 
+class TestReplayHardening:
+    ARGS = ["simulate", "--topology", "daisy", "--m", "4", "--ref", "2",
+            "--snr-db", "30", "--seed", "5"]
+
+    @pytest.fixture
+    def dump(self, tmp_path):
+        path = tmp_path / "ms.json"
+        assert main(self.ARGS + ["--out", str(path)]) == 0
+        return json.loads(path.read_text())
+
+    def replay(self, tmp_path, payload, capsys):
+        path = tmp_path / "replay.json"
+        path.write_text(json.dumps(payload))
+        code = main(self.ARGS + ["--in", str(path), "--estimate"])
+        out, err = capsys.readouterr()
+        return code, out, err
+
+    def test_sounding_value_is_applied(self, tmp_path, dump, capsys):
+        code, plain, _ = self.replay(tmp_path, dump, capsys)
+        assert code == 0
+        doubled = dict(dump, sounding_value=[2.0, 0.0], observations=[
+            [tx, rx, r, 2 * re_, 2 * im_]
+            for tx, rx, r, re_, im_ in dump["observations"]])
+        code, scaled, _ = self.replay(tmp_path, doubled, capsys)
+        assert code == 0
+        assert json.loads(scaled) == json.loads(plain)
+
+    def test_pair_off_the_wiring_rejected(self, tmp_path, dump, capsys):
+        dump["observations"] += [[1, 3, 1, 1.0, 0.0], [3, 1, 1, 1.0, 0.0]]
+        code, out, err = self.replay(tmp_path, dump, capsys)
+        assert code == 2 and out == ""
+        assert "not on any line [(1, 3), (3, 1)]" in err
+
+    @pytest.mark.parametrize("field", ["observation", "sounding_value"])
+    def test_non_finite_values_rejected(self, tmp_path, dump, capsys, field):
+        if field == "observation":
+            dump["observations"][0][3] = float("nan")
+        else:
+            dump["sounding_value"] = [float("inf"), 0.0]
+        code, out, err = self.replay(tmp_path, dump, capsys)
+        assert code == 2 and out == ""
+        assert "finite" in err
+
+
+class TestInputHardening:
+    @pytest.mark.parametrize("flag, value", [
+        ("--snr", "10:inf:5"), ("--snr", "nan"), ("--snr", "10:x:5"),
+        ("--budget", "time:nan"), ("--budget", "time:inf"),
+    ])
+    def test_sweep_flags_need_finite_numbers(self, capsys, flag, value):
+        code = main(["sweep", "--topology", "star", "--m", "4", "--ref", "1",
+                     "--trials", "2", flag, value])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"{value!r}" in err and "is not a finite number" in err
+        assert "ratio" not in err and "Traceback" not in err
+
+    def test_crlb_budget_needs_a_finite_number(self, capsys):
+        code = main(["crlb", "--topology", "star", "--m", "4", "--ref", "1",
+                     "--budget", "time:nan"])
+        assert code == 2
+        assert "not a finite number" in capsys.readouterr().err
+
+    def test_non_finite_scenario_rejected(self, capsys):
+        code = main(["crlb", "--topology", "star", "--m", "4", "--ref", "1",
+                     "--snr-db", "nan"])
+        assert code == 2
+        assert "finite" in capsys.readouterr().err
+
+    def test_config_field_types_checked(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({"m": 5, "reference": 1,
+                                        "topology_kind": "star",
+                                        "trials": "5"}))
+        assert main(["sweep", "--config", str(cfg_path)]) == 2
+        assert "trials must be an integer" in capsys.readouterr().err
+
+
 class TestSweepCommand:
     def test_csv_written(self, tmp_path):
         out = tmp_path / "rows.csv"

@@ -1,8 +1,12 @@
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selfcal import (
     MeasurementSet,
+    RfGains,
     ScenarioParams,
     collapse_repetitions,
     crlb_closed_form,
@@ -14,6 +18,8 @@ from selfcal import (
     synthesize,
 )
 from selfcal.errors import DivisionHazard
+from selfcal.estimator import mean_sq_errors, ml_estimate_batch
+from selfcal.simulate import draw_collapsed, draw_gain_batch
 
 from helpers import random_gains, random_scenario, random_tree
 
@@ -147,6 +153,86 @@ class TestMlEstimate:
             total_beta += err.average_beta
         assert 0.95 <= (total_alpha / trials) / bound.average_alpha <= 1.10
         assert 0.95 <= (total_beta / trials) / bound.average_beta <= 1.10
+
+
+    def test_pairs_must_match_the_wiring(self):
+        t = make_daisy(3, 1)
+        g = draw_gains(3, UNIT, 0)
+        ms = synthesize(t, g, NOISELESS)
+        extra = MeasurementSet(ms.pairs + ((1, 3), (3, 1)),
+                               np.vstack([ms.values, [[1.0], [1.0]]]), 1)
+        with pytest.raises(ValueError, match="not on any line"):
+            estimate(t, extra, NOISELESS, g)
+        with pytest.raises(ValueError, match="missing"):
+            estimate(t, MeasurementSet(ms.pairs[1:], ms.values[1:], 1),
+                     NOISELESS, g)
+
+    def test_sounding_value_divides_the_observations(self):
+        t = make_daisy(4, 2)
+        g = draw_gains(4, UNIT, 6)
+        ms = synthesize(t, g, ScenarioParams(noise_variance=1e-2), seed=8)
+        doubled = MeasurementSet(ms.pairs, 2 * ms.values, 1, 2.0 + 0.0j)
+        plain, scaled = estimate(t, ms, UNIT, g), estimate(t, doubled, UNIT, g)
+        assert np.array_equal(plain.alpha_hat, scaled.alpha_hat)
+        assert np.array_equal(plain.beta_hat, scaled.beta_hat)
+
+
+class TestBatchKernel:
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(m=st.integers(2, 40), seed=st.integers(0, 2**32 - 1),
+           trials=st.integers(2, 5), reps=st.integers(1, 4))
+    def test_rows_match_single_calls(self, m, seed, trials, reps):
+        rng = np.random.default_rng(seed)
+        t = random_tree(rng, m)
+        s = random_scenario(rng)
+        gains = draw_gain_batch(trials, m, s, seed)
+        values = draw_collapsed(t, gains, s, reps, seed + 1)
+        ref = t.reference - 1
+        # one row loses what a random antenna with children is divided by
+        forced = int(rng.integers(trials))
+        victim = int(rng.choice(sorted({p for p, _ in t.rooted_edges})))
+        if victim == t.reference:
+            gains[forced, 1, ref] *= 1e-12
+        else:
+            upstream = {c: p for p, c in t.rooted_edges}[victim]
+            values[forced, t.directed_pairs.index((upstream, victim))] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est, hazard_at = ml_estimate_batch(values, t, s, gains[:, 0, ref],
+                                               gains[:, 1, ref])
+        sound = hazard_at == 0
+        assert list(np.flatnonzero(~sound)) == [forced]
+        assert hazard_at[forced] == victim
+        assert np.isfinite(mean_sq_errors(est[sound], gains[sound])).all()
+        picks = np.array(t.ordinary) - 1
+        for k in range(trials):
+            ms = MeasurementSet(t.directed_pairs, values[k][:, None], 1)
+            if k == forced:
+                with pytest.raises(DivisionHazard, match=f"antenna {victim} "):
+                    ml_estimate(ms, t, s, gains[k, 0, ref], gains[k, 1, ref])
+                continue
+            single = ml_estimate(ms, t, s, gains[k, 0, ref], gains[k, 1, ref])
+            np.testing.assert_allclose(est[k, 0, picks], single.alpha_hat,
+                                       rtol=1e-12, atol=0)
+            np.testing.assert_allclose(est[k, 1, picks], single.beta_hat,
+                                       rtol=1e-12, atol=0)
+
+    def test_scores_match_estimation_error(self):
+        rng = np.random.default_rng(42)
+        t = random_tree(rng, 9)
+        s = random_scenario(rng)
+        gains = draw_gain_batch(3, 9, s, 1)
+        values = draw_collapsed(t, gains, s, 2, 2)
+        ref = t.reference - 1
+        est, _ = ml_estimate_batch(values, t, s, gains[:, 0, ref],
+                                   gains[:, 1, ref])
+        scores = mean_sq_errors(est, gains)
+        for k in range(3):
+            truth = RfGains(alpha=gains[k, 0], beta=gains[k, 1])
+            ms = MeasurementSet(t.directed_pairs, values[k][:, None], 1)
+            err = estimation_error(estimate(t, ms, s, truth), truth)
+            assert scores[k] == pytest.approx(
+                [err.average_alpha, err.average_beta], rel=1e-12)
 
 
 class TestEstimationError:

@@ -1,5 +1,7 @@
+import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from selfcal import (
@@ -13,7 +15,9 @@ from selfcal import (
     verify_star_optimality,
     verify_time_bounds,
 )
+from selfcal import harness
 from selfcal.errors import ConfigError
+from selfcal.harness import _CHUNK
 
 
 class TestConfig:
@@ -34,6 +38,16 @@ class TestConfig:
             validate_config(ExperimentConfig(snr_grid_db=()))
         with pytest.raises(ConfigError):
             validate_config(ExperimentConfig(topology_kind="ring"))
+
+    @pytest.mark.parametrize("field, value", [
+        ("trials", "5"), ("m", 6.0), ("master_seed", -1),
+        ("master_seed", True), ("snr_grid_db", (10.0, float("nan"))),
+        ("snr_grid_db", 20.0), ("budget_value", float("inf")),
+        ("topology_kind", 3), ("output_path", 1),
+    ])
+    def test_rejects_bad_types_and_values(self, field, value):
+        with pytest.raises(ConfigError, match=field):
+            validate_config(ExperimentConfig(**{field: value}))
 
 
 class TestStarOptimality:
@@ -168,3 +182,39 @@ class TestSweep:
         # snr fixes sigma^2 = (a b |h|)^2 / snr; bounds then scale by 1/b^2
         sigma2 = 16.0 * 1e-2
         assert row.avg_crlb_alpha == pytest.approx(sigma2 / 4.0)
+
+
+class TestChunking:
+    @pytest.mark.parametrize("trials", [_CHUNK - 1, _CHUNK, _CHUNK + 1])
+    def test_rows_at_chunk_boundaries(self, trials):
+        cfg = ExperimentConfig(m=5, reference=2, topology_kind="daisy",
+                               snr_grid_db=(25.0, 35.0), trials=trials,
+                               master_seed=4, budget_mode="time",
+                               budget_value=8.0)
+        rows = run_snr_sweep(cfg)
+        assert sweep_rows_to_csv(run_snr_sweep(cfg)) == sweep_rows_to_csv(rows)
+        for row in rows:
+            assert row.trials == trials and row.repetitions == 2
+            assert row.hazard_rate == 0.0
+            for mse, bound in ((row.avg_mse_alpha, row.avg_crlb_alpha),
+                               (row.avg_mse_beta, row.avg_crlb_beta)):
+                assert math.isfinite(mse) and 0.7 <= mse / bound <= 1.4
+
+    def test_flagged_trials_are_masked(self, monkeypatch):
+        kernel = harness.ml_estimate_batch
+
+        def flag_first_trial(values, t, *args):
+            est, hazard_at = kernel(values, t, *args)
+            est = est.copy()
+            est[0] = np.nan
+            hazard_at[0] = t.reference
+            return est, hazard_at
+
+        monkeypatch.setattr(harness, "ml_estimate_batch", flag_first_trial)
+        cfg = ExperimentConfig(m=4, reference=1, topology_kind="star",
+                               snr_grid_db=(30.0,), trials=_CHUNK + 10,
+                               master_seed=2)
+        row = run_snr_sweep(cfg)[0]
+        assert row.hazard_rate == 2 / (_CHUNK + 10)  # one per chunk
+        assert row.avg_mse_alpha == pytest.approx(1e-3, rel=0.2)
+        assert row.avg_mse_beta == pytest.approx(1e-3, rel=0.2)

@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from selfcal import (
+    RfGains,
     ScenarioParams,
+    collapse_repetitions,
     draw_gains,
     make_daisy,
     make_star,
@@ -12,6 +14,8 @@ from selfcal import (
     measurements_to_dict,
     synthesize,
 )
+
+from selfcal.simulate import draw_collapsed, draw_gain_batch
 
 from helpers import random_tree
 
@@ -108,6 +112,72 @@ class TestSynthesize:
             synthesize(t, g, UNIT, repetitions=0)
 
 
+class TestBatchDraws:
+    def test_batch_extends_a_prefix(self):
+        s = ScenarioParams(tx_amplitude=2.0, rx_amplitude=0.5)
+        small = draw_gain_batch(3, 7, s, 11)
+        large = draw_gain_batch(5, 7, s, 11)
+        assert small.shape == (3, 2, 7)
+        assert np.array_equal(small, large[:3])
+        single = draw_gains(7, s, 11)
+        assert np.array_equal(single.alpha, small[0, 0])
+        assert np.array_equal(single.beta, small[0, 1])
+
+    def test_noiseless_collapsed_draw(self):
+        rng = np.random.default_rng(12)
+        t = random_tree(rng, 6)
+        gains = draw_gain_batch(4, 6, NOISELESS, 3)
+        values = draw_collapsed(t, gains, NOISELESS, repetitions=5, seed=1)
+        for k in range(4):
+            ms = synthesize(t, RfGains(gains[k, 0], gains[k, 1]), NOISELESS)
+            assert np.array_equal(values[k], ms.values[:, 0])
+
+    def test_collapsed_noise_matches_synthesis(self):
+        # Both routes to a collapsed observation must carry circular
+        # complex noise of variance sigma^2 / I. Each route gives
+        # n = 20000 samples; every bound is 5 standard errors of its
+        # statistic (for circular Gaussian z of variance v: sd of the mean
+        # sqrt(v/n) in modulus, of mean |z|^2 v/sqrt(n), of mean Re(z)^2
+        # v/2 * sqrt(2/n), of mean z^2 v*sqrt(2/n) in modulus).
+        trials, reps = 5000, 4
+        t = make_daisy(3, 2)
+        s = ScenarioParams(line_gain=0.8 - 0.6j, noise_variance=0.3,
+                           tx_amplitude=1.5, rx_amplitude=0.7)
+        v = s.noise_variance / reps
+        gains = draw_gain_batch(trials, 3, s, 21)
+        direct = draw_collapsed(t, gains, s, reps, seed=22)
+        seeds = np.random.SeedSequence(23).spawn(trials)
+        noiseless = np.empty_like(direct)
+        synthesized = np.empty_like(direct)
+        for k in range(trials):
+            g = RfGains(gains[k, 0], gains[k, 1])
+            noiseless[k] = (synthesize(t, g, NOISELESS).values[:, 0]
+                            * s.line_gain)
+            synthesized[k] = collapse_repetitions(
+                synthesize(t, g, s, reps, seed=seeds[k])).values[:, 0]
+        n = direct.size
+        variances = []
+        for values in (direct, synthesized):
+            z = (values - noiseless).ravel()
+            assert abs(z.mean()) < 5 * np.sqrt(v / n)
+            power = np.mean(np.abs(z) ** 2)
+            assert abs(power / v - 1) < 5 / np.sqrt(n)
+            for part in (z.real, z.imag):
+                half = np.mean(part ** 2) / (v / 2)
+                assert abs(half - 1) < 5 * np.sqrt(2 / n)
+            assert abs(np.mean(z ** 2)) < 5 * v * np.sqrt(2 / n)
+            variances.append(power)
+        assert abs(variances[0] - variances[1]) < 5 * v * np.sqrt(2 / n)
+
+    def test_collapsed_draw_checks_shapes(self):
+        t = make_daisy(4, 1)
+        with pytest.raises(ValueError):
+            draw_collapsed(t, draw_gain_batch(2, 5, UNIT, 0), UNIT)
+        with pytest.raises(ValueError):
+            draw_collapsed(t, draw_gain_batch(2, 4, UNIT, 0), UNIT,
+                           repetitions=0)
+
+
 class TestSerialization:
     def test_roundtrip(self):
         t = make_daisy(4, 1)
@@ -125,5 +195,24 @@ class TestSerialization:
         g = draw_gains(3, UNIT, 2)
         data = measurements_to_dict(synthesize(t, g, UNIT, seed=1))
         data["observations"].pop()
+        with pytest.raises(ValueError):
+            measurements_from_dict(data)
+
+    @pytest.mark.parametrize("field, value", [
+        ("observation", [float("nan"), 0.0]),
+        ("observation", [0.0, float("inf")]),
+        ("observation", ["1", 0.0]),
+        ("sounding_value", [float("nan"), 0.0]),
+        ("sounding_value", [0.0, 0.0]),
+        ("repetitions", 1.5),
+    ])
+    def test_bad_values_rejected(self, field, value):
+        t = make_daisy(3, 1)
+        data = measurements_to_dict(synthesize(t, draw_gains(3, UNIT, 2),
+                                               UNIT, seed=1))
+        if field == "observation":
+            data["observations"][2][3:] = value
+        else:
+            data[field] = value
         with pytest.raises(ValueError):
             measurements_from_dict(data)
