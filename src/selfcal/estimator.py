@@ -121,29 +121,32 @@ def ml_estimate_batch(values: np.ndarray, t: Topology, s: ScenarioParams,
     amplitude; such rows hold arbitrary values, possibly inf or NaN.
     """
     plan = t.propagation_plan
-    # antenna-major work arrays, so a level reads and writes whole rows;
-    # each measurement is used once, so reorder them for contiguous blocks
-    # per level and take the line gain out up front
-    measured = values.T[plan.order]
+    # antenna-major work arrays holding (alpha, beta) per antenna, so a
+    # level reads and writes whole rows; each measurement is used once,
+    # so reorder them to (back, out) per line, in contiguous blocks per
+    # level, and take the line gain out up front
+    measured = values.T[plan.order].reshape(t.m - 1, 2, len(values))
     measured *= 1 / complex(s.line_gain)
-    work = np.empty((2, t.m, len(values)), dtype=complex)
-    alpha, beta = work
-    alpha[t.reference - 1] = ref_alpha
-    beta[t.reference - 1] = ref_beta
+    work = np.empty((t.m, 2, len(values)), dtype=complex)
+    work[t.reference - 1] = ref_alpha, ref_beta
     # a hazardous row may divide by zero; it is masked, not raised
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for level in plan.levels:
-            beta[level.children] = measured[level.out] / alpha[level.parents]
-            alpha[level.children] = measured[level.back] / beta[level.parents]
+            # (alpha, beta) of a child = (back / beta, out / alpha) of its
+            # parent: one division per level, the parent's pair reversed,
+            # written over the measurements it consumes
+            quotient = measured[level.lines]
+            np.divide(quotient, work[level.parents, ::-1], out=quotient)
+            work[level.children] = quotient
     # every divisor is final once written, so checking them all afterwards
     # flags exactly the trials the walk would have stopped on
     floors = hazard_floor * np.array([[s.tx_amplitude], [s.rx_amplitude]])
-    low = (np.abs(work[:, plan.parents]) < floors[..., None]).any(axis=0)
+    low = (np.abs(work[plan.parents]) < floors).any(axis=1)
     hazard_at = np.zeros(len(values), dtype=int)
     if low.any():
         hit = low.any(axis=0)
         hazard_at[hit] = plan.parents[low[:, hit].argmax(axis=0)] + 1
-    return work.transpose(2, 0, 1), hazard_at
+    return work.transpose(2, 1, 0), hazard_at
 
 
 def mean_sq_errors(est: np.ndarray, truth: np.ndarray) -> np.ndarray:

@@ -170,6 +170,11 @@ def resolve_topology(cfg: ExperimentConfig) -> Topology:
 #: Trials drawn and estimated together. Fixed, because every chunk's
 #: draws come from its own seed: another size would give other numbers.
 _CHUNK = 256
+#: Antenna-trials (trials times m) estimated in one call at most. Chunks
+#: of consecutive grid points share a call up to this size and a larger
+#: chunk takes one of its own, so a call's arrays stay within those of a
+#: full chunk or of _BATCH antenna-trials, whichever is larger.
+_BATCH = 8192
 
 
 def run_snr_sweep(cfg: ExperimentConfig,
@@ -192,40 +197,50 @@ def run_snr_sweep(cfg: ExperimentConfig,
     draws from those two streams. Output is therefore a pure function of
     the config and scenario, whatever order chunks run in; it is not
     byte-stable across chunk sizes.
+
+    Drawn chunks of consecutive grid points wait in a batch of up to
+    `_BATCH` antenna-trials, and each batch is estimated in one call:
+    with few trials per point, the per-level cost of the propagation is
+    then paid once per batch instead of once per grid point. Estimation
+    and scoring act on each trial alone, so batching does not change the
+    output.
     """
     validate_config(cfg)
     base = scenario if scenario is not None else ScenarioParams()
     topo = resolve_topology(cfg)
-    ref = topo.reference - 1
     signal_power = (base.tx_amplitude * base.rx_amplitude
                     * abs(base.line_gain)) ** 2
-    rows: list[SweepRow] = []
+    points = len(cfg.snr_grid_db)
+    bounds = []
+    sums = np.zeros((points, 2))
+    hazards = np.zeros(points, dtype=int)
+    batch: list[tuple[int, np.ndarray, np.ndarray]] = []
+    batched = 0
     for grid_index, snr_db in enumerate(cfg.snr_grid_db):
         sigma2 = signal_power * 10.0 ** (-snr_db / 10.0)
         s = replace(base, noise_variance=sigma2)
         bound = _budget_report(cfg, topo, s)
-        reps = bound.repetitions
-        sums = np.zeros(2)
-        hazards = 0
+        bounds.append(bound)
         for chunk, start in enumerate(range(0, cfg.trials, _CHUNK)):
             trials = min(_CHUNK, cfg.trials - start)
+            if batched and (batched + trials) * topo.m > _BATCH:
+                _score_batch(batch, topo, base, sums, hazards)
+                batch, batched = [], 0
             seq = np.random.SeedSequence(
                 entropy=(cfg.master_seed, grid_index, chunk))
             gains_seed, noise_seed = seq.spawn(2)
             gains = draw_gain_batch(trials, topo.m, s, gains_seed)
-            observed = draw_collapsed(topo, gains, s, reps, noise_seed)
-            est, hazard_at = ml_estimate_batch(observed, topo, s,
-                                               gains[:, 0, ref],
-                                               gains[:, 1, ref])
-            sound = hazard_at == 0
-            hazards += trials - int(sound.sum())
-            # flagged rows may score inf or NaN; they are masked out
-            with np.errstate(over="ignore", invalid="ignore"):
-                errors = mean_sq_errors(est, gains)
-            sums += errors[sound].sum(axis=0)
-        completed = cfg.trials - hazards
-        mse = sums / completed if completed else np.full(2, np.nan)
-        hazard_rate = hazards / cfg.trials
+            observed = draw_collapsed(topo, gains, s, bound.repetitions,
+                                      noise_seed)
+            batch.append((grid_index, gains, observed))
+            batched += trials
+    _score_batch(batch, topo, base, sums, hazards)
+    rows: list[SweepRow] = []
+    for snr_db, bound, sum_sq, hazard_count in zip(
+            cfg.snr_grid_db, bounds, sums, hazards):
+        completed = cfg.trials - hazard_count
+        mse = sum_sq / completed if completed else np.full(2, np.nan)
+        hazard_rate = int(hazard_count) / cfg.trials
         if hazard_rate > 0.01:
             log.warning("flagged grid point %.1f dB: hazard rate %.4f",
                         snr_db, hazard_rate)
@@ -234,7 +249,7 @@ def run_snr_sweep(cfg: ExperimentConfig,
             topology=cfg.topology_kind,
             m=topo.m,
             reference=topo.reference,
-            repetitions=reps,
+            repetitions=bound.repetitions,
             remainder_seconds=bound.remainder_seconds,
             avg_crlb_alpha=bound.average_alpha,
             avg_crlb_beta=bound.average_beta,
@@ -244,6 +259,39 @@ def run_snr_sweep(cfg: ExperimentConfig,
             hazard_rate=hazard_rate,
         ))
     return rows
+
+
+def _score_batch(batch: list[tuple[int, np.ndarray, np.ndarray]],
+                 topo: Topology, s: ScenarioParams, sums: np.ndarray,
+                 hazards: np.ndarray) -> None:
+    """Estimate drawn chunks in one call and add up their errors.
+
+    `batch` holds (grid index, gains, collapsed observations) per chunk;
+    the estimator reads only the line gain and amplitudes of `s`, which
+    every grid point shares. Each chunk is scored against its own gains:
+    its error sum over its sound trials goes to `sums[grid index]` and
+    its flagged trials to `hazards`.
+    """
+    if not batch:
+        return
+    ref = topo.reference - 1
+    if len(batch) == 1:  # a chunk on its own is not copied
+        observed = batch[0][2]
+    else:
+        observed = np.concatenate([o for _, _, o in batch])
+    ref_gains = np.concatenate([g[:, :, ref] for _, g, _ in batch])
+    est, hazard_at = ml_estimate_batch(observed, topo, s, ref_gains[:, 0],
+                                       ref_gains[:, 1])
+    start = 0
+    for grid_index, gains, _ in batch:
+        stop = start + len(gains)
+        # flagged rows may score inf or NaN; they are masked out
+        with np.errstate(over="ignore", invalid="ignore"):
+            errors = mean_sq_errors(est[start:stop], gains)
+        sound = hazard_at[start:stop] == 0
+        hazards[grid_index] += int(stop - start - sound.sum())
+        sums[grid_index] += errors[sound].sum(axis=0)
+        start = stop
 
 
 def _budget_report(cfg: ExperimentConfig, topo: Topology, s: ScenarioParams):

@@ -36,30 +36,48 @@ ENUMERATION_CAP = 8
 class PropagationLevel:
     """The lines from antennas at hop distance d to those at d+1.
 
-    `parents` and `children` are zero-based antenna indices in
-    breadth-first edge order. `out` and `back` select, in the plan's
-    reordered measurements, the parent-to-child and the child-to-parent
-    measurement of each of these lines, in the same order.
+    `parents` and `children` select zero-based antenna indices in
+    breadth-first edge order: a slice where the indices are evenly spaced
+    (a one-antenna slice stands for a repeated parent and broadcasts),
+    else an index array. `lines` selects these lines, in the same order,
+    in the plan's reordered measurements.
     """
 
-    parents: np.ndarray
-    children: np.ndarray
-    out: slice
-    back: slice
+    parents: slice | np.ndarray
+    children: slice | np.ndarray
+    lines: slice
 
 
 @dataclass(frozen=True, eq=False)
 class PropagationPlan:
     """Breadth-first levels from the reference.
 
-    `order` lists rows of `Topology.directed_pairs` so that each level's
-    measurements form one contiguous block; `parents` holds every antenna
-    with children (zero-based), in the order a walk first divides by it.
+    `order` lists rows of `Topology.directed_pairs` two per rooted line,
+    child-to-parent then parent-to-child, lines in breadth-first order,
+    so that each level's measurements form one contiguous block;
+    `parents` holds every antenna with children (zero-based), in the
+    order a walk first divides by it.
     """
 
     levels: tuple[PropagationLevel, ...]
     order: np.ndarray
     parents: np.ndarray
+
+
+def _index_or_slice(indices: list[int]) -> slice | np.ndarray:
+    """Basic indexing for evenly spaced indices, an index array otherwise.
+
+    A slice reads a view and writes in place, where an index array copies
+    on every read; repeated indices become a one-element slice, which
+    broadcasts to the same values when read.
+    """
+    first, last = indices[0], indices[-1]
+    if all(i == first for i in indices):
+        return slice(first, first + 1)
+    step = indices[1] - first
+    if step > 0 and indices == list(range(first, last + 1, step)):
+        return slice(first, last + 1, step)
+    return np.array(indices)
 
 
 @dataclass(frozen=True)
@@ -160,14 +178,13 @@ class Topology:
         levels = []
         order: list[int] = []
         for level in grouped:
-            start = len(order)
-            mid = start + len(level)
-            order += [row[(p, c)] for p, c in level]
-            order += [row[(c, p)] for p, c in level]
+            start = len(order) // 2
+            for p, c in level:
+                order += [row[(c, p)], row[(p, c)]]
             levels.append(PropagationLevel(
-                parents=np.array([p - 1 for p, _ in level]),
-                children=np.array([c - 1 for _, c in level]),
-                out=slice(start, mid), back=slice(mid, len(order))))
+                parents=_index_or_slice([p - 1 for p, _ in level]),
+                children=_index_or_slice([c - 1 for _, c in level]),
+                lines=slice(start, start + len(level))))
         parents = np.array(list(dict.fromkeys(
             p - 1 for p, _ in self.rooted_edges)))
         return PropagationPlan(tuple(levels), np.array(order), parents)
@@ -264,7 +281,7 @@ def calibration_distances(t: Topology) -> DistanceProfile:
 
 def max_degree(t: Topology) -> int:
     """Largest number of lines meeting at any antenna."""
-    return max(len(t.neighbors[k]) for k in range(1, t.m + 1))
+    return max(map(len, t.neighbors.values()))
 
 
 def decompose_chains(t: Topology) -> list[list[int]]:

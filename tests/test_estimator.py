@@ -63,6 +63,20 @@ class TestMlEstimate:
             assert err.alpha_sq_error.max() <= (1e-12 * s.tx_amplitude) ** 2
             assert err.beta_sq_error.max() <= (1e-12 * s.rx_amplitude) ** 2
 
+    @pytest.mark.parametrize("t", [make_star(9, 5), make_daisy(9, 5),
+                                   make_daisy(9, 1), make_daisy(9, 9),
+                                   make_daisy(10, 4)])
+    def test_noiseless_exact_recovery_on_sliced_plans(self, t):
+        # evenly spaced levels are propagated through slices, not arrays
+        plan = t.propagation_plan
+        assert all(isinstance(level.parents, slice) for level in plan.levels)
+        rng = np.random.default_rng(t.m * 10 + t.reference)
+        s = random_scenario(rng, allow_zero_noise=True)
+        g = random_gains(rng, t.m, s)
+        err = estimation_error(estimate(t, synthesize(t, g, s), s, g), g)
+        assert err.alpha_sq_error.max() <= (1e-12 * s.tx_amplitude) ** 2
+        assert err.beta_sq_error.max() <= (1e-12 * s.rx_amplitude) ** 2
+
     def test_residuals_zero_at_any_noise(self):
         rng = np.random.default_rng(32)
         t = random_tree(rng, 9)

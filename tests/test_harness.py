@@ -202,19 +202,47 @@ class TestChunking:
 
     def test_flagged_trials_are_masked(self, monkeypatch):
         kernel = harness.ml_estimate_batch
+        calls = []
 
         def flag_first_trial(values, t, *args):
             est, hazard_at = kernel(values, t, *args)
             est = est.copy()
             est[0] = np.nan
             hazard_at[0] = t.reference
+            calls.append(len(values))
             return est, hazard_at
 
         monkeypatch.setattr(harness, "ml_estimate_batch", flag_first_trial)
+        monkeypatch.setattr(harness, "_BATCH", 1)  # every chunk on its own
         cfg = ExperimentConfig(m=4, reference=1, topology_kind="star",
                                snr_grid_db=(30.0,), trials=_CHUNK + 10,
                                master_seed=2)
         row = run_snr_sweep(cfg)[0]
+        assert calls == [_CHUNK, 10]
         assert row.hazard_rate == 2 / (_CHUNK + 10)  # one per chunk
         assert row.avg_mse_alpha == pytest.approx(1e-3, rel=0.2)
         assert row.avg_mse_beta == pytest.approx(1e-3, rel=0.2)
+
+    def test_batching_does_not_change_rows(self, monkeypatch):
+        # 7 points of 15 trials share batches of up to _BATCH antenna-trials
+        cfg = ExperimentConfig(m=129, reference=64, topology_kind="daisy",
+                               snr_grid_db=(10.0, 15.0, 20.0, 25.0, 30.0,
+                                            35.0, 40.0),
+                               trials=15, master_seed=3, budget_mode="time",
+                               budget_value=256.0)
+        kernel = harness.ml_estimate_batch
+        calls = []
+
+        def counted(values, *args):
+            calls.append(len(values))
+            return kernel(values, *args)
+
+        monkeypatch.setattr(harness, "ml_estimate_batch", counted)
+        batched = sweep_rows_to_csv(run_snr_sweep(cfg))
+        assert len(calls) < len(cfg.snr_grid_db)
+        assert max(calls) * cfg.m <= harness._BATCH
+        monkeypatch.setattr(harness, "_BATCH", 1)
+        calls.clear()
+        alone = sweep_rows_to_csv(run_snr_sweep(cfg))
+        assert calls == [15] * len(cfg.snr_grid_db)
+        assert batched == alone
