@@ -11,8 +11,6 @@ with exhaustive brute-force verification.
 from . import errors
 from .crlb import (
     DAISY_VS_STAR_LIMIT,
-    CrlbReport,
-    FisherMatrix,
     ScenarioParams,
     budgeted_average_crlb,
     crlb_closed_form,
@@ -21,22 +19,18 @@ from .crlb import (
     daisy_vs_star_ratio,
     fisher_from_edges,
     fisher_matrix,
-    noise_ratios,
     optimal_reference,
     repetition_budget,
     time_to_collect,
 )
 from .estimator import (
-    EstimationError,
     GainEstimates,
     collapse_repetitions,
-    estimates_to_dict,
     estimation_error,
     ml_estimate,
 )
 from .harness import (
     ExperimentConfig,
-    SweepRow,
     run_snr_sweep,
     sweep_rows_to_csv,
     sweep_rows_to_json,
@@ -44,7 +38,6 @@ from .harness import (
     verify_daisy_optimality,
     verify_star_optimality,
     verify_time_bounds,
-    write_sweep_output,
 )
 from .simulate import (
     MeasurementSet,
@@ -55,12 +48,7 @@ from .simulate import (
     synthesize,
 )
 from .topology import (
-    ENUMERATION_CAP,
-    DistanceProfile,
-    Schedule,
-    Topology,
     calibration_distances,
-    decompose_chains,
     enumerate_trees,
     from_edges,
     make_daisy,

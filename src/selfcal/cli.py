@@ -31,11 +31,13 @@ from .estimator import (
 )
 from .harness import (
     ExperimentConfig,
+    resolve_topology,
     run_snr_sweep,
+    sweep_rows_to_csv,
+    sweep_rows_to_json,
     verify_daisy_optimality,
     verify_star_optimality,
     verify_time_bounds,
-    write_sweep_output,
 )
 from .simulate import (
     draw_gains,
@@ -43,13 +45,7 @@ from .simulate import (
     measurements_to_dict,
     synthesize,
 )
-from .topology import (
-    make_daisy,
-    make_star,
-    measurement_schedule,
-    schedule_to_dict,
-    topology_from_dict,
-)
+from .topology import measurement_schedule, schedule_to_dict
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -99,15 +95,11 @@ def _finite(text: str, what: str) -> float:
     return value
 
 
-def _load_topology(kind: str, m: int | None, reference: int | None):
-    if kind == "star" or kind == "daisy":
-        if m is None or reference is None:
-            raise ConfigError(f"--topology {kind} needs --m and --ref")
-        return make_star(m, reference) if kind == "star" else make_daisy(m, reference)
-    if kind.startswith("file:"):
-        with open(kind[len("file:"):], encoding="utf-8") as fh:
-            return topology_from_dict(json.load(fh))
-    raise ConfigError(f"unknown topology {kind!r}")
+def _topology_from_args(args):
+    if args.topology in ("star", "daisy") and None in (args.m, args.ref):
+        raise ConfigError(f"--topology {args.topology} needs --m and --ref")
+    return resolve_topology(ExperimentConfig(
+        m=args.m, reference=args.ref, topology_kind=args.topology))
 
 
 def _scenario_from_args(args) -> ScenarioParams:
@@ -208,7 +200,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_crlb(args) -> int:
-    topo = _load_topology(args.topology, args.m, args.ref)
+    topo = _topology_from_args(args)
     scenario = _scenario_from_args(args)
     mode, value = parse_budget(args.budget)
     if mode == "time":
@@ -226,7 +218,7 @@ def _cmd_crlb(args) -> int:
 
 
 def _cmd_schedule(args) -> int:
-    topo = _load_topology(args.topology, args.m, args.ref)
+    topo = _topology_from_args(args)
     schedule = measurement_schedule(topo, args.slot)
     _write_text(args.out,
                 json.dumps(schedule_to_dict(schedule), indent=2) + "\n")
@@ -234,7 +226,7 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
-    topo = _load_topology(args.topology, args.m, args.ref)
+    topo = _topology_from_args(args)
     scenario = _scenario_from_args(args)
     seq = np.random.SeedSequence(args.seed)
     gains_seed, noise_seed = seq.spawn(2)
@@ -265,54 +257,45 @@ def _cmd_sweep(args) -> int:
     fields: dict = {}
     if args.config:
         with open(args.config, encoding="utf-8") as fh:
-            fields.update(json.load(fh))
+            fields = json.load(fh)
+        if not isinstance(fields, dict):
+            raise ConfigError(f"a sweep config must be a JSON object, "
+                              f"got {type(fields).__name__}")
     if isinstance(fields.get("snr_grid_db"), str):
         fields["snr_grid_db"] = parse_snr_grid(fields["snr_grid_db"])
     if isinstance(fields.get("snr_grid_db"), list):
         fields["snr_grid_db"] = tuple(fields["snr_grid_db"])
-    if args.topology is not None:
-        fields["topology_kind"] = args.topology
-    if args.m is not None:
-        fields["m"] = args.m
-    if args.ref is not None:
-        fields["reference"] = args.ref
+    flags = {"topology_kind": args.topology, "m": args.m,
+             "reference": args.ref, "trials": args.trials,
+             "master_seed": args.seed, "output_format": args.format,
+             "output_path": args.out}
+    fields.update((k, v) for k, v in flags.items() if v is not None)
     if args.snr is not None:
         fields["snr_grid_db"] = parse_snr_grid(args.snr)
-    if args.trials is not None:
-        fields["trials"] = args.trials
-    if args.seed is not None:
-        fields["master_seed"] = args.seed
     if args.budget is not None:
-        mode, value = parse_budget(args.budget)
-        fields["budget_mode"] = mode
-        fields["budget_value"] = value
-    if args.format is not None:
-        fields["output_format"] = args.format
-    if args.out is not None:
-        fields["output_path"] = args.out
+        fields["budget_mode"], fields["budget_value"] = parse_budget(
+            args.budget)
     unknown = set(fields) - set(ExperimentConfig.__dataclass_fields__)
     if unknown:
         raise ConfigError(f"unknown config fields {sorted(unknown)}")
     cfg = ExperimentConfig(**fields)
     rows = run_snr_sweep(cfg)
-    text = write_sweep_output(rows, cfg)
-    if not cfg.output_path:
-        sys.stdout.write(text)
+    render = (sweep_rows_to_csv if cfg.output_format == "csv"
+              else sweep_rows_to_json)
+    _write_text(cfg.output_path, render(rows))
     return EXIT_OK
 
 
 def _cmd_verify(args) -> int:
+    if args.prop in (1, 2) and args.m is None:
+        raise ConfigError(f"--prop {args.prop} needs --m")
     if args.prop == 1:
-        if args.m is None:
-            raise ConfigError("--prop 1 needs --m")
         report = verify_star_optimality(args.m, args.ref, cap=args.cap)
         print(f"star optimality m={args.m} ref={args.ref}: "
               f"{report.tree_count} trees, min mean distance "
               f"{report.min_mean_distance} attained {report.minimizer_count}x, "
               f"star attains: {report.star_attains_minimum}")
     elif args.prop == 2:
-        if args.m is None:
-            raise ConfigError("--prop 2 needs --m")
         report = verify_time_bounds(args.m, cap=args.cap)
         print(f"time bounds m={args.m}: {report.tree_count} trees, slots in "
               f"[{report.min_slots}, {report.max_slots}], "

@@ -21,12 +21,16 @@ import numpy as np
 from .errors import (
     AmplitudeMismatch,
     BudgetError,
-    IndexOutOfRange,
     ScenarioError,
-    SelfLoop,
     SingularFisherMatrix,
 )
-from .topology import Topology, calibration_distances, max_degree
+from .topology import (
+    Topology,
+    _check_edges,
+    _check_m_reference,
+    calibration_distances,
+    max_degree,
+)
 
 if TYPE_CHECKING:
     from .simulate import RfGains
@@ -75,11 +79,6 @@ class ScenarioParams:
         return self.noise_variance / (self.rx_amplitude ** 2 * abs(self.line_gain) ** 2)
 
 
-def noise_ratios(s: ScenarioParams) -> tuple[float, float]:
-    """The pair (rho_a, rho_b) that scales every bound."""
-    return s.rho_a, s.rho_b
-
-
 @dataclass(frozen=True, eq=False)
 class FisherMatrix:
     """Information matrix for the unknown gains of the ordinary antennas.
@@ -96,44 +95,47 @@ class FisherMatrix:
     antennas: tuple[int, ...]
 
 
-def fisher_matrix(t: Topology, gains: "RfGains", s: ScenarioParams,
-                  amplitude_rtol: float = 1e-9) -> FisherMatrix:
+#: Relative tolerance of gain amplitudes against the scenario's.
+_AMPLITUDE_RTOL = 1e-9
+#: Largest condition number `crlb_numeric` inverts.
+_COND_LIMIT = 1e12
+
+
+def fisher_matrix(t: Topology, gains: "RfGains",
+                  s: ScenarioParams) -> FisherMatrix:
     """Assemble the information matrix for a tree wiring.
 
-    The gains must carry the scenario's nominal amplitudes within
-    `amplitude_rtol`; phases are free.
+    The gains must carry the scenario's nominal amplitudes within a
+    relative 1e-9; phases are free.
     """
-    _check_amplitudes(gains, s, amplitude_rtol)
+    _check_amplitudes(gains, s)
     return _assemble_fisher(t.m, t.reference, t.neighbors, gains, s)
 
 
 def fisher_from_edges(m: int, reference: int, edges, gains: "RfGains",
-                      s: ScenarioParams,
-                      amplitude_rtol: float = 1e-9) -> FisherMatrix:
+                      s: ScenarioParams) -> FisherMatrix:
     """Assemble the information matrix for an arbitrary wiring.
 
-    Unlike `fisher_matrix` this skips the spanning-tree validation, so a
-    candidate wiring that leaves antennas unreachable can be diagnosed by
-    the singularity of its matrix instead of being rejected up front.
+    The lines get `Topology`'s per-line checks (no self-loop, ends in
+    1..m, no line twice) but not its spanning-tree check, so a candidate
+    wiring that leaves antennas unreachable can be diagnosed by the
+    singularity of its matrix instead of being rejected up front.
     """
-    if not 1 <= reference <= m:
-        raise IndexOutOfRange(f"reference {reference} outside 1..{m}")
-    adjacency: dict[int, set[int]] = {k: set() for k in range(1, m + 1)}
-    for p, q in edges:
-        if p == q:
-            raise SelfLoop(f"antenna {p} wired to itself")
-        if not (1 <= p <= m and 1 <= q <= m):
-            raise IndexOutOfRange(f"line ({p},{q}) outside 1..{m}")
-        adjacency[p].add(q)
-        adjacency[q].add(p)
+    _check_m_reference(m, reference)
+    adjacency: dict[int, list[int]] = {k: [] for k in range(1, m + 1)}
+    for p, q in _check_edges(m, edges):
+        adjacency[p].append(q)
+        adjacency[q].append(p)
     neighbors = {k: tuple(sorted(v)) for k, v in adjacency.items()}
-    _check_amplitudes(gains, s, amplitude_rtol)
+    _check_amplitudes(gains, s)
     return _assemble_fisher(m, reference, neighbors, gains, s)
 
 
-def _check_amplitudes(gains: "RfGains", s: ScenarioParams, rtol: float) -> None:
-    ok_a = np.allclose(np.abs(gains.alpha), s.tx_amplitude, rtol=rtol, atol=0.0)
-    ok_b = np.allclose(np.abs(gains.beta), s.rx_amplitude, rtol=rtol, atol=0.0)
+def _check_amplitudes(gains: "RfGains", s: ScenarioParams) -> None:
+    ok_a = np.allclose(np.abs(gains.alpha), s.tx_amplitude,
+                       rtol=_AMPLITUDE_RTOL, atol=0.0)
+    ok_b = np.allclose(np.abs(gains.beta), s.rx_amplitude,
+                       rtol=_AMPLITUDE_RTOL, atol=0.0)
     if not (ok_a and ok_b):
         raise AmplitudeMismatch(
             "gain amplitudes do not match the scenario's nominal values")
@@ -162,8 +164,7 @@ def _assemble_fisher(m: int, reference: int,
     return FisherMatrix(2 * n, entries, ordinary)
 
 
-def crlb_numeric(j: FisherMatrix,
-                 cond_limit: float = 1e12) -> tuple[np.ndarray, np.ndarray]:
+def crlb_numeric(j: FisherMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Per-antenna bounds from the inverse information matrix diagonal.
 
     Returns (transmit-gain bounds, receive-gain bounds) ordered like
@@ -172,9 +173,10 @@ def crlb_numeric(j: FisherMatrix,
     gain profile shows up.
     """
     lam, vec = np.linalg.eigh(j.entries)
-    if not np.all(np.isfinite(lam)) or lam[0] <= 0 or lam[-1] > cond_limit * lam[0]:
+    if (not np.all(np.isfinite(lam)) or lam[0] <= 0
+            or lam[-1] > _COND_LIMIT * lam[0]):
         raise SingularFisherMatrix(
-            f"information matrix condition number beyond {cond_limit:.0e}")
+            f"information matrix condition number beyond {_COND_LIMIT:.0e}")
     diag = (np.abs(vec) ** 2) @ (1.0 / lam)
     n = j.order // 2
     return diag[:n], diag[n:]
@@ -296,7 +298,7 @@ def budgeted_average_crlb(t: Topology, s: ScenarioParams,
 def _distance_report(t: Topology, s: ScenarioParams, repetitions: int,
                      remainder: float) -> CrlbReport:
     profile = calibration_distances(t)
-    rho_a, rho_b = noise_ratios(s)
+    rho_a, rho_b = s.rho_a, s.rho_b
     # d / I is correctly rounded, hence equal to float(Fraction(d, I))
     factors = np.asarray(profile.distances, float) / repetitions
     mean_factor = float(profile.mean / repetitions)
@@ -322,10 +324,7 @@ def daisy_mean_distance(m: int, f: int) -> Fraction:
     Closed form (m - 2f)/2 + (f - 1)^2/(m - 1) + 1; agrees exactly with
     averaging the hop counts for every valid f.
     """
-    if m < 2:
-        raise ValueError(f"need at least 2 antennas, got m={m}")
-    if not 1 <= f <= m:
-        raise IndexOutOfRange(f"reference {f} outside 1..{m}")
+    _check_m_reference(m, f)
     return Fraction(m - 2 * f, 2) + Fraction((f - 1) ** 2, m - 1) + 1
 
 
@@ -334,8 +333,6 @@ def optimal_reference(m: int) -> tuple[int, Fraction]:
 
     Returns (floor((m + 1) / 2), minimized mean distance).
     """
-    if m < 2:
-        raise ValueError(f"need at least 2 antennas, got m={m}")
     f = (m + 1) // 2
     return f, daisy_mean_distance(m, f)
 

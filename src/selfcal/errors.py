@@ -1,4 +1,20 @@
-"""Exception types raised across the package."""
+"""Exception types raised across the package, and the type predicates
+that input checks share."""
+
+import math
+import numbers
+
+
+def is_integer(x) -> bool:
+    """True for an integer other than a bool, so JSON true and false
+    are rejected where a count belongs."""
+    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
+
+
+def is_finite(x) -> bool:
+    """True for a finite real number that is not a bool."""
+    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
+            and math.isfinite(x))
 
 
 class TopologyError(ValueError):

@@ -14,10 +14,9 @@ import csv
 import io
 import json
 import logging
-import math
-import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from fractions import Fraction
+from operator import attrgetter
 from typing import Iterable
 
 import numpy as np
@@ -29,7 +28,7 @@ from .crlb import (
     daisy_vs_star_ratio,
     optimal_reference,
 )
-from .errors import ConfigError
+from .errors import ConfigError, is_finite, is_integer
 from .estimator import mean_sq_errors, ml_estimate_batch
 from .simulate import draw_collapsed, draw_gain_batch
 from .topology import (
@@ -88,18 +87,26 @@ class SweepRow:
     hazard_rate: float
 
 
-SWEEP_CSV_HEADER = ("snr_db", "topology", "m", "reference", "I", "F_seconds",
-                    "avg_crlb_alpha", "avg_crlb_beta", "avg_mse_alpha",
-                    "avg_mse_beta", "trials", "hazard_rate")
+#: Sweep output column -> SweepRow field, in field order; the CSV and the
+#: JSON renderer are both built from it. Two columns carry the paper's
+#: symbols for the rounds a budget allows and the seconds left over.
+_SYMBOLS = {"repetitions": "I", "remainder_seconds": "F_seconds"}
+_SWEEP_COLUMNS = {_SYMBOLS.get(f.name, f.name): f.name
+                  for f in fields(SweepRow)}
+_sweep_values = attrgetter(*_SWEEP_COLUMNS.values())
 
 
-def validate_config(cfg: ExperimentConfig) -> None:
-    """Raise ConfigError unless every field has its type and a valid value.
+def validate_config(cfg: ExperimentConfig) -> Topology:
+    """Raise ConfigError unless every field has its type and a valid
+    value; return the wiring the config names.
 
     Config files arrive as JSON, so types are checked before any value.
+    The wiring is resolved last, and a measurement budget is checked
+    against its antenna count, which a "file:" topology takes from the
+    file and not from `m`.
     """
     for name in ("m", "reference", "trials", "master_seed"):
-        if not _is_integer(getattr(cfg, name)):
+        if not is_integer(getattr(cfg, name)):
             raise ConfigError(
                 f"{name} must be an integer, got {getattr(cfg, name)!r}")
     for name in ("topology_kind", "budget_mode", "output_format"):
@@ -110,22 +117,15 @@ def validate_config(cfg: ExperimentConfig) -> None:
         raise ConfigError(
             f"output_path must be a string, got {cfg.output_path!r}")
     if (not isinstance(cfg.snr_grid_db, (tuple, list))
-            or not all(_is_finite(x) for x in cfg.snr_grid_db)):
+            or not all(map(is_finite, cfg.snr_grid_db))):
         raise ConfigError(
             "snr_grid_db must be a list of finite numbers, "
             f"got {cfg.snr_grid_db!r}")
-    if cfg.budget_value is not None and not _is_finite(cfg.budget_value):
+    if cfg.budget_value is not None and not is_finite(cfg.budget_value):
         raise ConfigError(
             f"budget_value must be a finite number, got {cfg.budget_value!r}")
     if cfg.master_seed < 0:
         raise ConfigError(f"master_seed must be >= 0, got {cfg.master_seed}")
-    if cfg.m < 2:
-        raise ConfigError(f"need at least 2 antennas, got m={cfg.m}")
-    if not 1 <= cfg.reference <= cfg.m:
-        raise ConfigError(f"reference {cfg.reference} outside 1..{cfg.m}")
-    kind = cfg.topology_kind
-    if kind not in ("star", "daisy") and not kind.startswith("file:"):
-        raise ConfigError(f"unknown topology kind {kind!r}")
     if not cfg.snr_grid_db:
         raise ConfigError("SNR grid must not be empty")
     if cfg.trials < 1:
@@ -134,24 +134,18 @@ def validate_config(cfg: ExperimentConfig) -> None:
         if cfg.budget_value is None or cfg.budget_value <= 0:
             raise ConfigError(
                 "time budget needs a positive budget_value in slot durations")
-    elif cfg.budget_mode == "measurements":
-        if cfg.budget_value is not None and cfg.budget_value != 2 * (cfg.m - 1):
-            raise ConfigError(
-                "a measurement budget supports exactly one round of "
-                f"2(m-1)={2 * (cfg.m - 1)} measurements")
-    else:
+    elif cfg.budget_mode != "measurements":
         raise ConfigError(f"unknown budget mode {cfg.budget_mode!r}")
     if cfg.output_format not in ("csv", "json"):
         raise ConfigError(f"unknown output format {cfg.output_format!r}")
-
-
-def _is_integer(x) -> bool:
-    return isinstance(x, numbers.Integral) and not isinstance(x, bool)
-
-
-def _is_finite(x) -> bool:
-    return (isinstance(x, numbers.Real) and not isinstance(x, bool)
-            and math.isfinite(x))
+    topo = resolve_topology(cfg)
+    one_round = 2 * (topo.m - 1)
+    if (cfg.budget_mode == "measurements" and cfg.budget_value is not None
+            and cfg.budget_value != one_round):
+        raise ConfigError(
+            "a measurement budget supports exactly one round of "
+            f"2(m-1)={one_round} measurements")
+    return topo
 
 
 def resolve_topology(cfg: ExperimentConfig) -> Topology:
@@ -205,9 +199,8 @@ def run_snr_sweep(cfg: ExperimentConfig,
     and scoring act on each trial alone, so batching does not change the
     output.
     """
-    validate_config(cfg)
+    topo = validate_config(cfg)
     base = scenario if scenario is not None else ScenarioParams()
-    topo = resolve_topology(cfg)
     signal_power = (base.tx_amplitude * base.rx_amplitude
                     * abs(base.line_gain)) ** 2
     points = len(cfg.snr_grid_db)
@@ -301,48 +294,21 @@ def _budget_report(cfg: ExperimentConfig, topo: Topology, s: ScenarioParams):
     return crlb_closed_form(topo, s)
 
 
-def _fmt(x: float) -> str:
-    # repr round-trips and is stable, so equal runs give equal bytes
-    return repr(float(x))
-
-
 def sweep_rows_to_csv(rows: Iterable[SweepRow]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_HEADER)
-    for r in rows:
-        writer.writerow([
-            _fmt(r.snr_db), r.topology, r.m, r.reference, r.repetitions,
-            _fmt(r.remainder_seconds), _fmt(r.avg_crlb_alpha),
-            _fmt(r.avg_crlb_beta), _fmt(r.avg_mse_alpha),
-            _fmt(r.avg_mse_beta), r.trials, _fmt(r.hazard_rate),
-        ])
+    writer.writerow(_SWEEP_COLUMNS)
+    for values in map(_sweep_values, rows):
+        # repr round-trips and is stable, so equal runs give equal bytes
+        writer.writerow([repr(float(v)) if isinstance(v, float) else v
+                         for v in values])
     return buf.getvalue()
 
 
 def sweep_rows_to_json(rows: Iterable[SweepRow]) -> str:
-    payload = [{
-        "snr_db": r.snr_db, "topology": r.topology, "m": r.m,
-        "reference": r.reference, "I": r.repetitions,
-        "F_seconds": r.remainder_seconds,
-        "avg_crlb_alpha": r.avg_crlb_alpha, "avg_crlb_beta": r.avg_crlb_beta,
-        "avg_mse_alpha": r.avg_mse_alpha, "avg_mse_beta": r.avg_mse_beta,
-        "trials": r.trials, "hazard_rate": r.hazard_rate,
-    } for r in rows]
-    return json.dumps(payload, indent=2) + "\n"
-
-
-def write_sweep_output(rows: Iterable[SweepRow], cfg: ExperimentConfig) -> str:
-    """Render rows in the configured format, writing the file if asked.
-
-    Returns the rendered text either way.
-    """
-    text = (sweep_rows_to_csv(rows) if cfg.output_format == "csv"
-            else sweep_rows_to_json(rows))
-    if cfg.output_path:
-        with open(cfg.output_path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    return text
+    records = [dict(zip(_SWEEP_COLUMNS, values))
+               for values in map(_sweep_values, rows)]
+    return json.dumps(records, indent=2) + "\n"
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ from functools import cached_property
 import numpy as np
 
 from .crlb import ScenarioParams
+from .errors import is_finite, is_integer
 from .topology import Topology
 
 
@@ -78,16 +79,6 @@ class MeasurementSet:
     def index(self) -> dict[tuple[int, int], int]:
         """Row lookup by (transmitter, receiver)."""
         return {pair: i for i, pair in enumerate(self.pairs)}
-
-    def observation(self, tx: int, rx: int, repetition: int = 1) -> complex:
-        try:
-            row = self.index[(tx, rx)]
-        except KeyError:
-            raise ValueError(f"no line carries a measurement {tx}->{rx}") from None
-        if not 1 <= repetition <= self.repetitions:
-            raise ValueError(
-                f"repetition {repetition} outside 1..{self.repetitions}")
-        return complex(self.values[row, repetition - 1])
 
 
 def synthesize(t: Topology, gains: RfGains, s: ScenarioParams,
@@ -171,16 +162,27 @@ def measurements_to_dict(ms: MeasurementSet) -> dict:
 def measurements_from_dict(data: dict) -> MeasurementSet:
     """Inverse of `measurements_to_dict`; the (pair, repetition) grid must
     be complete, every value finite and the sounding value nonzero."""
+    if not isinstance(data, dict):
+        raise ValueError(
+            f"a replay file must be a JSON object, got {type(data).__name__}")
+    observations = data["observations"]
+    if not isinstance(observations, (list, tuple)):
+        raise ValueError(f"observations must be a list, got {observations!r}")
     repetitions = data["repetitions"]
-    if not _is_int(repetitions) or repetitions < 1:
+    if not is_integer(repetitions) or repetitions < 1:
         raise ValueError(
             f"repetitions must be a positive integer, got {repetitions!r}")
     sounding = _finite_complex(data["sounding_value"], "sounding value")
     if sounding == 0:
         raise ValueError("sounding value must be nonzero")
     table: dict[tuple[int, int, int], complex] = {}
-    for tx, rx, r, re_, im_ in data["observations"]:
-        if not (_is_int(tx) and _is_int(rx) and _is_int(r)):
+    for row in observations:
+        if not isinstance(row, (list, tuple)) or len(row) != 5:
+            raise ValueError(
+                f"observation rows are [tx, rx, repetition, real, imag], "
+                f"got {row!r}")
+        tx, rx, r, re_, im_ = row
+        if not (is_integer(tx) and is_integer(rx) and is_integer(r)):
             raise ValueError(
                 f"observation keys must be integers, got {[tx, rx, r]!r}")
         table[(tx, rx, r)] = _finite_complex(
@@ -203,16 +205,11 @@ def measurements_from_dict(data: dict) -> MeasurementSet:
     return MeasurementSet(pairs, values, repetitions, sounding)
 
 
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
 def _finite_complex(parts, what: str) -> complex:
     # [real, imag] as JSON numbers; NaN or infinity would only resurface
     # as NaN estimates downstream
     if (not isinstance(parts, (list, tuple)) or len(parts) != 2
-            or not all(isinstance(x, (int, float)) and not isinstance(x, bool)
-                       and math.isfinite(x) for x in parts)):
+            or not all(map(is_finite, parts))):
         raise ValueError(f"{what} must be [real, imag] finite numbers, "
                          f"got {parts!r}")
     return complex(parts[0], parts[1])

@@ -23,7 +23,9 @@ from .errors import (
     IndexOutOfRange,
     NotEffective,
     SelfLoop,
+    TopologyError,
     WrongEdgeCount,
+    is_integer,
 )
 
 Edge = tuple[int, int]
@@ -94,24 +96,8 @@ class Topology:
     edges: tuple[Edge, ...]
 
     def __post_init__(self) -> None:
-        if self.m < 2:
-            raise ValueError(f"need at least 2 antennas, got m={self.m}")
-        if not 1 <= self.reference <= self.m:
-            raise IndexOutOfRange(
-                f"reference {self.reference} outside 1..{self.m}")
-        seen: set[Edge] = set()
-        canonical: list[Edge] = []
-        for pair in self.edges:
-            p, q = pair
-            if p == q:
-                raise SelfLoop(f"antenna {p} wired to itself")
-            if not (1 <= p <= self.m and 1 <= q <= self.m):
-                raise IndexOutOfRange(f"line ({p},{q}) outside 1..{self.m}")
-            edge = (p, q) if p < q else (q, p)
-            if edge in seen:
-                raise DuplicateEdge(f"line ({edge[0]},{edge[1]}) listed twice")
-            seen.add(edge)
-            canonical.append(edge)
+        _check_m_reference(self.m, self.reference)
+        canonical = _check_edges(self.m, self.edges)
         if len(canonical) != self.m - 1:
             raise WrongEdgeCount(
                 f"{len(canonical)} lines for m={self.m}, expected {self.m - 1}")
@@ -192,14 +178,6 @@ class Topology:
     def degree(self, antenna: int) -> int:
         return len(self.neighbors[antenna])
 
-    def interconnection_matrix(self) -> np.ndarray:
-        """Dense 0/1 wiring matrix (m x m), built on demand."""
-        a = np.zeros((self.m, self.m), dtype=np.int8)
-        for p, q in self.edges:
-            a[p - 1, q - 1] = 1
-            a[q - 1, p - 1] = 1
-        return a
-
 
 @dataclass(frozen=True)
 class DistanceProfile:
@@ -240,9 +218,29 @@ def _check_m_reference(m: int, reference: int) -> None:
         raise IndexOutOfRange(f"reference {reference} outside 1..{m}")
 
 
+def _check_edges(m: int, edges: Iterable[Edge]) -> list[Edge]:
+    """The lines as (low, high) pairs, in the order given.
+
+    Raises SelfLoop, IndexOutOfRange or DuplicateEdge at the first line
+    that wires an antenna to itself, leaves 1..m or repeats a line.
+    """
+    seen: set[Edge] = set()
+    canonical: list[Edge] = []
+    for p, q in edges:
+        if p == q:
+            raise SelfLoop(f"antenna {p} wired to itself")
+        if not (1 <= p <= m and 1 <= q <= m):
+            raise IndexOutOfRange(f"line ({p},{q}) outside 1..{m}")
+        edge = (p, q) if p < q else (q, p)
+        if edge in seen:
+            raise DuplicateEdge(f"line ({edge[0]},{edge[1]}) listed twice")
+        seen.add(edge)
+        canonical.append(edge)
+    return canonical
+
+
 def make_star(m: int, reference: int) -> Topology:
     """Wire every ordinary antenna directly to the reference."""
-    _check_m_reference(m, reference)
     return Topology(
         m, reference,
         tuple((reference, k) for k in range(1, m + 1) if k != reference))
@@ -254,19 +252,32 @@ def make_daisy(m: int, reference: int) -> Topology:
     Labels are positions along the chain; the reference may sit anywhere
     on it.
     """
-    _check_m_reference(m, reference)
     return Topology(m, reference, tuple((k, k + 1) for k in range(1, m)))
 
 
 def from_edges(m: int, reference: int,
                edges: Iterable[Iterable[int]]) -> Topology:
-    """Validate an arbitrary wiring description.
+    """Validate an arbitrary wiring description, such as one read from JSON.
 
-    Raises SelfLoop, IndexOutOfRange, DuplicateEdge, WrongEdgeCount or
-    NotEffective depending on what is wrong with the input.
+    Raises TopologyError unless `m`, `reference` and both ends of every
+    line are integers (bools and floats are not), then SelfLoop,
+    IndexOutOfRange, DuplicateEdge, WrongEdgeCount or NotEffective
+    depending on what is wrong with the wiring.
     """
-    pairs = tuple((int(p), int(q)) for p, q in edges)
-    return Topology(int(m), int(reference), pairs)
+    try:
+        pairs = tuple((p, q) for p, q in edges)
+    except (TypeError, ValueError):
+        raise TopologyError(
+            f"edges must be a list of [p, q] pairs, got {edges!r}") from None
+    for name, value in (("m", m), ("reference", reference)):
+        if not is_integer(value):
+            raise TopologyError(f"{name} must be an integer, got {value!r}")
+    for p, q in pairs:
+        if not (is_integer(p) and is_integer(q)):
+            raise TopologyError(
+                f"line ends must be integers, got {[p, q]!r}")
+    return Topology(int(m), int(reference),
+                    tuple((int(p), int(q)) for p, q in pairs))
 
 
 def calibration_distances(t: Topology) -> DistanceProfile:
@@ -282,29 +293,6 @@ def calibration_distances(t: Topology) -> DistanceProfile:
 def max_degree(t: Topology) -> int:
     """Largest number of lines meeting at any antenna."""
     return max(map(len, t.neighbors.values()))
-
-
-def decompose_chains(t: Topology) -> list[list[int]]:
-    """Split the wiring into chains walking away from the reference.
-
-    When branching only happens at the reference, the chains partition
-    the ordinary antennas. A branch below the reference is reported as
-    one root-to-leaf chain per leaf, duplicating the shared prefix; each
-    antenna still appears at the position given by its hop distance, so
-    per-antenna bounds computed chain by chain stay correct.
-    """
-    chains: list[list[int]] = []
-
-    def walk(node: int, parent: int, prefix: list[int]) -> None:
-        children = [k for k in t.neighbors[node] if k != parent]
-        if not children:
-            chains.append(prefix)
-        for child in children:
-            walk(child, node, prefix + [child])
-
-    for first in t.neighbors[t.reference]:
-        walk(first, t.reference, [first])
-    return chains
 
 
 def measurement_schedule(t: Topology, slot_duration: float) -> Schedule:
@@ -408,6 +396,9 @@ def topology_to_dict(t: Topology) -> dict:
 
 def topology_from_dict(data: dict) -> Topology:
     """Inverse of `topology_to_dict`, with full validation."""
+    if not isinstance(data, dict):
+        raise TopologyError(
+            f"a topology must be a JSON object, got {type(data).__name__}")
     return from_edges(data["m"], data["reference"], data["edges"])
 
 

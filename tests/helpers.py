@@ -3,6 +3,7 @@
 from collections import deque
 
 import numpy as np
+from hypothesis import strategies as st
 
 from selfcal import ScenarioParams, RfGains, from_edges
 
@@ -29,6 +30,16 @@ def random_tree(rng, m, reference=None):
     if reference is None:
         reference = int(rng.integers(1, m + 1))
     seq = [int(x) for x in rng.integers(1, m + 1, size=max(0, m - 2))]
+    return from_edges(m, reference, naive_pruefer_edges(seq, m))
+
+
+@st.composite
+def trees(draw, max_m=20):
+    """Hypothesis strategy: a labeled tree on 2..max_m antennas with any
+    reference, drawn as its sequence code, so failures shrink."""
+    m = draw(st.integers(2, max_m))
+    reference = draw(st.integers(1, m))
+    seq = draw(st.lists(st.integers(1, m), min_size=m - 2, max_size=m - 2))
     return from_edges(m, reference, naive_pruefer_edges(seq, m))
 
 

@@ -173,6 +173,43 @@ class TestInputHardening:
         assert "trials must be an integer" in capsys.readouterr().err
 
 
+TOPOLOGY = {"m": 4, "reference": 1, "edges": [[1, 2], [2, 3], [3, 4]]}
+
+
+class TestMalformedJson:
+    ARGV = {
+        "topology": lambda path: ["crlb", "--topology", f"file:{path}"],
+        "config": lambda path: ["sweep", "--config", str(path)],
+        "replay": lambda path: ["simulate", "--topology", "daisy", "--m", "4",
+                                "--ref", "2", "--in", str(path), "--estimate"],
+    }
+
+    @pytest.mark.parametrize("kind, payload", [
+        ("topology", dict(TOPOLOGY, m=4.7)),
+        ("topology", dict(TOPOLOGY, edges=[[1.9, 2], [2, 3], [3, 4]])),
+        ("topology", dict(TOPOLOGY, m="4")),
+        ("topology", dict(TOPOLOGY, reference=True)),
+        ("topology", [1, 2]),
+        ("topology", dict(TOPOLOGY, edges=5)),
+        ("topology", dict(TOPOLOGY, edges=[[1, 2], [2, 3], 4])),
+        ("config", [1, 2]),
+        ("replay", [1, 2]),
+        ("replay", {"repetitions": 1, "sounding_value": [1.0, 0.0],
+                    "observations": 7}),
+        ("replay", {"repetitions": 1, "sounding_value": [1.0, 0.0],
+                    "observations": [7]}),
+    ], ids=["m-float", "edge-float", "m-string", "reference-bool",
+            "topology-list", "edges-int", "edge-int", "config-list",
+            "replay-list", "observations-int", "observation-int"])
+    def test_exits_2_with_one_line(self, tmp_path, capsys, kind, payload):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        code = main(self.ARGV[kind](path))
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("selfcal: ") and err.count("\n") == 1
+
+
 class TestSweepCommand:
     def test_csv_written(self, tmp_path):
         out = tmp_path / "rows.csv"

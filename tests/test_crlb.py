@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selfcal import (
     DAISY_VS_STAR_LIMIT,
@@ -14,9 +15,9 @@ from selfcal import (
     daisy_vs_star_ratio,
     fisher_from_edges,
     fisher_matrix,
+    from_edges,
     make_daisy,
     make_star,
-    noise_ratios,
     optimal_reference,
     repetition_budget,
     time_to_collect,
@@ -24,12 +25,15 @@ from selfcal import (
 from selfcal.errors import (
     AmplitudeMismatch,
     BudgetError,
+    DuplicateEdge,
+    IndexOutOfRange,
     ScenarioError,
+    SelfLoop,
     SingularFisherMatrix,
 )
 from selfcal.simulate import RfGains
 
-from helpers import random_gains, random_scenario, random_tree
+from helpers import random_gains, random_scenario, random_tree, trees
 
 UNIT = ScenarioParams()
 
@@ -40,15 +44,15 @@ def unit_gains(m):
 
 class TestScenario:
     def test_noise_ratios_unit(self):
-        assert noise_ratios(UNIT) == (1.0, 1.0)
+        assert (UNIT.rho_a, UNIT.rho_b) == (1.0, 1.0)
 
     def test_noise_ratios_snr30(self):
         s = ScenarioParams(noise_variance=1e-3)
-        assert noise_ratios(s) == (1e-3, 1e-3)
+        assert (s.rho_a, s.rho_b) == (1e-3, 1e-3)
 
     def test_noise_ratios_line_gain(self):
         s = ScenarioParams(line_gain=2.0)
-        assert noise_ratios(s) == (0.25, 0.25)
+        assert (s.rho_a, s.rho_b) == (0.25, 0.25)
 
     def test_rejects_bad_params(self):
         with pytest.raises(ScenarioError):
@@ -128,6 +132,19 @@ class TestNumericCrlb:
             assert np.allclose(alpha, report.per_antenna_alpha, rtol=1e-9)
             assert np.allclose(beta, report.per_antenna_beta, rtol=1e-9)
 
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(t=trees(), seed=st.integers(0, 2**32 - 1))
+    def test_matches_closed_form_generated_trees(self, t, seed):
+        rng = np.random.default_rng(seed)
+        s = random_scenario(rng)
+        alpha, beta = crlb_numeric(fisher_matrix(t, random_gains(rng, t.m, s),
+                                                 s))
+        report = crlb_closed_form(t, s)
+        np.testing.assert_allclose(alpha, report.per_antenna_alpha,
+                                   rtol=1e-9, atol=0)
+        np.testing.assert_allclose(beta, report.per_antenna_beta,
+                                   rtol=1e-9, atol=0)
+
     def test_phase_invariance(self):
         rng = np.random.default_rng(9)
         t = random_tree(rng, 9)
@@ -143,6 +160,22 @@ class TestNumericCrlb:
         j = fisher_from_edges(5, 1, edges, unit_gains(5), UNIT)
         with pytest.raises(SingularFisherMatrix):
             crlb_numeric(j)
+
+    @pytest.mark.parametrize("m, reference, edges, error", [
+        (3, 1, [(1, 2), (2, 1), (2, 3)], DuplicateEdge),
+        (3, 1, [(1, 1), (2, 3)], SelfLoop),
+        (3, 1, [(1, 2), (2, 4)], IndexOutOfRange),
+        (3, 4, [(1, 2), (2, 3)], IndexOutOfRange),
+        (1, 1, [], ValueError),
+    ])
+    def test_bad_wiring_rejected_like_from_edges(self, m, reference, edges,
+                                                 error):
+        # the wiring checks are Topology's own, short of the tree check
+        with pytest.raises(error) as fisher:
+            fisher_from_edges(m, reference, edges, unit_gains(m), UNIT)
+        with pytest.raises(error) as topology:
+            from_edges(m, reference, edges)
+        assert str(fisher.value) == str(topology.value)
 
 
 class TestClosedForm:
@@ -161,7 +194,7 @@ class TestClosedForm:
         s = ScenarioParams(line_gain=0.5 + 0.5j, noise_variance=0.01,
                            tx_amplitude=1.5, rx_amplitude=0.75)
         report = crlb_closed_form(make_daisy(4, 1), s)
-        rho_a, rho_b = noise_ratios(s)
+        rho_a, rho_b = s.rho_a, s.rho_b
         assert np.allclose(report.per_antenna_alpha, np.array([1, 2, 3]) * rho_b)
         assert np.allclose(report.per_antenna_beta, np.array([1, 2, 3]) * rho_a)
 
@@ -174,8 +207,6 @@ class TestTimeBudget:
         assert time_to_collect(make_star(129, 64), s) == 64.0
 
     def test_collection_time_branching_tree(self):
-        from selfcal import from_edges
-
         seven = from_edges(7, 3, [(3, 1), (1, 2), (3, 4), (4, 5), (3, 6), (6, 7)])
         assert time_to_collect(seven, UNIT) == 6.0
 

@@ -1,3 +1,4 @@
+import json
 import math
 from fractions import Fraction
 
@@ -7,9 +8,11 @@ import pytest
 from selfcal import (
     ExperimentConfig,
     ScenarioParams,
+    from_edges,
     run_snr_sweep,
     sweep_rows_to_csv,
     sweep_rows_to_json,
+    topology_to_dict,
     validate_config,
     verify_daisy_optimality,
     verify_star_optimality,
@@ -32,6 +35,22 @@ class TestConfig:
         with pytest.raises(ConfigError):
             validate_config(ExperimentConfig(budget_mode="measurements",
                                              budget_value=100))
+
+    @pytest.mark.parametrize("budget", [12, 256])
+    def test_measurement_budget_of_a_file_topology(self, tmp_path, budget):
+        # one round on the 7-antenna file is 12 measurements, whatever m says
+        path = tmp_path / "net7.json"
+        path.write_text(json.dumps(topology_to_dict(from_edges(
+            7, 3, [(3, 1), (1, 2), (3, 4), (4, 5), (3, 6), (6, 7)]))))
+        cfg = ExperimentConfig(topology_kind=f"file:{path}",
+                               snr_grid_db=(30.0,), trials=5,
+                               budget_value=budget)
+        if budget == 12:
+            assert validate_config(cfg).m == 7
+            assert run_snr_sweep(cfg)[0].repetitions == 1
+        else:
+            with pytest.raises(ConfigError, match=r"2\(m-1\)=12 "):
+                validate_config(cfg)
 
     def test_rejects_bad_grid_and_kind(self):
         with pytest.raises(ConfigError):

@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selfcal import (
     RfGains,
@@ -17,7 +18,7 @@ from selfcal import (
 
 from selfcal.simulate import draw_collapsed, draw_gain_batch
 
-from helpers import random_tree
+from helpers import random_scenario, random_tree, trees
 
 UNIT = ScenarioParams()
 NOISELESS = ScenarioParams(noise_variance=0.0)
@@ -72,8 +73,7 @@ class TestSynthesize:
         ms = synthesize(t, g, UNIT, seed=2)
         expected = {(p, q) for p, q in t.edges} | {(q, p) for p, q in t.edges}
         assert set(ms.pairs) == expected
-        with pytest.raises(ValueError):
-            ms.observation(1, 1)
+        assert set(ms.index) == expected
 
     def test_noiseless_factorization(self):
         rng = np.random.default_rng(8)
@@ -83,7 +83,8 @@ class TestSynthesize:
         ms = synthesize(t, g, s)
         for tx, rx in ms.pairs:
             expected = g.beta[rx - 1] * s.line_gain * g.alpha[tx - 1]
-            assert ms.observation(tx, rx) == pytest.approx(expected, rel=1e-14)
+            observed = ms.values[ms.index[(tx, rx)], 0]
+            assert observed == pytest.approx(expected, rel=1e-14)
 
     def test_deterministic_for_seed(self):
         t = make_daisy(4, 2)
@@ -189,6 +190,19 @@ class TestSerialization:
         assert back.repetitions == 3
         assert np.allclose(back.values, ms.values)
         assert back.sounding_value == 1.0
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(t=trees(), seed=st.integers(0, 2**32 - 1),
+           reps=st.integers(1, 3))
+    def test_replay_json_roundtrip_property(self, t, seed, reps):
+        s = random_scenario(np.random.default_rng(seed))
+        ms = synthesize(t, draw_gains(t.m, s, seed), s, reps, seed + 1)
+        back = measurements_from_dict(
+            json.loads(json.dumps(measurements_to_dict(ms))))
+        assert back.pairs == ms.pairs == t.directed_pairs
+        assert back.repetitions == reps
+        assert np.array_equal(back.values, ms.values)
+        assert back.sounding_value == ms.sounding_value
 
     def test_incomplete_grid_rejected(self):
         t = make_daisy(3, 1)

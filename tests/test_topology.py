@@ -1,11 +1,12 @@
+import json
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from selfcal import (
     calibration_distances,
-    decompose_chains,
     enumerate_trees,
     from_edges,
     make_daisy,
@@ -22,10 +23,13 @@ from selfcal.errors import (
     IndexOutOfRange,
     NotEffective,
     SelfLoop,
+    TopologyError,
     WrongEdgeCount,
 )
 
-from helpers import hop_distances, random_tree
+from helpers import hop_distances, random_tree, trees
+
+PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
 # branching only at the reference: three arms of length 2
 SEVEN = from_edges(7, 3, [(3, 1), (1, 2), (3, 4), (4, 5), (3, 6), (6, 7)])
@@ -84,14 +88,21 @@ class TestConstruction:
         with pytest.raises(NotEffective):
             from_edges(5, 1, [(1, 2), (3, 4), (4, 5), (3, 5)])
 
+    @pytest.mark.parametrize("m, reference, edges", [
+        (4.7, 1, [(1, 2), (2, 3), (3, 4)]),
+        ("4", 1, [(1, 2), (2, 3), (3, 4)]),
+        (4, True, [(1, 2), (2, 3), (3, 4)]),
+        (4, 1, [(1.9, 2), (2, 3), (3, 4)]),
+        (4, 1, 5),
+        (4, 1, [(1, 2), (2, 3), (3, 4, 1)]),
+    ])
+    def test_from_edges_rejects_wrong_types(self, m, reference, edges):
+        with pytest.raises(TopologyError):
+            from_edges(m, reference, edges)
+
     def test_canonical_edge_order(self):
         t = from_edges(4, 2, [(4, 3), (2, 1), (2, 3)])
         assert t.edges == ((1, 2), (2, 3), (3, 4))
-
-    def test_interconnection_matrix(self):
-        a = make_star(4, 2).interconnection_matrix()
-        assert a.sum() == 6
-        assert (a == a.T).all() and np.trace(a) == 0
 
 
 class TestDistances:
@@ -126,31 +137,6 @@ class TestDegreeAndChains:
         assert max_degree(make_star(6, 1)) == 5
         assert max_degree(SEVEN) == 3
 
-    def test_chains_seven(self):
-        assert decompose_chains(SEVEN) == [[1, 2], [4, 5], [6, 7]]
-
-    def test_chains_daisy_129(self):
-        chains = decompose_chains(make_daisy(129, 64))
-        assert sorted(len(c) for c in chains) == [63, 65]
-        assert chains[0][:3] == [63, 62, 61]
-        assert chains[1][:3] == [65, 66, 67]
-
-    def test_chains_star(self):
-        assert decompose_chains(make_star(5, 1)) == [[2], [3], [4], [5]]
-
-    def test_chain_positions_match_distances(self):
-        rng = np.random.default_rng(5)
-        for _ in range(30):
-            t = random_tree(rng, int(rng.integers(3, 10)))
-            profile = calibration_distances(t)
-            dist = dict(zip(profile.antennas, profile.distances))
-            covered = set()
-            for chain in decompose_chains(t):
-                for position, antenna in enumerate(chain, start=1):
-                    assert dist[antenna] == position
-                    covered.add(antenna)
-            assert covered == set(t.ordinary)
-
 
 class TestSchedule:
     def test_daisy_slots(self):
@@ -181,6 +167,12 @@ class TestSchedule:
                 schedule = measurement_schedule(t, 1.0)
                 assert schedule_violations(t, schedule) == []
                 assert len(schedule.slots) == 2 * max_degree(t)
+
+    @PROPERTY
+    @given(t=trees())
+    def test_valid_on_generated_trees(self, t):
+        schedule = measurement_schedule(t, 1.0)
+        assert schedule_violations(t, schedule) == []
 
     def test_violations_detected(self):
         t = make_daisy(3, 1)
@@ -240,6 +232,17 @@ class TestSerialization:
         data = topology_to_dict(SEVEN)
         assert data["m"] == 7 and data["reference"] == 3
         assert topology_from_dict(data) == SEVEN
+
+    @PROPERTY
+    @given(t=trees(), flips=st.lists(st.booleans(), min_size=19,
+                                     max_size=19))
+    def test_topology_json_roundtrip_property(self, t, flips):
+        data = json.loads(json.dumps(topology_to_dict(t)))
+        assert topology_from_dict(data) == t
+        # any listing of the same lines describes the same wiring
+        listed = [[q, p] if flip else [p, q]
+                  for (p, q), flip in zip(reversed(data["edges"]), flips)]
+        assert topology_from_dict(dict(data, edges=listed)) == t
 
     def test_schedule_dict(self):
         schedule = measurement_schedule(make_daisy(3, 1), 0.5)
