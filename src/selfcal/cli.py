@@ -17,11 +17,7 @@ import sys
 
 import numpy as np
 
-from .crlb import (
-    ScenarioParams,
-    budgeted_average_crlb,
-    crlb_closed_form,
-)
+from .crlb import ScenarioParams
 from .errors import ConfigError
 from .estimator import (
     collapse_repetitions,
@@ -31,6 +27,7 @@ from .estimator import (
 )
 from .harness import (
     ExperimentConfig,
+    _budget_report,
     resolve_topology,
     run_snr_sweep,
     sweep_rows_to_csv,
@@ -85,6 +82,16 @@ def parse_budget(text: str) -> tuple[str, float | None]:
     raise ConfigError(f"bad budget {text!r}, expected measurements or time:N")
 
 
+def _parse_m_range(text: str) -> range:
+    """Antenna-count range syntax lo:hi, integers with lo <= hi."""
+    values = [_finite(p, f"m range {text!r}") for p in text.split(":")]
+    if (len(values) != 2 or not all(v.is_integer() for v in values)
+            or values[1] < values[0]):
+        raise ConfigError(f"bad m range {text!r}, expected lo:hi "
+                          "with integers lo <= hi")
+    return range(int(values[0]), int(values[1]) + 1)
+
+
 def _finite(text: str, what: str) -> float:
     try:
         value = float(text)
@@ -103,13 +110,10 @@ def _topology_from_args(args):
 
 
 def _scenario_from_args(args) -> ScenarioParams:
-    noise = args.noise_var
-    if args.snr_db is not None:
-        signal = (args.tx_amp * args.rx_amp * abs(args.line_gain)) ** 2
-        noise = signal * 10.0 ** (-args.snr_db / 10.0)
-    return ScenarioParams(line_gain=args.line_gain, noise_variance=noise,
-                          tx_amplitude=args.tx_amp, rx_amplitude=args.rx_amp,
-                          slot_duration=args.slot)
+    s = ScenarioParams(line_gain=args.line_gain, noise_variance=args.noise_var,
+                       tx_amplitude=args.tx_amp, rx_amplitude=args.rx_amp,
+                       slot_duration=args.slot)
+    return s if args.snr_db is None else s.at_snr(args.snr_db)
 
 
 def _add_topology_args(p: argparse.ArgumentParser) -> None:
@@ -202,12 +206,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_crlb(args) -> int:
     topo = _topology_from_args(args)
     scenario = _scenario_from_args(args)
-    mode, value = parse_budget(args.budget)
-    if mode == "time":
-        report = budgeted_average_crlb(topo, scenario,
-                                       value * scenario.slot_duration)
-    else:
-        report = crlb_closed_form(topo, scenario)
+    report = _budget_report(topo, scenario, *parse_budget(args.budget))
     if args.format == "json":
         _write_text(args.out, json.dumps(report.to_dict(), indent=2) + "\n")
     else:
@@ -303,8 +302,7 @@ def _cmd_verify(args) -> int:
               f"schedules valid: {report.schedules_valid}")
     else:
         if args.m_range:
-            lo, hi = (int(x) for x in args.m_range.split(":"))
-            m_values = range(lo, hi + 1)
+            m_values = _parse_m_range(args.m_range)
         elif args.m is not None:
             m_values = [args.m]
         else:

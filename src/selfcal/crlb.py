@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
@@ -67,6 +67,13 @@ class ScenarioParams:
             raise ScenarioError("gain amplitudes must be positive")
         if self.slot_duration <= 0:
             raise ScenarioError("slot duration must be positive")
+
+    def at_snr(self, snr_db: float) -> "ScenarioParams":
+        """This scenario with the noise variance at `snr_db`, where
+        snr = (a * b * |h|)^2 / sigma^2 with the unit sounding signal."""
+        signal = (self.tx_amplitude * self.rx_amplitude
+                  * abs(self.line_gain)) ** 2
+        return replace(self, noise_variance=signal * 10.0 ** (-snr_db / 10.0))
 
     @property
     def rho_a(self) -> float:

@@ -43,6 +43,10 @@ class EstimationError:
     average_beta: float
 
 
+#: Estimates below this fraction of their nominal amplitude are hazards.
+_HAZARD_FLOOR = 1e-9
+
+
 def collapse_repetitions(ms: MeasurementSet) -> MeasurementSet:
     """Average repeated rounds into a single round per direction.
 
@@ -58,17 +62,16 @@ def collapse_repetitions(ms: MeasurementSet) -> MeasurementSet:
 
 
 def ml_estimate(ms: MeasurementSet, t: Topology, s: ScenarioParams,
-                ref_alpha: complex, ref_beta: complex,
-                hazard_floor: float = 1e-9) -> GainEstimates:
+                ref_alpha: complex, ref_beta: complex) -> GainEstimates:
     """Recover all unknown gains from a collapsed measurement set.
 
     The measurements are divided by the set's sounding value and handed
     to `ml_estimate_batch` as a batch of one trial. The set must carry
-    exactly the measurements of the wiring: both directions of every
-    line and nothing else.
+    exactly the measurements of the wiring in `t.directed_pairs` order, as
+    `synthesize` and replay files give them: nothing else, none missing.
 
     Raises DivisionHazard naming the antenna whose estimate fell below
-    `hazard_floor` times its nominal amplitude: everything downstream
+    `_HAZARD_FLOOR` times its nominal amplitude: everything downstream
     would be noise amplification, which signals an SNR too low for the
     chain.
     """
@@ -76,31 +79,27 @@ def ml_estimate(ms: MeasurementSet, t: Topology, s: ScenarioParams,
         raise ValueError("collapse repetitions before estimating")
     if ref_alpha == 0 or ref_beta == 0:
         raise ValueError("reference gains must be nonzero")
-    values = ms.values[:, 0]
     if ms.pairs != t.directed_pairs:
-        if set(ms.pairs) != set(t.directed_pairs):
-            missing = sorted(set(t.directed_pairs) - set(ms.pairs))
-            extra = sorted(set(ms.pairs) - set(t.directed_pairs))
-            raise ValueError(
-                f"measurement pairs do not match the wiring: missing "
-                f"{missing}, not on any line {extra}")
-        values = values[[ms.index[pair] for pair in t.directed_pairs]]
-    values = values / ms.sounding_value
+        missing = sorted(set(t.directed_pairs) - set(ms.pairs))
+        extra = sorted(set(ms.pairs) - set(t.directed_pairs))
+        raise ValueError(
+            f"measurement pairs do not match the wiring: missing "
+            f"{missing}, not on any line {extra}")
+    values = ms.values[:, 0] / ms.sounding_value
     est, hazard_at = ml_estimate_batch(values[None, :], t, s,
                                        np.array([ref_alpha]),
-                                       np.array([ref_beta]), hazard_floor)
+                                       np.array([ref_beta]))
     if hazard_at[0]:
         raise DivisionHazard(
-            f"estimate at antenna {hazard_at[0]} fell below {hazard_floor:g} "
-            "of its nominal amplitude")
+            f"estimate at antenna {hazard_at[0]} fell below "
+            f"{_HAZARD_FLOOR:g} of its nominal amplitude")
     picks = np.array(t.ordinary) - 1
     return GainEstimates(t.ordinary, est[0, 0, picks], est[0, 1, picks],
                          t.reference, complex(ref_alpha), complex(ref_beta))
 
 
 def ml_estimate_batch(values: np.ndarray, t: Topology, s: ScenarioParams,
-                      ref_alpha: np.ndarray, ref_beta: np.ndarray,
-                      hazard_floor: float = 1e-9
+                      ref_alpha: np.ndarray, ref_beta: np.ndarray
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Exact ML recovery for a batch of trials, one BFS level at a time.
 
@@ -117,7 +116,7 @@ def ml_estimate_batch(values: np.ndarray, t: Topology, s: ScenarioParams,
     laid out like `draw_gain_batch`, with the reference gains copied in.
     `hazard_at[k]` is 0 when trial k's walk is sound, else the antenna
     (1-based) at which a walk in breadth-first order would first have
-    divided by an estimate below `hazard_floor` times its nominal
+    divided by an estimate below `_HAZARD_FLOOR` times its nominal
     amplitude; such rows hold arbitrary values, possibly inf or NaN.
     """
     plan = t.propagation_plan
@@ -140,7 +139,7 @@ def ml_estimate_batch(values: np.ndarray, t: Topology, s: ScenarioParams,
             work[level.children] = quotient
     # every divisor is final once written, so checking them all afterwards
     # flags exactly the trials the walk would have stopped on
-    floors = hazard_floor * np.array([[s.tx_amplitude], [s.rx_amplitude]])
+    floors = _HAZARD_FLOOR * np.array([[s.tx_amplitude], [s.rx_amplitude]])
     low = (np.abs(work[plan.parents]) < floors).any(axis=1)
     hazard_at = np.zeros(len(values), dtype=int)
     if low.any():

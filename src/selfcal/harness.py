@@ -14,7 +14,7 @@ import csv
 import io
 import json
 import logging
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import attrgetter
 from typing import Iterable
@@ -175,14 +175,13 @@ def run_snr_sweep(cfg: ExperimentConfig,
                   scenario: ScenarioParams | None = None) -> list[SweepRow]:
     """Monte-Carlo estimator error across an SNR grid, next to the bounds.
 
-    The noise variance at each grid point follows
-    snr = (a * b * |h|)^2 / sigma^2 with the unit sounding signal, so in
-    the default unit scenario sigma^2 = 10^(-snr_db / 10). Every trial
-    draws fresh gains and the collapsed observation of the rounds the
-    budget allows (one draw of noise variance sigma^2 / I per direction),
-    estimates, and scores against the truth. Trials the estimator flags as
-    division hazards are counted in `hazard_rate` and excluded from the
-    error averages; rates above 1% are logged as flagged rows.
+    Each grid point takes the scenario's noise variance at its SNR
+    (`ScenarioParams.at_snr`). Every trial draws fresh gains and the
+    collapsed observation of the rounds the budget allows (one draw of
+    noise variance sigma^2 / I per direction), estimates, and scores
+    against the truth. Trials the estimator flags as division hazards are
+    counted in `hazard_rate` and excluded from the error averages; rates
+    above 1% are logged as flagged rows.
 
     Seeding: the trials of a grid point run in consecutive chunks of a
     fixed size (`_CHUNK`; the last chunk holds the rest). Chunk c of grid
@@ -201,8 +200,6 @@ def run_snr_sweep(cfg: ExperimentConfig,
     """
     topo = validate_config(cfg)
     base = scenario if scenario is not None else ScenarioParams()
-    signal_power = (base.tx_amplitude * base.rx_amplitude
-                    * abs(base.line_gain)) ** 2
     points = len(cfg.snr_grid_db)
     bounds = []
     sums = np.zeros((points, 2))
@@ -210,9 +207,8 @@ def run_snr_sweep(cfg: ExperimentConfig,
     batch: list[tuple[int, np.ndarray, np.ndarray]] = []
     batched = 0
     for grid_index, snr_db in enumerate(cfg.snr_grid_db):
-        sigma2 = signal_power * 10.0 ** (-snr_db / 10.0)
-        s = replace(base, noise_variance=sigma2)
-        bound = _budget_report(cfg, topo, s)
+        s = base.at_snr(snr_db)
+        bound = _budget_report(topo, s, cfg.budget_mode, cfg.budget_value)
         bounds.append(bound)
         for chunk, start in enumerate(range(0, cfg.trials, _CHUNK)):
             trials = min(_CHUNK, cfg.trials - start)
@@ -287,11 +283,14 @@ def _score_batch(batch: list[tuple[int, np.ndarray, np.ndarray]],
         start = stop
 
 
-def _budget_report(cfg: ExperimentConfig, topo: Topology, s: ScenarioParams):
-    if cfg.budget_mode == "time":
-        return budgeted_average_crlb(topo, s,
-                                     float(cfg.budget_value) * s.slot_duration)
-    return crlb_closed_form(topo, s)
+def _budget_report(t: Topology, s: ScenarioParams, budget_mode: str,
+                   budget_value: float | None):
+    """Bounds under a budget: one round for "measurements", as many
+    rounds as fit into `budget_value` slot durations for "time"."""
+    if budget_mode == "time":
+        return budgeted_average_crlb(t, s,
+                                     float(budget_value) * s.slot_duration)
+    return crlb_closed_form(t, s)
 
 
 def sweep_rows_to_csv(rows: Iterable[SweepRow]) -> str:
@@ -373,13 +372,13 @@ class TimeBoundsReport:
     passed: bool
 
 
-def verify_time_bounds(m: int, slot_duration: float = 1.0,
-                       cap: int = ENUMERATION_CAP) -> TimeBoundsReport:
+def verify_time_bounds(m: int, cap: int = ENUMERATION_CAP) -> TimeBoundsReport:
     """Confirm 4 <= slots <= 2(m-1) with equality exactly for chains/stars.
 
     Also builds and validates the parallel measurement schedule of every
     enumerated tree (antenna-disjoint slots, both directions of every
-    line exactly once, 2 * max_degree slots).
+    line exactly once, 2 * max_degree slots); validity does not depend
+    on the slot duration, so every schedule gets unit slots.
     """
     if m < 3:
         raise ValueError(f"time bounds need m >= 3, got {m}")
@@ -400,7 +399,7 @@ def verify_time_bounds(m: int, slot_duration: float = 1.0,
         star_count += is_star
         chain_eq &= (slots == low) == is_chain
         star_eq &= (slots == high) == is_star
-        schedule = measurement_schedule(tree, slot_duration)
+        schedule = measurement_schedule(tree, 1.0)
         if schedule_violations(tree, schedule):
             schedules_valid = False
     passed = (bounds_hold and chain_eq and star_eq and schedules_valid
@@ -439,7 +438,8 @@ def verify_daisy_optimality(m_values: Iterable[int],
     m >= 5. Within the enumeration cap, a brute force over all labeled
     trees under a 2(m-1)-slot budget additionally confirms the winner:
     the mid-referenced chain for m >= 5 (all minimizers are chains with
-    the optimal mean distance), the star for m < 5.
+    the optimal mean distance), the star for m < 5. An empty `m_values`
+    checks nothing and is rejected.
     """
     entries: list[DaisyOptimalityEntry] = []
     for m in m_values:
@@ -476,5 +476,7 @@ def verify_daisy_optimality(m_values: Iterable[int],
         entries.append(DaisyOptimalityEntry(
             m, ratio, beats, brute, brute_min, brute_matches,
             minimizers_ok, ok))
+    if not entries:
+        raise ValueError("no antenna counts to check")
     return DaisyOptimalityReport(tuple(entries),
                                  all(e.passed for e in entries))

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -23,10 +22,6 @@ class RfGains:
 
     alpha: np.ndarray
     beta: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return len(self.alpha)
 
 
 def draw_gains(m: int, s: ScenarioParams, seed) -> RfGains:
@@ -75,11 +70,6 @@ class MeasurementSet:
     repetitions: int
     sounding_value: complex = 1.0 + 0.0j
 
-    @cached_property
-    def index(self) -> dict[tuple[int, int], int]:
-        """Row lookup by (transmitter, receiver)."""
-        return {pair: i for i, pair in enumerate(self.pairs)}
-
 
 def synthesize(t: Topology, gains: RfGains, s: ScenarioParams,
                repetitions: int = 1, seed=None) -> MeasurementSet:
@@ -92,26 +82,16 @@ def synthesize(t: Topology, gains: RfGains, s: ScenarioParams,
     exact noiseless values.
 
     The full observation table is a pure function of (topology, gains,
-    scenario, repetitions, seed): values are drawn in one pass over the
-    canonical pair order, so results do not depend on how the set is
-    later consumed.
+    scenario, repetitions, seed): it is the batch of one of the draw
+    behind `draw_collapsed`, in one pass over the canonical pair order,
+    so results do not depend on how the set is later consumed.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
-    if gains.m != t.m:
-        raise ValueError(f"gain vectors cover {gains.m} antennas, wiring has {t.m}")
-    pairs = t.directed_pairs
-    tx, rx = t.pair_endpoints
-    # unit sounding signal, so the noiseless value is just the gain product
-    noiseless = gains.beta[rx] * s.line_gain * gains.alpha[tx]
-    if s.noise_variance > 0:
-        rng = np.random.default_rng(seed)
-        parts = rng.standard_normal((len(pairs), repetitions, 2))
-        noise = math.sqrt(s.noise_variance / 2) * (parts[..., 0] + 1j * parts[..., 1])
-        values = noiseless[:, None] + noise
-    else:
-        values = np.repeat(noiseless[:, None], repetitions, axis=1)
-    return MeasurementSet(pairs, values, repetitions)
+    batch = np.stack((gains.alpha, gains.beta))[None]
+    values = _draw_observations(t, batch, s, repetitions, s.noise_variance,
+                                seed)
+    return MeasurementSet(t.directed_pairs, values[0], repetitions)
 
 
 def draw_collapsed(t: Topology, gains: np.ndarray, s: ScenarioParams,
@@ -123,23 +103,35 @@ def draw_collapsed(t: Topology, gains: np.ndarray, s: ScenarioParams,
     distributed as `collapse_repetitions(synthesize(t, gains_k, s,
     repetitions)).values[:, 0]`. The mean of `repetitions` i.i.d. rounds
     is the noiseless value plus one circularly symmetric complex Gaussian
-    of variance noise_variance / repetitions, so one normal pair per
-    direction is drawn instead of one per round.
+    of variance noise_variance / repetitions, so one round of that
+    variance is drawn instead of `repetitions` rounds.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    return _draw_observations(t, gains, s, 1, s.noise_variance / repetitions,
+                              seed)[..., 0]
+
+
+def _draw_observations(t: Topology, gains: np.ndarray, s: ScenarioParams,
+                       rounds: int, variance: float, seed) -> np.ndarray:
+    """(trials, pairs, rounds) observations of a gain batch: the gain
+    product (the sounding signal is 1) plus circularly symmetric complex
+    noise of `variance`, drawn from one stream in that order. Zero
+    variance draws nothing."""
     if gains.shape[1:] != (2, t.m):
         raise ValueError(f"gain batch has shape {gains.shape}, "
                          f"wiring needs (trials, 2, {t.m})")
     tx, rx = t.pair_endpoints
-    values = gains[:, 1, rx] * s.line_gain
-    values *= gains[:, 0, tx]
-    if s.noise_variance > 0:
-        rng = np.random.default_rng(seed)
-        parts = rng.standard_normal((len(gains), len(tx), 2))
-        noise = parts.view(np.complex128)[..., 0]
-        noise *= math.sqrt(s.noise_variance / (2 * repetitions))
-        values += noise
+    noiseless = gains[:, 1, rx] * s.line_gain
+    noiseless *= gains[:, 0, tx]
+    if variance <= 0:
+        return np.repeat(noiseless[..., None], rounds, axis=2)
+    rng = np.random.default_rng(seed)
+    parts = rng.standard_normal((len(gains), len(tx), rounds, 2))
+    # the normal pairs viewed as complex, scaled and shifted in place
+    values = parts.view(np.complex128)[..., 0]
+    values *= math.sqrt(variance / 2)
+    values += noiseless[..., None]
     return values
 
 

@@ -25,6 +25,7 @@ from .errors import (
     SelfLoop,
     TopologyError,
     WrongEdgeCount,
+    is_finite,
     is_integer,
 )
 
@@ -175,9 +176,6 @@ class Topology:
             p - 1 for p, _ in self.rooted_edges)))
         return PropagationPlan(tuple(levels), np.array(order), parents)
 
-    def degree(self, antenna: int) -> int:
-        return len(self.neighbors[antenna])
-
 
 @dataclass(frozen=True)
 class DistanceProfile:
@@ -303,8 +301,9 @@ def measurement_schedule(t: Topology, slot_duration: float) -> Schedule:
     max_degree colors on a tree. Every color class then yields one slot
     per direction, parent-to-child first.
     """
-    if slot_duration <= 0:
-        raise ValueError(f"slot duration must be positive, got {slot_duration}")
+    if not is_finite(slot_duration) or slot_duration <= 0:
+        raise ValueError(f"slot duration must be a positive finite number, "
+                         f"got {slot_duration}")
     children: dict[int, list[int]] = {}
     for parent, child in t.rooted_edges:
         children.setdefault(parent, []).append(child)

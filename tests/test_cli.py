@@ -210,6 +210,23 @@ class TestMalformedJson:
         assert err.startswith("selfcal: ") and err.count("\n") == 1
 
 
+class TestFlagValues:
+    @pytest.mark.parametrize("argv, names", [
+        (["schedule", "--topology", "daisy", "--m", "3", "--ref", "1",
+          "--slot", slot], "slot duration") for slot in ("nan", "inf", "0")
+    ] + [
+        (["verify", "--prop", "3", "--m-range", m_range], "m range")
+        for m_range in ("3", "3:x", "3.5:6", "5:3")
+    ], ids=["slot-nan", "slot-inf", "slot-0", "m-range-one-value",
+            "m-range-not-a-number", "m-range-not-integer", "m-range-reversed"])
+    def test_exits_2_with_one_line(self, capsys, argv, names):
+        code = main(argv)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("selfcal: ") and err.count("\n") == 1
+        assert names in err
+
+
 class TestSweepCommand:
     def test_csv_written(self, tmp_path):
         out = tmp_path / "rows.csv"

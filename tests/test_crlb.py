@@ -54,6 +54,13 @@ class TestScenario:
         s = ScenarioParams(line_gain=2.0)
         assert (s.rho_a, s.rho_b) == (0.25, 0.25)
 
+    def test_noise_at_snr(self):
+        # snr = (a * b * |h|)^2 / sigma^2 with the unit sounding signal
+        s = ScenarioParams(line_gain=3j, tx_amplitude=2.0, rx_amplitude=0.5,
+                           slot_duration=0.25).at_snr(20.0)
+        assert s.noise_variance == pytest.approx(9.0 * 1e-2, rel=1e-15)
+        assert (s.line_gain, s.slot_duration) == (3j, 0.25)
+
     def test_rejects_bad_params(self):
         with pytest.raises(ScenarioError):
             ScenarioParams(line_gain=0)

@@ -27,9 +27,16 @@ UNIT = ScenarioParams()
 NOISELESS = ScenarioParams(noise_variance=0.0)
 
 
-def estimate(t, ms, s, gains, **kw):
+def estimate(t, ms, s, gains):
     return ml_estimate(ms, t, s, ref_alpha=gains.alpha[t.reference - 1],
-                       ref_beta=gains.beta[t.reference - 1], **kw)
+                       ref_beta=gains.beta[t.reference - 1])
+
+
+def _estimate_batch(t, s, gains, seed):
+    """One single-round observation per trial, estimated in one call."""
+    ref = t.reference - 1
+    return ml_estimate_batch(draw_collapsed(t, gains, s, 1, seed), t, s,
+                             gains[:, 0, ref], gains[:, 1, ref])
 
 
 class TestCollapse:
@@ -106,34 +113,36 @@ class TestMlEstimate:
         g = draw_gains(3, UNIT, 4)
         ms = synthesize(t, g, NOISELESS)
         values = ms.values.copy()
-        values[ms.index[(1, 2)], 0] = 0.0
+        values[ms.pairs.index((1, 2)), 0] = 0.0
         broken = MeasurementSet(ms.pairs, values, 1)
         with pytest.raises(DivisionHazard):
             estimate(t, broken, NOISELESS, g)
 
-    def test_hazard_floor_configurable(self):
+    def test_hazard_floor_fixed(self):
+        # the floor is 1e-9 of the nominal amplitude: antenna 2's receive
+        # gain damped by 1e-6 still estimates, damped by 1e-12 it raises
         t = make_daisy(3, 1)
         g = draw_gains(3, UNIT, 4)
         ms = synthesize(t, g, NOISELESS)
-        values = ms.values.copy()
-        values[ms.index[(1, 2)], 0] *= 1e-6
-        damped = MeasurementSet(ms.pairs, values, 1)
-        estimate(t, damped, NOISELESS, g)  # above the default floor
-        with pytest.raises(DivisionHazard):
-            estimate(t, damped, NOISELESS, g, hazard_floor=1e-3)
+
+        def damped(factor):
+            values = ms.values.copy()
+            values[ms.pairs.index((1, 2)), 0] *= factor
+            return MeasurementSet(ms.pairs, values, 1)
+
+        estimate(t, damped(1e-6), NOISELESS, g)
+        with pytest.raises(DivisionHazard, match="antenna 2 "):
+            estimate(t, damped(1e-12), NOISELESS, g)
 
     def test_star_mse_matches_bound(self):
         # single-division estimator: unbiased, error variance rho_b exactly
         trials = 100_000
         t = make_star(2, 1)
         s = ScenarioParams(noise_variance=0.05)
-        g = draw_gains(2, s, 11)
-        seeds = np.random.SeedSequence(77).spawn(trials)
-        errors = np.empty(trials, dtype=complex)
-        for k in range(trials):
-            ms = synthesize(t, g, s, seed=seeds[k])
-            est = estimate(t, ms, s, g)
-            errors[k] = est.alpha_hat[0] - g.alpha[1]
+        gains = np.repeat(draw_gain_batch(1, 2, s, 11), trials, axis=0)
+        est, hazard_at = _estimate_batch(t, s, gains, seed=77)
+        assert not hazard_at.any()
+        errors = est[:, 0, 1] - gains[:, 0, 1]
         assert abs(errors.mean()) < 3 * np.sqrt(s.rho_b / trials)
         mse = np.mean(np.abs(errors) ** 2)
         assert mse == pytest.approx(s.rho_b, rel=0.02)
@@ -142,14 +151,12 @@ class TestMlEstimate:
         trials = 10_000
         t = make_daisy(5, 1)
         s = ScenarioParams(noise_variance=1e-4)  # 40 dB with unit gains
-        sums = np.zeros(4)
-        root = np.random.SeedSequence(123)
-        for k, seed in enumerate(root.spawn(trials)):
-            gains_seed, noise_seed = seed.spawn(2)
-            g = draw_gains(5, s, gains_seed)
-            est = estimate(t, synthesize(t, g, s, seed=noise_seed), s, g)
-            sums += estimation_error(est, g).alpha_sq_error
-        mse = sums / trials
+        gains_seed, noise_seed = np.random.SeedSequence(123).spawn(2)
+        gains = draw_gain_batch(trials, 5, s, gains_seed)
+        est, hazard_at = _estimate_batch(t, s, gains, seed=noise_seed)
+        assert not hazard_at.any()
+        sq_errors = np.abs(est[:, 0, 1:] - gains[:, 0, 1:]) ** 2
+        mse = sq_errors.mean(axis=0)
         assert np.allclose(mse, np.array([1, 2, 3, 4]) * s.rho_b, rtol=0.05)
 
     def test_chain_efficiency_at_high_snr(self):
@@ -157,17 +164,13 @@ class TestMlEstimate:
         t = make_daisy(10, 5)
         s = ScenarioParams(noise_variance=1e-3)  # 30 dB
         bound = crlb_closed_form(t, s)
-        total_alpha = total_beta = 0.0
-        for k, seed in enumerate(np.random.SeedSequence(55).spawn(trials)):
-            gains_seed, noise_seed = seed.spawn(2)
-            g = draw_gains(10, s, gains_seed)
-            est = estimate(t, synthesize(t, g, s, seed=noise_seed), s, g)
-            err = estimation_error(est, g)
-            total_alpha += err.average_alpha
-            total_beta += err.average_beta
-        assert 0.95 <= (total_alpha / trials) / bound.average_alpha <= 1.10
-        assert 0.95 <= (total_beta / trials) / bound.average_beta <= 1.10
-
+        gains_seed, noise_seed = np.random.SeedSequence(55).spawn(2)
+        gains = draw_gain_batch(trials, 10, s, gains_seed)
+        est, hazard_at = _estimate_batch(t, s, gains, seed=noise_seed)
+        assert not hazard_at.any()
+        mse_alpha, mse_beta = mean_sq_errors(est, gains).mean(axis=0)
+        assert 0.95 <= mse_alpha / bound.average_alpha <= 1.10
+        assert 0.95 <= mse_beta / bound.average_beta <= 1.10
 
     def test_pairs_must_match_the_wiring(self):
         t = make_daisy(3, 1)

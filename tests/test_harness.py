@@ -123,6 +123,11 @@ class TestDaisyOptimality:
         assert by_m[5].minimizers_as_expected
         assert report.passed
 
+    def test_empty_range_rejected(self):
+        # all() of no entries would pass without checking anything
+        with pytest.raises(ValueError, match="no antenna counts"):
+            verify_daisy_optimality([])
+
     def test_large_m_skips_brute_force(self):
         report = verify_daisy_optimality([129])
         entry = report.entries[0]

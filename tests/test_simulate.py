@@ -72,8 +72,7 @@ class TestSynthesize:
         g = draw_gains(8, UNIT, 1)
         ms = synthesize(t, g, UNIT, seed=2)
         expected = {(p, q) for p, q in t.edges} | {(q, p) for p, q in t.edges}
-        assert set(ms.pairs) == expected
-        assert set(ms.index) == expected
+        assert ms.pairs == tuple(sorted(expected))
 
     def test_noiseless_factorization(self):
         rng = np.random.default_rng(8)
@@ -83,7 +82,7 @@ class TestSynthesize:
         ms = synthesize(t, g, s)
         for tx, rx in ms.pairs:
             expected = g.beta[rx - 1] * s.line_gain * g.alpha[tx - 1]
-            observed = ms.values[ms.index[(tx, rx)], 0]
+            observed = ms.values[ms.pairs.index((tx, rx)), 0]
             assert observed == pytest.approx(expected, rel=1e-14)
 
     def test_deterministic_for_seed(self):
@@ -169,6 +168,17 @@ class TestBatchDraws:
             assert abs(np.mean(z ** 2)) < 5 * v * np.sqrt(2 / n)
             variances.append(power)
         assert abs(variances[0] - variances[1]) < 5 * v * np.sqrt(2 / n)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(t=trees(), seed=st.integers(0, 2**32 - 1), noisy=st.booleans())
+    def test_single_round_draws_are_one_draw(self, t, seed, noisy):
+        # one round of either route is the same draw, bit for bit
+        rng = np.random.default_rng(seed)
+        s = random_scenario(rng, allow_zero_noise=not noisy)
+        g = draw_gain_batch(1, t.m, s, seed)[0]
+        direct = draw_collapsed(t, g[None], s, 1, seed + 1)[0]
+        ms = synthesize(t, RfGains(*g), s, 1, seed + 1)
+        assert np.array_equal(direct, ms.values[:, 0])
 
     def test_collapsed_draw_checks_shapes(self):
         t = make_daisy(4, 1)

@@ -65,7 +65,7 @@ class TestConstruction:
             make_daisy(5, 6)
 
     def test_from_edges_valid(self):
-        assert SEVEN.degree(3) == 3
+        assert len(SEVEN.neighbors[3]) == 3
         assert len(SEVEN.edges) == 6
 
     def test_from_edges_duplicate(self):
@@ -174,6 +174,11 @@ class TestSchedule:
         schedule = measurement_schedule(t, 1.0)
         assert schedule_violations(t, schedule) == []
 
+    @pytest.mark.parametrize("slot", [0.0, -1.0, float("nan"), float("inf")])
+    def test_rejects_a_slot_that_is_not_positive_and_finite(self, slot):
+        with pytest.raises(ValueError, match="positive finite"):
+            measurement_schedule(make_daisy(3, 1), slot)
+
     def test_violations_detected(self):
         t = make_daisy(3, 1)
         good = measurement_schedule(t, 1.0)
@@ -221,9 +226,10 @@ class TestEnumeration:
             degree = max_degree(t)
             assert 2 <= degree <= 4
             if degree == 2:
-                assert all(t.degree(k) <= 2 for k in range(1, 6))
+                assert all(len(t.neighbors[k]) <= 2 for k in range(1, 6))
             if degree == 4:
-                center = next(k for k in range(1, 6) if t.degree(k) == 4)
+                center = next(k for k in range(1, 6)
+                              if len(t.neighbors[k]) == 4)
                 assert all(center in edge for edge in t.edges)
 
 
