@@ -26,6 +26,7 @@ from .errors import (
 )
 from .topology import (
     Topology,
+    _adjacency,
     _check_edges,
     _check_m_reference,
     calibration_distances,
@@ -70,10 +71,19 @@ class ScenarioParams:
 
     def at_snr(self, snr_db: float) -> "ScenarioParams":
         """This scenario with the noise variance at `snr_db`, where
-        snr = (a * b * |h|)^2 / sigma^2 with the unit sounding signal."""
-        signal = (self.tx_amplitude * self.rx_amplitude
-                  * abs(self.line_gain)) ** 2
-        return replace(self, noise_variance=signal * 10.0 ** (-snr_db / 10.0))
+        snr = (a * b * |h|)^2 / sigma^2 with the unit sounding signal;
+        ScenarioError unless that variance is positive and finite."""
+        try:
+            signal = (self.tx_amplitude * self.rx_amplitude
+                      * abs(self.line_gain)) ** 2
+            noise_variance = signal * 10.0 ** (-snr_db / 10.0)
+        except OverflowError:
+            noise_variance = math.inf
+        if not 0 < noise_variance < math.inf:
+            raise ScenarioError(
+                f"SNR {snr_db} dB gives noise variance {noise_variance}; "
+                "it must be a positive finite number")
+        return replace(self, noise_variance=noise_variance)
 
     @property
     def rho_a(self) -> float:
@@ -129,11 +139,7 @@ def fisher_from_edges(m: int, reference: int, edges, gains: "RfGains",
     singularity of its matrix instead of being rejected up front.
     """
     _check_m_reference(m, reference)
-    adjacency: dict[int, list[int]] = {k: [] for k in range(1, m + 1)}
-    for p, q in _check_edges(m, edges):
-        adjacency[p].append(q)
-        adjacency[q].append(p)
-    neighbors = {k: tuple(sorted(v)) for k, v in adjacency.items()}
+    neighbors = _adjacency(m, _check_edges(m, edges))
     _check_amplitudes(gains, s)
     return _assemble_fisher(m, reference, neighbors, gains, s)
 

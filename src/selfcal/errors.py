@@ -1,5 +1,5 @@
 """Exception types raised across the package, and the type predicates
-that input checks share."""
+and JSON field check that input readers share."""
 
 import math
 import numbers
@@ -15,6 +15,18 @@ def is_finite(x) -> bool:
     """True for a finite real number that is not a bool."""
     return (isinstance(x, numbers.Real) and not isinstance(x, bool)
             and math.isfinite(x))
+
+
+def json_fields(data, keys: tuple[str, ...], what: str,
+                error: type[ValueError]) -> list:
+    """The values of `keys` in the JSON object `data`, in order; `error`
+    names `what` was read and the first key missing."""
+    if not isinstance(data, dict):
+        raise error(f"{what} must be a JSON object, got {type(data).__name__}")
+    missing = [key for key in keys if key not in data]
+    if missing:
+        raise error(f"{what} is missing key {missing[0]!r}")
+    return [data[key] for key in keys]
 
 
 class TopologyError(ValueError):

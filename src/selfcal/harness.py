@@ -14,6 +14,7 @@ import csv
 import io
 import json
 import logging
+import math
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import attrgetter
@@ -328,31 +329,23 @@ def verify_star_optimality(m: int, reference: int = 1,
                            cap: int = ENUMERATION_CAP) -> StarOptimalityReport:
     """Confirm the reference-centered star minimizes the mean distance.
 
-    Enumerates all m**(m-2) labeled trees, records the mean-distance
-    distribution, and passes when the minimum is exactly 1 and is
-    attained only by the star centered at the reference, which is the
-    unique tree wiring every ordinary antenna straight to it.
+    Counts the mean distances of all m**(m-2) labeled trees (the
+    `distribution`, in first-seen order) and reads the report off that
+    count: it passes when the smallest mean distance is exactly 1, one
+    tree attains it, and that tree is the star centered at the
+    reference, which is itself one of the enumerated trees.
     """
-    star_edges = make_star(m, reference).edges
     distribution: dict[Fraction, int] = {}
-    best: Fraction | None = None
-    minimizers = 0
-    star_among = False
-    count = 0
     for tree in enumerate_trees(m, reference, cap):
         mean = calibration_distances(tree).mean
         distribution[mean] = distribution.get(mean, 0) + 1
-        count += 1
-        if best is None or mean < best:
-            best = mean
-            minimizers = 1
-            star_among = tree.edges == star_edges
-        elif mean == best:
-            minimizers += 1
-            star_among = star_among or tree.edges == star_edges
-    passed = best == 1 and star_among and minimizers == 1
-    return StarOptimalityReport(m, reference, count, best, minimizers,
-                                star_among, distribution, passed)
+    best = min(distribution)
+    minimizers = distribution[best]
+    star_attains = calibration_distances(make_star(m, reference)).mean == best
+    passed = best == 1 and star_attains and minimizers == 1
+    return StarOptimalityReport(m, reference, sum(distribution.values()),
+                                best, minimizers, star_attains, distribution,
+                                passed)
 
 
 @dataclass(frozen=True)
@@ -366,8 +359,6 @@ class TimeBoundsReport:
     chain_count: int
     star_count: int
     bounds_hold: bool
-    chain_equality_exact: bool
-    star_equality_exact: bool
     schedules_valid: bool
     passed: bool
 
@@ -375,6 +366,8 @@ class TimeBoundsReport:
 def verify_time_bounds(m: int, cap: int = ENUMERATION_CAP) -> TimeBoundsReport:
     """Confirm 4 <= slots <= 2(m-1) with equality exactly for chains/stars.
 
+    Counts trees by max degree (a tree takes 2 * max_degree slots); the
+    equality cases need m!/2 labeled paths and m stars.
     Also builds and validates the parallel measurement schedule of every
     enumerated tree (antenna-disjoint slots, both directions of every
     line exactly once, 2 * max_degree slots); validity does not depend
@@ -383,29 +376,23 @@ def verify_time_bounds(m: int, cap: int = ENUMERATION_CAP) -> TimeBoundsReport:
     if m < 3:
         raise ValueError(f"time bounds need m >= 3, got {m}")
     low, high = 4, 2 * (m - 1)
-    count = chain_count = star_count = 0
-    min_slots, max_slots = high, low
-    bounds_hold = chain_eq = star_eq = schedules_valid = True
+    degrees: dict[int, int] = {}
+    schedules_valid = True
     for tree in enumerate_trees(m, 1, cap):
-        count += 1
         degree = max_degree(tree)
-        slots = 2 * degree
-        min_slots = min(min_slots, slots)
-        max_slots = max(max_slots, slots)
-        bounds_hold &= low <= slots <= high
-        is_chain = degree == 2
-        is_star = degree == m - 1
-        chain_count += is_chain
-        star_count += is_star
-        chain_eq &= (slots == low) == is_chain
-        star_eq &= (slots == high) == is_star
+        degrees[degree] = degrees.get(degree, 0) + 1
         schedule = measurement_schedule(tree, 1.0)
         if schedule_violations(tree, schedule):
             schedules_valid = False
-    passed = (bounds_hold and chain_eq and star_eq and schedules_valid
-              and min_slots == low and max_slots == high)
-    return TimeBoundsReport(m, count, min_slots, max_slots, chain_count,
-                            star_count, bounds_hold, chain_eq, star_eq,
+    min_slots, max_slots = 2 * min(degrees), 2 * max(degrees)
+    chain_count = degrees.get(2, 0)
+    star_count = degrees.get(m - 1, 0)
+    bounds_hold = low <= min_slots and max_slots <= high
+    passed = (bounds_hold and schedules_valid
+              and min_slots == low and max_slots == high
+              and chain_count == math.factorial(m) // 2 and star_count == m)
+    return TimeBoundsReport(m, sum(degrees.values()), min_slots, max_slots,
+                            chain_count, star_count, bounds_hold,
                             schedules_valid, passed)
 
 
@@ -450,28 +437,22 @@ def verify_daisy_optimality(m_values: Iterable[int],
         brute_min = brute_matches = minimizers_ok = None
         if brute:
             f_best, best_mean = optimal_reference(m)
-            best: Fraction | None = None
-            best_trees: list[Topology] = []
+            # objective -> (all trees reaching it are optimal chains,
+            # the star reaches it: the only tree of mean distance 1)
+            verdicts: dict[Fraction, tuple[bool, bool]] = {}
             for tree in enumerate_trees(m, f_best, brute_force_cap):
-                reps = (m - 1) // max_degree(tree)
-                objective = calibration_distances(tree).mean / reps
-                if best is None or objective < best:
-                    best = objective
-                    best_trees = [tree]
-                elif objective == best:
-                    best_trees.append(tree)
-            brute_min = best
+                degree = max_degree(tree)
+                mean = calibration_distances(tree).mean
+                objective = mean / ((m - 1) // degree)
+                chains, star = verdicts.get(objective, (True, False))
+                verdicts[objective] = (
+                    chains and degree == 2 and mean == best_mean,
+                    star or mean == 1)
+            brute_min = min(verdicts)
+            chains, star = verdicts[brute_min]
             expected = ratio if m >= 5 else Fraction(1)
-            brute_matches = best == expected
-            if m >= 5:
-                minimizers_ok = all(
-                    max_degree(tree) == 2
-                    and calibration_distances(tree).mean == best_mean
-                    for tree in best_trees)
-            else:
-                star_edges = make_star(m, f_best).edges
-                minimizers_ok = any(tree.edges == star_edges
-                                    for tree in best_trees)
+            brute_matches = brute_min == expected
+            minimizers_ok = chains if m >= 5 else star
             ok = ok and brute_matches and minimizers_ok
         entries.append(DaisyOptimalityEntry(
             m, ratio, beats, brute, brute_min, brute_matches,

@@ -8,7 +8,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .crlb import ScenarioParams
-from .errors import is_finite, is_integer
+from .errors import is_finite, is_integer, json_fields
 from .topology import Topology
 
 
@@ -154,17 +154,15 @@ def measurements_to_dict(ms: MeasurementSet) -> dict:
 def measurements_from_dict(data: dict) -> MeasurementSet:
     """Inverse of `measurements_to_dict`; the (pair, repetition) grid must
     be complete, every value finite and the sounding value nonzero."""
-    if not isinstance(data, dict):
-        raise ValueError(
-            f"a replay file must be a JSON object, got {type(data).__name__}")
-    observations = data["observations"]
+    observations, repetitions, sounding = json_fields(
+        data, ("observations", "repetitions", "sounding_value"),
+        "a replay file", ValueError)
     if not isinstance(observations, (list, tuple)):
         raise ValueError(f"observations must be a list, got {observations!r}")
-    repetitions = data["repetitions"]
     if not is_integer(repetitions) or repetitions < 1:
         raise ValueError(
             f"repetitions must be a positive integer, got {repetitions!r}")
-    sounding = _finite_complex(data["sounding_value"], "sounding value")
+    sounding = _finite_complex(sounding, "sounding value")
     if sounding == 0:
         raise ValueError("sounding value must be nonzero")
     table: dict[tuple[int, int, int], complex] = {}

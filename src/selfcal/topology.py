@@ -27,6 +27,7 @@ from .errors import (
     WrongEdgeCount,
     is_finite,
     is_integer,
+    json_fields,
 )
 
 Edge = tuple[int, int]
@@ -111,11 +112,7 @@ class Topology:
     @cached_property
     def neighbors(self) -> dict[int, tuple[int, ...]]:
         """Antennas directly wired to each antenna, ascending."""
-        adj: dict[int, list[int]] = {k: [] for k in range(1, self.m + 1)}
-        for p, q in self.edges:
-            adj[p].append(q)
-            adj[q].append(p)
-        return {k: tuple(sorted(v)) for k, v in adj.items()}
+        return _adjacency(self.m, self.edges)
 
     @cached_property
     def ordinary(self) -> tuple[int, ...]:
@@ -203,17 +200,21 @@ class Schedule:
     slots: tuple[tuple[Edge, ...], ...]
     slot_duration: float
 
-    @property
-    def total_time(self) -> float:
-        """Seconds needed to run every slot once."""
-        return len(self.slots) * self.slot_duration
-
 
 def _check_m_reference(m: int, reference: int) -> None:
     if m < 2:
         raise ValueError(f"need at least 2 antennas, got m={m}")
     if not 1 <= reference <= m:
         raise IndexOutOfRange(f"reference {reference} outside 1..{m}")
+
+
+def _adjacency(m: int, edges: Iterable[Edge]) -> dict[int, tuple[int, ...]]:
+    """Antennas directly wired to each of 1..m, ascending (lines unchecked)."""
+    adj: dict[int, list[int]] = {k: [] for k in range(1, m + 1)}
+    for p, q in edges:
+        adj[p].append(q)
+        adj[q].append(p)
+    return {k: tuple(sorted(v)) for k, v in adj.items()}
 
 
 def _check_edges(m: int, edges: Iterable[Edge]) -> list[Edge]:
@@ -395,10 +396,8 @@ def topology_to_dict(t: Topology) -> dict:
 
 def topology_from_dict(data: dict) -> Topology:
     """Inverse of `topology_to_dict`, with full validation."""
-    if not isinstance(data, dict):
-        raise TopologyError(
-            f"a topology must be a JSON object, got {type(data).__name__}")
-    return from_edges(data["m"], data["reference"], data["edges"])
+    return from_edges(*json_fields(data, ("m", "reference", "edges"),
+                                   "a topology", TopologyError))
 
 
 def schedule_to_dict(schedule: Schedule) -> dict:

@@ -174,6 +174,7 @@ class TestInputHardening:
 
 
 TOPOLOGY = {"m": 4, "reference": 1, "edges": [[1, 2], [2, 3], [3, 4]]}
+REPLAY = {"observations": [], "repetitions": 1, "sounding_value": [1.0, 0.0]}
 
 
 class TestMalformedJson:
@@ -209,6 +210,22 @@ class TestMalformedJson:
         assert code == 2 and out == ""
         assert err.startswith("selfcal: ") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("kind, key", [
+        ("replay", "observations"), ("replay", "repetitions"),
+        ("replay", "sounding_value"), ("topology", "m"),
+        ("topology", "reference"), ("topology", "edges"),
+    ])
+    def test_missing_key_is_named(self, tmp_path, capsys, kind, key):
+        payload = dict(REPLAY if kind == "replay" else TOPOLOGY)
+        del payload[key]
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        code = main(self.ARGV[kind](path))
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("selfcal: ") and err.count("\n") == 1
+        assert "missing" in err and repr(key) in err
+
 
 class TestFlagValues:
     @pytest.mark.parametrize("argv, names", [
@@ -217,8 +234,16 @@ class TestFlagValues:
     ] + [
         (["verify", "--prop", "3", "--m-range", m_range], "m range")
         for m_range in ("3", "3:x", "3.5:6", "5:3")
+    ] + [
+        (["crlb", "--topology", "star", "--m", "4", "--ref", "1",
+          "--snr-db", snr], "SNR") for snr in ("-4000", "4000")
+    ] + [
+        (["sweep", "--topology", "star", "--m", "4", "--ref", "1",
+          "--trials", "2", "--snr", snr], "SNR") for snr in ("-4000", "4000")
     ], ids=["slot-nan", "slot-inf", "slot-0", "m-range-one-value",
-            "m-range-not-a-number", "m-range-not-integer", "m-range-reversed"])
+            "m-range-not-a-number", "m-range-not-integer", "m-range-reversed",
+            "crlb-snr-db-low", "crlb-snr-db-high", "sweep-snr-low",
+            "sweep-snr-high"])
     def test_exits_2_with_one_line(self, capsys, argv, names):
         code = main(argv)
         out, err = capsys.readouterr()

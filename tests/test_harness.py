@@ -9,6 +9,7 @@ from selfcal import (
     ExperimentConfig,
     ScenarioParams,
     from_edges,
+    make_daisy,
     run_snr_sweep,
     sweep_rows_to_csv,
     sweep_rows_to_json,
@@ -106,6 +107,17 @@ class TestTimeBounds:
         assert report.min_slots == report.max_slots == 4
         assert report.chain_count == report.star_count == report.tree_count == 3
         assert report.passed
+
+    def test_miscounted_chain_fails(self, monkeypatch):
+        # a tree's slot count is twice its degree, so a degree census that
+        # misreads one chain shows only in the class counts
+        chain = make_daisy(5, 1)
+        degree = harness.max_degree
+        monkeypatch.setattr(harness, "max_degree",
+                            lambda t: 3 if t == chain else degree(t))
+        report = verify_time_bounds(5)
+        assert report.chain_count == 59
+        assert report.passed is False
 
     def test_m6(self):
         report = verify_time_bounds(6)

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selfcal import (
+    ScenarioParams,
     calibration_distances,
     enumerate_trees,
     from_edges,
@@ -15,6 +16,7 @@ from selfcal import (
     measurement_schedule,
     schedule_to_dict,
     schedule_violations,
+    time_to_collect,
     topology_from_dict,
     topology_to_dict,
 )
@@ -147,12 +149,14 @@ class TestSchedule:
             ((2, 3), (4, 5)),
             ((3, 2), (5, 4)),
         )
-        assert schedule.total_time == 4.0
+        assert len(schedule.slots) * schedule.slot_duration == 4.0 == (
+            time_to_collect(make_daisy(5, 1), ScenarioParams(slot_duration=1.0)))
 
     def test_star_slots(self):
         schedule = measurement_schedule(make_star(5, 1), 2.0)
         assert len(schedule.slots) == 8
-        assert schedule.total_time == 16.0
+        assert len(schedule.slots) * schedule.slot_duration == 16.0 == (
+            time_to_collect(make_star(5, 1), ScenarioParams(slot_duration=2.0)))
 
     def test_slot_count_bounds_m7(self):
         rng = np.random.default_rng(3)
