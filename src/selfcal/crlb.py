@@ -6,6 +6,13 @@ gain profile, and a closed form in which each ordinary antenna's bound is
 its hop distance from the reference times an inverse-SNR ratio. The
 module also carries the time-budget arithmetic for repeated measurement
 rounds.
+
+The information matrix is stored as its diagonal and one coupling per
+ordered pair of wired ordinary antennas. For a tree wiring the couplings
+form a forest, and the numeric route eliminates it leaf first in O(m)
+time and memory. A wiring with a cycle among the ordinary antennas, which
+only `fisher_from_edges` accepts, falls back to a dense
+eigendecomposition of the whole matrix.
 """
 
 from __future__ import annotations
@@ -26,7 +33,6 @@ from .errors import (
 )
 from .topology import (
     Topology,
-    _adjacency,
     _check_edges,
     _check_m_reference,
     calibration_distances,
@@ -68,6 +74,21 @@ class ScenarioParams:
             raise ScenarioError("gain amplitudes must be positive")
         if self.slot_duration <= 0:
             raise ScenarioError("slot duration must be positive")
+        for side, amplitude in (("transmit", self.tx_amplitude),
+                                ("receive", self.rx_amplitude)):
+            power = _signal_power(amplitude, self.line_gain)
+            if 0 < power < math.inf and math.isfinite(
+                    self.noise_variance / power):
+                continue
+            named = (f"{side} amplitude {amplitude!r} with line gain "
+                     f"{self.line_gain!r}")
+            if not 0 < power < math.inf:
+                raise ScenarioError(
+                    f"{named} gives signal power {power!r}; it must be a "
+                    "positive finite number")
+            raise ScenarioError(
+                f"noise variance {self.noise_variance!r} over the signal "
+                f"power {power!r} of {named} is not finite")
 
     def at_snr(self, snr_db: float) -> "ScenarioParams":
         """This scenario with the noise variance at `snr_db`, where
@@ -88,12 +109,22 @@ class ScenarioParams:
     @property
     def rho_a(self) -> float:
         """Noise over transmit signal power; scales receive-gain bounds."""
-        return self.noise_variance / (self.tx_amplitude ** 2 * abs(self.line_gain) ** 2)
+        return self.noise_variance / _signal_power(self.tx_amplitude,
+                                                   self.line_gain)
 
     @property
     def rho_b(self) -> float:
         """Noise over receive signal power; scales transmit-gain bounds."""
-        return self.noise_variance / (self.rx_amplitude ** 2 * abs(self.line_gain) ** 2)
+        return self.noise_variance / _signal_power(self.rx_amplitude,
+                                                   self.line_gain)
+
+
+def _signal_power(amplitude: float, line_gain: complex) -> float:
+    """amplitude^2 |h|^2, or inf where a float power overflows."""
+    try:
+        return amplitude ** 2 * abs(line_gain) ** 2
+    except OverflowError:
+        return math.inf
 
 
 @dataclass(frozen=True, eq=False)
@@ -102,14 +133,32 @@ class FisherMatrix:
 
     Rows/columns 0..n-1 (n = m-1) belong to the transmit gains of
     `antennas` in ascending order and rows n..2n-1 to the receive gains.
-    Entries already carry the |h|^2 / sigma^2 scaling. The matrix is
+    A transmit gain is informed only by the receive gains of the antennas
+    wired to it, and a receive gain only by their transmit gains, so no
+    dense array is held: `diagonal` has the 2n real diagonal entries, and
+    each ordered pair (a, k) of wired ordinary antennas contributes one
+    coupling, entry (`rows[e]`, `cols[e]`) = `couplings[e]` with row
+    n + index of a and column index of k; its mirror holds the conjugate.
+    Everything already carries the |h|^2 / sigma^2 scaling. The matrix is
     Hermitian by construction and positive definite whenever the wiring
     is effective.
     """
 
     order: int
-    entries: np.ndarray
+    diagonal: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    couplings: np.ndarray
     antennas: tuple[int, ...]
+
+    @property
+    def entries(self) -> np.ndarray:
+        """The dense 2n x 2n matrix, built afresh on each access, for the
+        cycle fallback and for checks against a dense inverse."""
+        dense = np.diag(self.diagonal.astype(complex))
+        dense[self.rows, self.cols] = self.couplings
+        dense[self.cols, self.rows] = self.couplings.conj()
+        return dense
 
 
 #: Relative tolerance of gain amplitudes against the scenario's.
@@ -126,7 +175,7 @@ def fisher_matrix(t: Topology, gains: "RfGains",
     relative 1e-9; phases are free.
     """
     _check_amplitudes(gains, s)
-    return _assemble_fisher(t.m, t.reference, t.neighbors, gains, s)
+    return _assemble_fisher(t.m, t.reference, t.edges, gains, s)
 
 
 def fisher_from_edges(m: int, reference: int, edges, gains: "RfGains",
@@ -139,9 +188,9 @@ def fisher_from_edges(m: int, reference: int, edges, gains: "RfGains",
     singularity of its matrix instead of being rejected up front.
     """
     _check_m_reference(m, reference)
-    neighbors = _adjacency(m, _check_edges(m, edges))
+    lines = _check_edges(m, edges)
     _check_amplitudes(gains, s)
-    return _assemble_fisher(m, reference, neighbors, gains, s)
+    return _assemble_fisher(m, reference, lines, gains, s)
 
 
 def _check_amplitudes(gains: "RfGains", s: ScenarioParams) -> None:
@@ -154,27 +203,32 @@ def _check_amplitudes(gains: "RfGains", s: ScenarioParams) -> None:
             "gain amplitudes do not match the scenario's nominal values")
 
 
-def _assemble_fisher(m: int, reference: int,
-                     neighbors: dict[int, tuple[int, ...]],
-                     gains: "RfGains", s: ScenarioParams) -> FisherMatrix:
+def _assemble_fisher(m: int, reference: int, edges, gains: "RfGains",
+                     s: ScenarioParams) -> FisherMatrix:
     if s.noise_variance == 0:
         raise ScenarioError("information matrix undefined for zero noise")
-    ordinary = tuple(k for k in range(1, m + 1) if k != reference)
     n = m - 1
-    pos = {antenna: i for i, antenna in enumerate(ordinary)}
-    alpha, beta = gains.alpha, gains.beta
-    entries = np.zeros((2 * n, 2 * n), dtype=complex)
-    for i, antenna in enumerate(ordinary):
-        linked = neighbors[antenna]
-        entries[i, i] = sum(abs(beta[k - 1]) ** 2 for k in linked)
-        entries[n + i, n + i] = sum(abs(alpha[k - 1]) ** 2 for k in linked)
-        for k in linked:
-            if k != reference:
-                # cross block: rx gain here times conjugate tx gain there
-                entries[n + i, pos[k]] = beta[antenna - 1] * np.conj(alpha[k - 1])
-    entries[:n, n:] = entries[n:, :n].conj().T
-    entries *= abs(s.line_gain) ** 2 / s.noise_variance
-    return FisherMatrix(2 * n, entries, ordinary)
+    ordinary = tuple(k for k in range(1, m + 1) if k != reference)
+    # index of antenna k among the ordinary ones (meaningless at the reference)
+    index = np.arange(m + 1) - 1
+    index[reference + 1:] -= 1
+    lines = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
+    # both directions of every line: the antenna here, the one wired to it
+    here = np.concatenate((lines[:, 0], lines[:, 1]))
+    there = np.concatenate((lines[:, 1], lines[:, 0]))
+    alpha, beta = np.asarray(gains.alpha), np.asarray(gains.beta)
+    scale = abs(s.line_gain) ** 2 / s.noise_variance
+    own = here != reference
+    at, far = index[here[own]], there[own] - 1
+    diagonal = np.concatenate((
+        np.bincount(at, np.abs(beta[far]) ** 2, minlength=n),
+        np.bincount(at, np.abs(alpha[far]) ** 2, minlength=n))) * scale
+    # cross block: rx gain here times conjugate tx gain there
+    pair = own & (there != reference)
+    here, there = here[pair], there[pair]
+    couplings = beta[here - 1] * alpha[there - 1].conj() * scale
+    return FisherMatrix(2 * n, diagonal, n + index[here], index[there],
+                        couplings, ordinary)
 
 
 def crlb_numeric(j: FisherMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -184,15 +238,92 @@ def crlb_numeric(j: FisherMatrix) -> tuple[np.ndarray, np.ndarray]:
     `j.antennas`. Raises SingularFisherMatrix when the matrix is not
     safely invertible, which is how an ineffective wiring or a degenerate
     gain profile shows up.
+
+    For a tree wiring the couplings form a forest, which leaf-first
+    elimination factors with no fill-in in O(m); the matrix's own
+    couplings choose that route, never the wiring's hop distances. A
+    wiring with a cycle among the ordinary antennas leaves couplings that
+    no leaf elimination removes, and such a matrix goes through a dense
+    eigendecomposition. A cycle through the reference does not count: the
+    reference has no row, so taking it out opens that cycle.
     """
-    lam, vec = np.linalg.eigh(j.entries)
-    if (not np.all(np.isfinite(lam)) or lam[0] <= 0
-            or lam[-1] > _COND_LIMIT * lam[0]):
-        raise SingularFisherMatrix(
-            f"information matrix condition number beyond {_COND_LIMIT:.0e}")
-    diag = (np.abs(vec) ** 2) @ (1.0 / lam)
+    diag = _forest_inverse_diagonal(j)
+    if diag is None:
+        diag = _dense_inverse_diagonal(j.entries)
     n = j.order // 2
     return diag[:n], diag[n:]
+
+
+def _singular() -> SingularFisherMatrix:
+    return SingularFisherMatrix(
+        f"information matrix condition number beyond {_COND_LIMIT:.0e}")
+
+
+def _forest_inverse_diagonal(j: FisherMatrix) -> np.ndarray | None:
+    """Diagonal of the inverse by leaf-first elimination (Takahashi,
+    Fagan & Chen, 1973), or None when the couplings contain a cycle.
+
+    Eliminating leaf v into its one remaining neighbour p leaves pivot
+    D_v and subtracts |J_pv|^2 / D_v from p's diagonal; roots keep their
+    pivot. Going back from the roots, Z_v = 1/D_v + |J_pv|^2/D_v^2 * Z_p.
+    The condition number is bounded by the largest Gershgorin row sum
+    (at least lambda_max) times trace(Z) (at least 1/lambda_min).
+    """
+    size = j.order
+    ends = (j.rows + j.cols).tolist()
+    degree = (np.bincount(j.rows, minlength=size)
+              + np.bincount(j.cols, minlength=size)).tolist()
+    # XOR of the incident coupling numbers: a leaf's is its last coupling
+    incident = np.zeros(size, dtype=np.intp)
+    numbers = np.arange(len(ends))
+    np.bitwise_xor.at(incident, j.rows, numbers)
+    np.bitwise_xor.at(incident, j.cols, numbers)
+    incident = incident.tolist()
+    leaves = np.flatnonzero(np.equal(degree, 1)).tolist()
+    steps = []  # (leaf, the neighbour it is eliminated into, coupling)
+    while leaves:
+        v = leaves.pop()
+        if degree[v] != 1:  # its neighbour was eliminated into it first
+            continue
+        e = incident[v]
+        p = ends[e] - v
+        degree[v] = 0
+        degree[p] -= 1
+        incident[p] ^= e
+        steps.append((v, p, e))
+        if degree[p] == 1:
+            leaves.append(p)
+    if any(degree):
+        return None
+    weight = (np.abs(j.couplings) ** 2).tolist()
+    pivot = j.diagonal.tolist()
+    for v, p, e in steps:
+        d = pivot[v]
+        if not 0 < d < math.inf:
+            raise _singular()
+        pivot[p] -= weight[e] / d
+    pivots = np.array(pivot)
+    if not np.all((pivots > 0) & (pivots < math.inf)):
+        raise _singular()
+    z = (1.0 / pivots).tolist()
+    for v, p, e in reversed(steps):
+        z[v] += weight[e] / (pivot[v] * pivot[v]) * z[p]
+    diag = np.array(z)
+    magnitude = np.abs(j.couplings)
+    row_sums = (j.diagonal + np.bincount(j.rows, magnitude, minlength=size)
+                + np.bincount(j.cols, magnitude, minlength=size))
+    if not row_sums.max() * diag.sum() <= _COND_LIMIT:
+        raise _singular()
+    return diag
+
+
+def _dense_inverse_diagonal(entries: np.ndarray) -> np.ndarray:
+    """Diagonal of the inverse through `eigh`, for any Hermitian matrix."""
+    lam, vec = np.linalg.eigh(entries)
+    if (not np.all(np.isfinite(lam)) or lam[0] <= 0
+            or lam[-1] > _COND_LIMIT * lam[0]):
+        raise _singular()
+    return (np.abs(vec) ** 2) @ (1.0 / lam)
 
 
 @dataclass(frozen=True, eq=False)

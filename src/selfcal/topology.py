@@ -112,7 +112,11 @@ class Topology:
     @cached_property
     def neighbors(self) -> dict[int, tuple[int, ...]]:
         """Antennas directly wired to each antenna, ascending."""
-        return _adjacency(self.m, self.edges)
+        adj: dict[int, list[int]] = {k: [] for k in range(1, self.m + 1)}
+        for p, q in self.edges:
+            adj[p].append(q)
+            adj[q].append(p)
+        return {k: tuple(sorted(v)) for k, v in adj.items()}
 
     @cached_property
     def ordinary(self) -> tuple[int, ...]:
@@ -206,15 +210,6 @@ def _check_m_reference(m: int, reference: int) -> None:
         raise ValueError(f"need at least 2 antennas, got m={m}")
     if not 1 <= reference <= m:
         raise IndexOutOfRange(f"reference {reference} outside 1..{m}")
-
-
-def _adjacency(m: int, edges: Iterable[Edge]) -> dict[int, tuple[int, ...]]:
-    """Antennas directly wired to each of 1..m, ascending (lines unchecked)."""
-    adj: dict[int, list[int]] = {k: [] for k in range(1, m + 1)}
-    for p, q in edges:
-        adj[p].append(q)
-        adj[q].append(p)
-    return {k: tuple(sorted(v)) for k, v in adj.items()}
 
 
 def _check_edges(m: int, edges: Iterable[Edge]) -> list[Edge]:

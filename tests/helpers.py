@@ -81,3 +81,34 @@ def random_gains(rng, m, s):
         alpha=s.tx_amplitude * np.exp(1j * rng.uniform(-np.pi, np.pi, m)),
         beta=s.rx_amplitude * np.exp(1j * rng.uniform(-np.pi, np.pi, m)),
     )
+
+
+def eigh_inverse_diagonal(entries):
+    """Diagonal of a Hermitian matrix's inverse by dense `eigh`, the same
+    arithmetic as the numeric bound's fallback for wirings with cycles."""
+    lam, vec = np.linalg.eigh(entries)
+    return (np.abs(vec) ** 2) @ (1.0 / lam)
+
+
+def loop_fisher_entries(m, reference, edges, gains, s):
+    """Dense information matrix assembled antenna by antenna, the
+    reference for the vectorised assembly."""
+    ordinary = [k for k in range(1, m + 1) if k != reference]
+    n = m - 1
+    pos = {antenna: i for i, antenna in enumerate(ordinary)}
+    linked = {k: [] for k in range(1, m + 1)}
+    for p, q in edges:
+        linked[p].append(q)
+        linked[q].append(p)
+    alpha, beta = gains.alpha, gains.beta
+    entries = np.zeros((2 * n, 2 * n), dtype=complex)
+    for i, antenna in enumerate(ordinary):
+        entries[i, i] = sum(abs(beta[k - 1]) ** 2 for k in linked[antenna])
+        entries[n + i, n + i] = sum(abs(alpha[k - 1]) ** 2
+                                    for k in linked[antenna])
+        for k in linked[antenna]:
+            if k != reference:
+                entries[n + i, pos[k]] = beta[antenna - 1] * np.conj(
+                    alpha[k - 1])
+    entries[:n, n:] = entries[n:, :n].conj().T
+    return entries * (abs(s.line_gain) ** 2 / s.noise_variance)

@@ -48,6 +48,12 @@ class TestCrlbCommand:
     def test_missing_m_is_validation_error(self, capsys):
         assert main(["crlb", "--topology", "star"]) == 2
 
+    def test_zero_noise_allowed(self, capsys):
+        assert main(["crlb", "--topology", "star", "--m", "4", "--ref", "1",
+                     "--noise-var", "0"]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[2:6] for row in rows] == [["0.0"] * 4] * 3
+
 
 class TestScheduleCommand:
     def test_schedule_json(self, tmp_path):
@@ -240,10 +246,21 @@ class TestFlagValues:
     ] + [
         (["sweep", "--topology", "star", "--m", "4", "--ref", "1",
           "--trials", "2", "--snr", snr], "SNR") for snr in ("-4000", "4000")
+    ] + [
+        (["crlb", "--topology", "star", "--m", "4", "--ref", "1"] + flags,
+         names) for flags, names in (
+            (["--tx-amp", "1e200"], "transmit amplitude 1e+200"),
+            (["--line-gain", "1e200"], "line gain (1e+200+0j)"),
+            (["--tx-amp", "1e-200"], "transmit amplitude 1e-200"),
+            (["--rx-amp", "1e-200"], "receive amplitude 1e-200"),
+            (["--line-gain", "1e-200"], "line gain (1e-200+0j)"),
+            (["--noise-var", "1e300", "--tx-amp", "1e-10"],
+             "transmit amplitude 1e-10"))
     ], ids=["slot-nan", "slot-inf", "slot-0", "m-range-one-value",
             "m-range-not-a-number", "m-range-not-integer", "m-range-reversed",
             "crlb-snr-db-low", "crlb-snr-db-high", "sweep-snr-low",
-            "sweep-snr-high"])
+            "sweep-snr-high", "tx-amp-huge", "line-gain-huge", "tx-amp-tiny",
+            "rx-amp-tiny", "line-gain-tiny", "noise-over-tiny-signal"])
     def test_exits_2_with_one_line(self, capsys, argv, names):
         code = main(argv)
         out, err = capsys.readouterr()

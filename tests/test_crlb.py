@@ -1,3 +1,4 @@
+from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from selfcal import (
     DAISY_VS_STAR_LIMIT,
+    crlb,
     ScenarioParams,
     budgeted_average_crlb,
     calibration_distances,
@@ -33,13 +35,44 @@ from selfcal.errors import (
 )
 from selfcal.simulate import RfGains
 
-from helpers import random_gains, random_scenario, random_tree, trees
+from helpers import (
+    eigh_inverse_diagonal,
+    loop_fisher_entries,
+    random_gains,
+    random_scenario,
+    random_tree,
+    trees,
+)
 
 UNIT = ScenarioParams()
 
 
 def unit_gains(m):
     return RfGains(np.ones(m, dtype=complex), np.ones(m, dtype=complex))
+
+
+@contextmanager
+def dense_calls():
+    """Record the order of every matrix the numeric bound hands to its
+    dense fallback instead of eliminating it."""
+    calls = []
+    dense = crlb._dense_inverse_diagonal
+
+    def spy(entries):
+        calls.append(entries.shape[0])
+        return dense(entries)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(crlb, "_dense_inverse_diagonal", spy)
+        yield calls
+
+
+def accepts(invert, j):
+    try:
+        invert(j)
+    except SingularFisherMatrix:
+        return False
+    return True
 
 
 class TestScenario:
@@ -101,6 +134,22 @@ class TestFisherMatrix:
             assert np.allclose(j.entries, j.entries.conj().T)
             assert np.linalg.eigvalsh(j.entries)[0] > 0
 
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(t=trees(), seed=st.integers(0, 2**32 - 1))
+    def test_equals_loop_assembly(self, t, seed):
+        # the diagonals are summed in another order: a few ulps apart
+        rng = np.random.default_rng(seed)
+        s = random_scenario(rng)
+        g = random_gains(rng, t.m, s)
+        ring = [(k, k % t.m + 1) for k in range(1, t.m + 1)] if t.m > 2 else []
+        for j, edges in ((fisher_matrix(t, g, s), t.edges),
+                         (fisher_from_edges(t.m, t.reference, ring, g, s),
+                          ring)):
+            assert j.order == 2 * (t.m - 1) and j.antennas == t.ordinary
+            np.testing.assert_allclose(
+                j.entries, loop_fisher_entries(t.m, t.reference, edges, g, s),
+                rtol=1e-14, atol=0)
+
     def test_amplitude_check(self):
         g = RfGains(2 * np.ones(3, dtype=complex), np.ones(3, dtype=complex))
         with pytest.raises(AmplitudeMismatch):
@@ -161,6 +210,83 @@ class TestNumericCrlb:
         assert np.allclose(first[0], second[0], rtol=1e-9)
         assert np.allclose(first[1], second[1], rtol=1e-9)
 
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(t=trees(), seed=st.integers(0, 2**32 - 1))
+    def test_elimination_equals_dense_inverse(self, t, seed):
+        rng = np.random.default_rng(seed)
+        s = random_scenario(rng)
+        g = random_gains(rng, t.m, s)
+        j = fisher_matrix(t, g, s)
+        from_lines = fisher_from_edges(t.m, t.reference, t.edges, g, s)
+        np.testing.assert_array_equal(from_lines.entries, j.entries)
+        want = eigh_inverse_diagonal(j.entries)
+        for matrix in (j, from_lines):
+            with dense_calls() as calls:
+                alpha, beta = crlb_numeric(matrix)
+            assert calls == []
+            np.testing.assert_allclose(np.concatenate((alpha, beta)), want,
+                                       rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("kind", ["star", "mid-chain", "random-tree"])
+    def test_elimination_equals_dense_inverse_m513(self, kind):
+        rng = np.random.default_rng(513)
+        t = {"star": lambda: make_star(513, 257),
+             "mid-chain": lambda: make_daisy(513, 257),
+             "random-tree": lambda: random_tree(rng, 513)}[kind]()
+        s = random_scenario(rng)
+        j = fisher_matrix(t, random_gains(rng, 513, s), s)
+        with dense_calls() as calls:
+            alpha, beta = crlb_numeric(j)
+        assert calls == []
+        np.testing.assert_allclose(np.concatenate((alpha, beta)),
+                                   eigh_inverse_diagonal(j.entries),
+                                   rtol=1e-9, atol=0)
+
+    @pytest.mark.parametrize("m, reference, edges", [
+        (7, 7, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (1, 7)]),
+        (5, 1, [(1, 2), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]),
+    ], ids=["6-ring-beside-reference", "5-antennas-several-cycles"])
+    def test_cycle_falls_back_to_dense_inverse(self, m, reference, edges):
+        # every cycle avoids the reference, so no leaf elimination opens it
+        rng = np.random.default_rng(m)
+        s = random_scenario(rng)
+        j = fisher_from_edges(m, reference, edges, random_gains(rng, m, s), s)
+        with dense_calls() as calls:
+            alpha, beta = crlb_numeric(j)
+        assert calls == [j.order]
+        np.testing.assert_array_equal(np.concatenate((alpha, beta)),
+                                      eigh_inverse_diagonal(j.entries))
+
+    def test_ring_through_reference_eliminated(self):
+        # taking the reference out opens a 6-ring's only cycle; the bounds
+        # are the effective resistances d(6-d)/6 times the noise ratios
+        rng = np.random.default_rng(6)
+        s = random_scenario(rng)
+        edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]
+        j = fisher_from_edges(6, 1, edges, random_gains(rng, 6, s), s)
+        with dense_calls() as calls:
+            alpha, beta = crlb_numeric(j)
+        assert calls == []
+        np.testing.assert_allclose(np.concatenate((alpha, beta)),
+                                   eigh_inverse_diagonal(j.entries),
+                                   rtol=1e-9, atol=0)
+        resistance = np.array([5, 8, 9, 8, 5]) / 6
+        np.testing.assert_allclose(alpha, resistance * s.rho_b, rtol=1e-9)
+        np.testing.assert_allclose(beta, resistance * s.rho_a, rtol=1e-9)
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_forest_off_reference_singular(self, seed):
+        # antennas 3 and 4 are wired to each other only: their 2x2 blocks
+        # are singular, but rounding may leave a pivot near 1e-16 (seeds 3
+        # and 6), which only the condition bound catches
+        rng = np.random.default_rng(seed)
+        s = random_scenario(rng)
+        j = fisher_from_edges(4, 1, [(1, 2), (3, 4)],
+                              random_gains(rng, 4, s), s)
+        with dense_calls() as calls, pytest.raises(SingularFisherMatrix):
+            crlb_numeric(j)
+        assert calls == []
+
     def test_disconnected_reported_singular(self):
         # 4 lines on 5 antennas, but a cycle 3-4-5 leaves {1,2} stranded
         edges = [(1, 2), (3, 4), (4, 5), (3, 5)]
@@ -183,6 +309,34 @@ class TestNumericCrlb:
         with pytest.raises(error) as topology:
             from_edges(m, reference, edges)
         assert str(fisher.value) == str(topology.value)
+
+
+class TestConditioning:
+    #: amplitude ratios r = 10^(2 + k/20), k = 0..20
+    RATIOS = [10 ** (2 + k / 20) for k in range(21)]
+
+    @pytest.mark.parametrize("m, stricter", [(9, {12, 13, 14}),
+                                             (129, {1, 2, 3})])
+    def test_amplitude_ratio_sweep(self, m, stricter):
+        # tx amplitude r and rx amplitude 1/r put the condition number
+        # near r^4 times a chain factor; elimination bounds it by the
+        # largest Gershgorin row sum times trace of the inverse, which
+        # here reads 3.8x (m=9) and 4.9x (m=129) the exact ratio, so it
+        # rejects the grid points `stricter` that eigh still accepts
+        t = make_daisy(m, (m + 1) // 2)
+        rng = np.random.default_rng(m)
+        eliminated, dense = [], []
+        for r in self.RATIOS:
+            s = ScenarioParams(tx_amplitude=r, rx_amplitude=1 / r)
+            j = fisher_matrix(t, random_gains(rng, m, s), s)
+            eliminated.append(accepts(crlb_numeric, j))
+            dense.append(accepts(
+                lambda j: crlb._dense_inverse_diagonal(j.entries), j))
+        assert eliminated[0] and dense[0]            # r = 1e2
+        assert not eliminated[-1] and not dense[-1]  # r = 1e3
+        assert all(d for e, d in zip(eliminated, dense) if e)
+        assert {k for k, (e, d) in enumerate(zip(eliminated, dense))
+                if d and not e} == stricter
 
 
 class TestClosedForm:
