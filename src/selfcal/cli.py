@@ -42,7 +42,7 @@ from .simulate import (
     measurements_to_dict,
     synthesize,
 )
-from .topology import measurement_schedule, schedule_to_dict
+from .topology import ENUMERATION_CAP, measurement_schedule, schedule_to_dict
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--ref", type=int, default=1)
     p_ver.add_argument("--m-range", default=None,
                        help="lo:hi antenna counts for --prop 3")
-    p_ver.add_argument("--cap", type=int, default=8,
+    p_ver.add_argument("--cap", type=int, default=ENUMERATION_CAP,
                        help="enumeration cap on the antenna count")
     return parser
 

@@ -1,11 +1,16 @@
 """Experiment drivers: SNR sweeps, exhaustive wiring checks, result output.
 
 The sweep pairs closed-form average bounds with the Monte-Carlo error of
-the exact-ML estimator across an SNR grid. The verify_* functions
-enumerate every labeled tree within a cap and confirm the optimality
-statements the closed forms promise: the star minimizes the single-round
-average bound, collection times sit between the chain's and the star's,
-and the mid-referenced chain wins once equal time budgets are enforced.
+the exact-ML estimator across an SNR grid. The verify_* functions check,
+over every tree within a cap, the optimality statements the closed forms
+promise: the star minimizes the single-round average bound, collection
+times sit between the chain's and the star's, and under equal time
+budgets the mid-referenced chain beats the star from m=5 on (and every
+other tree for 5 <= m <= 9).
+Every objective depends on the labels only through the tree's shape
+rooted at the reference, so the trees are counted by rooted shape, each
+shape once with weight (m-1)!/|Aut|, the number of labeled trees it
+stands for; only the schedule check walks the labeled trees.
 """
 
 from __future__ import annotations
@@ -36,6 +41,7 @@ from .topology import (
     ENUMERATION_CAP,
     Topology,
     calibration_distances,
+    enumerate_shapes,
     enumerate_trees,
     make_daisy,
     make_star,
@@ -313,7 +319,7 @@ def sweep_rows_to_json(rows: Iterable[SweepRow]) -> str:
 
 @dataclass(frozen=True)
 class StarOptimalityReport:
-    """Exhaustive single-round check over every labeled tree."""
+    """Exhaustive single-round check over every tree, counted by shape."""
 
     m: int
     reference: int
@@ -330,15 +336,17 @@ def verify_star_optimality(m: int, reference: int = 1,
     """Confirm the reference-centered star minimizes the mean distance.
 
     Counts the mean distances of all m**(m-2) labeled trees (the
-    `distribution`, in first-seen order) and reads the report off that
-    count: it passes when the smallest mean distance is exactly 1, one
-    tree attains it, and that tree is the star centered at the
-    reference, which is itself one of the enumerated trees.
+    `distribution`, ascending by mean distance), each rooted shape once
+    with its weight, and reads the report off that count: it passes when
+    the smallest mean distance is exactly 1, one tree attains it, and
+    that tree is the star centered at the reference, which is itself one
+    of the enumerated shapes.
     """
-    distribution: dict[Fraction, int] = {}
-    for tree in enumerate_trees(m, reference, cap):
+    counts: dict[Fraction, int] = {}
+    for tree, weight in enumerate_shapes(m, reference, cap):
         mean = calibration_distances(tree).mean
-        distribution[mean] = distribution.get(mean, 0) + 1
+        counts[mean] = counts.get(mean, 0) + weight
+    distribution = dict(sorted(counts.items()))
     best = min(distribution)
     minimizers = distribution[best]
     star_attains = calibration_distances(make_star(m, reference)).mean == best
@@ -366,21 +374,23 @@ class TimeBoundsReport:
 def verify_time_bounds(m: int, cap: int = ENUMERATION_CAP) -> TimeBoundsReport:
     """Confirm 4 <= slots <= 2(m-1) with equality exactly for chains/stars.
 
-    Counts trees by max degree (a tree takes 2 * max_degree slots); the
-    equality cases need m!/2 labeled paths and m stars.
-    Also builds and validates the parallel measurement schedule of every
-    enumerated tree (antenna-disjoint slots, both directions of every
-    line exactly once, 2 * max_degree slots); validity does not depend
-    on the slot duration, so every schedule gets unit slots.
+    Counts trees by max degree (a tree takes 2 * max_degree slots), each
+    rooted shape once with its weight; the equality cases need m!/2
+    labeled paths and m stars. The schedule depends on the labels, so
+    the parallel measurement schedule of every labeled tree is built and
+    validated (antenna-disjoint slots, both directions of every line
+    exactly once, 2 * max_degree slots); validity does not depend on the
+    slot duration, so every schedule gets unit slots.
     """
     if m < 3:
         raise ValueError(f"time bounds need m >= 3, got {m}")
     low, high = 4, 2 * (m - 1)
     degrees: dict[int, int] = {}
+    for tree, weight in enumerate_shapes(m, 1, cap):
+        degree = max_degree(tree)
+        degrees[degree] = degrees.get(degree, 0) + weight
     schedules_valid = True
     for tree in enumerate_trees(m, 1, cap):
-        degree = max_degree(tree)
-        degrees[degree] = degrees.get(degree, 0) + 1
         schedule = measurement_schedule(tree, 1.0)
         if schedule_violations(tree, schedule):
             schedules_valid = False
@@ -422,11 +432,13 @@ def verify_daisy_optimality(m_values: Iterable[int],
     """Check when the chain beats the star under equal time budgets.
 
     For each m the closed-form ratio must fall below 1 exactly when
-    m >= 5. Within the enumeration cap, a brute force over all labeled
-    trees under a 2(m-1)-slot budget additionally confirms the winner:
-    the mid-referenced chain for m >= 5 (all minimizers are chains with
-    the optimal mean distance), the star for m < 5. An empty `m_values`
-    checks nothing and is rejected.
+    m >= 5. Within the enumeration cap, a brute force over every rooted
+    shape under a 2(m-1)-slot budget additionally confirms the winner:
+    the mid-referenced chain for 5 <= m <= 9 (all minimizers are chains
+    with the optimal mean distance), the star for m < 5. Above m=9 the
+    brute force fails: at m=10 a tree of max degree 3 with mean distance
+    5/3 collects 3 rounds and reaches 5/9 against the chain's 25/36. An
+    empty `m_values` checks nothing and is rejected.
     """
     entries: list[DaisyOptimalityEntry] = []
     for m in m_values:
@@ -440,7 +452,7 @@ def verify_daisy_optimality(m_values: Iterable[int],
             # objective -> (all trees reaching it are optimal chains,
             # the star reaches it: the only tree of mean distance 1)
             verdicts: dict[Fraction, tuple[bool, bool]] = {}
-            for tree in enumerate_trees(m, f_best, brute_force_cap):
+            for tree, _ in enumerate_shapes(m, f_best, brute_force_cap):
                 degree = max_degree(tree)
                 mean = calibration_distances(tree).mean
                 objective = mean / ((m - 1) // degree)

@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from collections import deque
+import math
+from collections import Counter, deque
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -360,6 +361,70 @@ def enumerate_trees(m: int, reference: int = 1,
         raise ValueError(f"m={m} exceeds the enumeration cap {cap}")
     for seq in itertools.product(range(1, m + 1), repeat=m - 2):
         yield Topology(m, reference, decode_pruefer(seq, m))
+
+
+def enumerate_shapes(m: int, reference: int = 1, cap: int = ENUMERATION_CAP
+                     ) -> Iterator[tuple[Topology, int]]:
+    """Yield one tree per rooted shape, rooted at `reference`, with its
+    weight: the number of labeled trees of that shape, (m-1)!/|Aut|.
+
+    A shape is a canonical level sequence, the depths of its nodes in
+    preorder with every node's subtrees in non-increasing order. The
+    successor rule of Beyer and Hedetniemi ("Constant time generation of
+    rooted trees", SIAM J. Comput. 9(4), 1980) runs through all of them,
+    OEIS A000081(m), from the path down to the star; their weights sum to
+    m**(m-2). |Aut| counts the automorphisms that fix the root. Each
+    representative labels the root `reference` and the other nodes, in
+    preorder, with the ordinary antennas in ascending order, so at
+    reference 1 the path is `make_daisy(m, 1)`. `cap` bounds m as it does
+    for `enumerate_trees`.
+    """
+    _check_m_reference(m, reference)
+    if m > cap:
+        raise ValueError(f"m={m} exceeds the enumeration cap {cap}")
+    labels = [reference] + [k for k in range(1, m + 1) if k != reference]
+    labelings = math.factorial(m - 1)
+    levels = list(range(m))
+    while True:
+        edges, automorphisms = _read_levels(levels, labels)
+        yield Topology(m, reference, edges), labelings // automorphisms
+        # successor: from the last node p below level 1 on, repeat the
+        # sequence that starts at p's parent q
+        p = next((i for i in range(m - 1, 0, -1) if levels[i] > 1), None)
+        if p is None:  # the star comes last
+            return
+        q = next(i for i in range(p - 1, 0, -1) if levels[i] == levels[p] - 1)
+        for i in range(p, m):
+            levels[i] = levels[i - p + q]
+
+
+def _read_levels(levels: list[int], labels: list[int]
+                 ) -> tuple[list[Edge], int]:
+    """The labeled lines of a level sequence, and its automorphisms that
+    fix the root.
+
+    A node's parent is the last node before it one level up, and its
+    subtree runs up to the next node on its level or above. |Aut| is the
+    product, over every node, of the factorials of how often each child
+    subtree repeats among its siblings.
+    """
+    m = len(levels)
+    parent = [0] * m
+    end = [m] * m
+    open_nodes: list[int] = []
+    for node, level in enumerate(levels):
+        while open_nodes and levels[open_nodes[-1]] >= level:
+            end[open_nodes.pop()] = node
+        if open_nodes:
+            parent[node] = open_nodes[-1]
+        open_nodes.append(node)
+    twins = Counter((parent[node], tuple(levels[node:end[node]]))
+                    for node in range(1, m))
+    automorphisms = 1
+    for count in twins.values():
+        automorphisms *= math.factorial(count)
+    edges = [(labels[parent[node]], labels[node]) for node in range(1, m)]
+    return edges, automorphisms
 
 
 def decode_pruefer(seq: Iterable[int], m: int) -> tuple[Edge, ...]:

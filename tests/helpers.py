@@ -1,11 +1,30 @@
 """Shared test utilities: independent oracles and random-tree generation."""
 
+import math
 from collections import deque
 
 import numpy as np
 from hypothesis import strategies as st
 
-from selfcal import ScenarioParams, RfGains, from_edges
+from selfcal import (
+    ScenarioParams,
+    RfGains,
+    calibration_distances,
+    daisy_vs_star_ratio,
+    enumerate_trees,
+    from_edges,
+    make_star,
+    max_degree,
+    measurement_schedule,
+    optimal_reference,
+    schedule_violations,
+)
+from selfcal.harness import (
+    DaisyOptimalityEntry,
+    DaisyOptimalityReport,
+    StarOptimalityReport,
+    TimeBoundsReport,
+)
 
 
 def naive_pruefer_edges(seq, m):
@@ -112,3 +131,76 @@ def loop_fisher_entries(m, reference, edges, gains, s):
                     alpha[k - 1])
     entries[:n, n:] = entries[n:, :n].conj().T
     return entries * (abs(s.line_gain) ** 2 / s.noise_variance)
+
+
+def rooted_form(t):
+    """Canonical string of a tree's shape rooted at its reference: each
+    node is its children's forms, sorted, in parentheses."""
+    def form(node, parent):
+        return "(" + "".join(sorted(form(k, node) for k in t.neighbors[node]
+                                    if k != parent)) + ")"
+    return form(t.reference, None)
+
+
+# The verify drivers as they were before trees were counted by rooted
+# shape: one pass over every labeled tree, adding 1 per tree. They are the
+# oracle for the shape-weighted counts.
+
+def labelled_star_optimality(m, reference):
+    distribution = {}
+    for tree in enumerate_trees(m, reference):
+        mean = calibration_distances(tree).mean
+        distribution[mean] = distribution.get(mean, 0) + 1
+    best = min(distribution)
+    minimizers = distribution[best]
+    star_attains = calibration_distances(make_star(m, reference)).mean == best
+    passed = best == 1 and star_attains and minimizers == 1
+    return StarOptimalityReport(m, reference, sum(distribution.values()),
+                                best, minimizers, star_attains, distribution,
+                                passed)
+
+
+def labelled_time_bounds(m):
+    low, high = 4, 2 * (m - 1)
+    degrees = {}
+    schedules_valid = True
+    for tree in enumerate_trees(m, 1):
+        degree = max_degree(tree)
+        degrees[degree] = degrees.get(degree, 0) + 1
+        if schedule_violations(tree, measurement_schedule(tree, 1.0)):
+            schedules_valid = False
+    min_slots, max_slots = 2 * min(degrees), 2 * max(degrees)
+    chain_count = degrees.get(2, 0)
+    star_count = degrees.get(m - 1, 0)
+    bounds_hold = low <= min_slots and max_slots <= high
+    passed = (bounds_hold and schedules_valid
+              and min_slots == low and max_slots == high
+              and chain_count == math.factorial(m) // 2 and star_count == m)
+    return TimeBoundsReport(m, sum(degrees.values()), min_slots, max_slots,
+                            chain_count, star_count, bounds_hold,
+                            schedules_valid, passed)
+
+
+def labelled_daisy_optimality(m_values):
+    entries = []
+    for m in m_values:
+        ratio = daisy_vs_star_ratio(m)
+        beats = ratio < 1
+        f_best, best_mean = optimal_reference(m)
+        verdicts = {}
+        for tree in enumerate_trees(m, f_best):
+            degree = max_degree(tree)
+            mean = calibration_distances(tree).mean
+            objective = mean / ((m - 1) // degree)
+            chains, star = verdicts.get(objective, (True, False))
+            verdicts[objective] = (chains and degree == 2 and mean == best_mean,
+                                   star or mean == 1)
+        brute_min = min(verdicts)
+        chains, star = verdicts[brute_min]
+        brute_matches = brute_min == (ratio if m >= 5 else 1)
+        minimizers_ok = chains if m >= 5 else star
+        ok = beats == (m >= 5) and brute_matches and minimizers_ok
+        entries.append(DaisyOptimalityEntry(m, ratio, beats, True, brute_min,
+                                            brute_matches, minimizers_ok, ok))
+    return DaisyOptimalityReport(tuple(entries),
+                                 all(e.passed for e in entries))

@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import numpy as np
@@ -8,8 +9,14 @@ import pytest
 from selfcal import (
     ExperimentConfig,
     ScenarioParams,
+    calibration_distances,
+    daisy_vs_star_ratio,
     from_edges,
     make_daisy,
+    max_degree,
+    measurement_schedule,
+    optimal_reference,
+    schedule_violations,
     run_snr_sweep,
     sweep_rows_to_csv,
     sweep_rows_to_json,
@@ -22,6 +29,21 @@ from selfcal import (
 from selfcal import harness
 from selfcal.errors import ConfigError
 from selfcal.harness import _CHUNK
+
+from helpers import (
+    labelled_daisy_optimality,
+    labelled_star_optimality,
+    labelled_time_bounds,
+)
+
+
+def assert_same_report(report, oracle):
+    """Field by field, so that a mismatch names its field; `distribution`
+    compares as a dict, whatever its key order."""
+    assert type(report) is type(oracle)
+    for field in fields(report):
+        assert getattr(report, field.name) == getattr(oracle, field.name), (
+            field.name)
 
 
 class TestConfig:
@@ -110,13 +132,14 @@ class TestTimeBounds:
 
     def test_miscounted_chain_fails(self, monkeypatch):
         # a tree's slot count is twice its degree, so a degree census that
-        # misreads one chain shows only in the class counts
+        # misreads one chain shows only in the class counts; the path from
+        # the reference stands for its shape, all 4! labelings of it
         chain = make_daisy(5, 1)
         degree = harness.max_degree
         monkeypatch.setattr(harness, "max_degree",
                             lambda t: 3 if t == chain else degree(t))
         report = verify_time_bounds(5)
-        assert report.chain_count == 59
+        assert report.chain_count == 60 - math.factorial(4)
         assert report.passed is False
 
     def test_m6(self):
@@ -140,12 +163,64 @@ class TestDaisyOptimality:
         with pytest.raises(ValueError, match="no antenna counts"):
             verify_daisy_optimality([])
 
+    def test_a_tree_beats_the_chain_at_m10(self):
+        # three antennas on the reference, two on each of them: degree 3,
+        # so one round takes 6 slots and the star's 18 allow 3 rounds
+        tree = from_edges(10, 1, [(1, 2), (1, 3), (1, 4), (2, 5), (2, 6),
+                                  (3, 7), (3, 8), (4, 9), (4, 10)])
+        assert max_degree(tree) == 3
+        schedule = measurement_schedule(tree, 1.0)
+        assert len(schedule.slots) == 6
+        assert schedule_violations(tree, schedule) == []
+        mean = calibration_distances(tree).mean
+        assert mean == Fraction(5, 3)
+        rounds = 2 * (10 - 1) // len(schedule.slots)
+        assert mean / rounds == Fraction(5, 9)
+        f_best, chain_mean = optimal_reference(10)
+        chain = make_daisy(10, f_best)
+        assert calibration_distances(chain).mean == chain_mean
+        chain_rounds = 2 * (10 - 1) // len(measurement_schedule(chain, 1.0)
+                                           .slots)
+        assert chain_mean / chain_rounds == Fraction(25, 36)
+        assert daisy_vs_star_ratio(10) == Fraction(25, 36)
+        # so the brute force finds it, and prop 3 holds only up to m=9
+        entry = verify_daisy_optimality([10], brute_force_cap=10).entries[0]
+        assert entry.brute_min == Fraction(5, 9) and not entry.passed
+        assert verify_daisy_optimality([9], brute_force_cap=9).passed
+
     def test_large_m_skips_brute_force(self):
         report = verify_daisy_optimality([129])
         entry = report.entries[0]
         assert not entry.brute_forced and entry.brute_min is None
         assert entry.ratio == Fraction(65, 128)
         assert report.passed
+
+
+class TestShapeRouteMatchesLabelled:
+    """Each report counted by rooted shape equals the one counted over
+    every labeled tree."""
+
+    @pytest.mark.parametrize("m, reference", [
+        (m, reference) for m in range(2, 8) for reference in range(1, m + 1)])
+    def test_star_optimality(self, m, reference):
+        assert_same_report(verify_star_optimality(m, reference),
+                           labelled_star_optimality(m, reference))
+
+    @pytest.mark.parametrize("m", range(3, 8))
+    def test_time_bounds(self, m):
+        assert_same_report(verify_time_bounds(m), labelled_time_bounds(m))
+
+    def test_daisy_optimality(self):
+        report = verify_daisy_optimality(range(3, 8))
+        oracle = labelled_daisy_optimality(range(3, 8))
+        assert report.passed == oracle.passed
+        assert len(report.entries) == len(oracle.entries)
+        for entry, expected in zip(report.entries, oracle.entries):
+            assert_same_report(entry, expected)
+
+    def test_distribution_ascends(self):
+        keys = list(verify_star_optimality(6, 2).distribution)
+        assert keys == sorted(keys)
 
 
 class TestSweep:

@@ -8,7 +8,9 @@ harness namespace, would zero a per-layer span and still pass every
 other check. The per-trial stage names the benchmark also wraps
 (`draw_gains`, `synthesize`, `collapse_repetitions`, `ml_estimate`,
 `estimation_error`) are not listed: the batched sweep does not call
-them, so `selfcal.harness` does not import them.
+them, so `selfcal.harness` does not import them. `enumerate_shapes` is
+listed although the benchmark does not wrap it yet: the verify drivers
+look it up in `selfcal.harness`, where a tracer can wrap it.
 """
 
 import pytest
@@ -21,8 +23,9 @@ SURFACE = {
         "ExperimentConfig", "resolve_topology", "run_snr_sweep",
         "sweep_rows_to_csv", "verify_star_optimality", "verify_time_bounds",
         "verify_daisy_optimality", "crlb_closed_form",
-        "budgeted_average_crlb", "enumerate_trees", "calibration_distances",
-        "max_degree", "measurement_schedule", "schedule_violations",
+        "budgeted_average_crlb", "enumerate_shapes", "enumerate_trees",
+        "calibration_distances", "max_degree", "measurement_schedule",
+        "schedule_violations",
     ),
     crlb: ("ScenarioParams", "fisher_matrix", "crlb_numeric",
            "crlb_closed_form"),
@@ -43,14 +46,14 @@ CALLS_THROUGH_HARNESS = {
     "budgeted_sweep": (_sweep("time", 8.0), {"budgeted_average_crlb"}),
     "verify_star_optimality": (
         lambda: harness.verify_star_optimality(4),
-        {"enumerate_trees", "calibration_distances"}),
+        {"enumerate_shapes", "calibration_distances"}),
     "verify_time_bounds": (
         lambda: harness.verify_time_bounds(4),
-        {"enumerate_trees", "max_degree", "measurement_schedule",
-         "schedule_violations"}),
+        {"enumerate_shapes", "enumerate_trees", "max_degree",
+         "measurement_schedule", "schedule_violations"}),
     "verify_daisy_optimality": (
         lambda: harness.verify_daisy_optimality((3, 4)),
-        {"enumerate_trees", "calibration_distances", "max_degree"}),
+        {"enumerate_shapes", "calibration_distances", "max_degree"}),
 }
 
 

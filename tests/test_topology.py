@@ -28,8 +28,9 @@ from selfcal.errors import (
     TopologyError,
     WrongEdgeCount,
 )
+from selfcal.topology import Topology, enumerate_shapes
 
-from helpers import hop_distances, random_tree, trees
+from helpers import hop_distances, random_tree, rooted_form, trees
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
@@ -235,6 +236,56 @@ class TestEnumeration:
                 center = next(k for k in range(1, 6)
                               if len(t.neighbors[k]) == 4)
                 assert all(center in edge for edge in t.edges)
+
+
+#: rooted trees on m nodes, m = 1, 2, ... (OEIS A000081)
+ROOTED_SHAPES = (1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486,
+                 32973)
+
+
+class TestShapes:
+    @pytest.mark.parametrize("m", range(2, 15))
+    def test_counts(self, m):
+        shapes = sum(1 for _ in enumerate_shapes(m, 1, cap=m))
+        assert shapes == ROOTED_SHAPES[m - 1]
+
+    @pytest.mark.parametrize("m", range(2, 13))
+    def test_weights_sum_to_cayley(self, m):
+        assert sum(w for _, w in enumerate_shapes(m, 1, cap=m)) == m ** (m - 2)
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_representatives_are_rooted_at_the_reference(self, m):
+        for reference in range(1, m + 1):
+            forms = set()
+            for t, weight in enumerate_shapes(m, reference):
+                assert isinstance(t, Topology)
+                assert t.m == m and t.reference == reference
+                assert from_edges(m, reference, t.edges) == t
+                assert weight >= 1
+                forms.add(rooted_form(t))
+            assert len(forms) == ROOTED_SHAPES[m - 1]
+
+    @pytest.mark.parametrize("m, reference", [
+        (2, 1), (3, 1), (4, 1), (5, 1), (5, 3), (6, 1), (6, 6), (7, 1)])
+    def test_weight_is_the_labeled_count_of_the_shape(self, m, reference):
+        labeled = {}
+        for t in enumerate_trees(m, reference):
+            form = rooted_form(t)
+            labeled[form] = labeled.get(form, 0) + 1
+        weights = {rooted_form(t): w
+                   for t, w in enumerate_shapes(m, reference)}
+        assert weights == labeled
+
+    def test_path_and_star(self):
+        shapes = list(enumerate_shapes(5, 1))
+        assert shapes[0] == (make_daisy(5, 1), 24)
+        assert shapes[-1] == (make_star(5, 1), 1)
+
+    def test_cap_and_reference_checked(self):
+        with pytest.raises(ValueError, match="enumeration cap 8"):
+            next(enumerate_shapes(9))
+        with pytest.raises(IndexOutOfRange):
+            next(enumerate_shapes(5, 6))
 
 
 class TestSerialization:
