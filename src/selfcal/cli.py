@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--prop", type=int, choices=(1, 2, 3), required=True,
                        help="1 star optimality, 2 time bounds, 3 chain optimality")
     p_ver.add_argument("--m", type=int, default=None)
-    p_ver.add_argument("--ref", type=int, default=1)
+    p_ver.add_argument("--ref", type=int, default=None)
     p_ver.add_argument("--m-range", default=None,
                        help="lo:hi antenna counts for --prop 3")
     p_ver.add_argument("--cap", type=int, default=ENUMERATION_CAP,
@@ -286,11 +286,16 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    if args.ref is not None and args.prop != 1:
+        raise ConfigError(f"--prop {args.prop} does not read --ref")
+    if args.m_range is not None and args.prop != 3:
+        raise ConfigError(f"--prop {args.prop} does not read --m-range")
     if args.prop in (1, 2) and args.m is None:
         raise ConfigError(f"--prop {args.prop} needs --m")
     if args.prop == 1:
-        report = verify_star_optimality(args.m, args.ref, cap=args.cap)
-        print(f"star optimality m={args.m} ref={args.ref}: "
+        ref = 1 if args.ref is None else args.ref
+        report = verify_star_optimality(args.m, ref, cap=args.cap)
+        print(f"star optimality m={args.m} ref={ref}: "
               f"{report.tree_count} trees, min mean distance "
               f"{report.min_mean_distance} attained {report.minimizer_count}x, "
               f"star attains: {report.star_attains_minimum}")

@@ -10,7 +10,8 @@ other tree for 5 <= m <= 9).
 Every objective depends on the labels only through the tree's shape
 rooted at the reference, so the trees are counted by rooted shape, each
 shape once with weight (m-1)!/|Aut|, the number of labeled trees it
-stands for; only the schedule check walks the labeled trees.
+stands for. Only the schedule check sees every labeled tree, as numpy
+passes over blocks of them: decode, root, color, check.
 """
 
 from __future__ import annotations
@@ -41,13 +42,15 @@ from .topology import (
     ENUMERATION_CAP,
     Topology,
     calibration_distances,
+    decode_pruefer_batch,
     enumerate_shapes,
-    enumerate_trees,
     make_daisy,
     make_star,
     max_degree,
-    measurement_schedule,
-    schedule_violations,
+    pruefer_blocks,
+    root_trees,
+    schedule_faults,
+    schedule_trees,
     topology_from_dict,
 )
 
@@ -183,9 +186,11 @@ def run_snr_sweep(cfg: ExperimentConfig,
     """Monte-Carlo estimator error across an SNR grid, next to the bounds.
 
     Each grid point takes the scenario's noise variance at its SNR
-    (`ScenarioParams.at_snr`). Every trial draws fresh gains and the
-    collapsed observation of the rounds the budget allows (one draw of
-    noise variance sigma^2 / I per direction), estimates, and scores
+    (`ScenarioParams.at_snr`). The rounds the budget allows and the mean
+    distance are worked out once per sweep, and each point scales them by
+    its rho with the float steps of `crlb_closed_form`. Every trial draws
+    fresh gains and the collapsed observation of those rounds (one draw
+    of noise variance sigma^2 / I per direction), estimates, and scores
     against the truth. Trials the estimator flags as division hazards are
     counted in `hazard_rate` and excluded from the error averages; rates
     above 1% are logged as flagged rows.
@@ -208,15 +213,18 @@ def run_snr_sweep(cfg: ExperimentConfig,
     topo = validate_config(cfg)
     base = scenario if scenario is not None else ScenarioParams()
     points = len(cfg.snr_grid_db)
-    bounds = []
+    # the bounds depend on the SNR only through rho
+    bound = _budget_report(topo, base.at_snr(cfg.snr_grid_db[0]),
+                           cfg.budget_mode, cfg.budget_value)
+    mean_factor = float(bound.mean_distance / bound.repetitions)
+    rhos = []
     sums = np.zeros((points, 2))
     hazards = np.zeros(points, dtype=int)
     batch: list[tuple[int, np.ndarray, np.ndarray]] = []
     batched = 0
     for grid_index, snr_db in enumerate(cfg.snr_grid_db):
         s = base.at_snr(snr_db)
-        bound = _budget_report(topo, s, cfg.budget_mode, cfg.budget_value)
-        bounds.append(bound)
+        rhos.append((s.rho_a, s.rho_b))
         for chunk, start in enumerate(range(0, cfg.trials, _CHUNK)):
             trials = min(_CHUNK, cfg.trials - start)
             if batched and (batched + trials) * topo.m > _BATCH:
@@ -232,8 +240,8 @@ def run_snr_sweep(cfg: ExperimentConfig,
             batched += trials
     _score_batch(batch, topo, base, sums, hazards)
     rows: list[SweepRow] = []
-    for snr_db, bound, sum_sq, hazard_count in zip(
-            cfg.snr_grid_db, bounds, sums, hazards):
+    for snr_db, (rho_a, rho_b), sum_sq, hazard_count in zip(
+            cfg.snr_grid_db, rhos, sums, hazards):
         completed = cfg.trials - hazard_count
         mse = sum_sq / completed if completed else np.full(2, np.nan)
         hazard_rate = int(hazard_count) / cfg.trials
@@ -247,8 +255,8 @@ def run_snr_sweep(cfg: ExperimentConfig,
             reference=topo.reference,
             repetitions=bound.repetitions,
             remainder_seconds=bound.remainder_seconds,
-            avg_crlb_alpha=bound.average_alpha,
-            avg_crlb_beta=bound.average_beta,
+            avg_crlb_alpha=mean_factor * rho_b,
+            avg_crlb_beta=mean_factor * rho_a,
             avg_mse_alpha=float(mse[0]),
             avg_mse_beta=float(mse[1]),
             trials=cfg.trials,
@@ -379,8 +387,10 @@ def verify_time_bounds(m: int, cap: int = ENUMERATION_CAP) -> TimeBoundsReport:
     labeled paths and m stars. The schedule depends on the labels, so
     the parallel measurement schedule of every labeled tree is built and
     validated (antenna-disjoint slots, both directions of every line
-    exactly once, 2 * max_degree slots); validity does not depend on the
-    slot duration, so every schedule gets unit slots.
+    exactly once, 2 * max_degree slots), in array passes over blocks of
+    sequence codes: decode every code of a block, root the trees at
+    antenna 1, color their lines, and check the schedules against the
+    decoded lines.
     """
     if m < 3:
         raise ValueError(f"time bounds need m >= 3, got {m}")
@@ -390,9 +400,10 @@ def verify_time_bounds(m: int, cap: int = ENUMERATION_CAP) -> TimeBoundsReport:
         degree = max_degree(tree)
         degrees[degree] = degrees.get(degree, 0) + weight
     schedules_valid = True
-    for tree in enumerate_trees(m, 1, cap):
-        schedule = measurement_schedule(tree, 1.0)
-        if schedule_violations(tree, schedule):
+    for codes in pruefer_blocks(m, cap):
+        edges = decode_pruefer_batch(codes, m)
+        schedules = schedule_trees(*root_trees(edges, 1))
+        if schedule_faults(edges, schedules).flagged.any():
             schedules_valid = False
     min_slots, max_slots = 2 * min(degrees), 2 * max(degrees)
     chain_count = degrees.get(2, 0)

@@ -8,8 +8,6 @@ enforces the tree property at construction time.
 
 from __future__ import annotations
 
-import heapq
-import itertools
 import math
 from collections import Counter, deque
 from dataclasses import dataclass
@@ -293,60 +291,189 @@ def max_degree(t: Topology) -> int:
 def measurement_schedule(t: Topology, slot_duration: float) -> Schedule:
     """Pack the 2(m-1) sounding measurements into 2*max_degree slots.
 
-    Lines are first colored so that no two lines sharing an antenna get
-    the same color; a greedy parent-to-child pass needs exactly
-    max_degree colors on a tree. Every color class then yields one slot
-    per direction, parent-to-child first.
+    The schedule of `schedule_trees` for this one tree, rooted as
+    `Topology.rooted_edges` roots it, with each slot's measurements in
+    ascending order.
     """
     if not is_finite(slot_duration) or slot_duration <= 0:
         raise ValueError(f"slot duration must be a positive finite number, "
                          f"got {slot_duration}")
-    children: dict[int, list[int]] = {}
-    for parent, child in t.rooted_edges:
-        children.setdefault(parent, []).append(child)
-    color_classes: list[list[Edge]] = [[] for _ in range(max_degree(t))]
-    parent_color: dict[int, int] = {}
-    order = [t.reference] + [child for _, child in t.rooted_edges]
-    for node in order:
-        color = 0
-        blocked = parent_color.get(node)
-        for child in children.get(node, ()):
-            if color == blocked:
-                color += 1
-            color_classes[color].append((node, child))
-            parent_color[child] = color
-            color += 1
-    slots: list[tuple[Edge, ...]] = []
-    for group in color_classes:
-        slots.append(tuple(sorted(group)))
-        slots.append(tuple(sorted((c, p) for p, c in group)))
-    return Schedule(tuple(slots), float(slot_duration))
+    parent = np.full((1, t.m), -1)
+    depth = np.zeros((1, t.m), dtype=int)
+    for p, c in t.rooted_edges:  # breadth-first: a parent's depth is set
+        parent[0, c - 1] = p - 1
+        depth[0, c - 1] = depth[0, p - 1] + 1
+    arrays = schedule_trees(parent, depth)
+    tx, rx, slot = arrays.tx[0], arrays.rx[0], arrays.slot[0]
+    order = np.lexsort((rx, tx, slot))
+    pairs = list(zip(tx[order].tolist(), rx[order].tolist()))
+    bounds = np.searchsorted(slot[order], np.arange(arrays.slots[0] + 1))
+    slots = tuple(tuple(pairs[lo:hi])
+                  for lo, hi in zip(bounds[:-1], bounds[1:]))
+    return Schedule(slots, float(slot_duration))
 
 
 def schedule_violations(t: Topology, schedule: Schedule) -> list[str]:
-    """Check a schedule against the wiring; an empty list means valid."""
+    """Check a schedule against the wiring; an empty list means valid.
+
+    The findings of `schedule_faults` for this one tree, in order: the
+    slot count, every repeated use of an antenna in a slot, every line
+    direction not scheduled exactly once (ascending), every measurement
+    on no line (in order of first use).
+    """
+    pairs = [pair for slot in schedule.slots for pair in slot]
+    tx, rx = np.array(pairs, dtype=int).reshape(-1, 2).T
+    slot = np.repeat(np.arange(len(schedule.slots)),
+                     [len(s) for s in schedule.slots])
+    faults = schedule_faults(np.array([t.edges]), ScheduleArrays(
+        tx[None], rx[None], slot[None], np.array([len(schedule.slots)])))
     problems: list[str] = []
-    expected = 2 * max_degree(t)
-    if len(schedule.slots) != expected:
-        problems.append(f"{len(schedule.slots)} slots, expected {expected}")
-    counts: dict[Edge, int] = {}
-    for i, slot in enumerate(schedule.slots):
-        busy: set[int] = set()
-        for tx, rx in slot:
-            for antenna in (tx, rx):
-                if antenna in busy:
-                    problems.append(f"antenna {antenna} used twice in slot {i}")
-                busy.add(antenna)
-            counts[(tx, rx)] = counts.get((tx, rx), 0) + 1
-    required = set(t.directed_pairs)
-    for pair in required:
-        if counts.get(pair, 0) != 1:
-            problems.append(
-                f"measurement {pair} scheduled {counts.get(pair, 0)} times")
-    for pair in counts:
-        if pair not in required:
-            problems.append(f"measurement {pair} is not on any line")
+    if faults.wrong_slot_count[0]:
+        problems.append(f"{len(schedule.slots)} slots, "
+                        f"expected {faults.expected_slots[0]}")
+    for i, end in zip(*np.nonzero(faults.reused[0])):
+        problems.append(f"antenna {pairs[i][end]} used twice "
+                        f"in slot {slot[i]}")
+    required = map(tuple, faults.required[0].tolist())
+    for pair, count in zip(required, faults.counts[0].tolist()):
+        if count != 1:
+            problems.append(f"measurement {pair} scheduled {count} times")
+    for pair in dict.fromkeys(tuple(pairs[i])
+                              for i in np.flatnonzero(faults.off_line[0])):
+        problems.append(f"measurement {pair} is not on any line")
     return problems
+
+
+@dataclass(frozen=True, eq=False)
+class ScheduleArrays:
+    """The schedules of n trees: measurement j of tree i sends from
+    antenna tx[i, j] to rx[i, j] (labels 1..m) in slot slot[i, j], and
+    tree i takes slots[i] slots."""
+
+    tx: np.ndarray
+    rx: np.ndarray
+    slot: np.ndarray
+    slots: np.ndarray
+
+
+def schedule_trees(parent: np.ndarray, depth: np.ndarray) -> ScheduleArrays:
+    """Greedy line coloring of rooted trees, as parallel schedules.
+
+    `parent` and `depth` are (n, m) arrays over the zero-based antennas
+    as `root_trees` returns them. The line to the child of rank k among
+    its siblings (ascending labels) gets color k below the color of its
+    parent's own line and k+1 from that color on; the root's children
+    take colors 0, 1, ... That needs exactly max_degree colors on a tree.
+    Colors go down the trees one depth at a time, for all rows at once;
+    sibling ranks come from sorting each row by parent, so a tree of m
+    antennas costs O(m log m). Color c fills slot 2c parent-to-child and
+    slot 2c+1 child-to-parent. Every row must have exactly one root.
+    """
+    n, m = parent.shape
+    offsets = m * np.arange(n)[:, None]
+    flat_parent = (parent + offsets).ravel()
+    # siblings sit next to each other, labels ascending, once each row is
+    # sorted stably by parent; a rank is the distance to the first of them
+    by_parent = np.argsort(parent, axis=1, kind="stable") + offsets
+    grouped = flat_parent[by_parent]
+    columns = np.arange(m)
+    first = np.where(grouped != np.roll(grouped, 1, axis=1), columns, 0)
+    rank = np.empty(n * m, dtype=int)
+    rank[by_parent] = columns - np.maximum.accumulate(first, axis=1)
+    color = np.full(n * m, m)  # above every rank: no child skips a root
+    flat_depth = depth.ravel()
+    by_depth = np.argsort(flat_depth, kind="stable")
+    levels = np.searchsorted(flat_depth[by_depth],
+                             np.arange(1, flat_depth.max() + 2))
+    for lo, hi in zip(levels[:-1], levels[1:]):
+        nodes = by_depth[lo:hi]
+        k = rank[nodes]
+        color[nodes] = k + (k >= color[flat_parent[nodes]])
+    child = np.flatnonzero(parent.ravel() >= 0)
+    above = parent.ravel()[child].reshape(n, m - 1) + 1
+    below = (child % m).reshape(n, m - 1) + 1
+    colors = color[child].reshape(n, m - 1)
+    return ScheduleArrays(
+        tx=np.concatenate([above, below], axis=1),
+        rx=np.concatenate([below, above], axis=1),
+        slot=np.concatenate([2 * colors, 2 * colors + 1], axis=1),
+        slots=2 * (colors.max(axis=1) + 1))
+
+
+@dataclass(frozen=True, eq=False)
+class ScheduleFaults:
+    """What `schedule_faults` found, per tree i:
+
+    - `wrong_slot_count[i]`: the slot count is not `expected_slots[i]`,
+      twice the largest degree of the lines;
+    - `reused[i, j, e]`: end e (0 sender, 1 receiver) of measurement j
+      uses an antenna that an earlier measurement uses in the same slot;
+    - `counts[i, r]`: how often line direction `required[i, r]` is
+      scheduled, over both directions of every line in ascending order;
+    - `off_line[i, j]`: measurement j is on no line.
+    """
+
+    expected_slots: np.ndarray
+    wrong_slot_count: np.ndarray
+    reused: np.ndarray
+    required: np.ndarray
+    counts: np.ndarray
+    off_line: np.ndarray
+
+    @property
+    def flagged(self) -> np.ndarray:
+        """Trees with any fault."""
+        return (self.wrong_slot_count | self.reused.any(axis=(1, 2))
+                | (self.counts != 1).any(axis=1) | self.off_line.any(axis=1))
+
+
+def schedule_faults(edges: np.ndarray, schedules: ScheduleArrays
+                    ) -> ScheduleFaults:
+    """Check the schedules of n trees against their lines at once.
+
+    `edges` is an (n, m-1, 2) array of the trees' lines over 1..m, as
+    they were read and not as they were rooted, so that a schedule built
+    from a wrongly rooted tree fails. Measurements are compared as
+    integer keys of (tree, slot, antenna) and (tree, sender, receiver):
+    one stable sort finds the repeated uses, and one sorted search finds
+    each scheduled pair among both directions of every line.
+    """
+    n, lines = edges.shape[:2]
+    m = lines + 1
+    tx, rx, slot = schedules.tx, schedules.rx, schedules.slot
+    rows = np.arange(n)[:, None]
+    degree = np.bincount((edges.reshape(n, -1) + (m + 1) * rows).ravel(),
+                         minlength=n * (m + 1)).reshape(n, m + 1)
+    expected = 2 * degree.max(axis=1)
+    # keys over every label in sight, so that a stray antenna stays apart
+    low = min(1, tx.min(initial=1), rx.min(initial=1))
+    base = max(m, tx.max(initial=m), rx.max(initial=m)) - low + 1
+    ends = np.stack([tx, rx], axis=2) - low
+    uses = (((rows * (slot.max(initial=0) + 1) + slot)[..., None]) * base
+            + ends).ravel()
+    order = np.argsort(uses, kind="stable")  # earlier uses first
+    ordered = uses[order]
+    reused = np.zeros(uses.size, dtype=bool)
+    reused[order[1:]] = ordered[1:] == ordered[:-1]
+
+    def pair_keys(senders, receivers):
+        return ((rows * base + senders - low) * base + receivers - low).ravel()
+
+    directions = np.concatenate([edges, edges[..., ::-1]], axis=1)
+    wanted = np.sort(pair_keys(directions[..., 0], directions[..., 1]))
+    scheduled = pair_keys(tx, rx)
+    at = np.searchsorted(wanted, scheduled).clip(max=wanted.size - 1)
+    on_line = wanted[at] == scheduled
+    pair = wanted % (base * base)
+    return ScheduleFaults(
+        expected_slots=expected,
+        wrong_slot_count=schedules.slots != expected,
+        reused=reused.reshape(ends.shape),
+        required=(np.stack([pair // base, pair % base], axis=1)
+                  + low).reshape(n, -1, 2),
+        counts=np.bincount(at[on_line], minlength=wanted.size
+                           ).reshape(n, -1),
+        off_line=~on_line.reshape(tx.shape))
 
 
 def enumerate_trees(m: int, reference: int = 1,
@@ -357,10 +484,28 @@ def enumerate_trees(m: int, reference: int = 1,
     free; `cap` bounds the super-exponential growth.
     """
     _check_m_reference(m, reference)
+    for codes in pruefer_blocks(m, cap):
+        for edges in decode_pruefer_batch(codes, m).tolist():
+            yield Topology(m, reference, tuple(map(tuple, edges)))
+
+
+#: Most sequences `pruefer_blocks` puts in one block.
+PRUEFER_BLOCK = 512
+
+
+def pruefer_blocks(m: int, cap: int = ENUMERATION_CAP) -> Iterator[np.ndarray]:
+    """Every sequence of length m-2 over 1..m, in `itertools.product`
+    order, as (k, m-2) arrays of at most `PRUEFER_BLOCK` rows, so that
+    memory stays bounded as m grows. Row i of the whole run is i written
+    in base m, most significant digit first, each digit plus one."""
+    _check_m_reference(m, 1)
     if m > cap:
         raise ValueError(f"m={m} exceeds the enumeration cap {cap}")
-    for seq in itertools.product(range(1, m + 1), repeat=m - 2):
-        yield Topology(m, reference, decode_pruefer(seq, m))
+    count = m ** (m - 2)
+    powers = m ** np.arange(m - 3, -1, -1)
+    for start in range(0, count, PRUEFER_BLOCK):
+        codes = np.arange(start, min(start + PRUEFER_BLOCK, count))
+        yield codes[:, None] // powers % m + 1
 
 
 def enumerate_shapes(m: int, reference: int = 1, cap: int = ENUMERATION_CAP
@@ -432,20 +577,75 @@ def decode_pruefer(seq: Iterable[int], m: int) -> tuple[Edge, ...]:
     seq = tuple(seq)
     if len(seq) != m - 2 or any(not 1 <= x <= m for x in seq):
         raise ValueError(f"sequence {seq} does not encode a tree on 1..{m}")
-    degree = [1] * (m + 1)
-    for x in seq:
-        degree[x] += 1
-    leaves = [k for k in range(1, m + 1) if degree[k] == 1]
-    heapq.heapify(leaves)
-    edges: list[Edge] = []
-    for x in seq:
-        leaf = heapq.heappop(leaves)
-        edges.append((leaf, x))
-        degree[x] -= 1
-        if degree[x] == 1:
-            heapq.heappush(leaves, x)
-    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
-    return tuple(edges)
+    codes = np.array(seq, dtype=int).reshape(1, m - 2)
+    edges = decode_pruefer_batch(codes, m)
+    return tuple(map(tuple, edges[0].tolist()))
+
+
+def decode_pruefer_batch(codes: np.ndarray, m: int) -> np.ndarray:
+    """Lines of the labeled trees encoded by the rows of `codes`, an
+    (n, m-2) array over 1..m, as an (n, m-1, 2) array.
+
+    Step i joins the smallest leaf to symbol i and drops that leaf, for
+    all rows at once; a leaf is an antenna of degree one that is still
+    in the tree, and the smallest is its row's first such column. The
+    last line joins the two antennas left, ascending: the largest label
+    m is never the smallest of two or more leaves, so it is one of them.
+    """
+    if (codes.ndim != 2 or codes.shape[1] != m - 2
+            or (codes.size and not 1 <= codes.min() <= codes.max() <= m)):
+        raise ValueError(f"codes of shape {codes.shape} do not encode "
+                         f"trees on 1..{m}")
+    n = len(codes)
+    rows = np.arange(n)
+    # column 0 is no antenna; a degree is 1 + occurrences in the code
+    degree = np.bincount((codes + (m + 1) * rows[:, None]).ravel(),
+                         minlength=n * (m + 1)).reshape(n, m + 1) + 1
+    degree[:, 0] = 0
+    edges = np.empty((n, m - 1, 2), dtype=int)
+    edges[:, :-1, 1] = codes
+    for i in range(m - 2):
+        leaf = (degree == 1).argmax(axis=1)
+        edges[:, i, 0] = leaf
+        degree[rows, leaf] = 0
+        degree[rows, codes[:, i]] -= 1
+    edges[:, -1, 0] = (degree == 1).argmax(axis=1)
+    edges[:, -1, 1] = m
+    return edges
+
+
+def root_trees(edges: np.ndarray, reference: int
+               ) -> tuple[np.ndarray, np.ndarray]:
+    """Parents and depths of n trees rooted at `reference`.
+
+    `edges` is an (n, m-1, 2) array of lines over 1..m. Returns two
+    (n, m) arrays over the zero-based antennas: each antenna's parent
+    (-1 at the reference) and its hop count from the reference. Depth
+    d+1 is reached from depth d in every row at once, and each line
+    direction is looked at once, when its sender's depth comes up.
+    Raises NotEffective unless every row connects every antenna to the
+    reference, which m-1 lines do exactly when they form a spanning tree.
+    """
+    n, lines = edges.shape[:2]
+    m = lines + 1
+    # both directions of every line, as flat indices into (n, m)
+    ends = edges - 1 + m * np.arange(n)[:, None, None]
+    senders = np.concatenate([ends[..., 0], ends[..., 1]], axis=None)
+    receivers = np.concatenate([ends[..., 1], ends[..., 0]], axis=None)
+    parent = np.full(n * m, -1)
+    depth = np.full(n * m, -1)
+    depth[reference - 1::m] = 0
+    for d in range(m - 1):
+        due = depth[senders] == d
+        child, above = receivers[due], senders[due]
+        fresh = depth[child] < 0  # not the line back up
+        depth[child[fresh]] = d + 1
+        parent[child[fresh]] = above[fresh] % m
+        senders, receivers = senders[~due], receivers[~due]
+    if (depth < 0).any():
+        raise NotEffective(
+            "wiring does not connect every antenna to the reference")
+    return parent.reshape(n, m), depth.reshape(n, m)
 
 
 def topology_to_dict(t: Topology) -> dict:

@@ -1,5 +1,7 @@
 """Shared test utilities: independent oracles and random-tree generation."""
 
+import heapq
+import itertools
 import math
 from collections import deque
 
@@ -11,14 +13,12 @@ from selfcal import (
     RfGains,
     calibration_distances,
     daisy_vs_star_ratio,
-    enumerate_trees,
     from_edges,
     make_star,
     max_degree,
-    measurement_schedule,
     optimal_reference,
-    schedule_violations,
 )
+from selfcal.topology import Schedule
 from selfcal.harness import (
     DaisyOptimalityEntry,
     DaisyOptimalityReport,
@@ -42,6 +42,84 @@ def naive_pruefer_edges(seq, m):
     u, v = sorted(k for k, d in degree.items() if d == 1)
     edges.append((u, v))
     return edges
+
+
+def heap_pruefer_edges(seq, m):
+    """Sequence-to-tree decoder with a heap of leaves, one sequence at a
+    time: the oracle for the batch decoder, line for line."""
+    degree = [1] * (m + 1)
+    for x in seq:
+        degree[x] += 1
+    leaves = [k for k in range(1, m + 1) if degree[k] == 1]
+    heapq.heapify(leaves)
+    edges = []
+    for x in seq:
+        leaf = heapq.heappop(leaves)
+        edges.append((leaf, x))
+        degree[x] -= 1
+        if degree[x] == 1:
+            heapq.heappush(leaves, x)
+    edges.append((heapq.heappop(leaves), heapq.heappop(leaves)))
+    return tuple(edges)
+
+
+def greedy_schedule(t, slot_duration):
+    """Line coloring one node at a time in breadth-first order: the
+    oracle for the array coloring kernel, slot for slot."""
+    children = {}
+    for parent, child in t.rooted_edges:
+        children.setdefault(parent, []).append(child)
+    color_classes = [[] for _ in range(max_degree(t))]
+    parent_color = {}
+    for node in [t.reference] + [child for _, child in t.rooted_edges]:
+        color = 0
+        blocked = parent_color.get(node)
+        for child in children.get(node, ()):
+            if color == blocked:
+                color += 1
+            color_classes[color].append((node, child))
+            parent_color[child] = color
+            color += 1
+    slots = []
+    for group in color_classes:
+        slots.append(tuple(sorted(group)))
+        slots.append(tuple(sorted((c, p) for p, c in group)))
+    return Schedule(tuple(slots), float(slot_duration))
+
+
+def pairwise_schedule_violations(t, schedule):
+    """Schedule check one measurement at a time with sets and counters:
+    the oracle for the array check. Its findings, as a sorted list, equal
+    those of `schedule_violations`."""
+    problems = []
+    expected = 2 * max_degree(t)
+    if len(schedule.slots) != expected:
+        problems.append(f"{len(schedule.slots)} slots, expected {expected}")
+    counts = {}
+    for i, slot in enumerate(schedule.slots):
+        busy = set()
+        for tx, rx in slot:
+            for antenna in (tx, rx):
+                if antenna in busy:
+                    problems.append(f"antenna {antenna} used twice in slot {i}")
+                busy.add(antenna)
+            counts[(tx, rx)] = counts.get((tx, rx), 0) + 1
+    required = set(t.directed_pairs)
+    for pair in required:
+        if counts.get(pair, 0) != 1:
+            problems.append(
+                f"measurement {pair} scheduled {counts.get(pair, 0)} times")
+    for pair in counts:
+        if pair not in required:
+            problems.append(f"measurement {pair} is not on any line")
+    return sorted(problems)
+
+
+def labelled_trees(m, reference):
+    """Every labeled tree on 1..m, decoded one sequence at a time by the
+    heap oracle, in sequence order."""
+    for seq in itertools.product(range(1, m + 1), repeat=m - 2):
+        yield from_edges(m, reference, heap_pruefer_edges(seq, m))
 
 
 def random_tree(rng, m, reference=None):
@@ -143,12 +221,13 @@ def rooted_form(t):
 
 
 # The verify drivers as they were before trees were counted by rooted
-# shape: one pass over every labeled tree, adding 1 per tree. They are the
-# oracle for the shape-weighted counts.
+# shape and schedules checked in array passes: one pass over every labeled
+# tree, adding 1 per tree, with the per-tree oracles above. They are the
+# oracle for the shape-weighted counts and the array schedule check.
 
 def labelled_star_optimality(m, reference):
     distribution = {}
-    for tree in enumerate_trees(m, reference):
+    for tree in labelled_trees(m, reference):
         mean = calibration_distances(tree).mean
         distribution[mean] = distribution.get(mean, 0) + 1
     best = min(distribution)
@@ -164,10 +243,10 @@ def labelled_time_bounds(m):
     low, high = 4, 2 * (m - 1)
     degrees = {}
     schedules_valid = True
-    for tree in enumerate_trees(m, 1):
+    for tree in labelled_trees(m, 1):
         degree = max_degree(tree)
         degrees[degree] = degrees.get(degree, 0) + 1
-        if schedule_violations(tree, measurement_schedule(tree, 1.0)):
+        if pairwise_schedule_violations(tree, greedy_schedule(tree, 1.0)):
             schedules_valid = False
     min_slots, max_slots = 2 * min(degrees), 2 * max(degrees)
     chain_count = degrees.get(2, 0)
@@ -188,7 +267,7 @@ def labelled_daisy_optimality(m_values):
         beats = ratio < 1
         f_best, best_mean = optimal_reference(m)
         verdicts = {}
-        for tree in enumerate_trees(m, f_best):
+        for tree in labelled_trees(m, f_best):
             degree = max_degree(tree)
             mean = calibration_distances(tree).mean
             objective = mean / ((m - 1) // degree)

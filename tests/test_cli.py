@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -256,11 +260,19 @@ class TestFlagValues:
             (["--line-gain", "1e-200"], "line gain (1e-200+0j)"),
             (["--noise-var", "1e300", "--tx-amp", "1e-10"],
              "transmit amplitude 1e-10"))
+    ] + [
+        (["verify", "--prop", prop, "--m", "4"] + flags, names)
+        for prop, flags, names in (
+            ("2", ["--ref", "9"], "--prop 2 does not read --ref"),
+            ("3", ["--ref", "1"], "--prop 3 does not read --ref"),
+            ("1", ["--m-range", "3:5"], "--prop 1 does not read --m-range"),
+            ("2", ["--m-range", "3:5"], "--prop 2 does not read --m-range"))
     ], ids=["slot-nan", "slot-inf", "slot-0", "m-range-one-value",
             "m-range-not-a-number", "m-range-not-integer", "m-range-reversed",
             "crlb-snr-db-low", "crlb-snr-db-high", "sweep-snr-low",
             "sweep-snr-high", "tx-amp-huge", "line-gain-huge", "tx-amp-tiny",
-            "rx-amp-tiny", "line-gain-tiny", "noise-over-tiny-signal"])
+            "rx-amp-tiny", "line-gain-tiny", "noise-over-tiny-signal",
+            "prop2-ref", "prop3-ref", "prop1-m-range", "prop2-m-range"])
     def test_exits_2_with_one_line(self, capsys, argv, names):
         code = main(argv)
         out, err = capsys.readouterr()
@@ -313,6 +325,20 @@ class TestVerifyCommand:
         assert main(["verify", "--prop", "3", "--m-range", "3:6"]) == 0
         out = capsys.readouterr().out
         assert "m=5: chain/star ratio 3/4" in out
+
+    def test_star_optimality_at_a_reference(self, capsys):
+        assert main(["verify", "--prop", "1", "--m", "5", "--ref", "3"]) == 0
+        assert "m=5 ref=3: 125 trees" in capsys.readouterr().out
+
+    def test_runs_as_a_module(self):
+        src = str(Path(__file__).resolve().parent.parent / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-m", "selfcal", "verify", "--prop", "2",
+             "--m", "5"], capture_output=True, text=True, env=env)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.splitlines()[-1] == "PASS"
 
     def test_exit_codes(self):
         assert main(["verify", "--prop", "1"]) == 2      # missing --m

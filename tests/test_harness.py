@@ -147,6 +147,32 @@ class TestTimeBounds:
         assert report.tree_count == 1296
         assert report.bounds_hold and report.schedules_valid and report.passed
 
+    def test_a_wrong_parent_fails(self, monkeypatch):
+        # a rooting bug in one tree shows, since the schedules are checked
+        # against the decoded lines
+        root_trees = harness.root_trees
+
+        def misrooted(edges, reference):
+            parent, depth = root_trees(edges, reference)
+            if len(parent) > 40:
+                parent[40, np.flatnonzero(parent[40] > 0)[0]] = 0
+            return parent, depth
+
+        monkeypatch.setattr(harness, "root_trees", misrooted)
+        report = verify_time_bounds(5)
+        assert report.schedules_valid is False and report.passed is False
+        assert report.tree_count == 125 and report.chain_count == 60
+
+    def test_shifted_colors_fail(self, monkeypatch):
+        schedule_trees = harness.schedule_trees
+
+        def shifted(parent, depth):
+            s = schedule_trees(parent, depth)
+            return type(s)(s.tx, s.rx, s.slot + 2, s.slots + 2)
+
+        monkeypatch.setattr(harness, "schedule_trees", shifted)
+        assert verify_time_bounds(4).schedules_valid is False
+
 
 class TestDaisyOptimality:
     def test_small_range(self):
@@ -284,6 +310,24 @@ class TestSweep:
         rho = 10.0 ** (-3.0)
         assert row.avg_crlb_alpha == rho
         assert row.avg_mse_alpha == pytest.approx(rho, rel=0.05)
+
+    @pytest.mark.parametrize("cfg", [
+        CFG,
+        ExperimentConfig(m=9, reference=4, topology_kind="star",
+                         snr_grid_db=(7.0, 19.5, 33.0), trials=3),
+    ], ids=["chain-time-budget", "star"])
+    def test_bounds_equal_the_budget_report(self, cfg):
+        # worked out once per sweep and scaled by rho, the bounds equal
+        # those of a full report at every grid point
+        topo = harness.resolve_topology(cfg)
+        for row in run_snr_sweep(cfg):
+            report = harness._budget_report(
+                topo, ScenarioParams().at_snr(row.snr_db), cfg.budget_mode,
+                cfg.budget_value)
+            assert (row.avg_crlb_alpha, row.avg_crlb_beta) == (
+                report.average_alpha, report.average_beta)
+            assert (row.repetitions, row.remainder_seconds) == (
+                report.repetitions, report.remainder_seconds)
 
     def test_scenario_override(self):
         scenario = ScenarioParams(tx_amplitude=2.0, rx_amplitude=2.0)

@@ -8,9 +8,13 @@ harness namespace, would zero a per-layer span and still pass every
 other check. The per-trial stage names the benchmark also wraps
 (`draw_gains`, `synthesize`, `collapse_repetitions`, `ml_estimate`,
 `estimation_error`) are not listed: the batched sweep does not call
-them, so `selfcal.harness` does not import them. `enumerate_shapes` is
-listed although the benchmark does not wrap it yet: the verify drivers
-look it up in `selfcal.harness`, where a tracer can wrap it.
+them, so `selfcal.harness` does not import them. Nor are the per-tree
+schedule stages (`enumerate_trees`, `measurement_schedule`,
+`schedule_violations`): prop 2 checks every labeled tree in array passes
+instead. Those passes (`pruefer_blocks`, `decode_pruefer_batch`,
+`root_trees`, `schedule_trees`, `schedule_faults`) and `enumerate_shapes`
+are listed although the benchmark does not wrap them yet: the verify
+drivers look them up in `selfcal.harness`, where a tracer can wrap them.
 """
 
 import pytest
@@ -23,9 +27,9 @@ SURFACE = {
         "ExperimentConfig", "resolve_topology", "run_snr_sweep",
         "sweep_rows_to_csv", "verify_star_optimality", "verify_time_bounds",
         "verify_daisy_optimality", "crlb_closed_form",
-        "budgeted_average_crlb", "enumerate_shapes", "enumerate_trees",
-        "calibration_distances", "max_degree", "measurement_schedule",
-        "schedule_violations",
+        "budgeted_average_crlb", "enumerate_shapes", "calibration_distances",
+        "max_degree", "pruefer_blocks", "decode_pruefer_batch", "root_trees",
+        "schedule_trees", "schedule_faults",
     ),
     crlb: ("ScenarioParams", "fisher_matrix", "crlb_numeric",
            "crlb_closed_form"),
@@ -49,8 +53,9 @@ CALLS_THROUGH_HARNESS = {
         {"enumerate_shapes", "calibration_distances"}),
     "verify_time_bounds": (
         lambda: harness.verify_time_bounds(4),
-        {"enumerate_shapes", "enumerate_trees", "max_degree",
-         "measurement_schedule", "schedule_violations"}),
+        {"enumerate_shapes", "max_degree", "pruefer_blocks",
+         "decode_pruefer_batch", "root_trees", "schedule_trees",
+         "schedule_faults"}),
     "verify_daisy_optimality": (
         lambda: harness.verify_daisy_optimality((3, 4)),
         {"enumerate_shapes", "calibration_distances", "max_degree"}),

@@ -1,3 +1,4 @@
+import itertools
 import json
 from fractions import Fraction
 
@@ -28,9 +29,29 @@ from selfcal.errors import (
     TopologyError,
     WrongEdgeCount,
 )
-from selfcal.topology import Topology, enumerate_shapes
+from selfcal.topology import (
+    PRUEFER_BLOCK,
+    Schedule,
+    Topology,
+    decode_pruefer,
+    decode_pruefer_batch,
+    enumerate_shapes,
+    pruefer_blocks,
+    root_trees,
+    schedule_faults,
+    schedule_trees,
+)
 
-from helpers import hop_distances, random_tree, rooted_form, trees
+from helpers import (
+    greedy_schedule,
+    heap_pruefer_edges,
+    hop_distances,
+    labelled_trees,
+    pairwise_schedule_violations,
+    random_tree,
+    rooted_form,
+    trees,
+)
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
 
@@ -189,6 +210,156 @@ class TestSchedule:
         good = measurement_schedule(t, 1.0)
         bad = type(good)(good.slots[:-1], 1.0)
         assert schedule_violations(t, bad)
+
+
+def _slots_of(row_tx, row_rx, row_slot):
+    return {(int(k), (int(a), int(b)))
+            for a, b, k in zip(row_tx, row_rx, row_slot)}
+
+
+class TestPrueferBatch:
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_every_sequence_matches_the_heap_oracle(self, m):
+        codes = np.concatenate(list(pruefer_blocks(m)))
+        sequences = list(itertools.product(range(1, m + 1), repeat=m - 2))
+        assert list(map(tuple, codes.tolist())) == sequences
+        decoded = decode_pruefer_batch(codes, m).tolist()
+        assert [tuple(map(tuple, edges)) for edges in decoded] == [
+            heap_pruefer_edges(seq, m) for seq in sequences]
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_generated_sequences_match_the_heap_oracle(self, data):
+        m = data.draw(st.integers(2, 40))
+        codes = data.draw(st.lists(
+            st.lists(st.integers(1, m), min_size=m - 2, max_size=m - 2),
+            min_size=1, max_size=5))
+        decoded = decode_pruefer_batch(
+            np.array(codes, dtype=int).reshape(len(codes), m - 2), m)
+        for seq, edges in zip(codes, decoded.tolist()):
+            assert tuple(map(tuple, edges)) == heap_pruefer_edges(seq, m)
+            assert decode_pruefer(seq, m) == heap_pruefer_edges(seq, m)
+
+    def test_blocks_are_bounded(self):
+        sizes = [len(block) for block in pruefer_blocks(8)]
+        assert sum(sizes) == 8 ** 6 and max(sizes) <= PRUEFER_BLOCK
+
+    def test_bad_codes_rejected(self):
+        with pytest.raises(ValueError, match="does not encode"):
+            decode_pruefer((4,), 3)
+        for codes in ([[0, 1]], [[1, 5]], [[1, 2, 3]]):
+            with pytest.raises(ValueError, match="do not encode"):
+                decode_pruefer_batch(np.array(codes), 4)
+        with pytest.raises(ValueError, match="enumeration cap 8"):
+            next(pruefer_blocks(9))
+
+
+class TestRootTrees:
+    @PROPERTY
+    @given(t=trees(max_m=40))
+    def test_parents_and_depths(self, t):
+        parent, depth = root_trees(np.array([t.edges]), t.reference)
+        dist = hop_distances(t.edges, t.m, t.reference)
+        above = {child: p for p, child in t.rooted_edges}
+        assert depth[0].tolist() == [dist[k] for k in range(1, t.m + 1)]
+        assert parent[0].tolist() == [above.get(k, 0) - 1
+                                      for k in range(1, t.m + 1)]
+
+    def test_rows_that_do_not_span_are_rejected(self):
+        # the second row closes a cycle on 1, 2, 3 and leaves 4 out
+        edges = np.array([[(1, 2), (2, 3), (3, 4)], [(1, 2), (2, 3), (1, 3)]])
+        root_trees(edges[:1], 4)
+        with pytest.raises(NotEffective):
+            root_trees(edges, 4)
+
+
+class TestColoringKernel:
+    @pytest.mark.parametrize("m", range(2, 7))
+    def test_every_labelled_tree_and_reference(self, m):
+        for reference in range(1, m + 1):
+            for t in labelled_trees(m, reference):
+                assert measurement_schedule(t, 1.0) == greedy_schedule(t, 1.0)
+
+    @PROPERTY
+    @given(t=trees())
+    def test_generated_trees(self, t):
+        assert measurement_schedule(t, 2.0) == greedy_schedule(t, 2.0)
+
+    @pytest.mark.parametrize("m", [129, 513])
+    def test_large_trees(self, m):
+        rng = np.random.default_rng(m)
+        for t in (make_star(m, m // 2), make_daisy(m, m // 2),
+                  random_tree(rng, m)):
+            assert measurement_schedule(t, 1.0) == greedy_schedule(t, 1.0)
+
+    def test_batch_rows_equal_single_trees(self):
+        codes = np.concatenate(list(pruefer_blocks(5)))
+        edges = decode_pruefer_batch(codes, 5)
+        arrays = schedule_trees(*root_trees(edges, 2))
+        for i, t in enumerate(labelled_trees(5, 2)):
+            slots = measurement_schedule(t, 1.0).slots
+            assert arrays.slots[i] == len(slots)
+            assert _slots_of(arrays.tx[i], arrays.rx[i], arrays.slot[i]) == {
+                (k, pair) for k, slot in enumerate(slots) for pair in slot}
+
+
+# the daisy 1-2-3-4-5 from antenna 1: colors 0 and 1 alternate down it
+DAISY5 = (((1, 2), (3, 4)), ((2, 1), (4, 3)), ((2, 3), (4, 5)),
+          ((3, 2), (5, 4)))
+
+
+class TestScheduleFaults:
+    @pytest.mark.parametrize("t, slots, problems", [
+        (make_daisy(5, 1), DAISY5 + ((),), ["5 slots, expected 4"]),
+        (make_daisy(5, 1),
+         (((1, 2), (3, 4), (2, 3)),) + DAISY5[1:2] + (((4, 5),),) + DAISY5[3:],
+         ["antenna 2 used twice in slot 0", "antenna 3 used twice in slot 0"]),
+        (make_daisy(5, 1), DAISY5[:2] + (((1, 2), (4, 5)),) + DAISY5[3:],
+         ["measurement (1, 2) scheduled 2 times",
+          "measurement (2, 3) scheduled 0 times"]),
+        (make_star(4, 1), (((1, 2), (3, 4)), ((2, 1),), ((1, 3),), ((3, 1),),
+                           ((1, 4),), ((4, 1),)),
+         ["measurement (3, 4) is not on any line"]),
+    ], ids=["slot-count", "antenna-twice", "not-once", "off-line"])
+    def test_each_kind_is_named(self, t, slots, problems):
+        bad = Schedule(slots, 1.0)
+        assert schedule_violations(t, bad) == problems
+        assert pairwise_schedule_violations(t, bad) == sorted(problems)
+
+    @PROPERTY
+    @given(t=trees(max_m=9), data=st.data())
+    def test_matches_the_pairwise_oracle(self, t, data):
+        slots = [list(slot) for slot in measurement_schedule(t, 1.0).slots]
+        for _ in range(data.draw(st.integers(1, 3))):
+            i = data.draw(st.integers(0, len(slots) - 1))
+            op = data.draw(st.sampled_from(["drop", "move", "copy", "add"]))
+            if op == "add":
+                pair = tuple(data.draw(st.integers(1, t.m)) for _ in "ab")
+                slots[i].append(pair)
+            elif slots[i]:
+                j = data.draw(st.integers(0, len(slots[i]) - 1))
+                pair = slots[i][j] if op == "copy" else slots[i].pop(j)
+                if op != "drop":
+                    k = data.draw(st.integers(0, len(slots)))
+                    if k == len(slots):
+                        slots.append([])
+                    slots[k].append(pair)
+        bad = Schedule(tuple(map(tuple, slots)), 1.0)
+        assert sorted(schedule_violations(t, bad)) == (
+            pairwise_schedule_violations(t, bad))
+
+    def test_a_wrong_parent_flags_only_its_tree(self):
+        edges = decode_pruefer_batch(np.concatenate(list(pruefer_blocks(5))),
+                                     5)
+        parent, depth = root_trees(edges, 1)
+        assert not schedule_faults(
+            edges, schedule_trees(parent, depth)).flagged.any()
+        wrong = parent.copy()
+        node = int(np.flatnonzero(parent[7] >= 0)[0])
+        wrong[7, node] = next(k for k in range(5)
+                              if k not in (node, parent[7, node]))
+        flagged = schedule_faults(edges, schedule_trees(wrong, depth)).flagged
+        assert np.flatnonzero(flagged).tolist() == [7]
 
 
 class TestEnumeration:
