@@ -225,6 +225,8 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.seed < 0:
+        raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     topo = _topology_from_args(args)
     scenario = _scenario_from_args(args)
     seq = np.random.SeedSequence(args.seed)

@@ -398,9 +398,15 @@ def time_to_collect(t: Topology, s: ScenarioParams) -> float:
     """Seconds to sound both directions of every line once.
 
     Equals 2 * max_degree slots of the scenario's slot duration, which a
-    parallel schedule achieves and no schedule can beat.
+    parallel schedule achieves and no schedule can beat. Raises
+    ScenarioError if the slot duration is so long that the time overflows.
     """
-    return 2 * max_degree(t) * s.slot_duration
+    slots = 2 * max_degree(t)
+    seconds = slots * s.slot_duration
+    if not math.isfinite(seconds):
+        raise ScenarioError(f"slot duration {s.slot_duration:g} s overflows "
+                            f"the collection time of {slots} slots")
+    return seconds
 
 
 def repetition_budget(budget_seconds, t_arb) -> tuple[int, float]:
@@ -408,8 +414,11 @@ def repetition_budget(budget_seconds, t_arb) -> tuple[int, float]:
 
     Arithmetic is exact over rationals; ratios within one part in 1e9 of
     an integer are snapped to it, absorbing the one-ulp drift of float
-    products of a slot duration.
+    products of a slot duration. A budget that is not finite, as when
+    slot durations times the slot duration overflow, raises BudgetError.
     """
+    if not math.isfinite(budget_seconds):
+        raise BudgetError(f"time budget of {budget_seconds} s is not finite")
     budget = Fraction(budget_seconds)
     round_time = Fraction(t_arb)
     if round_time <= 0:

@@ -7,11 +7,11 @@ promise: the star minimizes the single-round average bound, collection
 times sit between the chain's and the star's, and under equal time
 budgets the mid-referenced chain beats the star from m=5 on (and every
 other tree for 5 <= m <= 9).
-Every objective depends on the labels only through the tree's shape
-rooted at the reference, so the trees are counted by rooted shape, each
-shape once with weight (m-1)!/|Aut|, the number of labeled trees it
-stands for. Only the schedule check sees every labeled tree, as numpy
-passes over blocks of them: decode, root, color, check.
+The mean distance depends on the labels only through the tree's shape
+rooted at the reference, so the star and chain checks count trees by
+rooted shape, each once with weight (m-1)!/|Aut|, the number of labeled
+trees it stands for. The time-bounds check sees every labeled tree, in
+one pass of numpy blocks (decode, root, color, check) that counts them.
 """
 
 from __future__ import annotations
@@ -346,22 +346,24 @@ def verify_star_optimality(m: int, reference: int = 1,
     Counts the mean distances of all m**(m-2) labeled trees (the
     `distribution`, ascending by mean distance), each rooted shape once
     with its weight, and reads the report off that count: it passes when
-    the smallest mean distance is exactly 1, one tree attains it, and
-    that tree is the star centered at the reference, which is itself one
-    of the enumerated shapes.
+    the smallest mean distance is exactly 1, one tree attains it, that
+    tree is the star centered at the reference (itself one of the
+    enumerated shapes), and the weights add up to all m**(m-2) trees, so
+    that a shape the enumeration misses fails the check.
     """
     counts: dict[Fraction, int] = {}
     for tree, weight in enumerate_shapes(m, reference, cap):
         mean = calibration_distances(tree).mean
         counts[mean] = counts.get(mean, 0) + weight
     distribution = dict(sorted(counts.items()))
+    tree_count = sum(distribution.values())
     best = min(distribution)
     minimizers = distribution[best]
     star_attains = calibration_distances(make_star(m, reference)).mean == best
-    passed = best == 1 and star_attains and minimizers == 1
-    return StarOptimalityReport(m, reference, sum(distribution.values()),
-                                best, minimizers, star_attains, distribution,
-                                passed)
+    passed = (best == 1 and star_attains and minimizers == 1
+              and tree_count == m ** (m - 2))
+    return StarOptimalityReport(m, reference, tree_count, best, minimizers,
+                                star_attains, distribution, passed)
 
 
 @dataclass(frozen=True)
@@ -382,37 +384,34 @@ class TimeBoundsReport:
 def verify_time_bounds(m: int, cap: int = ENUMERATION_CAP) -> TimeBoundsReport:
     """Confirm 4 <= slots <= 2(m-1) with equality exactly for chains/stars.
 
-    Counts trees by max degree (a tree takes 2 * max_degree slots), each
-    rooted shape once with its weight; the equality cases need m!/2
-    labeled paths and m stars. The schedule depends on the labels, so
-    the parallel measurement schedule of every labeled tree is built and
-    validated (antenna-disjoint slots, both directions of every line
-    exactly once, 2 * max_degree slots), in array passes over blocks of
-    sequence codes: decode every code of a block, root the trees at
-    antenna 1, color their lines, and check the schedules against the
-    decoded lines.
+    One pass over every labeled tree in blocks of sequence codes: decode
+    them, root them at antenna 1, color their lines and check the
+    schedules against the decoded lines (antenna-disjoint slots, both
+    directions of every line once, 2 * max_degree slots). The report is
+    read off a count of the checked trees by those slots, so it passes
+    only if all m**(m-2) were checked, every schedule is valid, and the
+    equality cases are the m!/2 labeled paths and the m stars.
     """
     if m < 3:
         raise ValueError(f"time bounds need m >= 3, got {m}")
     low, high = 4, 2 * (m - 1)
-    degrees: dict[int, int] = {}
-    for tree, weight in enumerate_shapes(m, 1, cap):
-        degree = max_degree(tree)
-        degrees[degree] = degrees.get(degree, 0) + weight
+    # root_trees raises unless every tree spans, so none needs > 2(m-1)
+    by_slots = np.zeros(high + 1, dtype=int)
     schedules_valid = True
     for codes in pruefer_blocks(m, cap):
         edges = decode_pruefer_batch(codes, m)
-        schedules = schedule_trees(*root_trees(edges, 1))
-        if schedule_faults(edges, schedules).flagged.any():
-            schedules_valid = False
-    min_slots, max_slots = 2 * min(degrees), 2 * max(degrees)
-    chain_count = degrees.get(2, 0)
-    star_count = degrees.get(m - 1, 0)
+        faults = schedule_faults(edges, schedule_trees(*root_trees(edges, 1)))
+        by_slots += np.bincount(faults.expected_slots, minlength=high + 1)
+        schedules_valid &= not faults.flagged.any()
+    tree_count = int(by_slots.sum())
+    seen = np.flatnonzero(by_slots).tolist() or [0]
+    min_slots, max_slots = seen[0], seen[-1]
+    chain_count, star_count = int(by_slots[low]), int(by_slots[high])
     bounds_hold = low <= min_slots and max_slots <= high
-    passed = (bounds_hold and schedules_valid
+    passed = (bounds_hold and schedules_valid and tree_count == m ** (m - 2)
               and min_slots == low and max_slots == high
               and chain_count == math.factorial(m) // 2 and star_count == m)
-    return TimeBoundsReport(m, sum(degrees.values()), min_slots, max_slots,
+    return TimeBoundsReport(m, tree_count, min_slots, max_slots,
                             chain_count, star_count, bounds_hold,
                             schedules_valid, passed)
 

@@ -572,16 +572,6 @@ def _read_levels(levels: list[int], labels: list[int]
     return edges, automorphisms
 
 
-def decode_pruefer(seq: Iterable[int], m: int) -> tuple[Edge, ...]:
-    """Edges of the labeled tree encoded by a length m-2 sequence over 1..m."""
-    seq = tuple(seq)
-    if len(seq) != m - 2 or any(not 1 <= x <= m for x in seq):
-        raise ValueError(f"sequence {seq} does not encode a tree on 1..{m}")
-    codes = np.array(seq, dtype=int).reshape(1, m - 2)
-    edges = decode_pruefer_batch(codes, m)
-    return tuple(map(tuple, edges[0].tolist()))
-
-
 def decode_pruefer_batch(codes: np.ndarray, m: int) -> np.ndarray:
     """Lines of the labeled trees encoded by the rows of `codes`, an
     (n, m-2) array over 1..m, as an (n, m-1, 2) array.

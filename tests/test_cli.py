@@ -267,12 +267,23 @@ class TestFlagValues:
             ("3", ["--ref", "1"], "--prop 3 does not read --ref"),
             ("1", ["--m-range", "3:5"], "--prop 1 does not read --m-range"),
             ("2", ["--m-range", "3:5"], "--prop 2 does not read --m-range"))
+    ] + [
+        (["crlb", "--topology", "star", "--m", "4", "--ref", "1"] + flags,
+         names) for flags, names in (
+            (["--slot", "1e308", "--format", "json"], "slot duration 1e+308"),
+            (["--budget", "time:2", "--slot", "1e308"], "slot duration 1e+308"),
+            (["--budget", "time:1e308", "--slot", "1e10"], "time budget"))
+    ] + [
+        (["simulate", "--topology", "daisy", "--m", "4", "--ref", "2",
+          "--seed", "-1"], "--seed must be >= 0, got -1"),
     ], ids=["slot-nan", "slot-inf", "slot-0", "m-range-one-value",
             "m-range-not-a-number", "m-range-not-integer", "m-range-reversed",
             "crlb-snr-db-low", "crlb-snr-db-high", "sweep-snr-low",
             "sweep-snr-high", "tx-amp-huge", "line-gain-huge", "tx-amp-tiny",
             "rx-amp-tiny", "line-gain-tiny", "noise-over-tiny-signal",
-            "prop2-ref", "prop3-ref", "prop1-m-range", "prop2-m-range"])
+            "prop2-ref", "prop3-ref", "prop1-m-range", "prop2-m-range",
+            "collection-time-overflow", "budgeted-collection-time-overflow",
+            "budget-overflow", "simulate-seed-negative"])
     def test_exits_2_with_one_line(self, capsys, argv, names):
         code = main(argv)
         out, err = capsys.readouterr()

@@ -115,6 +115,22 @@ class TestStarOptimality:
     def test_pure_function(self):
         assert verify_star_optimality(4, 2) == verify_star_optimality(4, 2)
 
+    def test_a_missed_shape_fails(self, monkeypatch):
+        # the path comes first and stands for all 5! labelings of it; the
+        # star still wins among the shapes left, so only the count shows
+        enumerate_shapes = harness.enumerate_shapes
+
+        def without_path(m, reference, cap):
+            shapes = enumerate_shapes(m, reference, cap)
+            next(shapes)
+            return shapes
+
+        monkeypatch.setattr(harness, "enumerate_shapes", without_path)
+        report = verify_star_optimality(6, 1)
+        assert report.tree_count == 6 ** 4 - math.factorial(5)
+        assert report.star_attains_minimum and report.minimizer_count == 1
+        assert report.passed is False
+
 
 class TestTimeBounds:
     def test_m5_census(self):
@@ -131,21 +147,53 @@ class TestTimeBounds:
         assert report.passed
 
     def test_miscounted_chain_fails(self, monkeypatch):
-        # a tree's slot count is twice its degree, so a degree census that
-        # misreads one chain shows only in the class counts; the path from
-        # the reference stands for its shape, all 4! labelings of it
-        chain = make_daisy(5, 1)
-        degree = harness.max_degree
-        monkeypatch.setattr(harness, "max_degree",
-                            lambda t: 3 if t == chain else degree(t))
+        # a tree's slot count is twice its degree, so a census that
+        # misreads one chain as of degree 3 shows only in the class counts;
+        # the 125 trees at m=5 are one block, so one chain is misread
+        schedule_faults = harness.schedule_faults
+
+        def one_chain_misread(edges, schedules):
+            faults = schedule_faults(edges, schedules)
+            faults.expected_slots[np.argmax(faults.expected_slots == 4)] = 6
+            return faults
+
+        monkeypatch.setattr(harness, "schedule_faults", one_chain_misread)
         report = verify_time_bounds(5)
-        assert report.chain_count == 60 - math.factorial(4)
+        assert report.tree_count == 125 and report.schedules_valid
+        assert report.chain_count == 59
         assert report.passed is False
 
     def test_m6(self):
         report = verify_time_bounds(6)
         assert report.tree_count == 1296
         assert report.bounds_hold and report.schedules_valid and report.passed
+
+    def test_a_dropped_block_fails(self, monkeypatch):
+        # only trees that were decoded and checked are counted
+        pruefer_blocks = harness.pruefer_blocks
+        monkeypatch.setattr(harness, "pruefer_blocks",
+                            lambda m, cap: list(pruefer_blocks(m, cap))[:-1])
+        report = verify_time_bounds(6)
+        assert report.tree_count == 1024
+        assert report.schedules_valid and report.passed is False
+
+    def test_a_dropped_tree_fails(self, monkeypatch):
+        # code (1, 1, 2) is a tree of max degree 3, neither chain nor
+        # star, so only the tree count shows that it was skipped
+        pruefer_blocks = harness.pruefer_blocks
+        monkeypatch.setattr(harness, "pruefer_blocks", lambda m, cap: [
+            np.delete(codes, 1, axis=0) for codes in pruefer_blocks(m, cap)])
+        report = verify_time_bounds(5)
+        assert report.tree_count == 124 and report.schedules_valid
+        assert (report.min_slots, report.max_slots) == (4, 8)
+        assert (report.chain_count, report.star_count) == (60, 5)
+        assert report.passed is False
+
+    def test_no_block_fails(self, monkeypatch):
+        monkeypatch.setattr(harness, "pruefer_blocks", lambda m, cap: [])
+        report = verify_time_bounds(6)
+        assert report.tree_count == report.chain_count == 0
+        assert report.passed is False
 
     def test_a_wrong_parent_fails(self, monkeypatch):
         # a rooting bug in one tree shows, since the schedules are checked
@@ -223,8 +271,9 @@ class TestDaisyOptimality:
 
 
 class TestShapeRouteMatchesLabelled:
-    """Each report counted by rooted shape equals the one counted over
-    every labeled tree."""
+    """Each report equals the one the labelled oracles count over every
+    labeled tree: props 1 and 3 count by rooted shape, and prop 2 decodes
+    and schedules in blocks."""
 
     @pytest.mark.parametrize("m, reference", [
         (m, reference) for m in range(2, 8) for reference in range(1, m + 1)])

@@ -33,7 +33,6 @@ from selfcal.topology import (
     PRUEFER_BLOCK,
     Schedule,
     Topology,
-    decode_pruefer,
     decode_pruefer_batch,
     enumerate_shapes,
     pruefer_blocks,
@@ -226,6 +225,9 @@ class TestPrueferBatch:
         decoded = decode_pruefer_batch(codes, m).tolist()
         assert [tuple(map(tuple, edges)) for edges in decoded] == [
             heap_pruefer_edges(seq, m) for seq in sequences]
+        for seq in sequences:  # a batch of one decodes the same
+            one = decode_pruefer_batch(np.array([seq], dtype=int), m)[0]
+            assert tuple(map(tuple, one.tolist())) == heap_pruefer_edges(seq, m)
 
     @PROPERTY
     @given(data=st.data())
@@ -238,18 +240,16 @@ class TestPrueferBatch:
             np.array(codes, dtype=int).reshape(len(codes), m - 2), m)
         for seq, edges in zip(codes, decoded.tolist()):
             assert tuple(map(tuple, edges)) == heap_pruefer_edges(seq, m)
-            assert decode_pruefer(seq, m) == heap_pruefer_edges(seq, m)
 
     def test_blocks_are_bounded(self):
         sizes = [len(block) for block in pruefer_blocks(8)]
         assert sum(sizes) == 8 ** 6 and max(sizes) <= PRUEFER_BLOCK
 
     def test_bad_codes_rejected(self):
-        with pytest.raises(ValueError, match="does not encode"):
-            decode_pruefer((4,), 3)
-        for codes in ([[0, 1]], [[1, 5]], [[1, 2, 3]]):
+        for codes, m in (([[4]], 3), ([[0, 1]], 4), ([[1, 5]], 4),
+                         ([[1, 2, 3]], 4), ([1, 2], 4)):
             with pytest.raises(ValueError, match="do not encode"):
-                decode_pruefer_batch(np.array(codes), 4)
+                decode_pruefer_batch(np.array(codes), m)
         with pytest.raises(ValueError, match="enumeration cap 8"):
             next(pruefer_blocks(9))
 
