@@ -25,7 +25,6 @@ from .crlb import (
 )
 from .estimator import (
     GainEstimates,
-    collapse_repetitions,
     estimation_error,
     ml_estimate,
 )
@@ -49,7 +48,6 @@ from .simulate import (
 )
 from .topology import (
     calibration_distances,
-    enumerate_trees,
     from_edges,
     make_daisy,
     make_star,

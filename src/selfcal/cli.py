@@ -20,7 +20,6 @@ import numpy as np
 from .crlb import ScenarioParams
 from .errors import ConfigError
 from .estimator import (
-    collapse_repetitions,
     estimates_to_dict,
     estimation_error,
     ml_estimate,
@@ -239,7 +238,7 @@ def _cmd_simulate(args) -> int:
         measured = synthesize(topo, gains, scenario, repetitions=args.reps,
                               seed=noise_seed)
     if args.estimate:
-        est = ml_estimate(collapse_repetitions(measured), topo, scenario,
+        est = ml_estimate(measured, topo, scenario,
                           ref_alpha=gains.alpha[topo.reference - 1],
                           ref_beta=gains.beta[topo.reference - 1])
         payload = estimates_to_dict(est)

@@ -47,36 +47,23 @@ class EstimationError:
 _HAZARD_FLOOR = 1e-9
 
 
-def collapse_repetitions(ms: MeasurementSet) -> MeasurementSet:
-    """Average repeated rounds into a single round per direction.
-
-    The per-direction sample mean carries everything the repetitions say
-    about the gains (i.i.d. noise around a common mean), with the noise
-    variance shrunk by the repetition count. A single-round set is
-    returned unchanged.
-    """
-    if ms.repetitions == 1:
-        return ms
-    return MeasurementSet(ms.pairs, ms.values.mean(axis=1, keepdims=True),
-                          1, ms.sounding_value)
-
-
 def ml_estimate(ms: MeasurementSet, t: Topology, s: ScenarioParams,
                 ref_alpha: complex, ref_beta: complex) -> GainEstimates:
-    """Recover all unknown gains from a collapsed measurement set.
+    """Recover all unknown gains from a measurement set of any number of
+    rounds.
 
-    The measurements are divided by the set's sounding value and handed
-    to `ml_estimate_batch` as a batch of one trial. The set must carry
-    exactly the measurements of the wiring in `t.directed_pairs` order, as
-    `synthesize` and replay files give them: nothing else, none missing.
+    The per-direction mean of the rounds carries everything they say
+    about the gains (i.i.d. noise around a common mean), so that mean,
+    divided by the set's sounding value, is handed to `ml_estimate_batch`
+    as a batch of one trial. The set must carry exactly the measurements
+    of the wiring in `t.directed_pairs` order, as `synthesize` and replay
+    files give them: nothing else, none missing.
 
     Raises DivisionHazard naming the antenna whose estimate fell below
     `_HAZARD_FLOOR` times its nominal amplitude: everything downstream
     would be noise amplification, which signals an SNR too low for the
     chain.
     """
-    if ms.repetitions != 1:
-        raise ValueError("collapse repetitions before estimating")
     if ref_alpha == 0 or ref_beta == 0:
         raise ValueError("reference gains must be nonzero")
     if ms.pairs != t.directed_pairs:
@@ -85,7 +72,7 @@ def ml_estimate(ms: MeasurementSet, t: Topology, s: ScenarioParams,
         raise ValueError(
             f"measurement pairs do not match the wiring: missing "
             f"{missing}, not on any line {extra}")
-    values = ms.values[:, 0] / ms.sounding_value
+    values = ms.values.mean(axis=1) / ms.sounding_value
     est, hazard_at = ml_estimate_batch(values[None, :], t, s,
                                        np.array([ref_alpha]),
                                        np.array([ref_beta]))

@@ -276,8 +276,6 @@ def _score_batch(batch: list[tuple[int, np.ndarray, np.ndarray]],
     its error sum over its sound trials goes to `sums[grid index]` and
     its flagged trials to `hazards`.
     """
-    if not batch:
-        return
     ref = topo.reference - 1
     if len(batch) == 1:  # a chunk on its own is not copied
         observed = batch[0][2]

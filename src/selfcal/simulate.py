@@ -100,11 +100,12 @@ def draw_collapsed(t: Topology, gains: np.ndarray, s: ScenarioParams,
 
     `gains` is a (trials, 2, m) array as from `draw_gain_batch`; row k of
     the (trials, 2(m-1)) result, columns in `t.directed_pairs` order, is
-    distributed as `collapse_repetitions(synthesize(t, gains_k, s,
-    repetitions)).values[:, 0]`. The mean of `repetitions` i.i.d. rounds
-    is the noiseless value plus one circularly symmetric complex Gaussian
-    of variance noise_variance / repetitions, so one round of that
-    variance is drawn instead of `repetitions` rounds.
+    distributed as `synthesize(t, gains_k, s, repetitions).values.mean(
+    axis=1)`, the per-direction mean that `ml_estimate` estimates from.
+    The mean of `repetitions` i.i.d. rounds is the noiseless value plus
+    one circularly symmetric complex Gaussian of variance
+    noise_variance / repetitions, so one round of that variance is drawn
+    instead of `repetitions` rounds.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")

@@ -291,19 +291,15 @@ def max_degree(t: Topology) -> int:
 def measurement_schedule(t: Topology, slot_duration: float) -> Schedule:
     """Pack the 2(m-1) sounding measurements into 2*max_degree slots.
 
-    The schedule of `schedule_trees` for this one tree, rooted as
-    `Topology.rooted_edges` roots it, with each slot's measurements in
-    ascending order.
+    The schedule of `schedule_trees` for this one tree, rooted at its
+    reference by `root_trees` as a batch of one, with each slot's
+    measurements in ascending order: the rooting and coloring that
+    `verify --prop 2` checks on every labeled tree.
     """
     if not is_finite(slot_duration) or slot_duration <= 0:
         raise ValueError(f"slot duration must be a positive finite number, "
                          f"got {slot_duration}")
-    parent = np.full((1, t.m), -1)
-    depth = np.zeros((1, t.m), dtype=int)
-    for p, c in t.rooted_edges:  # breadth-first: a parent's depth is set
-        parent[0, c - 1] = p - 1
-        depth[0, c - 1] = depth[0, p - 1] + 1
-    arrays = schedule_trees(parent, depth)
+    arrays = schedule_trees(*root_trees(np.array([t.edges]), t.reference))
     tx, rx, slot = arrays.tx[0], arrays.rx[0], arrays.slot[0]
     order = np.lexsort((rx, tx, slot))
     pairs = list(zip(tx[order].tolist(), rx[order].tolist()))
@@ -476,19 +472,6 @@ def schedule_faults(edges: np.ndarray, schedules: ScheduleArrays
         off_line=~on_line.reshape(tx.shape))
 
 
-def enumerate_trees(m: int, reference: int = 1,
-                    cap: int = ENUMERATION_CAP) -> Iterator[Topology]:
-    """Yield every labeled tree on 1..m exactly once (m**(m-2) of them).
-
-    Sequence decoding makes the enumeration exhaustive and duplicate
-    free; `cap` bounds the super-exponential growth.
-    """
-    _check_m_reference(m, reference)
-    for codes in pruefer_blocks(m, cap):
-        for edges in decode_pruefer_batch(codes, m).tolist():
-            yield Topology(m, reference, tuple(map(tuple, edges)))
-
-
 #: Most sequences `pruefer_blocks` puts in one block.
 PRUEFER_BLOCK = 512
 
@@ -522,7 +505,7 @@ def enumerate_shapes(m: int, reference: int = 1, cap: int = ENUMERATION_CAP
     representative labels the root `reference` and the other nodes, in
     preorder, with the ordinary antennas in ascending order, so at
     reference 1 the path is `make_daisy(m, 1)`. `cap` bounds m as it does
-    for `enumerate_trees`.
+    for `pruefer_blocks`.
     """
     _check_m_reference(m, reference)
     if m > cap:

@@ -6,7 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from selfcal import topology_to_dict, from_edges
+from selfcal import (
+    ExperimentConfig,
+    from_edges,
+    run_snr_sweep,
+    sweep_rows_to_json,
+    topology_to_dict,
+)
 from selfcal.cli import main, parse_budget, parse_snr_grid
 from selfcal.errors import ConfigError
 
@@ -236,6 +242,33 @@ class TestMalformedJson:
         assert err.startswith("selfcal: ") and err.count("\n") == 1
         assert "missing" in err and repr(key) in err
 
+    @pytest.mark.parametrize("kind, payload, names", [
+        ("config", {"m": 5, "reference": 1, "topology_kind": "star",
+                    "trials": 0}, "trials must be >= 1, got 0"),
+        ("config", {"m": 5, "reference": 1, "topology_kind": "star",
+                    "output_format": "xml"}, "unknown output format 'xml'"),
+        ("config", {"m": 5, "reference": 1, "topology_kind": "star",
+                    "bogus": 1}, "unknown config fields ['bogus']"),
+        ("replay", dict(REPLAY, observations=[[1, 2.0, 1, 1, 0]]),
+         "observation keys must be integers"),
+        ("replay", dict(REPLAY, repetitions=2, observations=[
+            [1, 2, 1, 1, 0], [1, 2, 2, 1, 0], [2, 1, 1, 1, 0]]),
+         "observations do not form a full (pair, repetition) grid"),
+        ("replay", dict(REPLAY, repetitions=2, observations=[
+            [1, 2, 1, 1, 0], [1, 2, 3, 1, 0], [2, 1, 1, 1, 0],
+            [2, 1, 2, 1, 0]]),
+         "missing observation 1->2 repetition 2"),
+    ], ids=["trials-0", "format-xml", "unknown-field", "key-float",
+            "partial-grid", "repetition-out-of-range"])
+    def test_rejection_is_named(self, tmp_path, capsys, kind, payload, names):
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(payload))
+        code = main(self.ARGV[kind](path))
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("selfcal: ") and err.count("\n") == 1
+        assert names in err
+
 
 class TestFlagValues:
     @pytest.mark.parametrize("argv, names", [
@@ -276,6 +309,14 @@ class TestFlagValues:
     ] + [
         (["simulate", "--topology", "daisy", "--m", "4", "--ref", "2",
           "--seed", "-1"], "--seed must be >= 0, got -1"),
+        (["crlb", "--topology", "star", "--m", "4", "--ref", "1",
+          "--noise-var", "nan"], "scenario parameters must be finite"),
+        (["sweep", "--topology", "star", "--m", "4", "--ref", "1",
+          "--trials", "2", "--snr", "10:20"],
+         "bad SNR grid '10:20', expected lo:hi:step"),
+        (["verify", "--prop", "2", "--m", "2"],
+         "time bounds need m >= 3, got 2"),
+        (["verify", "--prop", "3"], "--prop 3 needs --m or --m-range"),
     ], ids=["slot-nan", "slot-inf", "slot-0", "m-range-one-value",
             "m-range-not-a-number", "m-range-not-integer", "m-range-reversed",
             "crlb-snr-db-low", "crlb-snr-db-high", "sweep-snr-low",
@@ -283,7 +324,8 @@ class TestFlagValues:
             "rx-amp-tiny", "line-gain-tiny", "noise-over-tiny-signal",
             "prop2-ref", "prop3-ref", "prop1-m-range", "prop2-m-range",
             "collection-time-overflow", "budgeted-collection-time-overflow",
-            "budget-overflow", "simulate-seed-negative"])
+            "budget-overflow", "simulate-seed-negative", "noise-var-nan",
+            "snr-grid-two-parts", "prop2-m-2", "prop3-no-m"])
     def test_exits_2_with_one_line(self, capsys, argv, names):
         code = main(argv)
         out, err = capsys.readouterr()
@@ -313,6 +355,25 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert out.splitlines()[1].split(",")[10] == "10"
 
+    def test_config_grid_as_a_list(self, tmp_path, capsys):
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({
+            "m": 5, "reference": 1, "topology_kind": "star",
+            "snr_grid_db": [20, 30], "trials": 5}))
+        assert main(["sweep", "--config", str(cfg_path)]) == 0
+        rows = capsys.readouterr().out.splitlines()[1:]
+        assert [row.split(",")[0] for row in rows] == ["20.0", "30.0"]
+
+    def test_json_format(self, capsys):
+        assert main(["sweep", "--topology", "daisy", "--m", "5", "--ref", "3",
+                     "--snr", "20:30:10", "--trials", "7", "--seed", "2",
+                     "--format", "json"]) == 0
+        rows = run_snr_sweep(ExperimentConfig(
+            m=5, reference=3, topology_kind="daisy", snr_grid_db=(20.0, 30.0),
+            trials=7, master_seed=2))
+        assert json.loads(capsys.readouterr().out) == json.loads(
+            sweep_rows_to_json(rows))
+
     def test_rerun_byte_identical(self, tmp_path):
         args = ["sweep", "--topology", "star", "--m", "5", "--ref", "1",
                 "--snr", "30", "--trials", "30", "--seed", "3"]
@@ -336,6 +397,12 @@ class TestVerifyCommand:
         assert main(["verify", "--prop", "3", "--m-range", "3:6"]) == 0
         out = capsys.readouterr().out
         assert "m=5: chain/star ratio 3/4" in out
+
+    def test_daisy_single_m(self, capsys):
+        assert main(["verify", "--prop", "3", "--m", "5"]) == 0
+        out = capsys.readouterr().out
+        assert out.splitlines()[0].startswith("m=5: chain/star ratio 3/4")
+        assert out.splitlines()[-1] == "PASS"
 
     def test_star_optimality_at_a_reference(self, capsys):
         assert main(["verify", "--prop", "1", "--m", "5", "--ref", "3"]) == 0

@@ -8,7 +8,6 @@ from selfcal import (
     MeasurementSet,
     RfGains,
     ScenarioParams,
-    collapse_repetitions,
     crlb_closed_form,
     draw_gains,
     estimation_error,
@@ -40,22 +39,46 @@ def _estimate_batch(t, s, gains, seed):
 
 
 class TestCollapse:
-    def test_single_round_identity(self):
-        t = make_daisy(3, 1)
-        ms = synthesize(t, draw_gains(3, UNIT, 0), UNIT, seed=1)
-        assert collapse_repetitions(ms) is ms
+    """An R-round set estimates bit for bit like the one-round set of its
+    means: `ml_estimate` takes the per-direction mean itself."""
+
+    @pytest.mark.parametrize("reps", [1, 2, 8])
+    def test_estimates_like_the_one_round_set_of_its_means(self, reps):
+        rng = np.random.default_rng(reps)
+        t = random_tree(rng, 9)
+        s = random_scenario(rng)
+        g = random_gains(rng, 9, s)
+        ms = synthesize(t, g, s, repetitions=reps, seed=reps)
+        sounding = complex(rng.normal(), rng.normal())
+        rounds = MeasurementSet(ms.pairs, sounding * ms.values, reps,
+                                sounding)
+        means = MeasurementSet(ms.pairs,
+                               rounds.values.mean(axis=1, keepdims=True), 1,
+                               sounding)
+        full, one = estimate(t, rounds, s, g), estimate(t, means, s, g)
+        assert np.array_equal(full.alpha_hat, one.alpha_hat)
+        assert np.array_equal(full.beta_hat, one.beta_hat)
 
     def test_constant_repetitions(self):
-        values = np.full((2, 64), 0.3 + 0.4j)
-        ms = MeasurementSet(((1, 2), (2, 1)), values, 64)
-        out = collapse_repetitions(ms)
-        assert out.repetitions == 1
-        assert np.allclose(out.values[:, 0], 0.3 + 0.4j)
+        # 64 copies of one noiseless round estimate like the round, up to
+        # the rounding of their sum
+        t = make_daisy(4, 2)
+        g = draw_gains(4, UNIT, 5)
+        ms = synthesize(t, g, NOISELESS)
+        repeated = MeasurementSet(ms.pairs, np.repeat(ms.values, 64, axis=1),
+                                  64)
+        once, many = estimate(t, ms, UNIT, g), estimate(t, repeated, UNIT, g)
+        np.testing.assert_allclose(many.alpha_hat, once.alpha_hat, rtol=1e-14)
+        np.testing.assert_allclose(many.beta_hat, once.beta_hat, rtol=1e-14)
 
     def test_mean_of_two(self):
+        # rounds 1 and 1j on the one line of a unit pair: both directions
+        # average to 0.5 + 0.5j, which is then antenna 2's gain twice
         values = np.array([[1.0 + 0.0j, 0.0 + 1.0j]] * 2)
         ms = MeasurementSet(((1, 2), (2, 1)), values, 2)
-        assert np.allclose(collapse_repetitions(ms).values[:, 0], 0.5 + 0.5j)
+        est = ml_estimate(ms, make_daisy(2, 1), UNIT, 1, 1)
+        assert est.alpha_hat.tolist() == [0.5 + 0.5j]
+        assert est.beta_hat.tolist() == [0.5 + 0.5j]
 
 
 class TestMlEstimate:
@@ -89,22 +112,23 @@ class TestMlEstimate:
         t = random_tree(rng, 9)
         s = ScenarioParams(line_gain=1.2 - 0.3j, noise_variance=0.5)
         g = random_gains(rng, 9, s)
-        ms = collapse_repetitions(synthesize(t, g, s, repetitions=4, seed=3))
+        ms = synthesize(t, g, s, repetitions=4, seed=3)
         est = estimate(t, ms, s, g)
+        means = ms.values.mean(axis=1)
         full_alpha = dict(zip(est.antennas, est.alpha_hat))
         full_beta = dict(zip(est.antennas, est.beta_hat))
         full_alpha[t.reference] = est.reference_alpha
         full_beta[t.reference] = est.reference_beta
         for row, (tx, rx) in enumerate(ms.pairs):
             predicted = full_beta[rx] * s.line_gain * full_alpha[tx]
-            assert predicted == pytest.approx(ms.values[row, 0], rel=1e-12)
+            assert predicted == pytest.approx(means[row], rel=1e-12)
 
-    def test_requires_collapsed_input(self):
+    @pytest.mark.parametrize("ref_alpha, ref_beta", [(0, 1), (1, 0j)])
+    def test_reference_gains_must_be_nonzero(self, ref_alpha, ref_beta):
         t = make_daisy(3, 1)
-        g = draw_gains(3, UNIT, 0)
-        ms = synthesize(t, g, UNIT, repetitions=2, seed=0)
-        with pytest.raises(ValueError):
-            estimate(t, ms, UNIT, g)
+        ms = synthesize(t, draw_gains(3, UNIT, 0), NOISELESS)
+        with pytest.raises(ValueError, match="reference gains must be nonzero"):
+            ml_estimate(ms, t, UNIT, ref_alpha, ref_beta)
 
     def test_division_hazard(self):
         # zero out the measurement that fixes antenna 2's receive gain, so

@@ -427,6 +427,25 @@ class TestChunking:
         assert row.avg_mse_alpha == pytest.approx(1e-3, rel=0.2)
         assert row.avg_mse_beta == pytest.approx(1e-3, rel=0.2)
 
+    def test_a_flagged_grid_point_is_logged(self, monkeypatch, caplog):
+        # one trial in ten flagged is above the 1% rate that is logged
+        kernel = harness.ml_estimate_batch
+
+        def flag_every_tenth(values, t, *args):
+            est, hazard_at = kernel(values, t, *args)
+            hazard_at[::10] = t.reference
+            return est, hazard_at
+
+        monkeypatch.setattr(harness, "ml_estimate_batch", flag_every_tenth)
+        cfg = ExperimentConfig(m=4, reference=1, topology_kind="star",
+                               snr_grid_db=(30.0,), trials=50, master_seed=2)
+        with caplog.at_level("WARNING", logger="selfcal.harness"):
+            row = run_snr_sweep(cfg)[0]
+        assert row.hazard_rate == 0.1
+        records = [r for r in caplog.records if r.name == "selfcal.harness"]
+        assert [(r.levelname, r.getMessage()) for r in records] == [
+            ("WARNING", "flagged grid point 30.0 dB: hazard rate 0.1000")]
+
     def test_batching_does_not_change_rows(self, monkeypatch):
         # 7 points of 15 trials share batches of up to _BATCH antenna-trials
         cfg = ExperimentConfig(m=129, reference=64, topology_kind="daisy",

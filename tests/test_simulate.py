@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from selfcal import (
     RfGains,
     ScenarioParams,
-    collapse_repetitions,
     draw_gains,
     make_daisy,
     make_star,
@@ -48,6 +47,10 @@ class TestDrawGains:
         g = draw_gains(2000, UNIT, 5)
         phases = np.angle(g.alpha)
         assert phases.min() < -3.0 and phases.max() > 3.0
+
+    def test_needs_two_antennas(self):
+        with pytest.raises(ValueError, match="need at least 2 antennas"):
+            draw_gains(1, UNIT, 0)
 
 
 class TestSynthesize:
@@ -153,8 +156,8 @@ class TestBatchDraws:
             g = RfGains(gains[k, 0], gains[k, 1])
             noiseless[k] = (synthesize(t, g, NOISELESS).values[:, 0]
                             * s.line_gain)
-            synthesized[k] = collapse_repetitions(
-                synthesize(t, g, s, reps, seed=seeds[k])).values[:, 0]
+            synthesized[k] = synthesize(t, g, s, reps,
+                                        seed=seeds[k]).values.mean(axis=1)
         n = direct.size
         variances = []
         for values in (direct, synthesized):

@@ -5,19 +5,19 @@ The benchmark (`benchmarks/`) calls these names through `selfcal`,
 them where `selfcal.harness` looks them up. Its tracer skips a missing
 name without a word, so deleting or renaming one, or calling it past the
 harness namespace, would zero a per-layer span and still pass every
-other check. The per-trial stage names the benchmark also wraps
-(`draw_gains`, `synthesize`, `collapse_repetitions`, `ml_estimate`,
-`estimation_error`) are not listed: the batched sweep does not call
-them, so `selfcal.harness` does not import them. Nor are the per-tree
-schedule stages (`enumerate_trees`, `measurement_schedule`,
-`schedule_violations`): prop 2 checks and counts every labeled tree in
-one pass of array stages instead (`pruefer_blocks`,
+other check. The sweep's stages are its batch kernels
+(`draw_gain_batch`, `draw_collapsed`, `ml_estimate_batch`,
+`mean_sq_errors`); the single-trial calls (`draw_gains`, `synthesize`,
+`ml_estimate`, `estimation_error`) serve the CLI and tests, so
+`selfcal.harness` does not import them. Prop 2 checks and counts every
+labeled tree in one pass of array stages (`pruefer_blocks`,
 `decode_pruefer_batch`, `root_trees`, `schedule_trees`,
-`schedule_faults`), and no longer reads `enumerate_shapes` or
-`max_degree`, which props 1 and 3 still do. The array stages and
-`enumerate_shapes` are listed although the benchmark does not wrap them
-yet: the verify drivers look them up in `selfcal.harness`, where a
-tracer can wrap them.
+`schedule_faults`); `measurement_schedule` and `schedule_violations` are
+their batches of one, for one tree. Props 1 and 3 read
+`enumerate_shapes`, `calibration_distances` and `max_degree`. The batch
+kernels, the array stages and `enumerate_shapes` are listed although the
+benchmark does not wrap them yet: the drivers look them up in
+`selfcal.harness`, where a tracer can wrap them.
 """
 
 import pytest
@@ -32,7 +32,8 @@ SURFACE = {
         "verify_daisy_optimality", "crlb_closed_form",
         "budgeted_average_crlb", "enumerate_shapes", "calibration_distances",
         "max_degree", "pruefer_blocks", "decode_pruefer_batch", "root_trees",
-        "schedule_trees", "schedule_faults",
+        "schedule_trees", "schedule_faults", "draw_gain_batch",
+        "draw_collapsed", "ml_estimate_batch", "mean_sq_errors",
     ),
     crlb: ("ScenarioParams", "fisher_matrix", "crlb_numeric",
            "crlb_closed_form"),
@@ -48,9 +49,13 @@ def _sweep(budget_mode, budget_value):
 
 #: what each entry point must look up in `selfcal.harness` when it runs,
 #: so that wrapping the name there sees every call
+SWEEP_STAGES = {"draw_gain_batch", "draw_collapsed", "ml_estimate_batch",
+                "mean_sq_errors"}
 CALLS_THROUGH_HARNESS = {
-    "sweep": (_sweep("measurements", None), {"crlb_closed_form"}),
-    "budgeted_sweep": (_sweep("time", 8.0), {"budgeted_average_crlb"}),
+    "sweep": (_sweep("measurements", None),
+              {"crlb_closed_form"} | SWEEP_STAGES),
+    "budgeted_sweep": (_sweep("time", 8.0),
+                       {"budgeted_average_crlb"} | SWEEP_STAGES),
     "verify_star_optimality": (
         lambda: harness.verify_star_optimality(4),
         {"enumerate_shapes", "calibration_distances"}),

@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 from selfcal import (
     ScenarioParams,
     calibration_distances,
-    enumerate_trees,
     from_edges,
     make_daisy,
     make_star,
@@ -188,7 +187,7 @@ class TestSchedule:
 
     def test_validity_over_enumeration(self):
         for m in (4, 5, 6):
-            for t in enumerate_trees(m):
+            for t in labelled_trees(m, 1):
                 schedule = measurement_schedule(t, 1.0)
                 assert schedule_violations(t, schedule) == []
                 assert len(schedule.slots) == 2 * max_degree(t)
@@ -362,25 +361,34 @@ class TestScheduleFaults:
         assert np.flatnonzero(flagged).tolist() == [7]
 
 
+def _decoded(m):
+    """Lines of every labeled tree on 1..m, as one (m**(m-2), m-1, 2)
+    array in sequence order."""
+    return np.concatenate([decode_pruefer_batch(codes, m)
+                           for codes in pruefer_blocks(m)])
+
+
 class TestEnumeration:
     def test_counts(self):
-        assert sum(1 for _ in enumerate_trees(3)) == 3
-        assert sum(1 for _ in enumerate_trees(5)) == 125
+        assert len(_decoded(3)) == 3
+        assert len(_decoded(5)) == 125
 
     def test_m4_census(self):
-        trees = list(enumerate_trees(4))
-        assert len(trees) == 16
-        stars = sum(1 for t in trees if max_degree(t) == 3)
-        paths = sum(1 for t in trees if max_degree(t) == 2)
-        assert stars == 4 and paths == 12
+        edges = _decoded(4)
+        assert len(edges) == 16
+        degrees = np.array([np.bincount(row.ravel(), minlength=5).max()
+                            for row in edges])
+        assert (degrees == 3).sum() == 4 and (degrees == 2).sum() == 12
 
     def test_no_duplicates(self):
-        seen = {t.edges for t in enumerate_trees(5)}
+        seen = {tuple(sorted(map(tuple, np.sort(row, axis=1).tolist())))
+                for row in _decoded(5)}
         assert len(seen) == 125
 
     def test_cap(self):
-        with pytest.raises(ValueError):
-            next(enumerate_trees(9))
+        with pytest.raises(ValueError, match="enumeration cap 5"):
+            next(pruefer_blocks(6, cap=5))
+        assert len(next(pruefer_blocks(9, cap=9))) == PRUEFER_BLOCK
 
     def test_factories_pass_validation(self):
         rng = np.random.default_rng(1)
@@ -393,12 +401,12 @@ class TestEnumeration:
 
     def test_mean_distance_one_iff_star(self):
         for m in (4, 5):
-            for t in enumerate_trees(m, reference=2):
+            for t in labelled_trees(m, 2):
                 is_star = t.edges == make_star(m, 2).edges
                 assert (calibration_distances(t).mean == 1) == is_star
 
     def test_degree_bounds_and_classes(self):
-        for t in enumerate_trees(5, reference=1):
+        for t in labelled_trees(5, 1):
             degree = max_degree(t)
             assert 2 <= degree <= 4
             if degree == 2:
@@ -440,7 +448,7 @@ class TestShapes:
         (2, 1), (3, 1), (4, 1), (5, 1), (5, 3), (6, 1), (6, 6), (7, 1)])
     def test_weight_is_the_labeled_count_of_the_shape(self, m, reference):
         labeled = {}
-        for t in enumerate_trees(m, reference):
+        for t in labelled_trees(m, reference):
             form = rooted_form(t)
             labeled[form] = labeled.get(form, 0) + 1
         weights = {rooted_form(t): w
