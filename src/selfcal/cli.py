@@ -166,8 +166,9 @@ def build_parser() -> argparse.ArgumentParser:
                            help="synthesize or replay sounding measurements")
     _add_topology_args(p_sim)
     _add_scenario_args(p_sim)
-    p_sim.add_argument("--reps", type=int, default=1,
-                       help="independent repetitions per direction")
+    p_sim.add_argument("--reps", type=int, default=None,
+                       help="independent repetitions per direction when "
+                            "synthesizing (default 1)")
     p_sim.add_argument("--seed", type=int, default=0)
     p_sim.add_argument("--in", dest="input_path", default=None,
                        help="replay a dumped measurement set instead of synthesizing")
@@ -224,6 +225,9 @@ def _cmd_schedule(args) -> int:
 
 
 def _cmd_simulate(args) -> int:
+    if args.input_path and args.reps is not None:
+        raise ConfigError("--in does not read --reps; a replay keeps the "
+                          "file's rounds")
     if args.seed < 0:
         raise ConfigError(f"--seed must be >= 0, got {args.seed}")
     topo = _topology_from_args(args)
@@ -235,7 +239,8 @@ def _cmd_simulate(args) -> int:
         with open(args.input_path, encoding="utf-8") as fh:
             measured = measurements_from_dict(json.load(fh))
     else:
-        measured = synthesize(topo, gains, scenario, repetitions=args.reps,
+        reps = 1 if args.reps is None else args.reps
+        measured = synthesize(topo, gains, scenario, repetitions=reps,
                               seed=noise_seed)
     if args.estimate:
         est = ml_estimate(measured, topo, scenario,
@@ -338,7 +343,8 @@ def main(argv=None) -> int:
         return handler(args)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    except (ValueError, ArithmeticError, OSError, KeyError) as exc:
+    except (ValueError, ArithmeticError, OSError, KeyError,
+            MemoryError) as exc:
         print(f"selfcal: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
 

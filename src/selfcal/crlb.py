@@ -35,6 +35,7 @@ from .topology import (
     Topology,
     _check_edges,
     _check_m_reference,
+    _check_slot_duration,
     calibration_distances,
     max_degree,
 )
@@ -64,7 +65,7 @@ class ScenarioParams:
         if not (cmath.isfinite(self.line_gain)
                 and all(math.isfinite(x) for x in (
                     self.noise_variance, self.tx_amplitude,
-                    self.rx_amplitude, self.slot_duration))):
+                    self.rx_amplitude))):
             raise ScenarioError("scenario parameters must be finite")
         if self.line_gain == 0:
             raise ScenarioError("line gain must be nonzero")
@@ -72,8 +73,7 @@ class ScenarioParams:
             raise ScenarioError("noise variance must be nonnegative")
         if self.tx_amplitude <= 0 or self.rx_amplitude <= 0:
             raise ScenarioError("gain amplitudes must be positive")
-        if self.slot_duration <= 0:
-            raise ScenarioError("slot duration must be positive")
+        _check_slot_duration(self.slot_duration)
         for side, amplitude in (("transmit", self.tx_amplitude),
                                 ("receive", self.rx_amplitude)):
             power = _signal_power(amplitude, self.line_gain)
@@ -391,7 +391,7 @@ def crlb_closed_form(t: Topology, s: ScenarioParams) -> CrlbReport:
     Every ordinary antenna's transmit-gain bound is its hop distance
     times rho_b and its receive-gain bound the distance times rho_a.
     """
-    return _distance_report(t, s, repetitions=1, remainder=0.0)
+    return _distance_report(t, s, 1, 0.0, time_to_collect(t, s))
 
 
 def time_to_collect(t: Topology, s: ScenarioParams) -> float:
@@ -443,13 +443,13 @@ def budgeted_average_crlb(t: Topology, s: ScenarioParams,
     The rounds that fit divide every bound by their count; leftover
     seconds are recorded in the report but never used.
     """
-    repetitions, leftover = repetition_budget(budget_seconds,
-                                              time_to_collect(t, s))
-    return _distance_report(t, s, repetitions=repetitions, remainder=leftover)
+    collection_time = time_to_collect(t, s)
+    repetitions, leftover = repetition_budget(budget_seconds, collection_time)
+    return _distance_report(t, s, repetitions, leftover, collection_time)
 
 
 def _distance_report(t: Topology, s: ScenarioParams, repetitions: int,
-                     remainder: float) -> CrlbReport:
+                     remainder: float, collection_time: float) -> CrlbReport:
     profile = calibration_distances(t)
     rho_a, rho_b = s.rho_a, s.rho_b
     # d / I is correctly rounded, hence equal to float(Fraction(d, I))
@@ -467,7 +467,7 @@ def _distance_report(t: Topology, s: ScenarioParams, repetitions: int,
         rho_b=rho_b,
         repetitions=repetitions,
         remainder_seconds=remainder,
-        collection_time=time_to_collect(t, s),
+        collection_time=collection_time,
     )
 
 

@@ -3,13 +3,13 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .crlb import ScenarioParams
 from .errors import is_finite, is_integer, json_fields
-from .topology import Topology
+from .topology import Topology, _check_m_reference
 
 
 @dataclass(frozen=True, eq=False)
@@ -42,8 +42,7 @@ def draw_gain_batch(trials: int, m: int, s: ScenarioParams,
     gains, antenna j at column j-1. Trials are drawn in order from one
     stream, so a batch is a prefix of any larger batch with the same seed.
     """
-    if m < 2:
-        raise ValueError(f"need at least 2 antennas, got m={m}")
+    _check_m_reference(m, 1)
     rng = np.random.default_rng(seed)
     phases = rng.uniform(-np.pi, np.pi, size=(trials, 2, m))
     # exp(1j * phases) as cos + i sin written in place, without temporaries
@@ -59,16 +58,15 @@ class MeasurementSet:
     """Directed sounding measurements, one column per repetition.
 
     `pairs` lists (transmitter, receiver) in lexicographic order and
-    covers both directions of every line; `values[i, r]` is the r-th
-    repetition of pair i. `sounding_value` is the constant sounding
-    signal the observations carry as a factor: 1 for synthesized sets,
-    whatever a replay file states otherwise.
+    covers both directions of every line; `values[i, r]` is round r of
+    pair i, for `values.shape[1]` rounds. `sounding_value` is the constant
+    sounding signal the observations carry as a factor: 1 for synthesized
+    sets, whatever a replay file states otherwise.
     """
 
     pairs: tuple[tuple[int, int], ...]
     values: np.ndarray
-    repetitions: int
-    sounding_value: complex = 1.0 + 0.0j
+    sounding_value: complex = field(default=1.0 + 0.0j, kw_only=True)
 
 
 def synthesize(t: Topology, gains: RfGains, s: ScenarioParams,
@@ -86,12 +84,11 @@ def synthesize(t: Topology, gains: RfGains, s: ScenarioParams,
     behind `draw_collapsed`, in one pass over the canonical pair order,
     so results do not depend on how the set is later consumed.
     """
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    _check_repetitions(repetitions)
     batch = np.stack((gains.alpha, gains.beta))[None]
     values = _draw_observations(t, batch, s, repetitions, s.noise_variance,
                                 seed)
-    return MeasurementSet(t.directed_pairs, values[0], repetitions)
+    return MeasurementSet(t.directed_pairs, values[0])
 
 
 def draw_collapsed(t: Topology, gains: np.ndarray, s: ScenarioParams,
@@ -107,10 +104,14 @@ def draw_collapsed(t: Topology, gains: np.ndarray, s: ScenarioParams,
     noise_variance / repetitions, so one round of that variance is drawn
     instead of `repetitions` rounds.
     """
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+    _check_repetitions(repetitions)
     return _draw_observations(t, gains, s, 1, s.noise_variance / repetitions,
                               seed)[..., 0]
+
+
+def _check_repetitions(repetitions: int) -> None:
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
 
 
 def _draw_observations(t: Topology, gains: np.ndarray, s: ScenarioParams,
@@ -142,11 +143,10 @@ def measurements_to_dict(ms: MeasurementSet) -> dict:
     Rows are [tx, rx, repetition, real, imag] in canonical order.
     """
     observations = []
-    for i, (tx, rx) in enumerate(ms.pairs):
-        for r in range(ms.repetitions):
-            v = ms.values[i, r]
-            observations.append([tx, rx, r + 1, float(v.real), float(v.imag)])
-    return {"repetitions": ms.repetitions,
+    for (tx, rx), row in zip(ms.pairs, ms.values):
+        for r, v in enumerate(row, 1):
+            observations.append([tx, rx, r, float(v.real), float(v.imag)])
+    return {"repetitions": ms.values.shape[1],
             "sounding_value": [float(ms.sounding_value.real),
                                float(ms.sounding_value.imag)],
             "observations": observations}
@@ -193,7 +193,7 @@ def measurements_from_dict(data: dict) -> MeasurementSet:
             except KeyError:
                 raise ValueError(
                     f"missing observation {tx}->{rx} repetition {r}") from None
-    return MeasurementSet(pairs, values, repetitions, sounding)
+    return MeasurementSet(pairs, values, sounding_value=sounding)
 
 
 def _finite_complex(parts, what: str) -> complex:

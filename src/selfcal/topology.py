@@ -9,7 +9,7 @@ enforces the tree property at construction time.
 from __future__ import annotations
 
 import math
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -21,6 +21,7 @@ from .errors import (
     DuplicateEdge,
     IndexOutOfRange,
     NotEffective,
+    ScenarioError,
     SelfLoop,
     TopologyError,
     WrongEdgeCount,
@@ -104,7 +105,7 @@ class Topology:
                 f"{len(canonical)} lines for m={self.m}, expected {self.m - 1}")
         object.__setattr__(self, "edges", tuple(sorted(canonical)))
         # m-1 edges and full reachability from the reference imply a tree.
-        if len(self.rooted_edges) != self.m - 1:
+        if sum(map(len, self.levels)) != self.m - 1:
             raise NotEffective(
                 "wiring does not connect every antenna to the reference")
 
@@ -123,19 +124,25 @@ class Topology:
         return tuple(k for k in range(1, self.m + 1) if k != self.reference)
 
     @cached_property
-    def rooted_edges(self) -> tuple[Edge, ...]:
-        """(parent, child) pairs in breadth-first order from the reference."""
-        found = {self.reference}
-        order: list[Edge] = []
-        queue = deque([self.reference])
-        while queue:
-            node = queue.popleft()
-            for other in self.neighbors[node]:
-                if other not in found:
-                    found.add(other)
-                    order.append((node, other))
-                    queue.append(other)
-        return tuple(order)
+    def levels(self) -> tuple[tuple[Edge, ...], ...]:
+        """Breadth-first (parent, child) lines from the reference; level d
+        holds those into the antennas d+1 hops away. A child is marked
+        found when first reached, so no antenna is counted twice."""
+        neighbors = self.neighbors
+        found = [False] * (self.m + 1)  # by label
+        found[self.reference] = True
+        levels: list[tuple[Edge, ...]] = []
+        lines = [(0, self.reference)]  # the walk enters the reference
+        while lines:
+            above, lines = lines, []
+            for _, node in above:
+                for other in neighbors[node]:
+                    if not found[other]:
+                        found[other] = True
+                        lines.append((node, other))
+            if lines:
+                levels.append(tuple(lines))
+        return tuple(levels)
 
     @cached_property
     def directed_pairs(self) -> tuple[Edge, ...]:
@@ -153,18 +160,11 @@ class Topology:
 
     @cached_property
     def propagation_plan(self) -> PropagationPlan:
-        """Rooted edges grouped into breadth-first levels, as index arrays."""
+        """The walk's levels as index arrays."""
         row = {pair: i for i, pair in enumerate(self.directed_pairs)}
-        depth = {self.reference: 0}
-        grouped: list[list[Edge]] = []
-        for parent, child in self.rooted_edges:
-            depth[child] = depth[parent] + 1
-            if depth[child] > len(grouped):
-                grouped.append([])
-            grouped[-1].append((parent, child))
         levels = []
         order: list[int] = []
-        for level in grouped:
+        for level in self.levels:
             start = len(order) // 2
             for p, c in level:
                 order += [row[(c, p)], row[(p, c)]]
@@ -173,7 +173,7 @@ class Topology:
                 children=_index_or_slice([c - 1 for _, c in level]),
                 lines=slice(start, start + len(level))))
         parents = np.array(list(dict.fromkeys(
-            p - 1 for p, _ in self.rooted_edges)))
+            p - 1 for level in self.levels for p, _ in level)))
         return PropagationPlan(tuple(levels), np.array(order), parents)
 
 
@@ -209,6 +209,18 @@ def _check_m_reference(m: int, reference: int) -> None:
         raise ValueError(f"need at least 2 antennas, got m={m}")
     if not 1 <= reference <= m:
         raise IndexOutOfRange(f"reference {reference} outside 1..{m}")
+
+
+def _check_slot_duration(seconds: float) -> None:
+    if not is_finite(seconds) or seconds <= 0:
+        raise ScenarioError(
+            f"slot duration must be a positive finite number, got {seconds}")
+
+
+def _check_enumerable(m: int, reference: int, cap: int) -> None:
+    _check_m_reference(m, reference)
+    if m > cap:
+        raise ValueError(f"m={m} exceeds the enumeration cap {cap}")
 
 
 def _check_edges(m: int, edges: Iterable[Edge]) -> list[Edge]:
@@ -275,10 +287,12 @@ def from_edges(m: int, reference: int,
 
 def calibration_distances(t: Topology) -> DistanceProfile:
     """Hop count of each ordinary antenna's unique path to the reference."""
-    dist = {t.reference: 0}
-    for parent, child in t.rooted_edges:
-        dist[child] = dist[parent] + 1
-    distances = tuple(dist[k] for k in t.ordinary)
+    hops = [0] * (t.m + 1)  # by label; 0 is no antenna
+    for d, level in enumerate(t.levels, 1):
+        for _, child in level:
+            hops[child] = d
+    del hops[t.reference]
+    distances = tuple(hops[1:])
     return DistanceProfile(t.ordinary, distances,
                            Fraction(sum(distances), t.m - 1))
 
@@ -296,9 +310,7 @@ def measurement_schedule(t: Topology, slot_duration: float) -> Schedule:
     measurements in ascending order: the rooting and coloring that
     `verify --prop 2` checks on every labeled tree.
     """
-    if not is_finite(slot_duration) or slot_duration <= 0:
-        raise ValueError(f"slot duration must be a positive finite number, "
-                         f"got {slot_duration}")
+    _check_slot_duration(slot_duration)
     arrays = schedule_trees(*root_trees(np.array([t.edges]), t.reference))
     tx, rx, slot = arrays.tx[0], arrays.rx[0], arrays.slot[0]
     order = np.lexsort((rx, tx, slot))
@@ -481,9 +493,7 @@ def pruefer_blocks(m: int, cap: int = ENUMERATION_CAP) -> Iterator[np.ndarray]:
     order, as (k, m-2) arrays of at most `PRUEFER_BLOCK` rows, so that
     memory stays bounded as m grows. Row i of the whole run is i written
     in base m, most significant digit first, each digit plus one."""
-    _check_m_reference(m, 1)
-    if m > cap:
-        raise ValueError(f"m={m} exceeds the enumeration cap {cap}")
+    _check_enumerable(m, 1, cap)
     count = m ** (m - 2)
     powers = m ** np.arange(m - 3, -1, -1)
     for start in range(0, count, PRUEFER_BLOCK):
@@ -507,9 +517,7 @@ def enumerate_shapes(m: int, reference: int = 1, cap: int = ENUMERATION_CAP
     reference 1 the path is `make_daisy(m, 1)`. `cap` bounds m as it does
     for `pruefer_blocks`.
     """
-    _check_m_reference(m, reference)
-    if m > cap:
-        raise ValueError(f"m={m} exceeds the enumeration cap {cap}")
+    _check_enumerable(m, reference, cap)
     labels = [reference] + [k for k in range(1, m + 1) if k != reference]
     labelings = math.factorial(m - 1)
     levels = list(range(m))

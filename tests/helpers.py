@@ -66,12 +66,13 @@ def heap_pruefer_edges(seq, m):
 def greedy_schedule(t, slot_duration):
     """Line coloring one node at a time in breadth-first order: the
     oracle for the array coloring kernel, slot for slot."""
+    lines = [line for level in t.levels for line in level]
     children = {}
-    for parent, child in t.rooted_edges:
+    for parent, child in lines:
         children.setdefault(parent, []).append(child)
     color_classes = [[] for _ in range(max_degree(t))]
     parent_color = {}
-    for node in [t.reference] + [child for _, child in t.rooted_edges]:
+    for node in [t.reference] + [child for _, child in lines]:
         color = 0
         blocked = parent_color.get(node)
         for child in children.get(node, ()):

@@ -103,6 +103,20 @@ class TestSimulateCommand:
         estimates = json.loads(est_out.read_text())
         assert estimates["antennas"] == [1, 3, 4]
 
+    def test_replay_rejects_reps(self, tmp_path, capsys):
+        # a replay estimates from the file's rounds, so a round count
+        # given next to it would go unread
+        args = ["simulate", "--topology", "daisy", "--m", "4", "--ref", "2",
+                "--seed", "5"]
+        dump = tmp_path / "ms.json"
+        assert main(args + ["--reps", "2", "--out", str(dump)]) == 0
+        code = main(args + ["--in", str(dump), "--reps", "7", "--estimate"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("selfcal: ") and err.count("\n") == 1
+        assert "--in" in err and "--reps" in err
+        assert main(args + ["--in", str(dump), "--estimate"]) == 0
+
     def test_estimate_errors_reported(self, capsys):
         code = main(["simulate", "--topology", "star", "--m", "5", "--ref", "1",
                      "--noise-var", "0", "--seed", "1", "--estimate"])
@@ -272,8 +286,11 @@ class TestMalformedJson:
 
 class TestFlagValues:
     @pytest.mark.parametrize("argv, names", [
-        (["schedule", "--topology", "daisy", "--m", "3", "--ref", "1",
-          "--slot", slot], "slot duration") for slot in ("nan", "inf", "0")
+        ([command, "--topology", "daisy", "--m", "3", "--ref", "1",
+          "--slot", slot],
+         f"slot duration must be a positive finite number, got {float(slot)}")
+        for command in ("schedule", "crlb", "simulate")
+        for slot in ("nan", "inf", "0")
     ] + [
         (["verify", "--prop", "3", "--m-range", m_range], "m range")
         for m_range in ("3", "3:x", "3.5:6", "5:3")
@@ -317,7 +334,15 @@ class TestFlagValues:
         (["verify", "--prop", "2", "--m", "2"],
          "time bounds need m >= 3, got 2"),
         (["verify", "--prop", "3"], "--prop 3 needs --m or --m-range"),
-    ], ids=["slot-nan", "slot-inf", "slot-0", "m-range-one-value",
+        (["verify", "--prop", "3", "--m", "2"], "need m >= 3, got 2"),
+    ] + [
+        # numpy refuses an array this large before allocating any of it
+        (["simulate", "--topology", "daisy", "--m", "3", "--ref", "1",
+          "--reps", "100000000000000000"] + flags, "Unable to allocate")
+        for flags in ([], ["--noise-var", "0"])
+    ], ids=["slot-nan", "slot-inf", "slot-0", "crlb-slot-nan", "crlb-slot-inf",
+            "crlb-slot-0", "simulate-slot-nan", "simulate-slot-inf",
+            "simulate-slot-0", "m-range-one-value",
             "m-range-not-a-number", "m-range-not-integer", "m-range-reversed",
             "crlb-snr-db-low", "crlb-snr-db-high", "sweep-snr-low",
             "sweep-snr-high", "tx-amp-huge", "line-gain-huge", "tx-amp-tiny",
@@ -325,7 +350,8 @@ class TestFlagValues:
             "prop2-ref", "prop3-ref", "prop1-m-range", "prop2-m-range",
             "collection-time-overflow", "budgeted-collection-time-overflow",
             "budget-overflow", "simulate-seed-negative", "noise-var-nan",
-            "snr-grid-two-parts", "prop2-m-2", "prop3-no-m"])
+            "snr-grid-two-parts", "prop2-m-2", "prop3-no-m", "prop3-m-2",
+            "reps-too-large", "reps-too-large-noiseless"])
     def test_exits_2_with_one_line(self, capsys, argv, names):
         code = main(argv)
         out, err = capsys.readouterr()

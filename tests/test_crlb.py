@@ -384,6 +384,10 @@ class TestTimeBudget:
         with pytest.raises(BudgetError):
             repetition_budget(3.0, 4.0)
 
+    def test_collection_time_must_be_positive(self):
+        with pytest.raises(ValueError, match="collection time must be positive"):
+            repetition_budget(10.0, 0)
+
     def test_budgeted_daisy129(self):
         report = budgeted_average_crlb(make_daisy(129, 64), UNIT, 256.0)
         assert report.repetitions == 64

@@ -50,11 +50,11 @@ class TestCollapse:
         g = random_gains(rng, 9, s)
         ms = synthesize(t, g, s, repetitions=reps, seed=reps)
         sounding = complex(rng.normal(), rng.normal())
-        rounds = MeasurementSet(ms.pairs, sounding * ms.values, reps,
-                                sounding)
+        rounds = MeasurementSet(ms.pairs, sounding * ms.values,
+                                sounding_value=sounding)
         means = MeasurementSet(ms.pairs,
-                               rounds.values.mean(axis=1, keepdims=True), 1,
-                               sounding)
+                               rounds.values.mean(axis=1, keepdims=True),
+                               sounding_value=sounding)
         full, one = estimate(t, rounds, s, g), estimate(t, means, s, g)
         assert np.array_equal(full.alpha_hat, one.alpha_hat)
         assert np.array_equal(full.beta_hat, one.beta_hat)
@@ -65,8 +65,7 @@ class TestCollapse:
         t = make_daisy(4, 2)
         g = draw_gains(4, UNIT, 5)
         ms = synthesize(t, g, NOISELESS)
-        repeated = MeasurementSet(ms.pairs, np.repeat(ms.values, 64, axis=1),
-                                  64)
+        repeated = MeasurementSet(ms.pairs, np.repeat(ms.values, 64, axis=1))
         once, many = estimate(t, ms, UNIT, g), estimate(t, repeated, UNIT, g)
         np.testing.assert_allclose(many.alpha_hat, once.alpha_hat, rtol=1e-14)
         np.testing.assert_allclose(many.beta_hat, once.beta_hat, rtol=1e-14)
@@ -75,7 +74,7 @@ class TestCollapse:
         # rounds 1 and 1j on the one line of a unit pair: both directions
         # average to 0.5 + 0.5j, which is then antenna 2's gain twice
         values = np.array([[1.0 + 0.0j, 0.0 + 1.0j]] * 2)
-        ms = MeasurementSet(((1, 2), (2, 1)), values, 2)
+        ms = MeasurementSet(((1, 2), (2, 1)), values)
         est = ml_estimate(ms, make_daisy(2, 1), UNIT, 1, 1)
         assert est.alpha_hat.tolist() == [0.5 + 0.5j]
         assert est.beta_hat.tolist() == [0.5 + 0.5j]
@@ -138,7 +137,7 @@ class TestMlEstimate:
         ms = synthesize(t, g, NOISELESS)
         values = ms.values.copy()
         values[ms.pairs.index((1, 2)), 0] = 0.0
-        broken = MeasurementSet(ms.pairs, values, 1)
+        broken = MeasurementSet(ms.pairs, values)
         with pytest.raises(DivisionHazard):
             estimate(t, broken, NOISELESS, g)
 
@@ -152,7 +151,7 @@ class TestMlEstimate:
         def damped(factor):
             values = ms.values.copy()
             values[ms.pairs.index((1, 2)), 0] *= factor
-            return MeasurementSet(ms.pairs, values, 1)
+            return MeasurementSet(ms.pairs, values)
 
         estimate(t, damped(1e-6), NOISELESS, g)
         with pytest.raises(DivisionHazard, match="antenna 2 "):
@@ -201,18 +200,19 @@ class TestMlEstimate:
         g = draw_gains(3, UNIT, 0)
         ms = synthesize(t, g, NOISELESS)
         extra = MeasurementSet(ms.pairs + ((1, 3), (3, 1)),
-                               np.vstack([ms.values, [[1.0], [1.0]]]), 1)
+                               np.vstack([ms.values, [[1.0], [1.0]]]))
         with pytest.raises(ValueError, match="not on any line"):
             estimate(t, extra, NOISELESS, g)
         with pytest.raises(ValueError, match="missing"):
-            estimate(t, MeasurementSet(ms.pairs[1:], ms.values[1:], 1),
+            estimate(t, MeasurementSet(ms.pairs[1:], ms.values[1:]),
                      NOISELESS, g)
 
     def test_sounding_value_divides_the_observations(self):
         t = make_daisy(4, 2)
         g = draw_gains(4, UNIT, 6)
         ms = synthesize(t, g, ScenarioParams(noise_variance=1e-2), seed=8)
-        doubled = MeasurementSet(ms.pairs, 2 * ms.values, 1, 2.0 + 0.0j)
+        doubled = MeasurementSet(ms.pairs, 2 * ms.values,
+                                 sounding_value=2.0 + 0.0j)
         plain, scaled = estimate(t, ms, UNIT, g), estimate(t, doubled, UNIT, g)
         assert np.array_equal(plain.alpha_hat, scaled.alpha_hat)
         assert np.array_equal(plain.beta_hat, scaled.beta_hat)
@@ -231,11 +231,12 @@ class TestBatchKernel:
         ref = t.reference - 1
         # one row loses what a random antenna with children is divided by
         forced = int(rng.integers(trials))
-        victim = int(rng.choice(sorted({p for p, _ in t.rooted_edges})))
+        lines = [line for level in t.levels for line in level]
+        victim = int(rng.choice(sorted({p for p, _ in lines})))
         if victim == t.reference:
             gains[forced, 1, ref] *= 1e-12
         else:
-            upstream = {c: p for p, c in t.rooted_edges}[victim]
+            upstream = {c: p for p, c in lines}[victim]
             values[forced, t.directed_pairs.index((upstream, victim))] = 0.0
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -247,7 +248,7 @@ class TestBatchKernel:
         assert np.isfinite(mean_sq_errors(est[sound], gains[sound])).all()
         picks = np.array(t.ordinary) - 1
         for k in range(trials):
-            ms = MeasurementSet(t.directed_pairs, values[k][:, None], 1)
+            ms = MeasurementSet(t.directed_pairs, values[k][:, None])
             if k == forced:
                 with pytest.raises(DivisionHazard, match=f"antenna {victim} "):
                     ml_estimate(ms, t, s, gains[k, 0, ref], gains[k, 1, ref])
@@ -270,7 +271,7 @@ class TestBatchKernel:
         scores = mean_sq_errors(est, gains)
         for k in range(3):
             truth = RfGains(alpha=gains[k, 0], beta=gains[k, 1])
-            ms = MeasurementSet(t.directed_pairs, values[k][:, None], 1)
+            ms = MeasurementSet(t.directed_pairs, values[k][:, None])
             err = estimation_error(estimate(t, ms, s, truth), truth)
             assert scores[k] == pytest.approx(
                 [err.average_alpha, err.average_beta], rel=1e-12)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from selfcal import (
+    MeasurementSet,
     RfGains,
     ScenarioParams,
     draw_gains,
@@ -200,7 +201,7 @@ class TestSerialization:
         data = json.loads(json.dumps(measurements_to_dict(ms)))
         back = measurements_from_dict(data)
         assert back.pairs == ms.pairs
-        assert back.repetitions == 3
+        assert back.values.shape[1] == 3
         assert np.allclose(back.values, ms.values)
         assert back.sounding_value == 1.0
 
@@ -213,9 +214,24 @@ class TestSerialization:
         back = measurements_from_dict(
             json.loads(json.dumps(measurements_to_dict(ms))))
         assert back.pairs == ms.pairs == t.directed_pairs
-        assert back.repetitions == reps
+        assert back.values.shape[1] == reps
         assert np.array_equal(back.values, ms.values)
         assert back.sounding_value == ms.sounding_value
+
+    def test_every_column_is_a_round(self):
+        # the round count is the column count, whatever built the set
+        t = make_daisy(3, 2)
+        values = np.arange(12).reshape(4, 3) * (1 + 1j)
+        ms = MeasurementSet(t.directed_pairs, values)
+        data = json.loads(json.dumps(measurements_to_dict(ms)))
+        assert data["repetitions"] == 3
+        assert len(data["observations"]) == 12
+        assert np.array_equal(measurements_from_dict(data).values, values)
+
+    def test_sounding_value_is_keyword_only(self):
+        t = make_daisy(3, 2)
+        with pytest.raises(TypeError):
+            MeasurementSet(t.directed_pairs, np.ones((4, 1)), 2.0)
 
     def test_incomplete_grid_rejected(self):
         t = make_daisy(3, 1)

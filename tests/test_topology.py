@@ -109,6 +109,10 @@ class TestConstruction:
     def test_from_edges_disconnected(self):
         with pytest.raises(NotEffective):
             from_edges(5, 1, [(1, 2), (3, 4), (4, 5), (3, 5)])
+        # the diamond reaches 4 from both 2 and 3 in the same level; 5 is
+        # unwired, so 4 must count once for the wiring to fall short
+        with pytest.raises(NotEffective):
+            from_edges(5, 1, [(1, 2), (1, 3), (2, 4), (3, 4)])
 
     @pytest.mark.parametrize("m, reference, edges", [
         (4.7, 1, [(1, 2), (2, 3), (3, 4)]),
@@ -151,6 +155,29 @@ class TestDistances:
             oracle = hop_distances(t.edges, t.m, t.reference)
             profile = calibration_distances(t)
             assert profile.distances == tuple(oracle[k] for k in t.ordinary)
+
+
+class TestWalk:
+    def test_daisy_levels(self):
+        assert make_daisy(5, 3).levels == (((3, 2), (3, 4)), ((2, 1), (4, 5)))
+        assert make_star(4, 2).levels == (((2, 1), (2, 3), (2, 4)),)
+
+    @PROPERTY
+    @given(t=trees(max_m=40))
+    def test_levels_are_the_breadth_first_walk(self, t):
+        # level d: the lines from the antennas of level d-1 (the reference
+        # for d = 0), in their order, to their neighbours one hop further
+        # out, ascending
+        dist = hop_distances(t.edges, t.m, t.reference)
+        frontier, expected = [t.reference], []
+        while True:
+            level = tuple((p, c) for p in frontier for c in t.neighbors[p]
+                          if dist[c] == dist[p] + 1)
+            if not level:
+                break
+            expected.append(level)
+            frontier = [c for _, c in level]
+        assert t.levels == tuple(expected)
 
 
 class TestDegreeAndChains:
@@ -259,7 +286,7 @@ class TestRootTrees:
     def test_parents_and_depths(self, t):
         parent, depth = root_trees(np.array([t.edges]), t.reference)
         dist = hop_distances(t.edges, t.m, t.reference)
-        above = {child: p for p, child in t.rooted_edges}
+        above = {child: p for level in t.levels for p, child in level}
         assert depth[0].tolist() == [dist[k] for k in range(1, t.m + 1)]
         assert parent[0].tolist() == [above.get(k, 0) - 1
                                       for k in range(1, t.m + 1)]
