@@ -86,7 +86,8 @@ def ml_estimate(ms: MeasurementSet, t: Topology, s: ScenarioParams,
 
 
 def ml_estimate_batch(values: np.ndarray, t: Topology, s: ScenarioParams,
-                      ref_alpha: np.ndarray, ref_beta: np.ndarray
+                      ref_alpha: np.ndarray, ref_beta: np.ndarray,
+                      work: np.ndarray | None = None
                       ) -> tuple[np.ndarray, np.ndarray]:
     """Exact ML recovery for a batch of trials, one BFS level at a time.
 
@@ -105,15 +106,28 @@ def ml_estimate_batch(values: np.ndarray, t: Topology, s: ScenarioParams,
     (1-based) at which a walk in breadth-first order would first have
     divided by an estimate below `_HAZARD_FLOOR` times its nominal
     amplitude; such rows hold arbitrary values, possibly inf or NaN.
+
+    `work`, a flat complex array of at least `work_size(t.m, trials)`
+    elements, holds the work arrays when given, and the estimates are
+    then a view into it; it changes no value.
     """
     plan = t.propagation_plan
+    n = len(values)
+    if work is None:
+        work = np.empty(work_size(t.m, n), dtype=complex)
     # antenna-major work arrays holding (alpha, beta) per antenna, so a
     # level reads and writes whole rows; each measurement is used once,
     # so reorder them to (back, out) per line, in contiguous blocks per
-    # level, and take the line gain out up front
-    measured = values.T[plan.order].reshape(t.m - 1, 2, len(values))
+    # level, and take the line gain out up front. The reordered rows pass
+    # through the front of `work` ("clip" keeps np.take from buffering,
+    # and every index is in range), which the estimates take over once
+    # the rows are stored transposed behind it.
+    gathered = work[:values.size].reshape(values.shape)
+    np.take(values, plan.order, axis=1, out=gathered, mode="clip")
+    measured = work[2 * t.m * n:][:values.size].reshape(t.m - 1, 2, n)
+    measured[...] = gathered.T.reshape(measured.shape)
+    work = work[:2 * t.m * n].reshape(t.m, 2, n)
     measured *= 1 / complex(s.line_gain)
-    work = np.empty((t.m, 2, len(values)), dtype=complex)
     work[t.reference - 1] = ref_alpha, ref_beta
     # a hazardous row may divide by zero; it is masked, not raised
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
@@ -128,11 +142,18 @@ def ml_estimate_batch(values: np.ndarray, t: Topology, s: ScenarioParams,
     # flags exactly the trials the walk would have stopped on
     floors = _HAZARD_FLOOR * np.array([[s.tx_amplitude], [s.rx_amplitude]])
     low = (np.abs(work[plan.parents]) < floors).any(axis=1)
-    hazard_at = np.zeros(len(values), dtype=int)
+    hazard_at = np.zeros(n, dtype=int)
     if low.any():
         hit = low.any(axis=0)
         hazard_at[hit] = plan.parents[low[:, hit].argmax(axis=0)] + 1
     return work.transpose(2, 1, 0), hazard_at
+
+
+def work_size(m: int, trials: int) -> int:
+    """Complex elements `ml_estimate_batch` works in for `trials` trials
+    of an m-antenna wiring: the (m, 2, trials) estimates and, behind
+    them, the 2(m-1) measurements per trial."""
+    return 2 * (2 * m - 1) * trials
 
 
 def mean_sq_errors(est: np.ndarray, truth: np.ndarray) -> np.ndarray:

@@ -36,7 +36,7 @@ from .crlb import (
     optimal_reference,
 )
 from .errors import ConfigError, is_finite, is_integer
-from .estimator import mean_sq_errors, ml_estimate_batch
+from .estimator import mean_sq_errors, ml_estimate_batch, work_size
 from .simulate import draw_collapsed, draw_gain_batch
 from .topology import (
     ENUMERATION_CAP,
@@ -209,6 +209,14 @@ def run_snr_sweep(cfg: ExperimentConfig,
     then paid once per batch instead of once per grid point. Estimation
     and scoring act on each trial alone, so batching does not change the
     output.
+
+    A sweep call does only per-trial work: the named wirings, with their
+    walk and propagation plan, are built once per process (`make_star`,
+    `make_daisy`), and the call allocates its gain and observation
+    buffers and a scratch area once, in one block. Each chunk is drawn
+    straight into its rows of the buffers, which its batch then reads as
+    contiguous row ranges; the draws and the estimator keep their work
+    arrays in the scratch area.
     """
     topo = validate_config(cfg)
     base = scenario if scenario is not None else ScenarioParams()
@@ -220,25 +228,49 @@ def run_snr_sweep(cfg: ExperimentConfig,
     rhos = []
     sums = np.zeros((points, 2))
     hazards = np.zeros(points, dtype=int)
-    batch: list[tuple[int, np.ndarray, np.ndarray]] = []
+    m, pairs = topo.m, 2 * (topo.m - 1)
+    # a batch holds one chunk, or more within _BATCH antenna-trials
+    chunk = min(_CHUNK, cfg.trials)
+    capacity = min(max(chunk, _BATCH // m), points * cfg.trials)
+    # gain and observation rows, and scratch for a chunk's phases, then
+    # its noiseless products, then a batch's estimator work arrays, the
+    # largest of the three. One block, not three: glibc raises its mmap
+    # and trim thresholds to the largest block it has freed, so the next
+    # call's buffers and temporaries stay in a heap it neither trims nor
+    # faults in again.
+    per_trial = (2 * m, pairs, work_size(m, 1))
+    gains, observed, scratch = np.split(
+        np.empty(capacity * sum(per_trial), dtype=complex),
+        capacity * np.cumsum(per_trial[:2]))
+    gains = gains.reshape(capacity, 2, m)
+    observed = observed.reshape(capacity, pairs)
+    floats = scratch.view(float)
+    batch: list[tuple[int, int]] = []  # (grid index, trials) per chunk
     batched = 0
     for grid_index, snr_db in enumerate(cfg.snr_grid_db):
         s = base.at_snr(snr_db)
         rhos.append((s.rho_a, s.rho_b))
-        for chunk, start in enumerate(range(0, cfg.trials, _CHUNK)):
+        for chunk_index, start in enumerate(range(0, cfg.trials, _CHUNK)):
             trials = min(_CHUNK, cfg.trials - start)
-            if batched and (batched + trials) * topo.m > _BATCH:
-                _score_batch(batch, topo, base, sums, hazards)
+            if batched and (batched + trials) * m > _BATCH:
+                _score_batch(batch, topo, base, gains, observed, scratch,
+                             sums, hazards)
                 batch, batched = [], 0
             seq = np.random.SeedSequence(
-                entropy=(cfg.master_seed, grid_index, chunk))
+                entropy=(cfg.master_seed, grid_index, chunk_index))
             gains_seed, noise_seed = seq.spawn(2)
-            gains = draw_gain_batch(trials, topo.m, s, gains_seed)
-            observed = draw_collapsed(topo, gains, s, bound.repetitions,
-                                      noise_seed)
-            batch.append((grid_index, gains, observed))
+            into = slice(batched, batched + trials)
+            draw_gain_batch(trials, m, s, gains_seed, out=gains[into],
+                            phases=floats[:trials * 2 * m].reshape(
+                                trials, 2, m))
+            draw_collapsed(topo, gains[into], s, bound.repetitions,
+                           noise_seed, out=observed[into],
+                           noiseless=scratch[:trials * pairs].reshape(
+                               trials, pairs))
+            batch.append((grid_index, trials))
             batched += trials
-    _score_batch(batch, topo, base, sums, hazards)
+    _score_batch(batch, topo, base, gains, observed, scratch, sums,
+                 hazards)
     rows: list[SweepRow] = []
     for snr_db, (rho_a, rho_b), sum_sq, hazard_count in zip(
             cfg.snr_grid_db, rhos, sums, hazards):
@@ -265,33 +297,33 @@ def run_snr_sweep(cfg: ExperimentConfig,
     return rows
 
 
-def _score_batch(batch: list[tuple[int, np.ndarray, np.ndarray]],
-                 topo: Topology, s: ScenarioParams, sums: np.ndarray,
+def _score_batch(batch: list[tuple[int, int]], topo: Topology,
+                 s: ScenarioParams, gains: np.ndarray, observed: np.ndarray,
+                 work: np.ndarray, sums: np.ndarray,
                  hazards: np.ndarray) -> None:
     """Estimate drawn chunks in one call and add up their errors.
 
-    `batch` holds (grid index, gains, collapsed observations) per chunk;
-    the estimator reads only the line gain and amplitudes of `s`, which
-    every grid point shares. Each chunk is scored against its own gains:
-    its error sum over its sound trials goes to `sums[grid index]` and
-    its flagged trials to `hazards`.
+    `batch` holds (grid index, trials) per chunk, whose gains and
+    collapsed observations fill the leading rows of `gains` and
+    `observed` in that order; the estimator keeps its arrays in `work`
+    and reads only the line gain and amplitudes of `s`, which every grid
+    point shares. Each chunk is scored against its own gains: its error
+    sum over its sound trials goes to `sums[grid index]` and its flagged
+    trials to `hazards`.
     """
     ref = topo.reference - 1
-    if len(batch) == 1:  # a chunk on its own is not copied
-        observed = batch[0][2]
-    else:
-        observed = np.concatenate([o for _, _, o in batch])
-    ref_gains = np.concatenate([g[:, :, ref] for _, g, _ in batch])
-    est, hazard_at = ml_estimate_batch(observed, topo, s, ref_gains[:, 0],
-                                       ref_gains[:, 1])
+    n = sum(trials for _, trials in batch)
+    est, hazard_at = ml_estimate_batch(observed[:n], topo, s,
+                                       gains[:n, 0, ref], gains[:n, 1, ref],
+                                       work)
     start = 0
-    for grid_index, gains, _ in batch:
-        stop = start + len(gains)
+    for grid_index, trials in batch:
+        stop = start + trials
         # flagged rows may score inf or NaN; they are masked out
         with np.errstate(over="ignore", invalid="ignore"):
-            errors = mean_sq_errors(est[start:stop], gains)
+            errors = mean_sq_errors(est[start:stop], gains[start:stop])
         sound = hazard_at[start:stop] == 0
-        hazards[grid_index] += int(stop - start - sound.sum())
+        hazards[grid_index] += int(trials - sound.sum())
         sums[grid_index] += errors[sound].sum(axis=0)
         start = stop
 

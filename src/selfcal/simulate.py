@@ -34,19 +34,28 @@ def draw_gains(m: int, s: ScenarioParams, seed) -> RfGains:
     return RfGains(alpha=alpha, beta=beta)
 
 
-def draw_gain_batch(trials: int, m: int, s: ScenarioParams,
-                    seed) -> np.ndarray:
+def draw_gain_batch(trials: int, m: int, s: ScenarioParams, seed,
+                    out: np.ndarray | None = None,
+                    phases: np.ndarray | None = None) -> np.ndarray:
     """Gains of `trials` independent arrays as a (trials, 2, m) array.
 
     Row [k, 0] holds trial k's transmit gains and [k, 1] its receive
     gains, antenna j at column j-1. Trials are drawn in order from one
     stream, so a batch is a prefix of any larger batch with the same seed.
+
+    `out` (complex) receives the gains and `phases` (float) holds the
+    phases on their way, both C-contiguous of that shape; either is
+    allocated when not given, and neither changes a value.
     """
     _check_m_reference(m, 1)
     rng = np.random.default_rng(seed)
-    phases = rng.uniform(-np.pi, np.pi, size=(trials, 2, m))
+    shape = (trials, 2, m)
+    # uniform on [-pi, pi), as rng.uniform(-np.pi, np.pi) draws it
+    phases = rng.random(shape, out=phases)
+    phases *= 2 * np.pi
+    phases += -np.pi
     # exp(1j * phases) as cos + i sin written in place, without temporaries
-    gains = np.empty(phases.shape, dtype=complex)
+    gains = np.empty(shape, dtype=complex) if out is None else out
     np.cos(phases, out=gains.real)
     np.sin(phases, out=gains.imag)
     gains *= np.array([[s.tx_amplitude], [s.rx_amplitude]])
@@ -92,7 +101,9 @@ def synthesize(t: Topology, gains: RfGains, s: ScenarioParams,
 
 
 def draw_collapsed(t: Topology, gains: np.ndarray, s: ScenarioParams,
-                   repetitions: int = 1, seed=None) -> np.ndarray:
+                   repetitions: int = 1, seed=None,
+                   out: np.ndarray | None = None,
+                   noiseless: np.ndarray | None = None) -> np.ndarray:
     """Collapsed observations of a batch of trials, drawn directly.
 
     `gains` is a (trials, 2, m) array as from `draw_gain_batch`; row k of
@@ -103,10 +114,16 @@ def draw_collapsed(t: Topology, gains: np.ndarray, s: ScenarioParams,
     one circularly symmetric complex Gaussian of variance
     noise_variance / repetitions, so one round of that variance is drawn
     instead of `repetitions` rounds.
+
+    `out` receives the result and `noiseless` holds the gain products on
+    their way, both complex and C-contiguous of the result's shape;
+    either is allocated when not given, and neither changes a value.
     """
     _check_repetitions(repetitions)
+    if out is not None:
+        out = out[..., None]
     return _draw_observations(t, gains, s, 1, s.noise_variance / repetitions,
-                              seed)[..., 0]
+                              seed, out, noiseless)[..., 0]
 
 
 def _check_repetitions(repetitions: int) -> None:
@@ -115,26 +132,42 @@ def _check_repetitions(repetitions: int) -> None:
 
 
 def _draw_observations(t: Topology, gains: np.ndarray, s: ScenarioParams,
-                       rounds: int, variance: float, seed) -> np.ndarray:
+                       rounds: int, variance: float, seed,
+                       out: np.ndarray | None = None,
+                       noiseless: np.ndarray | None = None) -> np.ndarray:
     """(trials, pairs, rounds) observations of a gain batch: the gain
     product (the sounding signal is 1) plus circularly symmetric complex
     noise of `variance`, drawn from one stream in that order. Zero
-    variance draws nothing."""
+    variance draws nothing. The result is written to `out`, and the
+    (trials, pairs) gain products to `noiseless`, when given."""
     if gains.shape[1:] != (2, t.m):
         raise ValueError(f"gain batch has shape {gains.shape}, "
                          f"wiring needs (trials, 2, {t.m})")
     tx, rx = t.pair_endpoints
-    noiseless = gains[:, 1, rx] * s.line_gain
-    noiseless *= gains[:, 0, tx]
+    shape = (len(gains), len(tx))
+    if out is None:
+        out = np.empty(shape + (rounds,), dtype=complex)
+    elif not out.flags.c_contiguous:
+        raise ValueError("observations need a C-contiguous output array")
+    if noiseless is None:
+        noiseless = np.empty(shape, dtype=complex)
+    # gathers into given arrays; "clip" keeps np.take from buffering, and
+    # every index is in range. The transmit gains pass through the front
+    # of `out`, which the noise overwrites afterwards.
+    np.take(gains[:, 1], rx, axis=1, out=noiseless, mode="clip")
+    noiseless *= s.line_gain
+    tx_gains = out.reshape(-1)[:noiseless.size].reshape(shape)
+    np.take(gains[:, 0], tx, axis=1, out=tx_gains, mode="clip")
+    noiseless *= tx_gains
     if variance <= 0:
-        return np.repeat(noiseless[..., None], rounds, axis=2)
+        out[...] = noiseless[..., None]
+        return out
     rng = np.random.default_rng(seed)
-    parts = rng.standard_normal((len(gains), len(tx), rounds, 2))
-    # the normal pairs viewed as complex, scaled and shifted in place
-    values = parts.view(np.complex128)[..., 0]
-    values *= math.sqrt(variance / 2)
-    values += noiseless[..., None]
-    return values
+    # the normal pairs drawn as complex values, scaled and shifted in place
+    rng.standard_normal(out=out.view(np.float64))
+    out *= math.sqrt(variance / 2)
+    out += noiseless[..., None]
+    return out
 
 
 def measurements_to_dict(ms: MeasurementSet) -> dict:

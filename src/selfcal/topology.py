@@ -12,7 +12,7 @@ import math
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -73,7 +73,7 @@ def _index_or_slice(indices: list[int]) -> slice | np.ndarray:
 
     A slice reads a view and writes in place, where an index array copies
     on every read; repeated indices become a one-element slice, which
-    broadcasts to the same values when read.
+    broadcasts to the same values when read. An index array is read-only.
     """
     first, last = indices[0], indices[-1]
     if all(i == first for i in indices):
@@ -81,7 +81,15 @@ def _index_or_slice(indices: list[int]) -> slice | np.ndarray:
     step = indices[1] - first
     if step > 0 and indices == list(range(first, last + 1, step)):
         return slice(first, last + 1, step)
-    return np.array(indices)
+    return _read_only(np.array(indices))
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    """`a`, marked read-only: the index arrays a wiring caches are shared
+    by every caller of `make_star` and `make_daisy` with the same
+    arguments, so a write into one would change every later use."""
+    a.flags.writeable = False
+    return a
 
 
 @dataclass(frozen=True)
@@ -90,7 +98,8 @@ class Topology:
 
     Edges are stored as sorted (low, high) pairs in a canonical order, so
     two topologies with the same wiring compare equal regardless of how
-    their edges were listed.
+    their edges were listed. The arrays its properties cache are
+    read-only.
     """
 
     m: int
@@ -110,13 +119,20 @@ class Topology:
                 "wiring does not connect every antenna to the reference")
 
     @cached_property
-    def neighbors(self) -> dict[int, tuple[int, ...]]:
-        """Antennas directly wired to each antenna, ascending."""
-        adj: dict[int, list[int]] = {k: [] for k in range(1, self.m + 1)}
+    def neighbors(self) -> tuple[tuple[int, ...], ...]:
+        """Antennas directly wired to each antenna, ascending, by label
+        (entry 0, no antenna, is empty); immutable, as a wiring may be
+        shared.
+
+        The edges are sorted (low, high) pairs, so each antenna meets its
+        lower neighbours, as the high end, before its higher ones, and
+        each group in ascending order: no list needs sorting.
+        """
+        adj: list[list[int]] = [[] for _ in range(self.m + 1)]
         for p, q in self.edges:
             adj[p].append(q)
             adj[q].append(p)
-        return {k: tuple(sorted(v)) for k, v in adj.items()}
+        return tuple(map(tuple, adj))
 
     @cached_property
     def ordinary(self) -> tuple[int, ...]:
@@ -156,7 +172,7 @@ class Topology:
         """Zero-based (transmitter, receiver) index arrays of
         `directed_pairs`."""
         tx, rx = np.array(self.directed_pairs).T - 1
-        return tx, rx
+        return _read_only(tx), _read_only(rx)
 
     @cached_property
     def propagation_plan(self) -> PropagationPlan:
@@ -174,7 +190,8 @@ class Topology:
                 lines=slice(start, start + len(level))))
         parents = np.array(list(dict.fromkeys(
             p - 1 for level in self.levels for p, _ in level)))
-        return PropagationPlan(tuple(levels), np.array(order), parents)
+        return PropagationPlan(tuple(levels), _read_only(np.array(order)),
+                               _read_only(parents))
 
 
 @dataclass(frozen=True)
@@ -244,6 +261,14 @@ def _check_edges(m: int, edges: Iterable[Edge]) -> list[Edge]:
     return canonical
 
 
+#: Named wirings kept built, with their walk and propagation plan: a
+#: `Topology` is immutable, so each derived fact is computed once per
+#: process. Typed, so that a float or bool argument is not served the
+#: wiring built for the equal int.
+_named_wiring = lru_cache(maxsize=16, typed=True)
+
+
+@_named_wiring
 def make_star(m: int, reference: int) -> Topology:
     """Wire every ordinary antenna directly to the reference."""
     return Topology(
@@ -251,6 +276,7 @@ def make_star(m: int, reference: int) -> Topology:
         tuple((reference, k) for k in range(1, m + 1) if k != reference))
 
 
+@_named_wiring
 def make_daisy(m: int, reference: int) -> Topology:
     """Wire the antennas into the single chain 1-2-...-m.
 
@@ -299,7 +325,7 @@ def calibration_distances(t: Topology) -> DistanceProfile:
 
 def max_degree(t: Topology) -> int:
     """Largest number of lines meeting at any antenna."""
-    return max(map(len, t.neighbors.values()))
+    return max(map(len, t.neighbors))
 
 
 def measurement_schedule(t: Topology, slot_duration: float) -> Schedule:

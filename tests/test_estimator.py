@@ -17,7 +17,7 @@ from selfcal import (
     synthesize,
 )
 from selfcal.errors import DivisionHazard
-from selfcal.estimator import mean_sq_errors, ml_estimate_batch
+from selfcal.estimator import mean_sq_errors, ml_estimate_batch, work_size
 from selfcal.simulate import draw_collapsed, draw_gain_batch
 
 from helpers import random_gains, random_scenario, random_tree
@@ -242,6 +242,13 @@ class TestBatchKernel:
             warnings.simplefilter("error")
             est, hazard_at = ml_estimate_batch(values, t, s, gains[:, 0, ref],
                                                gains[:, 1, ref])
+            # given work arrays, whatever they held, change no value
+            work = np.full(work_size(m, trials) + 3, np.nan + 0j)
+            in_work = ml_estimate_batch(values, t, s, gains[:, 0, ref],
+                                        gains[:, 1, ref], work)
+        assert np.shares_memory(in_work[0], work)
+        assert np.array_equal(in_work[0], est, equal_nan=True)
+        assert np.array_equal(in_work[1], hazard_at)
         sound = hazard_at == 0
         assert list(np.flatnonzero(~sound)) == [forced]
         assert hazard_at[forced] == victim

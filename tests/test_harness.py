@@ -1,6 +1,7 @@
+import hashlib
 import json
 import math
-from dataclasses import fields
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -13,6 +14,7 @@ from selfcal import (
     daisy_vs_star_ratio,
     from_edges,
     make_daisy,
+    make_star,
     max_degree,
     measurement_schedule,
     optimal_reference,
@@ -469,3 +471,100 @@ class TestChunking:
         alone = sweep_rows_to_csv(run_snr_sweep(cfg))
         assert calls == [15] * len(cfg.snr_grid_db)
         assert batched == alone
+
+
+#: Sweeps whose CSV bytes are pinned: the m=129 star under a measurement
+#: budget, the m=129 chain under time:256 (I=64), a chain whose batches
+#: mix a full chunk with a short one, and a wiring read from a file, all
+#: down to -5 dB. A change to the draw order or to the rounding of any
+#: step shows here, where rerunning the same code would not.
+PINNED_GRID = (-5.0, 10.0, 25.0, 40.0)
+PINNED_WIRING = {"m": 12, "reference": 5,
+                 "edges": [[1, 5], [2, 5], [3, 2], [4, 2], [6, 5], [7, 6],
+                           [8, 7], [9, 3], [10, 9], [11, 6], [12, 1]]}
+PINNED = {
+    "star-129": (
+        ExperimentConfig(m=129, reference=64, topology_kind="star",
+                         snr_grid_db=PINNED_GRID, trials=40, master_seed=11),
+        "de89bcc999a77d46133d3004d21e11e353cac519036a6e87a4fca90343baf632"),
+    "chain-129-time": (
+        ExperimentConfig(m=129, reference=64, topology_kind="daisy",
+                         snr_grid_db=PINNED_GRID, trials=15, master_seed=12,
+                         budget_mode="time", budget_value=256.0),
+        "80453150f97a53fb53b622afa4a2ec72920d265fb5a61b5e37e2e5cf1568f5be"),
+    "chain-17-mixed-chunks": (
+        ExperimentConfig(m=17, reference=9, topology_kind="daisy",
+                         snr_grid_db=(-5.0, 15.0, 30.0), trials=_CHUNK + 10,
+                         master_seed=13, budget_mode="time",
+                         budget_value=40.0),
+        "00929d0e4ed2f613836bd8145922db1b66c66600a7d0c8f7d5c07fc7d7a9738f"),
+    "file-12": (
+        ExperimentConfig(topology_kind="file:wiring.json",
+                         snr_grid_db=PINNED_GRID, trials=300, master_seed=14),
+        "f9d76de8f342cad1c342cf0bbd185544fadae70cf879082c26f3ea2bcb1c155a"),
+}
+
+
+def _write_wiring(path, data):
+    path.write_text(json.dumps(data), encoding="utf-8")
+
+
+def _csv(cfg):
+    return sweep_rows_to_csv(run_snr_sweep(cfg))
+
+
+class TestSweepBytes:
+    @pytest.mark.parametrize("name", PINNED)
+    def test_pinned_digest(self, name, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _write_wiring(tmp_path / "wiring.json", PINNED_WIRING)
+        cfg, digest = PINNED[name]
+        if name == "chain-17-mixed-chunks":
+            # each batch holds one point's full chunk and its short one
+            assert (cfg.trials * cfg.m <= harness._BATCH
+                    < (cfg.trials + _CHUNK) * cfg.m)
+        assert hashlib.sha256(_csv(cfg).encode()).hexdigest() == digest
+
+    def test_sweeps_share_no_state(self, tmp_path):
+        a = ExperimentConfig(m=129, reference=64, topology_kind="daisy",
+                             snr_grid_db=(10.0, 40.0), trials=20,
+                             master_seed=5, budget_mode="time",
+                             budget_value=256.0)
+        b = ExperimentConfig(m=129, reference=64, topology_kind="star",
+                             snr_grid_db=(-5.0, 20.0), trials=_CHUNK + 3,
+                             master_seed=6)
+        first = _csv(a)
+        _csv(b)
+        assert _csv(a) == first
+        assert make_daisy(129, 64) is make_daisy(129, 64)
+
+    def test_a_rewritten_wiring_file_is_read_again(self, tmp_path):
+        path = tmp_path / "net.json"
+        cfg = ExperimentConfig(topology_kind=f"file:{path}",
+                               snr_grid_db=(20.0,), trials=30,
+                               master_seed=7)
+        _write_wiring(path, PINNED_WIRING)
+        before = run_snr_sweep(cfg)
+        other = {"m": 6, "reference": 2,
+                 "edges": [[1, 2], [2, 3], [3, 4], [2, 5], [5, 6]]}
+        _write_wiring(path, other)
+        after = run_snr_sweep(cfg)
+        _write_wiring(tmp_path / "other.json", other)
+        expected = run_snr_sweep(replace(
+            cfg, topology_kind=f"file:{tmp_path / 'other.json'}"))
+        assert (before[0].m, after[0].m) == (12, 6)
+        assert after == [replace(row, topology=cfg.topology_kind)
+                         for row in expected]
+
+    def test_a_write_into_a_shared_wiring_changes_no_sweep(self):
+        cfg = ExperimentConfig(m=9, reference=4, topology_kind="star",
+                               snr_grid_db=(20.0,), trials=40,
+                               master_seed=8)
+        first = _csv(cfg)
+        t = make_star(9, 4)
+        plan = t.propagation_plan
+        for a in (*t.pair_endpoints, plan.order, plan.parents,
+                  plan.levels[0].children):
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[-1]
+        assert _csv(cfg) == first

@@ -184,6 +184,35 @@ class TestBatchDraws:
         ms = synthesize(t, RfGains(*g), s, 1, seed + 1)
         assert np.array_equal(direct, ms.values[:, 0])
 
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(t=trees(), seed=st.integers(0, 2**32 - 1), noisy=st.booleans(),
+           trials=st.integers(1, 5))
+    def test_given_arrays_change_no_value(self, t, seed, noisy, trials):
+        # draws written into given arrays, whatever they held, equal the
+        # draws into fresh ones
+        rng = np.random.default_rng(seed)
+        s = random_scenario(rng, allow_zero_noise=not noisy)
+        pairs = 2 * (t.m - 1)
+        gains = draw_gain_batch(trials, t.m, s, seed)
+        out = np.full((trials, 2, t.m), np.nan + 0j)
+        phases = np.full((trials, 2, t.m), np.nan)
+        assert draw_gain_batch(trials, t.m, s, seed, out=out,
+                               phases=phases) is out
+        assert np.array_equal(out, gains)
+        values = draw_collapsed(t, gains, s, 3, seed + 1)
+        out = np.full((trials, pairs), np.nan + 0j)
+        noiseless = np.full((trials, pairs), np.nan + 0j)
+        drawn = draw_collapsed(t, gains, s, 3, seed + 1, out=out,
+                               noiseless=noiseless)
+        assert np.shares_memory(drawn, out)
+        assert np.array_equal(out, values)
+
+    def test_collapsed_draw_needs_a_contiguous_output(self):
+        t = make_daisy(4, 1)
+        gains = draw_gain_batch(2, 4, UNIT, 0)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            draw_collapsed(t, gains, UNIT, out=np.empty((6, 2), complex).T)
+
     def test_collapsed_draw_checks_shapes(self):
         t = make_daisy(4, 1)
         with pytest.raises(ValueError):

@@ -179,6 +179,39 @@ class TestWalk:
             frontier = [c for _, c in level]
         assert t.levels == tuple(expected)
 
+    @PROPERTY
+    @given(t=trees(max_m=40))
+    def test_neighbours_ascend(self, t):
+        # built from the sorted edges without sorting, yet ascending
+        for k in range(1, t.m + 1):
+            assert t.neighbors[k] == tuple(sorted(t.neighbors[k]))
+            assert set(t.neighbors[k]) == {p + q - k for p, q in t.edges
+                                           if k in (p, q)}
+
+
+class TestSharedWirings:
+    def test_named_wirings_are_built_once(self):
+        assert make_star(9, 4) is make_star(9, 4)
+        assert make_star(9, 4) is not make_star(9, 5)
+        # a float count is not taken for the int one already built
+        make_daisy(5, 1)
+        with pytest.raises(TypeError):
+            make_daisy(5.0, 1)
+
+    # the chain's levels are all slices; the star's children and the
+    # branched tree's parents are index arrays
+    @pytest.mark.parametrize("t", [make_star(9, 4), make_daisy(9, 4), SEVEN],
+                             ids=["star", "chain", "branched"])
+    def test_cached_arrays_are_read_only(self, t):
+        plan = t.propagation_plan
+        arrays = [*t.pair_endpoints, plan.order, plan.parents] + [
+            index for level in plan.levels
+            for index in (level.parents, level.children)
+            if isinstance(index, np.ndarray)]
+        for a in arrays:
+            with pytest.raises(ValueError, match="read-only"):
+                a[0] = a[0] + 1
+
 
 class TestDegreeAndChains:
     def test_max_degree_examples(self):
