@@ -139,9 +139,17 @@ def ml_estimate_batch(values: np.ndarray, t: Topology, s: ScenarioParams,
             np.divide(quotient, work[level.parents, ::-1], out=quotient)
             work[level.children] = quotient
     # every divisor is final once written, so checking them all afterwards
-    # flags exactly the trials the walk would have stopped on
+    # flags exactly the trials the walk would have stopped on. The
+    # measurements are consumed by now: their area takes the magnitudes
+    # of the rows from the lowest divisor to the highest, read as a view
+    # (one row on the star, all but the ends on the mid-referenced chain)
     floors = _HAZARD_FLOOR * np.array([[s.tx_amplitude], [s.rx_amplitude]])
-    low = (np.abs(work[plan.parents]) < floors).any(axis=1)
+    first, last = plan.parents.min(), plan.parents.max() + 1
+    hull = work[first:last]
+    magnitudes = np.abs(hull, out=measured.reshape(-1).view(float)[
+        :hull.size].reshape(hull.shape))
+    low = magnitudes < floors
+    low = np.logical_or(low[:, 0], low[:, 1])[plan.parents - first]
     hazard_at = np.zeros(n, dtype=int)
     if low.any():
         hit = low.any(axis=0)
@@ -152,7 +160,8 @@ def ml_estimate_batch(values: np.ndarray, t: Topology, s: ScenarioParams,
 def work_size(m: int, trials: int) -> int:
     """Complex elements `ml_estimate_batch` works in for `trials` trials
     of an m-antenna wiring: the (m, 2, trials) estimates and, behind
-    them, the 2(m-1) measurements per trial."""
+    them, the 2(m-1) measurements per trial, whose area then holds the
+    hazard check's magnitudes (at most 2m floats per trial)."""
     return 2 * (2 * m - 1) * trials
 
 

@@ -21,10 +21,11 @@ import io
 import json
 import logging
 import math
+import os
 from dataclasses import dataclass, fields
 from fractions import Fraction
 from operator import attrgetter
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable, NamedTuple
 
 import numpy as np
 
@@ -37,7 +38,7 @@ from .crlb import (
 )
 from .errors import ConfigError, is_finite, is_integer
 from .estimator import mean_sq_errors, ml_estimate_batch, work_size
-from .simulate import draw_collapsed, draw_gain_batch
+from .simulate import add_gain_products, draw_gain_batch, draw_noise
 from .topology import (
     ENUMERATION_CAP,
     Topology,
@@ -53,6 +54,9 @@ from .topology import (
     schedule_trees,
     topology_from_dict,
 )
+
+if TYPE_CHECKING:
+    from concurrent.futures import ThreadPoolExecutor
 
 log = logging.getLogger(__name__)
 
@@ -180,6 +184,26 @@ _CHUNK = 256
 #: full chunk or of _BATCH antenna-trials, whichever is larger.
 _BATCH = 8192
 
+#: (process id, executor) of the one thread that draws sweep noise
+_helper: tuple[int, ThreadPoolExecutor] | None = None
+
+
+def _noise_executor() -> ThreadPoolExecutor:
+    """The process's noise-drawing thread, started on first use.
+
+    A forked child inherits the executor but not its thread, and would
+    wait on it forever, so a new process id gets a new executor.
+    `concurrent.futures` is imported here, so that commands which never
+    sweep do not load it.
+    """
+    from concurrent.futures import ThreadPoolExecutor
+
+    global _helper
+    if _helper is None or _helper[0] != os.getpid():
+        _helper = (os.getpid(), ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="selfcal-noise"))
+    return _helper[1]
+
 
 def run_snr_sweep(cfg: ExperimentConfig,
                   scenario: ScenarioParams | None = None) -> list[SweepRow]:
@@ -217,6 +241,17 @@ def run_snr_sweep(cfg: ExperimentConfig,
     straight into its rows of the buffers, which its batch then reads as
     contiguous row ranges; the draws and the estimator keep their work
     arrays in the scratch area.
+
+    A batch's two random streams are drawn at the same time: one helper
+    thread per process fills every chunk's observation rows with the raw
+    normals of its noise seed (`draw_noise`, one task per batch), while
+    the calling thread draws the chunks' gains; numpy releases the GIL
+    in both. The call then waits for the task, or draws the noise itself
+    if the helper has not started the task by then, and adds the gain
+    products to the noise (`add_gain_products`). Each stream is read by
+    one thread only and writes rows no other draw touches, so the output
+    is the same bytes as drawing both in turn. Every task a call starts
+    has finished or been withdrawn when it returns, also when it raises.
     """
     topo = validate_config(cfg)
     base = scenario if scenario is not None else ScenarioParams()
@@ -225,19 +260,19 @@ def run_snr_sweep(cfg: ExperimentConfig,
     bound = _budget_report(topo, base.at_snr(cfg.snr_grid_db[0]),
                            cfg.budget_mode, cfg.budget_value)
     mean_factor = float(bound.mean_distance / bound.repetitions)
-    rhos = []
+    scenarios = [base.at_snr(snr_db) for snr_db in cfg.snr_grid_db]
     sums = np.zeros((points, 2))
     hazards = np.zeros(points, dtype=int)
     m, pairs = topo.m, 2 * (topo.m - 1)
     # a batch holds one chunk, or more within _BATCH antenna-trials
-    chunk = min(_CHUNK, cfg.trials)
-    capacity = min(max(chunk, _BATCH // m), points * cfg.trials)
+    capacity = min(max(min(_CHUNK, cfg.trials), _BATCH // m),
+                   points * cfg.trials)
     # gain and observation rows, and scratch for a chunk's phases, then
-    # its noiseless products, then a batch's estimator work arrays, the
-    # largest of the three. One block, not three: glibc raises its mmap
-    # and trim thresholds to the largest block it has freed, so the next
-    # call's buffers and temporaries stay in a heap it neither trims nor
-    # faults in again.
+    # its gain products and gathered transmit gains, then a batch's
+    # estimator work arrays, the largest of the three. One block, not
+    # three: glibc raises its mmap and trim thresholds to the largest
+    # block it has freed, so the next call's buffers and temporaries stay
+    # in a heap it neither trims nor faults in again.
     per_trial = (2 * m, pairs, work_size(m, 1))
     gains, observed, scratch = np.split(
         np.empty(capacity * sum(per_trial), dtype=complex),
@@ -245,35 +280,36 @@ def run_snr_sweep(cfg: ExperimentConfig,
     gains = gains.reshape(capacity, 2, m)
     observed = observed.reshape(capacity, pairs)
     floats = scratch.view(float)
-    batch: list[tuple[int, int]] = []  # (grid index, trials) per chunk
-    batched = 0
-    for grid_index, snr_db in enumerate(cfg.snr_grid_db):
-        s = base.at_snr(snr_db)
-        rhos.append((s.rho_a, s.rho_b))
-        for chunk_index, start in enumerate(range(0, cfg.trials, _CHUNK)):
-            trials = min(_CHUNK, cfg.trials - start)
-            if batched and (batched + trials) * m > _BATCH:
-                _score_batch(batch, topo, base, gains, observed, scratch,
-                             sums, hazards)
-                batch, batched = [], 0
-            seq = np.random.SeedSequence(
-                entropy=(cfg.master_seed, grid_index, chunk_index))
-            gains_seed, noise_seed = seq.spawn(2)
-            into = slice(batched, batched + trials)
-            draw_gain_batch(trials, m, s, gains_seed, out=gains[into],
-                            phases=floats[:trials * 2 * m].reshape(
-                                trials, 2, m))
-            draw_collapsed(topo, gains[into], s, bound.repetitions,
-                           noise_seed, out=observed[into],
-                           noiseless=scratch[:trials * pairs].reshape(
-                               trials, pairs))
-            batch.append((grid_index, trials))
-            batched += trials
-    _score_batch(batch, topo, base, gains, observed, scratch, sums,
-                 hazards)
+    for batch in _plan_batches(cfg, m):
+        fills = [(chunk.noise_seed, observed[chunk.rows]) for chunk in batch]
+        noise = _noise_executor().submit(_draw_noise_rows, fills)
+        try:
+            for chunk in batch:
+                draw_gain_batch(chunk.trials, m, scenarios[chunk.grid_index],
+                                chunk.gains_seed, out=gains[chunk.rows],
+                                phases=floats[:chunk.trials * 2 * m].reshape(
+                                    chunk.trials, 2, m))
+        finally:
+            # a task the helper has not started yet is withdrawn, not
+            # waited for; one it has started is waited for, raising
+            # nothing of its own here
+            started = not noise.cancel()
+            if started:
+                noise.exception()
+        if started:
+            noise.result()
+        else:
+            _draw_noise_rows(fills)
+        for chunk in batch:
+            add_gain_products(topo, gains[chunk.rows],
+                              scenarios[chunk.grid_index], bound.repetitions,
+                              observed[chunk.rows],
+                              scratch[:2 * chunk.trials * pairs])
+        _score_batch(batch, topo, base, gains, observed, scratch, sums,
+                     hazards)
     rows: list[SweepRow] = []
-    for snr_db, (rho_a, rho_b), sum_sq, hazard_count in zip(
-            cfg.snr_grid_db, rhos, sums, hazards):
+    for snr_db, s, sum_sq, hazard_count in zip(
+            cfg.snr_grid_db, scenarios, sums, hazards):
         completed = cfg.trials - hazard_count
         mse = sum_sq / completed if completed else np.full(2, np.nan)
         hazard_rate = int(hazard_count) / cfg.trials
@@ -287,8 +323,8 @@ def run_snr_sweep(cfg: ExperimentConfig,
             reference=topo.reference,
             repetitions=bound.repetitions,
             remainder_seconds=bound.remainder_seconds,
-            avg_crlb_alpha=mean_factor * rho_b,
-            avg_crlb_beta=mean_factor * rho_a,
+            avg_crlb_alpha=mean_factor * s.rho_b,
+            avg_crlb_beta=mean_factor * s.rho_a,
             avg_mse_alpha=float(mse[0]),
             avg_mse_beta=float(mse[1]),
             trials=cfg.trials,
@@ -297,35 +333,77 @@ def run_snr_sweep(cfg: ExperimentConfig,
     return rows
 
 
-def _score_batch(batch: list[tuple[int, int]], topo: Topology,
-                 s: ScenarioParams, gains: np.ndarray, observed: np.ndarray,
-                 work: np.ndarray, sums: np.ndarray,
-                 hazards: np.ndarray) -> None:
+class _Chunk(NamedTuple):
+    """Consecutive trials of one grid point, drawn from their own seeds."""
+
+    grid_index: int
+    rows: slice  # its rows in the batch buffers
+    gains_seed: np.random.SeedSequence
+    noise_seed: np.random.SeedSequence
+
+    @property
+    def trials(self) -> int:
+        return self.rows.stop - self.rows.start
+
+
+def _plan_batches(cfg: ExperimentConfig, m: int) -> list[list[_Chunk]]:
+    """The sweep's chunks, grouped into batches in draw order.
+
+    Grid point g's trials run in consecutive chunks of `_CHUNK`, the
+    points in order; a batch is closed before a chunk that would take it
+    past `_BATCH` antenna-trials, unless it is empty. Chunk c of point g
+    takes the two children SeedSequence((master_seed, g, c)).spawn(2)
+    gives, built directly.
+    """
+    batches: list[list[_Chunk]] = [[]]
+    batched = 0
+    for grid_index in range(len(cfg.snr_grid_db)):
+        for chunk_index, first in enumerate(range(0, cfg.trials, _CHUNK)):
+            trials = min(_CHUNK, cfg.trials - first)
+            if batched and (batched + trials) * m > _BATCH:
+                batches.append([])
+                batched = 0
+            entropy = (cfg.master_seed, grid_index, chunk_index)
+            batches[-1].append(_Chunk(
+                grid_index, slice(batched, batched + trials),
+                *(np.random.SeedSequence(entropy, spawn_key=(i,))
+                  for i in (0, 1))))
+            batched += trials
+    return batches
+
+
+def _draw_noise_rows(fills: list[tuple[np.random.SeedSequence, np.ndarray]]
+                     ) -> None:
+    """Fill each chunk's observation rows with its noise stream."""
+    for seed, rows in fills:
+        draw_noise(seed, rows)
+
+
+def _score_batch(batch: list[_Chunk], topo: Topology, s: ScenarioParams,
+                 gains: np.ndarray, observed: np.ndarray, work: np.ndarray,
+                 sums: np.ndarray, hazards: np.ndarray) -> None:
     """Estimate drawn chunks in one call and add up their errors.
 
-    `batch` holds (grid index, trials) per chunk, whose gains and
-    collapsed observations fill the leading rows of `gains` and
-    `observed` in that order; the estimator keeps its arrays in `work`
-    and reads only the line gain and amplitudes of `s`, which every grid
-    point shares. Each chunk is scored against its own gains: its error
-    sum over its sound trials goes to `sums[grid index]` and its flagged
-    trials to `hazards`.
+    The chunks' gains and collapsed observations fill the leading rows of
+    `gains` and `observed` in batch order; the estimator keeps its arrays
+    in `work` and reads only the line gain and amplitudes of `s`, which
+    every grid point shares. Each chunk is scored against its own gains:
+    its error sum over its sound trials goes to `sums[grid index]` and
+    its flagged trials to `hazards`.
     """
     ref = topo.reference - 1
-    n = sum(trials for _, trials in batch)
+    n = batch[-1].rows.stop
     est, hazard_at = ml_estimate_batch(observed[:n], topo, s,
                                        gains[:n, 0, ref], gains[:n, 1, ref],
                                        work)
-    start = 0
-    for grid_index, trials in batch:
-        stop = start + trials
+    for chunk in batch:
+        rows = chunk.rows
         # flagged rows may score inf or NaN; they are masked out
         with np.errstate(over="ignore", invalid="ignore"):
-            errors = mean_sq_errors(est[start:stop], gains[start:stop])
-        sound = hazard_at[start:stop] == 0
-        hazards[grid_index] += int(trials - sound.sum())
-        sums[grid_index] += errors[sound].sum(axis=0)
-        start = stop
+            errors = mean_sq_errors(est[rows], gains[rows])
+        sound = hazard_at[rows] == 0
+        hazards[chunk.grid_index] += int(chunk.trials - sound.sum())
+        sums[chunk.grid_index] += errors[sound].sum(axis=0)
 
 
 def _budget_report(t: Topology, s: ScenarioParams, budget_mode: str,

@@ -89,21 +89,22 @@ def synthesize(t: Topology, gains: RfGains, s: ScenarioParams,
     exact noiseless values.
 
     The full observation table is a pure function of (topology, gains,
-    scenario, repetitions, seed): it is the batch of one of the draw
-    behind `draw_collapsed`, in one pass over the canonical pair order,
-    so results do not depend on how the set is later consumed.
+    scenario, repetitions, seed): `draw_noise` fills it and
+    `add_gain_products` completes it, as for a batch of one trial whose
+    every round is one sounding, in one pass over the canonical pair
+    order, so results do not depend on how the set is later consumed.
     """
     _check_repetitions(repetitions)
     batch = np.stack((gains.alpha, gains.beta))[None]
-    values = _draw_observations(t, batch, s, repetitions, s.noise_variance,
-                                seed)
+    values = np.empty((1, len(t.directed_pairs), repetitions), dtype=complex)
+    draw_noise(seed, values)
+    add_gain_products(t, batch, s, 1, values)
     return MeasurementSet(t.directed_pairs, values[0])
 
 
 def draw_collapsed(t: Topology, gains: np.ndarray, s: ScenarioParams,
                    repetitions: int = 1, seed=None,
-                   out: np.ndarray | None = None,
-                   noiseless: np.ndarray | None = None) -> np.ndarray:
+                   out: np.ndarray | None = None) -> np.ndarray:
     """Collapsed observations of a batch of trials, drawn directly.
 
     `gains` is a (trials, 2, m) array as from `draw_gain_batch`; row k of
@@ -113,17 +114,17 @@ def draw_collapsed(t: Topology, gains: np.ndarray, s: ScenarioParams,
     The mean of `repetitions` i.i.d. rounds is the noiseless value plus
     one circularly symmetric complex Gaussian of variance
     noise_variance / repetitions, so one round of that variance is drawn
-    instead of `repetitions` rounds.
+    instead of `repetitions` rounds: `draw_noise`, then
+    `add_gain_products` with that repetition count.
 
-    `out` receives the result and `noiseless` holds the gain products on
-    their way, both complex and C-contiguous of the result's shape;
-    either is allocated when not given, and neither changes a value.
+    `out`, complex and C-contiguous of the result's shape, receives the
+    result when given; it changes no value.
     """
     _check_repetitions(repetitions)
-    if out is not None:
-        out = out[..., None]
-    return _draw_observations(t, gains, s, 1, s.noise_variance / repetitions,
-                              seed, out, noiseless)[..., 0]
+    if out is None:
+        out = np.empty((len(gains), len(t.directed_pairs)), dtype=complex)
+    draw_noise(seed, out)
+    return add_gain_products(t, gains, s, repetitions, out)
 
 
 def _check_repetitions(repetitions: int) -> None:
@@ -131,42 +132,68 @@ def _check_repetitions(repetitions: int) -> None:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
 
 
-def _draw_observations(t: Topology, gains: np.ndarray, s: ScenarioParams,
-                       rounds: int, variance: float, seed,
-                       out: np.ndarray | None = None,
-                       noiseless: np.ndarray | None = None) -> np.ndarray:
-    """(trials, pairs, rounds) observations of a gain batch: the gain
-    product (the sounding signal is 1) plus circularly symmetric complex
-    noise of `variance`, drawn from one stream in that order. Zero
-    variance draws nothing. The result is written to `out`, and the
-    (trials, pairs) gain products to `noiseless`, when given."""
+def _check_contiguous(out: np.ndarray) -> None:
+    if not out.flags.c_contiguous:
+        raise ValueError("observations need a C-contiguous output array")
+
+
+def draw_noise(seed, out: np.ndarray) -> np.ndarray:
+    """First stage of the observation draw: raw noise into `out`.
+
+    `out` is complex and C-contiguous, of shape (trials, pairs) or
+    (trials, pairs, rounds); every value's real and imaginary parts take
+    standard normals from the stream of `seed`, consecutively in memory
+    order, real part first. The stream is used for nothing else, so this
+    stage needs neither the gains nor the scenario, and can run while
+    the gains are drawn from their own stream. Returns `out`.
+    """
+    _check_contiguous(out)
+    np.random.default_rng(seed).standard_normal(out=out.view(np.float64))
+    return out
+
+
+def add_gain_products(t: Topology, gains: np.ndarray, s: ScenarioParams,
+                      repetitions: int, out: np.ndarray,
+                      scratch: np.ndarray | None = None) -> np.ndarray:
+    """Second stage of the observation draw: noise to observations.
+
+    `out` holds what `draw_noise` wrote, (trials, 2(m-1)) or (trials,
+    2(m-1), rounds) with pairs in `t.directed_pairs` order; each value is
+    the mean of `repetitions` soundings, so its noise has variance
+    noise_variance / repetitions. The standard normals are scaled to
+    that variance in place, and each trial's gain product (rx gain *
+    line gain * tx gain, the sounding signal being 1) from the
+    (trials, 2, m) `gains` is added to every round. Zero variance leaves
+    the products alone, whatever `out` held. Returns `out`.
+
+    `scratch`, at least 2 * trials * 2(m-1) complex elements, holds the
+    products and the gathered transmit gains on their way when given; it
+    changes no value.
+    """
     if gains.shape[1:] != (2, t.m):
         raise ValueError(f"gain batch has shape {gains.shape}, "
                          f"wiring needs (trials, 2, {t.m})")
+    _check_contiguous(out)
     tx, rx = t.pair_endpoints
     shape = (len(gains), len(tx))
-    if out is None:
-        out = np.empty(shape + (rounds,), dtype=complex)
-    elif not out.flags.c_contiguous:
-        raise ValueError("observations need a C-contiguous output array")
-    if noiseless is None:
-        noiseless = np.empty(shape, dtype=complex)
+    observed = out.reshape(shape + (-1,))
+    size = 2 * len(gains) * len(tx)
+    if scratch is None:
+        scratch = np.empty(size, dtype=complex)
+    noiseless, tx_gains = scratch[:size].reshape((2,) + shape)
     # gathers into given arrays; "clip" keeps np.take from buffering, and
-    # every index is in range. The transmit gains pass through the front
-    # of `out`, which the noise overwrites afterwards.
+    # every index is in range
     np.take(gains[:, 1], rx, axis=1, out=noiseless, mode="clip")
     noiseless *= s.line_gain
-    tx_gains = out.reshape(-1)[:noiseless.size].reshape(shape)
     np.take(gains[:, 0], tx, axis=1, out=tx_gains, mode="clip")
     noiseless *= tx_gains
+    variance = s.noise_variance / repetitions
     if variance <= 0:
-        out[...] = noiseless[..., None]
+        observed[...] = noiseless[..., None]
         return out
-    rng = np.random.default_rng(seed)
-    # the normal pairs drawn as complex values, scaled and shifted in place
-    rng.standard_normal(out=out.view(np.float64))
-    out *= math.sqrt(variance / 2)
-    out += noiseless[..., None]
+    # the normal pairs, read as complex values, scaled and shifted in place
+    observed *= math.sqrt(variance / 2)
+    observed += noiseless[..., None]
     return out
 
 

@@ -242,13 +242,15 @@ class TestBatchKernel:
             warnings.simplefilter("error")
             est, hazard_at = ml_estimate_batch(values, t, s, gains[:, 0, ref],
                                                gains[:, 1, ref])
-            # given work arrays, whatever they held, change no value
-            work = np.full(work_size(m, trials) + 3, np.nan + 0j)
-            in_work = ml_estimate_batch(values, t, s, gains[:, 0, ref],
-                                        gains[:, 1, ref], work)
-        assert np.shares_memory(in_work[0], work)
-        assert np.array_equal(in_work[0], est, equal_nan=True)
-        assert np.array_equal(in_work[1], hazard_at)
+            # given work arrays, whatever they held, change no value; the
+            # hazard check's magnitudes fit in exactly work_size elements
+            for spare in (3, 0):
+                work = np.full(work_size(m, trials) + spare, np.nan + 0j)
+                in_work = ml_estimate_batch(values, t, s, gains[:, 0, ref],
+                                            gains[:, 1, ref], work)
+                assert np.shares_memory(in_work[0], work)
+                assert np.array_equal(in_work[0], est, equal_nan=True)
+                assert np.array_equal(in_work[1], hazard_at)
         sound = hazard_at == 0
         assert list(np.flatnonzero(~sound)) == [forced]
         assert hazard_at[forced] == victim

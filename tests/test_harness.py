@@ -1,6 +1,12 @@
 import hashlib
 import json
 import math
+import multiprocessing
+import os
+import sys
+import threading
+import time
+from concurrent import futures
 from dataclasses import fields, replace
 from fractions import Fraction
 
@@ -568,3 +574,117 @@ class TestSweepBytes:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = a[-1]
         assert _csv(cfg) == first
+
+
+class _InlineExecutor:
+    """Runs each task at submission, on the calling thread."""
+
+    def submit(self, fn, *args):
+        future = futures.Future()
+        try:
+            future.set_result(fn(*args))
+        except Exception as exc:
+            future.set_exception(exc)
+        return future
+
+
+class _StalledExecutor:
+    """Accepts each task and never starts it."""
+
+    def __init__(self):
+        self.futures = []
+
+    def submit(self, fn, *args):
+        self.futures.append(futures.Future())
+        return self.futures[-1]
+
+
+class TestNoiseHelper:
+    @pytest.mark.parametrize("name", PINNED)
+    def test_the_helper_changes_no_byte(self, name, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        _write_wiring(tmp_path / "wiring.json", PINNED_WIRING)
+        cfg, digest = PINNED[name]
+        # threads switched as often as the interpreter allows
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = _csv(cfg)
+        finally:
+            sys.setswitchinterval(interval)
+        monkeypatch.setattr(harness, "_noise_executor", _InlineExecutor)
+        assert _csv(cfg) == threaded
+        assert hashlib.sha256(threaded.encode()).hexdigest() == digest
+
+    def test_a_task_not_started_is_drawn_by_the_caller(self, monkeypatch):
+        cfg, digest = PINNED["chain-17-mixed-chunks"]
+        stalled = _StalledExecutor()
+        monkeypatch.setattr(harness, "_noise_executor", lambda: stalled)
+        assert hashlib.sha256(_csv(cfg).encode()).hexdigest() == digest
+        assert len(stalled.futures) == len(cfg.snr_grid_db)
+        assert all(f.cancelled() for f in stalled.futures)
+
+    @pytest.mark.parametrize("entropy", [0, 7, (3, 0, 1), (2**40, 6, 9),
+                                         (11, 3, 17)])
+    def test_direct_children_are_the_spawned_ones(self, entropy):
+        spawned = np.random.SeedSequence(entropy).spawn(2)
+        for i, child in enumerate(spawned):
+            direct = np.random.SeedSequence(entropy, spawn_key=(i,))
+            assert np.array_equal(direct.generate_state(8),
+                                  child.generate_state(8))
+
+    CFG = ExperimentConfig(m=17, reference=9, topology_kind="daisy",
+                           snr_grid_db=(10.0, 20.0, 30.0), trials=40,
+                           master_seed=3)
+
+    def test_a_failed_noise_fill_is_raised(self, monkeypatch):
+        draw_noise = harness.draw_noise
+        draw_gain_batch = harness.draw_gain_batch
+        calls, started = [], threading.Event()
+
+        def failing(seed, out):
+            calls.append(threading.current_thread())
+            started.set()
+            if len(calls) == 2:
+                raise RuntimeError("noise fill failed")
+            return draw_noise(seed, out)
+
+        def after_the_helper_starts(*args, **kwargs):
+            assert started.wait(5)
+            return draw_gain_batch(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "draw_noise", failing)
+        monkeypatch.setattr(harness, "draw_gain_batch",
+                            after_the_helper_starts)
+        with pytest.raises(RuntimeError, match="noise fill failed"):
+            run_snr_sweep(self.CFG)
+        assert len(calls) == 2
+        assert calls[0] is not threading.current_thread()
+
+    def test_no_fill_outlives_a_failed_call(self, monkeypatch):
+        draw_noise = harness.draw_noise
+        running, finished = threading.Event(), threading.Event()
+
+        def slow(seed, out):
+            running.set()
+            time.sleep(0.2)
+            draw_noise(seed, out)
+            finished.set()
+
+        def failing(*args, **kwargs):
+            assert running.wait(5)
+            raise RuntimeError("gain draw failed")
+
+        monkeypatch.setattr(harness, "draw_noise", slow)
+        monkeypatch.setattr(harness, "draw_gain_batch", failing)
+        with pytest.raises(RuntimeError, match="gain draw failed"):
+            run_snr_sweep(self.CFG)
+        assert finished.is_set()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_sweeps(self):
+        expected = _csv(self.CFG)
+        assert harness._helper is not None
+        with multiprocessing.get_context("fork").Pool(1) as pool:
+            child = pool.apply_async(_csv, (self.CFG,)).get(timeout=60)
+        assert child == expected

@@ -16,7 +16,12 @@ from selfcal import (
     synthesize,
 )
 
-from selfcal.simulate import draw_collapsed, draw_gain_batch
+from selfcal.simulate import (
+    add_gain_products,
+    draw_collapsed,
+    draw_gain_batch,
+    draw_noise,
+)
 
 from helpers import random_scenario, random_tree, trees
 
@@ -201,10 +206,14 @@ class TestBatchDraws:
         assert np.array_equal(out, gains)
         values = draw_collapsed(t, gains, s, 3, seed + 1)
         out = np.full((trials, pairs), np.nan + 0j)
-        noiseless = np.full((trials, pairs), np.nan + 0j)
-        drawn = draw_collapsed(t, gains, s, 3, seed + 1, out=out,
-                               noiseless=noiseless)
+        drawn = draw_collapsed(t, gains, s, 3, seed + 1, out=out)
         assert np.shares_memory(drawn, out)
+        assert np.array_equal(out, values)
+        # the two stages, with scratch to spare, make the same draw
+        out = np.full((trials, pairs), np.nan + 0j)
+        scratch = np.full(2 * trials * pairs + 3, np.nan + 0j)
+        assert draw_noise(seed + 1, out) is out
+        assert add_gain_products(t, gains, s, 3, out, scratch) is out
         assert np.array_equal(out, values)
 
     def test_collapsed_draw_needs_a_contiguous_output(self):

@@ -6,10 +6,12 @@ them where `selfcal.harness` looks them up. Its tracer skips a missing
 name without a word, so deleting or renaming one, or calling it past the
 harness namespace, would zero a per-layer span and still pass every
 other check. The sweep's stages are its batch kernels
-(`draw_gain_batch`, `draw_collapsed`, `ml_estimate_batch`,
-`mean_sq_errors`); the single-trial calls (`draw_gains`, `synthesize`,
-`ml_estimate`, `estimation_error`) serve the CLI and tests, so
-`selfcal.harness` does not import them. Prop 2 checks and counts every
+(`draw_gain_batch`, `draw_noise`, `add_gain_products`,
+`ml_estimate_batch`, `mean_sq_errors`): the observation draw's two
+stages, the first run on the sweep's helper thread, stand where
+`draw_collapsed` stood, and `draw_collapsed`, like the single-trial
+calls (`draw_gains`, `synthesize`, `ml_estimate`, `estimation_error`),
+serves the CLI and tests, so `selfcal.harness` does not import it. Prop 2 checks and counts every
 labeled tree in one pass of array stages (`pruefer_blocks`,
 `decode_pruefer_batch`, `root_trees`, `schedule_trees`,
 `schedule_faults`); `measurement_schedule` and `schedule_violations` are
@@ -33,7 +35,8 @@ SURFACE = {
         "budgeted_average_crlb", "enumerate_shapes", "calibration_distances",
         "max_degree", "pruefer_blocks", "decode_pruefer_batch", "root_trees",
         "schedule_trees", "schedule_faults", "draw_gain_batch",
-        "draw_collapsed", "ml_estimate_batch", "mean_sq_errors",
+        "draw_noise", "add_gain_products", "ml_estimate_batch",
+        "mean_sq_errors",
     ),
     crlb: ("ScenarioParams", "fisher_matrix", "crlb_numeric",
            "crlb_closed_form"),
@@ -49,8 +52,8 @@ def _sweep(budget_mode, budget_value):
 
 #: what each entry point must look up in `selfcal.harness` when it runs,
 #: so that wrapping the name there sees every call
-SWEEP_STAGES = {"draw_gain_batch", "draw_collapsed", "ml_estimate_batch",
-                "mean_sq_errors"}
+SWEEP_STAGES = {"draw_gain_batch", "draw_noise", "add_gain_products",
+                "ml_estimate_batch", "mean_sq_errors"}
 CALLS_THROUGH_HARNESS = {
     "sweep": (_sweep("measurements", None),
               {"crlb_closed_form"} | SWEEP_STAGES),
