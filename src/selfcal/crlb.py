@@ -144,12 +144,16 @@ class FisherMatrix:
     is effective.
     """
 
-    order: int
     diagonal: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
     couplings: np.ndarray
     antennas: tuple[int, ...]
+
+    @property
+    def order(self) -> int:
+        """Rows (and columns) of the matrix, 2n."""
+        return len(self.diagonal)
 
     @property
     def entries(self) -> np.ndarray:
@@ -227,8 +231,8 @@ def _assemble_fisher(m: int, reference: int, edges, gains: "RfGains",
     pair = own & (there != reference)
     here, there = here[pair], there[pair]
     couplings = beta[here - 1] * alpha[there - 1].conj() * scale
-    return FisherMatrix(2 * n, diagonal, n + index[here], index[there],
-                        couplings, ordinary)
+    return FisherMatrix(diagonal, n + index[here], index[there], couplings,
+                        ordinary)
 
 
 def crlb_numeric(j: FisherMatrix) -> tuple[np.ndarray, np.ndarray]:

@@ -59,10 +59,11 @@ def ml_estimate(ms: MeasurementSet, t: Topology, s: ScenarioParams,
     of the wiring in `t.directed_pairs` order, as `synthesize` and replay
     files give them: nothing else, none missing.
 
-    Raises DivisionHazard naming the antenna whose estimate fell below
-    `_HAZARD_FLOOR` times its nominal amplitude: everything downstream
-    would be noise amplification, which signals an SNR too low for the
-    chain.
+    Raises DivisionHazard naming the first antenna, in walk order, whose
+    estimate fell below `_HAZARD_FLOOR` times its nominal amplitude
+    (everything downstream would be noise amplification, which signals an
+    SNR too low for the chain) or is not finite (finite observations can
+    still overflow, or a tiny sounding value turn them into infinities).
     """
     if ref_alpha == 0 or ref_beta == 0:
         raise ValueError("reference gains must be nonzero")
@@ -72,14 +73,20 @@ def ml_estimate(ms: MeasurementSet, t: Topology, s: ScenarioParams,
         raise ValueError(
             f"measurement pairs do not match the wiring: missing "
             f"{missing}, not on any line {extra}")
-    values = ms.values.mean(axis=1) / ms.sounding_value
-    est, hazard_at = ml_estimate_batch(values[None, :], t, s,
-                                       np.array([ref_alpha]),
-                                       np.array([ref_beta]))
-    if hazard_at[0]:
-        raise DivisionHazard(
-            f"estimate at antenna {hazard_at[0]} fell below "
-            f"{_HAZARD_FLOOR:g} of its nominal amplitude")
+    # overflow and NaN are raised on below, by antenna, not warned about
+    with np.errstate(all="ignore"):
+        values = ms.values.mean(axis=1) / ms.sounding_value
+        est, hazard_at = ml_estimate_batch(values[None, :], t, s,
+                                           np.array([ref_alpha]),
+                                           np.array([ref_beta]))
+    finite = np.isfinite(est[0]).all(axis=0)
+    for k in (t.reference, *(c for level in t.levels for _, c in level)):
+        if k == hazard_at[0]:
+            raise DivisionHazard(
+                f"estimate at antenna {k} fell below "
+                f"{_HAZARD_FLOOR:g} of its nominal amplitude")
+        if not finite[k - 1]:
+            raise DivisionHazard(f"estimate at antenna {k} is not finite")
     picks = np.array(t.ordinary) - 1
     return GainEstimates(t.ordinary, est[0, 0, picks], est[0, 1, picks],
                          t.reference, complex(ref_alpha), complex(ref_beta))

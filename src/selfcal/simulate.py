@@ -102,31 +102,6 @@ def synthesize(t: Topology, gains: RfGains, s: ScenarioParams,
     return MeasurementSet(t.directed_pairs, values[0])
 
 
-def draw_collapsed(t: Topology, gains: np.ndarray, s: ScenarioParams,
-                   repetitions: int = 1, seed=None,
-                   out: np.ndarray | None = None) -> np.ndarray:
-    """Collapsed observations of a batch of trials, drawn directly.
-
-    `gains` is a (trials, 2, m) array as from `draw_gain_batch`; row k of
-    the (trials, 2(m-1)) result, columns in `t.directed_pairs` order, is
-    distributed as `synthesize(t, gains_k, s, repetitions).values.mean(
-    axis=1)`, the per-direction mean that `ml_estimate` estimates from.
-    The mean of `repetitions` i.i.d. rounds is the noiseless value plus
-    one circularly symmetric complex Gaussian of variance
-    noise_variance / repetitions, so one round of that variance is drawn
-    instead of `repetitions` rounds: `draw_noise`, then
-    `add_gain_products` with that repetition count.
-
-    `out`, complex and C-contiguous of the result's shape, receives the
-    result when given; it changes no value.
-    """
-    _check_repetitions(repetitions)
-    if out is None:
-        out = np.empty((len(gains), len(t.directed_pairs)), dtype=complex)
-    draw_noise(seed, out)
-    return add_gain_products(t, gains, s, repetitions, out)
-
-
 def _check_repetitions(repetitions: int) -> None:
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
@@ -158,18 +133,24 @@ def add_gain_products(t: Topology, gains: np.ndarray, s: ScenarioParams,
     """Second stage of the observation draw: noise to observations.
 
     `out` holds what `draw_noise` wrote, (trials, 2(m-1)) or (trials,
-    2(m-1), rounds) with pairs in `t.directed_pairs` order; each value is
-    the mean of `repetitions` soundings, so its noise has variance
-    noise_variance / repetitions. The standard normals are scaled to
-    that variance in place, and each trial's gain product (rx gain *
-    line gain * tx gain, the sounding signal being 1) from the
-    (trials, 2, m) `gains` is added to every round. Zero variance leaves
-    the products alone, whatever `out` held. Returns `out`.
+    2(m-1), rounds) with pairs in `t.directed_pairs` order, and `gains`
+    is a (trials, 2, m) batch as from `draw_gain_batch`. Each value
+    becomes the mean of `repetitions` soundings: row k of a (trials,
+    2(m-1)) `out` is then distributed as `synthesize(t, gains_k, s,
+    repetitions).values.mean(axis=1)`, the per-direction mean that
+    `ml_estimate` estimates from. The mean of `repetitions` i.i.d. rounds
+    is the noiseless value plus one circularly symmetric complex Gaussian
+    of variance noise_variance / repetitions, so one draw of that
+    variance stands for them: the standard normals are scaled to it in
+    place, and each trial's gain product (rx gain * line gain * tx gain,
+    the sounding signal being 1) is added to every round. Zero variance
+    leaves the products alone, whatever `out` held. Returns `out`.
 
     `scratch`, at least 2 * trials * 2(m-1) complex elements, holds the
     products and the gathered transmit gains on their way when given; it
     changes no value.
     """
+    _check_repetitions(repetitions)
     if gains.shape[1:] != (2, t.m):
         raise ValueError(f"gain batch has shape {gains.shape}, "
                          f"wiring needs (trials, 2, {t.m})")

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
@@ -167,6 +168,28 @@ class TestReplayHardening:
         code, out, err = self.replay(tmp_path, dump, capsys)
         assert code == 2 and out == ""
         assert "finite" in err
+
+    @pytest.mark.parametrize("change, antenna", [
+        # every observation over a subnormal sounding value overflows
+        ({"sounding_value": [1e-310, 0.0]}, 1),
+        # finite inputs whose quotient overflows two hops out
+        ({(3, 2): [1e-5, 0.0], (3, 4): [1e305, 0.0]}, 4),
+    ], ids=["subnormal-sounding", "overflowing-quotient"])
+    def test_non_finite_estimates_rejected(self, tmp_path, dump, capsys,
+                                           change, antenna):
+        # the walk from reference 2 reaches antenna 1 first, antenna 4 last
+        for key, value in change.items():
+            if key == "sounding_value":
+                dump[key] = value
+            else:
+                row, = (row for row in dump["observations"]
+                        if tuple(row[:2]) == key)
+                row[3:] = value
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = self.replay(tmp_path, dump, capsys)
+        assert code == 2 and out == ""
+        assert err == f"selfcal: estimate at antenna {antenna} is not finite\n"
 
 
 class TestInputHardening:

@@ -18,9 +18,9 @@ from selfcal import (
 )
 from selfcal.errors import DivisionHazard
 from selfcal.estimator import mean_sq_errors, ml_estimate_batch, work_size
-from selfcal.simulate import draw_collapsed, draw_gain_batch
+from selfcal.simulate import draw_gain_batch
 
-from helpers import random_gains, random_scenario, random_tree
+from helpers import collapsed_draw, random_gains, random_scenario, random_tree
 
 UNIT = ScenarioParams()
 NOISELESS = ScenarioParams(noise_variance=0.0)
@@ -34,7 +34,7 @@ def estimate(t, ms, s, gains):
 def _estimate_batch(t, s, gains, seed):
     """One single-round observation per trial, estimated in one call."""
     ref = t.reference - 1
-    return ml_estimate_batch(draw_collapsed(t, gains, s, 1, seed), t, s,
+    return ml_estimate_batch(collapsed_draw(t, gains, s, 1, seed), t, s,
                              gains[:, 0, ref], gains[:, 1, ref])
 
 
@@ -227,7 +227,7 @@ class TestBatchKernel:
         t = random_tree(rng, m)
         s = random_scenario(rng)
         gains = draw_gain_batch(trials, m, s, seed)
-        values = draw_collapsed(t, gains, s, reps, seed + 1)
+        values = collapsed_draw(t, gains, s, reps, seed + 1)
         ref = t.reference - 1
         # one row loses what a random antenna with children is divided by
         forced = int(rng.integers(trials))
@@ -273,7 +273,7 @@ class TestBatchKernel:
         t = random_tree(rng, 9)
         s = random_scenario(rng)
         gains = draw_gain_batch(3, 9, s, 1)
-        values = draw_collapsed(t, gains, s, 2, 2)
+        values = collapsed_draw(t, gains, s, 2, 2)
         ref = t.reference - 1
         est, _ = ml_estimate_batch(values, t, s, gains[:, 0, ref],
                                    gains[:, 1, ref])

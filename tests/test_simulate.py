@@ -16,14 +16,9 @@ from selfcal import (
     synthesize,
 )
 
-from selfcal.simulate import (
-    add_gain_products,
-    draw_collapsed,
-    draw_gain_batch,
-    draw_noise,
-)
+from selfcal.simulate import add_gain_products, draw_gain_batch, draw_noise
 
-from helpers import random_scenario, random_tree, trees
+from helpers import collapsed_draw, random_scenario, random_tree, trees
 
 UNIT = ScenarioParams()
 NOISELESS = ScenarioParams(noise_variance=0.0)
@@ -136,15 +131,15 @@ class TestBatchDraws:
         rng = np.random.default_rng(12)
         t = random_tree(rng, 6)
         gains = draw_gain_batch(4, 6, NOISELESS, 3)
-        values = draw_collapsed(t, gains, NOISELESS, repetitions=5, seed=1)
+        values = collapsed_draw(t, gains, NOISELESS, 5, seed=1)
         for k in range(4):
             ms = synthesize(t, RfGains(gains[k, 0], gains[k, 1]), NOISELESS)
             assert np.array_equal(values[k], ms.values[:, 0])
 
     def test_collapsed_noise_matches_synthesis(self):
-        # Both routes to a collapsed observation must carry circular
-        # complex noise of variance sigma^2 / I. Each route gives
-        # n = 20000 samples; every bound is 5 standard errors of its
+        # The collapsed draw and the mean of I synthesized rounds must
+        # both carry circular complex noise of variance sigma^2 / I. Each
+        # gives n = 20000 samples; every bound is 5 standard errors of its
         # statistic (for circular Gaussian z of variance v: sd of the mean
         # sqrt(v/n) in modulus, of mean |z|^2 v/sqrt(n), of mean Re(z)^2
         # v/2 * sqrt(2/n), of mean z^2 v*sqrt(2/n) in modulus).
@@ -154,7 +149,7 @@ class TestBatchDraws:
                            tx_amplitude=1.5, rx_amplitude=0.7)
         v = s.noise_variance / reps
         gains = draw_gain_batch(trials, 3, s, 21)
-        direct = draw_collapsed(t, gains, s, reps, seed=22)
+        direct = collapsed_draw(t, gains, s, reps, seed=22)
         seeds = np.random.SeedSequence(23).spawn(trials)
         noiseless = np.empty_like(direct)
         synthesized = np.empty_like(direct)
@@ -181,11 +176,12 @@ class TestBatchDraws:
     @settings(max_examples=40, deadline=None, database=None)
     @given(t=trees(), seed=st.integers(0, 2**32 - 1), noisy=st.booleans())
     def test_single_round_draws_are_one_draw(self, t, seed, noisy):
-        # one round of either route is the same draw, bit for bit
+        # one round of the collapsed draw and of synthesis is the same
+        # draw, bit for bit
         rng = np.random.default_rng(seed)
         s = random_scenario(rng, allow_zero_noise=not noisy)
         g = draw_gain_batch(1, t.m, s, seed)[0]
-        direct = draw_collapsed(t, g[None], s, 1, seed + 1)[0]
+        direct = collapsed_draw(t, g[None], s, 1, seed + 1)[0]
         ms = synthesize(t, RfGains(*g), s, 1, seed + 1)
         assert np.array_equal(direct, ms.values[:, 0])
 
@@ -204,31 +200,29 @@ class TestBatchDraws:
         assert draw_gain_batch(trials, t.m, s, seed, out=out,
                                phases=phases) is out
         assert np.array_equal(out, gains)
-        values = draw_collapsed(t, gains, s, 3, seed + 1)
-        out = np.full((trials, pairs), np.nan + 0j)
-        drawn = draw_collapsed(t, gains, s, 3, seed + 1, out=out)
-        assert np.shares_memory(drawn, out)
-        assert np.array_equal(out, values)
-        # the two stages, with scratch to spare, make the same draw
-        out = np.full((trials, pairs), np.nan + 0j)
-        scratch = np.full(2 * trials * pairs + 3, np.nan + 0j)
+        # the two stages into fresh arrays, and into rows of a larger
+        # buffer with scratch to spare, as the sweep draws, agree
+        out = np.empty((trials, pairs), complex)
         assert draw_noise(seed + 1, out) is out
-        assert add_gain_products(t, gains, s, 3, out, scratch) is out
-        assert np.array_equal(out, values)
+        assert add_gain_products(t, gains, s, 3, out) is out
+        assert np.array_equal(collapsed_draw(t, gains, s, 3, seed + 1), out)
 
     def test_collapsed_draw_needs_a_contiguous_output(self):
         t = make_daisy(4, 1)
         gains = draw_gain_batch(2, 4, UNIT, 0)
+        out = np.empty((6, 2), complex).T
         with pytest.raises(ValueError, match="C-contiguous"):
-            draw_collapsed(t, gains, UNIT, out=np.empty((6, 2), complex).T)
+            draw_noise(0, out)
+        with pytest.raises(ValueError, match="C-contiguous"):
+            add_gain_products(t, gains, UNIT, 1, out)
 
     def test_collapsed_draw_checks_shapes(self):
         t = make_daisy(4, 1)
-        with pytest.raises(ValueError):
-            draw_collapsed(t, draw_gain_batch(2, 5, UNIT, 0), UNIT)
-        with pytest.raises(ValueError):
-            draw_collapsed(t, draw_gain_batch(2, 4, UNIT, 0), UNIT,
-                           repetitions=0)
+        out = draw_noise(0, np.empty((2, 6), complex))
+        with pytest.raises(ValueError, match="gain batch"):
+            add_gain_products(t, draw_gain_batch(2, 5, UNIT, 0), UNIT, 1, out)
+        with pytest.raises(ValueError, match="repetitions"):
+            add_gain_products(t, draw_gain_batch(2, 4, UNIT, 0), UNIT, 0, out)
 
 
 class TestSerialization:

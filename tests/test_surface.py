@@ -8,10 +8,10 @@ harness namespace, would zero a per-layer span and still pass every
 other check. The sweep's stages are its batch kernels
 (`draw_gain_batch`, `draw_noise`, `add_gain_products`,
 `ml_estimate_batch`, `mean_sq_errors`): the observation draw's two
-stages, the first run on the sweep's helper thread, stand where
-`draw_collapsed` stood, and `draw_collapsed`, like the single-trial
-calls (`draw_gains`, `synthesize`, `ml_estimate`, `estimation_error`),
-serves the CLI and tests, so `selfcal.harness` does not import it. Prop 2 checks and counts every
+stages, the first run on the sweep's helper thread, are the collapsed
+draw. The single-trial calls (`draw_gains`, `synthesize`, `ml_estimate`,
+`estimation_error`) serve the CLI and tests, so `selfcal.harness` does
+not import them. Prop 2 checks and counts every
 labeled tree in one pass of array stages (`pruefer_blocks`,
 `decode_pruefer_batch`, `root_trees`, `schedule_trees`,
 `schedule_faults`); `measurement_schedule` and `schedule_violations` are
@@ -20,7 +20,14 @@ their batches of one, for one tree. Props 1 and 3 read
 kernels, the array stages and `enumerate_shapes` are listed although the
 benchmark does not wrap them yet: the drivers look them up in
 `selfcal.harness`, where a tracer can wrap them.
+
+Every other module-level name has a caller in `src/` too, or is public
+API, so no helper is kept alive by tests alone.
 """
+
+import ast
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -95,3 +102,44 @@ def test_stages_are_looked_up_in_harness(monkeypatch, entry):
                             counted(name, getattr(harness, name)))
     run()
     assert called == names
+
+
+def _defined(stmt: ast.stmt) -> list[str]:
+    """Names a module-level def, class or assignment binds, dunders
+    excepted."""
+    if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+        names = [stmt.name]
+    elif isinstance(stmt, (ast.Assign, ast.AnnAssign)):
+        targets = stmt.targets if isinstance(stmt, ast.Assign) else [
+            stmt.target]
+        names = [node.id for target in targets for node in ast.walk(target)
+                 if isinstance(node, ast.Name)]
+    else:
+        names = []
+    return [name for name in names
+            if not (name.startswith("__") and name.endswith("__"))]
+
+
+def _referenced(stmt: ast.stmt) -> Counter:
+    """Names a statement reads, attributes it looks up and names it
+    imports; imports by `selfcal/__init__.py` are the public API."""
+    return Counter(
+        node.id if isinstance(node, ast.Name)
+        else node.attr if isinstance(node, ast.Attribute) else node.name
+        for node in ast.walk(stmt)
+        if isinstance(node, (ast.Attribute, ast.alias))
+        or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)))
+
+
+def test_every_module_name_has_a_caller_in_src():
+    statements = [
+        (path.stem, stmt, _referenced(stmt))
+        for path in sorted(Path(selfcal.__file__).parent.glob("*.py"))
+        for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    uses = Counter()
+    for _, _, referenced in statements:
+        uses.update(referenced)
+    # a name is called when it is referenced outside its own definition
+    uncalled = [f"{module}.{name}" for module, stmt, own in statements
+                for name in _defined(stmt) if uses[name] == own[name]]
+    assert uncalled == []
