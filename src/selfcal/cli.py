@@ -101,7 +101,18 @@ def _finite(text: str, what: str) -> float:
     return value
 
 
+def _check_file_flags(kind, args) -> None:
+    """A file: topology takes m and the reference from the file, so
+    --m and --ref beside it are rejected, not ignored."""
+    if isinstance(kind, str) and kind.startswith("file:"):
+        for flag, value in (("--m", args.m), ("--ref", args.ref)):
+            if value is not None:
+                raise ConfigError(f"a file: topology does not read {flag}; "
+                                  "the file gives m and the reference")
+
+
 def _topology_from_args(args):
+    _check_file_flags(args.topology, args)
     if args.topology in ("star", "daisy") and None in (args.m, args.ref):
         raise ConfigError(f"--topology {args.topology} needs --m and --ref")
     return resolve_topology(ExperimentConfig(
@@ -275,6 +286,7 @@ def _cmd_sweep(args) -> int:
              "master_seed": args.seed, "output_format": args.format,
              "output_path": args.out}
     fields.update((k, v) for k, v in flags.items() if v is not None)
+    _check_file_flags(fields.get("topology_kind"), args)
     if args.snr is not None:
         fields["snr_grid_db"] = parse_snr_grid(args.snr)
     if args.budget is not None:

@@ -224,13 +224,19 @@ def _assemble_fisher(m: int, reference: int, edges, gains: "RfGains",
     scale = abs(s.line_gain) ** 2 / s.noise_variance
     own = here != reference
     at, far = index[here[own]], there[own] - 1
-    diagonal = np.concatenate((
-        np.bincount(at, np.abs(beta[far]) ** 2, minlength=n),
-        np.bincount(at, np.abs(alpha[far]) ** 2, minlength=n))) * scale
-    # cross block: rx gain here times conjugate tx gain there
     pair = own & (there != reference)
     here, there = here[pair], there[pair]
-    couplings = beta[here - 1] * alpha[there - 1].conj() * scale
+    # entries that overflow are rejected below, by name, not warned about
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagonal = np.concatenate((
+            np.bincount(at, np.abs(beta[far]) ** 2, minlength=n),
+            np.bincount(at, np.abs(alpha[far]) ** 2, minlength=n))) * scale
+        # cross block: rx gain here times conjugate tx gain there
+        couplings = beta[here - 1] * alpha[there - 1].conj() * scale
+    if not (np.isfinite(diagonal).all() and np.isfinite(couplings).all()):
+        raise ScenarioError(
+            f"information matrix entries overflow: noise variance "
+            f"{s.noise_variance!r} gives the scale |h|^2/sigma^2 = {scale!r}")
     return FisherMatrix(diagonal, n + index[here], index[there], couplings,
                         ordinary)
 

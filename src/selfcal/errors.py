@@ -52,6 +52,10 @@ class IndexOutOfRange(TopologyError):
 class NotEffective(TopologyError):
     """Some ordinary antenna has no wired path to the reference."""
 
+    def __init__(self, message: str = "wiring does not connect every "
+                 "antenna to the reference") -> None:
+        super().__init__(message)
+
 
 class ScenarioError(ValueError):
     """Physically inconsistent scenario parameters."""

@@ -246,21 +246,21 @@ def run_snr_sweep(cfg: ExperimentConfig,
     thread per process fills every chunk's observation rows with the raw
     normals of its noise seed (`draw_noise`, one task per batch), while
     the calling thread draws the chunks' gains; numpy releases the GIL
-    in both. The call then waits for the task, or draws the noise itself
-    if the helper has not started the task by then, and adds the gain
-    products to the noise (`add_gain_products`). Each stream is read by
-    one thread only and writes rows no other draw touches, so the output
-    is the same bytes as drawing both in turn. Every task a call starts
-    has finished or been withdrawn when it returns, also when it raises.
+    in both. The call then waits for the task and adds the gain products
+    to the noise (`add_gain_products`). Each stream is read by one thread
+    only and writes rows no other draw touches, so the output is the same
+    bytes as drawing both in turn. If a gain draw raises, the batch's task
+    is withdrawn if the helper has not started it and waited for if it
+    has, so no task a call starts outlives it.
     """
     topo = validate_config(cfg)
     base = scenario if scenario is not None else ScenarioParams()
     points = len(cfg.snr_grid_db)
-    # the bounds depend on the SNR only through rho
-    bound = _budget_report(topo, base.at_snr(cfg.snr_grid_db[0]),
-                           cfg.budget_mode, cfg.budget_value)
-    mean_factor = float(bound.mean_distance / bound.repetitions)
     scenarios = [base.at_snr(snr_db) for snr_db in cfg.snr_grid_db]
+    # the bounds depend on the SNR only through rho
+    bound = _budget_report(topo, scenarios[0], cfg.budget_mode,
+                           cfg.budget_value)
+    mean_factor = float(bound.mean_distance / bound.repetitions)
     sums = np.zeros((points, 2))
     hazards = np.zeros(points, dtype=int)
     m, pairs = topo.m, 2 * (topo.m - 1)
@@ -289,17 +289,13 @@ def run_snr_sweep(cfg: ExperimentConfig,
                                 chunk.gains_seed, out=gains[chunk.rows],
                                 phases=floats[:chunk.trials * 2 * m].reshape(
                                     chunk.trials, 2, m))
-        finally:
-            # a task the helper has not started yet is withdrawn, not
-            # waited for; one it has started is waited for, raising
-            # nothing of its own here
-            started = not noise.cancel()
-            if started:
+        except BaseException:
+            # a task the helper has not started is withdrawn; one it has
+            # started is waited for, raising nothing of its own here
+            if not noise.cancel():
                 noise.exception()
-        if started:
-            noise.result()
-        else:
-            _draw_noise_rows(fills)
+            raise
+        noise.result()
         for chunk in batch:
             add_gain_products(topo, gains[chunk.rows],
                               scenarios[chunk.grid_index], bound.repetitions,
@@ -382,28 +378,29 @@ def _draw_noise_rows(fills: list[tuple[np.random.SeedSequence, np.ndarray]]
 def _score_batch(batch: list[_Chunk], topo: Topology, s: ScenarioParams,
                  gains: np.ndarray, observed: np.ndarray, work: np.ndarray,
                  sums: np.ndarray, hazards: np.ndarray) -> None:
-    """Estimate drawn chunks in one call and add up their errors.
+    """Estimate and score drawn chunks, one call each, and add up their
+    errors.
 
     The chunks' gains and collapsed observations fill the leading rows of
     `gains` and `observed` in batch order; the estimator keeps its arrays
     in `work` and reads only the line gain and amplitudes of `s`, which
-    every grid point shares. Each chunk is scored against its own gains:
-    its error sum over its sound trials goes to `sums[grid index]` and
-    its flagged trials to `hazards`.
+    every grid point shares. Each trial is scored against its own gains;
+    a chunk's error sum over its sound trials goes to `sums[grid index]`
+    and its flagged trials to `hazards`.
     """
     ref = topo.reference - 1
     n = batch[-1].rows.stop
     est, hazard_at = ml_estimate_batch(observed[:n], topo, s,
                                        gains[:n, 0, ref], gains[:n, 1, ref],
                                        work)
+    # flagged rows may score inf or NaN; they are masked out
+    with np.errstate(over="ignore", invalid="ignore"):
+        errors = mean_sq_errors(est, gains[:n])
+    sound = hazard_at == 0
     for chunk in batch:
         rows = chunk.rows
-        # flagged rows may score inf or NaN; they are masked out
-        with np.errstate(over="ignore", invalid="ignore"):
-            errors = mean_sq_errors(est[rows], gains[rows])
-        sound = hazard_at[rows] == 0
-        hazards[chunk.grid_index] += int(chunk.trials - sound.sum())
-        sums[chunk.grid_index] += errors[sound].sum(axis=0)
+        hazards[chunk.grid_index] += int(chunk.trials - sound[rows].sum())
+        sums[chunk.grid_index] += errors[rows][sound[rows]].sum(axis=0)
 
 
 def _budget_report(t: Topology, s: ScenarioParams, budget_mode: str,

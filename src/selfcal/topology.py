@@ -115,8 +115,7 @@ class Topology:
         object.__setattr__(self, "edges", tuple(sorted(canonical)))
         # m-1 edges and full reachability from the reference imply a tree.
         if sum(map(len, self.levels)) != self.m - 1:
-            raise NotEffective(
-                "wiring does not connect every antenna to the reference")
+            raise NotEffective()
 
     @cached_property
     def neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -629,7 +628,8 @@ def root_trees(edges: np.ndarray, reference: int
     (n, m) arrays over the zero-based antennas: each antenna's parent
     (-1 at the reference) and its hop count from the reference. Depth
     d+1 is reached from depth d in every row at once, and each line
-    direction is looked at once, when its sender's depth comes up.
+    direction is looked at once, when its sender's depth comes up; the
+    walk stops at the first depth from which no antenna is reached.
     Raises NotEffective unless every row connects every antenna to the
     reference, which m-1 lines do exactly when they form a spanning tree.
     """
@@ -646,12 +646,13 @@ def root_trees(edges: np.ndarray, reference: int
         due = depth[senders] == d
         child, above = receivers[due], senders[due]
         fresh = depth[child] < 0  # not the line back up
+        if not fresh.any():  # no antenna at depth d+1, nor further down
+            break
         depth[child[fresh]] = d + 1
         parent[child[fresh]] = above[fresh] % m
         senders, receivers = senders[~due], receivers[~due]
     if (depth < 0).any():
-        raise NotEffective(
-            "wiring does not connect every antenna to the reference")
+        raise NotEffective()
     return parent.reshape(n, m), depth.reshape(n, m)
 
 

@@ -359,6 +359,14 @@ class TestFlagValues:
         (["verify", "--prop", "3"], "--prop 3 needs --m or --m-range"),
         (["verify", "--prop", "3", "--m", "2"], "need m >= 3, got 2"),
     ] + [
+        # net.json gives m and the reference, so the flags are not read
+        ([command, "--topology", "file:net.json"] + flags,
+         f"a file: topology does not read {flags[0]}")
+        for command, flags in (("crlb", ["--m", "99", "--ref", "7"]),
+                               ("schedule", ["--ref", "7"]),
+                               ("simulate", ["--m", "99"]),
+                               ("sweep", ["--ref", "7"]))
+    ] + [
         # numpy refuses an array this large before allocating any of it
         (["simulate", "--topology", "daisy", "--m", "3", "--ref", "1",
           "--reps", "100000000000000000"] + flags, "Unable to allocate")
@@ -374,8 +382,12 @@ class TestFlagValues:
             "collection-time-overflow", "budgeted-collection-time-overflow",
             "budget-overflow", "simulate-seed-negative", "noise-var-nan",
             "snr-grid-two-parts", "prop2-m-2", "prop3-no-m", "prop3-m-2",
-            "reps-too-large", "reps-too-large-noiseless"])
-    def test_exits_2_with_one_line(self, capsys, argv, names):
+            "crlb-file-m", "schedule-file-ref", "simulate-file-m",
+            "sweep-file-ref", "reps-too-large", "reps-too-large-noiseless"])
+    def test_exits_2_with_one_line(self, capsys, tmp_path, monkeypatch,
+                                   argv, names):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "net.json").write_text(json.dumps(TOPOLOGY))
         code = main(argv)
         out, err = capsys.readouterr()
         assert code == 2 and out == ""

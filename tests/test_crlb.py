@@ -160,6 +160,20 @@ class TestFisherMatrix:
         with pytest.raises(ScenarioError):
             fisher_matrix(make_daisy(3, 1), unit_gains(3), s)
 
+    # the scale |h|^2/sigma^2 overflows, or it is finite and the chain's
+    # inner diagonal entries, each two lines' worth of it, overflow
+    @pytest.mark.parametrize("noise_variance", [5e-324, 1e-310, 1e-308])
+    def test_overflowing_entries_rejected(self, noise_variance):
+        s = ScenarioParams(noise_variance=noise_variance)
+        t = make_daisy(5, 1)
+        for assemble in (lambda: fisher_matrix(t, unit_gains(5), s),
+                         lambda: fisher_from_edges(5, 1, t.edges,
+                                                   unit_gains(5), s)):
+            with pytest.raises(ScenarioError,
+                               match=r"overflow: noise variance .* "
+                                     r"\|h\|\^2/sigma\^2"):
+                assemble()
+
 
 class TestNumericCrlb:
     def test_daisy3(self):

@@ -461,21 +461,28 @@ class TestChunking:
                                             35.0, 40.0),
                                trials=15, master_seed=3, budget_mode="time",
                                budget_value=256.0)
-        kernel = harness.ml_estimate_batch
-        calls = []
+        kernel, score = harness.ml_estimate_batch, harness.mean_sq_errors
+        calls, scored = [], []
 
         def counted(values, *args):
             calls.append(len(values))
             return kernel(values, *args)
 
+        def scored_once(est, truth):
+            scored.append(len(est))
+            return score(est, truth)
+
         monkeypatch.setattr(harness, "ml_estimate_batch", counted)
+        monkeypatch.setattr(harness, "mean_sq_errors", scored_once)
         batched = sweep_rows_to_csv(run_snr_sweep(cfg))
-        assert len(calls) < len(cfg.snr_grid_db)
+        # 4 points fill a batch of at most 63 trials, the other 3 the next
+        assert calls == scored == [60, 45]
         assert max(calls) * cfg.m <= harness._BATCH
         monkeypatch.setattr(harness, "_BATCH", 1)
         calls.clear()
+        scored.clear()
         alone = sweep_rows_to_csv(run_snr_sweep(cfg))
-        assert calls == [15] * len(cfg.snr_grid_db)
+        assert calls == scored == [15] * len(cfg.snr_grid_db)
         assert batched == alone
 
 
@@ -588,17 +595,6 @@ class _InlineExecutor:
         return future
 
 
-class _StalledExecutor:
-    """Accepts each task and never starts it."""
-
-    def __init__(self):
-        self.futures = []
-
-    def submit(self, fn, *args):
-        self.futures.append(futures.Future())
-        return self.futures[-1]
-
-
 class TestNoiseHelper:
     @pytest.mark.parametrize("name", PINNED)
     def test_the_helper_changes_no_byte(self, name, tmp_path, monkeypatch):
@@ -616,13 +612,22 @@ class TestNoiseHelper:
         assert _csv(cfg) == threaded
         assert hashlib.sha256(threaded.encode()).hexdigest() == digest
 
-    def test_a_task_not_started_is_drawn_by_the_caller(self, monkeypatch):
+    def test_every_noise_draw_runs_on_the_helper(self, monkeypatch):
         cfg, digest = PINNED["chain-17-mixed-chunks"]
-        stalled = _StalledExecutor()
-        monkeypatch.setattr(harness, "_noise_executor", lambda: stalled)
+        draw_noise = harness.draw_noise
+        threads = []
+
+        def recorded(seed, out):
+            threads.append(threading.current_thread())
+            return draw_noise(seed, out)
+
+        monkeypatch.setattr(harness, "draw_noise", recorded)
+        # the helper is still busy when the first batch's gains are drawn
+        harness._noise_executor().submit(time.sleep, 0.1)
         assert hashlib.sha256(_csv(cfg).encode()).hexdigest() == digest
-        assert len(stalled.futures) == len(cfg.snr_grid_db)
-        assert all(f.cancelled() for f in stalled.futures)
+        # one draw per chunk, two chunks per point, in three batches
+        assert len(threads) == 2 * len(cfg.snr_grid_db)
+        assert threading.current_thread() not in threads
 
     @pytest.mark.parametrize("entropy", [0, 7, (3, 0, 1), (2**40, 6, 9),
                                          (11, 3, 17)])
@@ -684,7 +689,10 @@ class TestNoiseHelper:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_a_forked_child_sweeps(self):
         expected = _csv(self.CFG)
-        assert harness._helper is not None
+        # the parent's helper thread is running when it forks
+        assert harness._helper is not None and harness._helper[0] == os.getpid()
+        assert any(t.name.startswith("selfcal-noise")
+                   for t in threading.enumerate())
         with multiprocessing.get_context("fork").Pool(1) as pool:
             child = pool.apply_async(_csv, (self.CFG,)).get(timeout=60)
         assert child == expected

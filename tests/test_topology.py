@@ -324,6 +324,21 @@ class TestRootTrees:
         assert parent[0].tolist() == [above.get(k, 0) - 1
                                       for k in range(1, t.m + 1)]
 
+    def test_rows_of_unequal_depth(self):
+        # the walk goes on until the deepest row has been reached: a star
+        # (depth 1), a chain with the reference in the middle (depth 4)
+        # and one that starts at the reference (depth 8)
+        path = [5, 1, 2, 3, 4, 6, 7, 8, 9]
+        rows = [make_star(9, 5).edges, make_daisy(9, 5).edges,
+                tuple(zip(path, path[1:]))]
+        parent, depth = root_trees(np.array(rows), 5)
+        for k, edges in enumerate(rows):
+            dist = hop_distances(edges, 9, 5)
+            assert depth[k].tolist() == [dist[a] for a in range(1, 10)]
+            assert all(dist[parent[k, a - 1] + 1] == dist[a] - 1
+                       for a in range(1, 10) if a != 5)
+        assert depth.max(axis=1).tolist() == [1, 4, 8]
+
     def test_rows_that_do_not_span_are_rejected(self):
         # the second row closes a cycle on 1, 2, 3 and leaves 4 out
         edges = np.array([[(1, 2), (2, 3), (3, 4)], [(1, 2), (2, 3), (1, 3)]])
