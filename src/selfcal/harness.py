@@ -22,8 +22,10 @@ import json
 import logging
 import math
 import os
+import threading
 from dataclasses import dataclass, fields
 from fractions import Fraction
+from functools import partial
 from operator import attrgetter
 from typing import TYPE_CHECKING, Iterable, NamedTuple
 
@@ -184,12 +186,13 @@ _CHUNK = 256
 #: full chunk or of _BATCH antenna-trials, whichever is larger.
 _BATCH = 8192
 
-#: (process id, executor) of the one thread that draws sweep noise
+#: (process id, executor) of the one thread that runs sweep batches
+#: beside the caller
 _helper: tuple[int, ThreadPoolExecutor] | None = None
 
 
-def _noise_executor() -> ThreadPoolExecutor:
-    """The process's noise-drawing thread, started on first use.
+def _sweep_helper() -> ThreadPoolExecutor:
+    """The process's sweep helper thread, started on first use.
 
     A forked child inherits the executor but not its thread, and would
     wait on it forever, so a new process id gets a new executor.
@@ -201,7 +204,7 @@ def _noise_executor() -> ThreadPoolExecutor:
     global _helper
     if _helper is None or _helper[0] != os.getpid():
         _helper = (os.getpid(), ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="selfcal-noise"))
+            max_workers=1, thread_name_prefix="selfcal-sweep"))
     return _helper[1]
 
 
@@ -236,22 +239,25 @@ def run_snr_sweep(cfg: ExperimentConfig,
 
     A sweep call does only per-trial work: the named wirings, with their
     walk and propagation plan, are built once per process (`make_star`,
-    `make_daisy`), and the call allocates its gain and observation
-    buffers and a scratch area once, in one block. Each chunk is drawn
+    `make_daisy`), and the call allocates, in one block, gain and
+    observation buffers and a scratch area for each thread that runs
+    batches (see below). Each chunk is drawn
     straight into its rows of the buffers, which its batch then reads as
     contiguous row ranges; the draws and the estimator keep their work
     arrays in the scratch area.
 
-    A batch's two random streams are drawn at the same time: one helper
-    thread per process fills every chunk's observation rows with the raw
-    normals of its noise seed (`draw_noise`, one task per batch), while
-    the calling thread draws the chunks' gains; numpy releases the GIL
-    in both. The call then waits for the task and adds the gain products
-    to the noise (`add_gain_products`). Each stream is read by one thread
-    only and writes rows no other draw touches, so the output is the same
-    bytes as drawing both in turn. If a gain draw raises, the batch's task
-    is withdrawn if the helper has not started it and waited for if it
-    has, so no task a call starts outlives it.
+    Batches run on two threads: the calling thread and one helper
+    thread per process each take the next batch not yet taken, draw its
+    chunks' noise (`draw_noise`) and gains (`draw_gain_batch`) into rows
+    of their own, add the gain products (`add_gain_products`), estimate
+    and score it; numpy releases the GIL in the draws. A batch's result
+    is each chunk's error sum and hazard count, and the call adds them up
+    in chunk order once both threads are done, so the output is the same
+    bytes whichever thread ran which batch. A sweep of one batch runs it
+    on the caller alone. If a batch raises on either thread, the other
+    thread takes no new batch; the call withdraws the helper's task if it
+    has not started and waits for it if it has, then raises, so no batch
+    a call starts outlives it.
     """
     topo = validate_config(cfg)
     base = scenario if scenario is not None else ScenarioParams()
@@ -261,48 +267,34 @@ def run_snr_sweep(cfg: ExperimentConfig,
     bound = _budget_report(topo, scenarios[0], cfg.budget_mode,
                            cfg.budget_value)
     mean_factor = float(bound.mean_distance / bound.repetitions)
-    sums = np.zeros((points, 2))
-    hazards = np.zeros(points, dtype=int)
     m, pairs = topo.m, 2 * (topo.m - 1)
+    batches = _plan_batches(cfg, m)
     # a batch holds one chunk, or more within _BATCH antenna-trials
     capacity = min(max(min(_CHUNK, cfg.trials), _BATCH // m),
                    points * cfg.trials)
-    # gain and observation rows, and scratch for a chunk's phases, then
-    # its gain products and gathered transmit gains, then a batch's
-    # estimator work arrays, the largest of the three. One block, not
-    # three: glibc raises its mmap and trim thresholds to the largest
+    # per thread: gain and observation rows, and scratch for a chunk's
+    # phases, then its gain products and gathered transmit gains, then a
+    # batch's estimator work arrays, the largest of the three; the
+    # helper's set only when there is a batch for it. One block, not
+    # several: glibc raises its mmap and trim thresholds to the largest
     # block it has freed, so the next call's buffers and temporaries stay
     # in a heap it neither trims nor faults in again.
-    per_trial = (2 * m, pairs, work_size(m, 1))
-    gains, observed, scratch = np.split(
-        np.empty(capacity * sum(per_trial), dtype=complex),
-        capacity * np.cumsum(per_trial[:2]))
-    gains = gains.reshape(capacity, 2, m)
-    observed = observed.reshape(capacity, pairs)
-    floats = scratch.view(float)
-    for batch in _plan_batches(cfg, m):
-        fills = [(chunk.noise_seed, observed[chunk.rows]) for chunk in batch]
-        noise = _noise_executor().submit(_draw_noise_rows, fills)
-        try:
-            for chunk in batch:
-                draw_gain_batch(chunk.trials, m, scenarios[chunk.grid_index],
-                                chunk.gains_seed, out=gains[chunk.rows],
-                                phases=floats[:chunk.trials * 2 * m].reshape(
-                                    chunk.trials, 2, m))
-        except BaseException:
-            # a task the helper has not started is withdrawn; one it has
-            # started is waited for, raising nothing of its own here
-            if not noise.cancel():
-                noise.exception()
-            raise
-        noise.result()
-        for chunk in batch:
-            add_gain_products(topo, gains[chunk.rows],
-                              scenarios[chunk.grid_index], bound.repetitions,
-                              observed[chunk.rows],
-                              scratch[:2 * chunk.trials * pairs])
-        _score_batch(batch, topo, base, gains, observed, scratch, sums,
-                     hazards)
+    gains_end, observed_end = capacity * 2 * m, capacity * (2 * m + pairs)
+    block = np.empty((min(len(batches), 2),
+                      observed_end + capacity * work_size(m, 1)),
+                     dtype=complex)
+    row_sets = [_Rows(part[:gains_end].reshape(capacity, 2, m),
+                      part[gains_end:observed_end].reshape(capacity, pairs),
+                      part[observed_end:])
+                for part in block]
+    run_batch = partial(_run_batch, topo=topo, scenarios=scenarios,
+                        repetitions=bound.repetitions)
+    sums = np.zeros((points, 2))
+    hazards = np.zeros(points, dtype=int)
+    for scores in _share_batches(batches, run_batch, row_sets):
+        for grid_index, error_sum, hazard_count in scores:
+            sums[grid_index] += error_sum
+            hazards[grid_index] += hazard_count
     rows: list[SweepRow] = []
     for snr_db, s, sum_sq, hazard_count in zip(
             cfg.snr_grid_db, scenarios, sums, hazards):
@@ -334,12 +326,25 @@ class _Chunk(NamedTuple):
 
     grid_index: int
     rows: slice  # its rows in the batch buffers
-    gains_seed: np.random.SeedSequence
-    noise_seed: np.random.SeedSequence
+    entropy: tuple[int, int, int]  # (master_seed, grid index, chunk index)
 
     @property
     def trials(self) -> int:
         return self.rows.stop - self.rows.start
+
+    def seeds(self) -> tuple[np.random.SeedSequence, ...]:
+        """The gain seed and the noise seed: the two children that
+        SeedSequence(entropy).spawn(2) gives, built directly."""
+        return tuple(np.random.SeedSequence(self.entropy, spawn_key=(i,))
+                     for i in (0, 1))
+
+
+class _Rows(NamedTuple):
+    """One thread's batch buffers: gain rows, observation rows, scratch."""
+
+    gains: np.ndarray  # (capacity, 2, m)
+    observed: np.ndarray  # (capacity, 2(m-1))
+    scratch: np.ndarray  # flat
 
 
 def _plan_batches(cfg: ExperimentConfig, m: int) -> list[list[_Chunk]]:
@@ -348,8 +353,8 @@ def _plan_batches(cfg: ExperimentConfig, m: int) -> list[list[_Chunk]]:
     Grid point g's trials run in consecutive chunks of `_CHUNK`, the
     points in order; a batch is closed before a chunk that would take it
     past `_BATCH` antenna-trials, unless it is empty. Chunk c of point g
-    takes the two children SeedSequence((master_seed, g, c)).spawn(2)
-    gives, built directly.
+    carries the entropy (master_seed, g, c) of its seeds, which the
+    thread that draws it builds.
     """
     batches: list[list[_Chunk]] = [[]]
     batched = 0
@@ -359,35 +364,96 @@ def _plan_batches(cfg: ExperimentConfig, m: int) -> list[list[_Chunk]]:
             if batched and (batched + trials) * m > _BATCH:
                 batches.append([])
                 batched = 0
-            entropy = (cfg.master_seed, grid_index, chunk_index)
             batches[-1].append(_Chunk(
                 grid_index, slice(batched, batched + trials),
-                *(np.random.SeedSequence(entropy, spawn_key=(i,))
-                  for i in (0, 1))))
+                (cfg.master_seed, grid_index, chunk_index)))
             batched += trials
     return batches
 
 
-def _draw_noise_rows(fills: list[tuple[np.random.SeedSequence, np.ndarray]]
-                     ) -> None:
-    """Fill each chunk's observation rows with its noise stream."""
-    for seed, rows in fills:
-        draw_noise(seed, rows)
+def _share_batches(batches: list[list[_Chunk]], run_batch,
+                   row_sets: list[_Rows]) -> list:
+    """`run_batch(batch, rows)` for every batch, in batch order.
+
+    The calling thread and, given a second set of rows, the sweep helper
+    each take the next batch not yet taken, under a lock, into their own
+    rows. Once a batch raises, neither thread takes another; the caller
+    withdraws the helper's task if it has not started and waits for it
+    if it has, then raises its own error or else the helper's.
+    """
+    results: list = [None] * len(batches)
+    order = iter(range(len(batches)))
+    lock = threading.Lock()
+    failed = False
+
+    def take_batches(rows: _Rows) -> None:
+        nonlocal failed
+        while True:
+            with lock:
+                k = None if failed else next(order, None)
+            if k is None:
+                return
+            try:
+                results[k] = run_batch(batches[k], rows)
+            except BaseException:
+                with lock:
+                    failed = True
+                raise
+
+    if len(row_sets) == 1:
+        take_batches(row_sets[0])
+        return results
+    helper = _sweep_helper().submit(take_batches, row_sets[1])
+    try:
+        take_batches(row_sets[0])
+    except BaseException:
+        # a task the helper has not started is withdrawn; one it has
+        # started is waited for, raising nothing of its own here
+        if not helper.cancel():
+            helper.exception()
+        raise
+    if not helper.cancel():
+        helper.result()
+    return results
+
+
+def _run_batch(batch: list[_Chunk], rows: _Rows, topo: Topology,
+               scenarios: list[ScenarioParams],
+               repetitions: int) -> list[tuple[int, np.ndarray, int]]:
+    """Draw a batch's chunks into `rows`, then estimate and score them.
+
+    Each chunk's noise and gains come from its own two seeds, and its
+    observations take the gain products of its grid point's scenario
+    over `repetitions` rounds.
+    """
+    gains, observed, scratch = rows
+    floats = scratch.view(float)
+    for chunk in batch:
+        gains_seed, noise_seed = chunk.seeds()
+        draw_noise(noise_seed, observed[chunk.rows])
+        draw_gain_batch(chunk.trials, topo.m, scenarios[chunk.grid_index],
+                        gains_seed, out=gains[chunk.rows],
+                        phases=floats[:chunk.trials * 2 * topo.m].reshape(
+                            chunk.trials, 2, topo.m))
+        add_gain_products(topo, gains[chunk.rows],
+                          scenarios[chunk.grid_index], repetitions,
+                          observed[chunk.rows],
+                          scratch[:2 * chunk.trials * observed.shape[1]])
+    return _score_batch(batch, topo, scenarios[0], rows)
 
 
 def _score_batch(batch: list[_Chunk], topo: Topology, s: ScenarioParams,
-                 gains: np.ndarray, observed: np.ndarray, work: np.ndarray,
-                 sums: np.ndarray, hazards: np.ndarray) -> None:
-    """Estimate and score drawn chunks, one call each, and add up their
-    errors.
+                 rows: _Rows) -> list[tuple[int, np.ndarray, int]]:
+    """Estimate and score drawn chunks in one call.
 
     The chunks' gains and collapsed observations fill the leading rows of
-    `gains` and `observed` in batch order; the estimator keeps its arrays
-    in `work` and reads only the line gain and amplitudes of `s`, which
-    every grid point shares. Each trial is scored against its own gains;
-    a chunk's error sum over its sound trials goes to `sums[grid index]`
-    and its flagged trials to `hazards`.
+    `rows` in batch order; the estimator keeps its arrays in its scratch
+    and reads only the line gain and amplitudes of `s`, which every grid
+    point shares. Each trial is scored against its own gains; each chunk
+    gives its (grid index, error sum over its sound trials, count of its
+    flagged trials).
     """
+    gains, observed, work = rows
     ref = topo.reference - 1
     n = batch[-1].rows.stop
     est, hazard_at = ml_estimate_batch(observed[:n], topo, s,
@@ -397,10 +463,10 @@ def _score_batch(batch: list[_Chunk], topo: Topology, s: ScenarioParams,
     with np.errstate(over="ignore", invalid="ignore"):
         errors = mean_sq_errors(est, gains[:n])
     sound = hazard_at == 0
-    for chunk in batch:
-        rows = chunk.rows
-        hazards[chunk.grid_index] += int(chunk.trials - sound[rows].sum())
-        sums[chunk.grid_index] += errors[rows][sound[rows]].sum(axis=0)
+    return [(chunk.grid_index,
+             errors[chunk.rows][sound[chunk.rows]].sum(axis=0),
+             int(chunk.trials - sound[chunk.rows].sum()))
+            for chunk in batch]
 
 
 def _budget_report(t: Topology, s: ScenarioParams, budget_mode: str,

@@ -416,6 +416,38 @@ class TestSweepCommand:
         out = capsys.readouterr().out
         assert out.splitlines()[1].split(",")[10] == "10"
 
+    @pytest.mark.parametrize("config, flags, name", [
+        ({"topology_kind": "file:net.json", "m": 99}, [], "m"),
+        ({"topology_kind": "file:net.json", "reference": 42}, [],
+         "reference"),
+        ({"topology_kind": "file:net.json", "m": 4, "reference": 1}, [],
+         "m"),
+        ({"m": 99}, ["--topology", "file:net.json"], "m"),
+        ({"topology_kind": "file:net.json"}, ["--m", "99"], "--m"),
+        ({"topology_kind": "file:net.json"}, ["--ref", "7"], "--ref"),
+        ({"topology_kind": "file:net.json", "m": 99}, ["--m", "4"], "--m"),
+        ({"topology_kind": "file:net.json", "reference": 42},
+         ["--ref", "1"], "--ref"),
+    ], ids=["json-m", "json-reference", "json-both", "json-m-flag-kind",
+            "flag-m", "flag-ref", "flag-m-over-json", "flag-ref-over-json"])
+    def test_a_file_topology_reads_no_m_or_reference(
+            self, tmp_path, capsys, monkeypatch, config, flags, name):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "net.json").write_text(json.dumps(TOPOLOGY))
+        sweep = {"snr_grid_db": [20], "trials": 5}
+        (tmp_path / "cfg.json").write_text(json.dumps({**sweep, **config}))
+        code = main(["sweep", "--config", "cfg.json"] + flags)
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err.startswith("selfcal: ") and err.count("\n") == 1
+        assert f"a file: topology does not read {name}; " in err
+        # without m and the reference, the file's wiring is swept
+        (tmp_path / "cfg.json").write_text(json.dumps(
+            {**sweep, "topology_kind": "file:net.json"}))
+        assert main(["sweep", "--config", "cfg.json"]) == 0
+        assert capsys.readouterr().out.splitlines()[1].split(",")[2:4] == [
+            "4", "1"]
+
     def test_config_grid_as_a_list(self, tmp_path, capsys):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({

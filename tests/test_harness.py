@@ -430,7 +430,8 @@ class TestChunking:
                                snr_grid_db=(30.0,), trials=_CHUNK + 10,
                                master_seed=2)
         row = run_snr_sweep(cfg)[0]
-        assert calls == [_CHUNK, 10]
+        # the two batches may run on either thread, in either order
+        assert sorted(calls) == [10, _CHUNK]
         assert row.hazard_rate == 2 / (_CHUNK + 10)  # one per chunk
         assert row.avg_mse_alpha == pytest.approx(1e-3, rel=0.2)
         assert row.avg_mse_beta == pytest.approx(1e-3, rel=0.2)
@@ -475,14 +476,15 @@ class TestChunking:
         monkeypatch.setattr(harness, "ml_estimate_batch", counted)
         monkeypatch.setattr(harness, "mean_sq_errors", scored_once)
         batched = sweep_rows_to_csv(run_snr_sweep(cfg))
-        # 4 points fill a batch of at most 63 trials, the other 3 the next
-        assert calls == scored == [60, 45]
+        # 4 points fill a batch of at most 63 trials, the other 3 the next;
+        # the batches may run on either thread, in either order
+        assert sorted(calls) == sorted(scored) == [45, 60]
         assert max(calls) * cfg.m <= harness._BATCH
         monkeypatch.setattr(harness, "_BATCH", 1)
         calls.clear()
         scored.clear()
         alone = sweep_rows_to_csv(run_snr_sweep(cfg))
-        assert calls == scored == [15] * len(cfg.snr_grid_db)
+        assert sorted(calls) == sorted(scored) == [15] * len(cfg.snr_grid_db)
         assert batched == alone
 
 
@@ -608,26 +610,32 @@ class TestNoiseHelper:
             threaded = _csv(cfg)
         finally:
             sys.setswitchinterval(interval)
-        monkeypatch.setattr(harness, "_noise_executor", _InlineExecutor)
+        monkeypatch.setattr(harness, "_sweep_helper", _InlineExecutor)
         assert _csv(cfg) == threaded
         assert hashlib.sha256(threaded.encode()).hexdigest() == digest
 
-    def test_every_noise_draw_runs_on_the_helper(self, monkeypatch):
-        cfg, digest = PINNED["chain-17-mixed-chunks"]
-        draw_noise = harness.draw_noise
-        threads = []
+    def test_concurrent_sweeps_share_the_helper(self):
+        # three callers and the one helper on two cores, switching often
+        names = ("star-129", "chain-129-time", "chain-17-mixed-chunks")
+        digests = {}
 
-        def recorded(seed, out):
-            threads.append(threading.current_thread())
-            return draw_noise(seed, out)
+        def sweep(name):
+            csv_text = _csv(PINNED[name][0])
+            digests[name] = hashlib.sha256(csv_text.encode()).hexdigest()
 
-        monkeypatch.setattr(harness, "draw_noise", recorded)
-        # the helper is still busy when the first batch's gains are drawn
-        harness._noise_executor().submit(time.sleep, 0.1)
-        assert hashlib.sha256(_csv(cfg).encode()).hexdigest() == digest
-        # one draw per chunk, two chunks per point, in three batches
-        assert len(threads) == 2 * len(cfg.snr_grid_db)
-        assert threading.current_thread() not in threads
+        callers = [threading.Thread(target=sweep, args=(name,))
+                   for name in names]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert digests == {name: PINNED[name][1] for name in names}
 
     @pytest.mark.parametrize("entropy", [0, 7, (3, 0, 1), (2**40, 6, 9),
                                          (11, 3, 17)])
@@ -638,60 +646,118 @@ class TestNoiseHelper:
             assert np.array_equal(direct.generate_state(8),
                                   child.generate_state(8))
 
+    #: two batches: two points' chunks, then the third point's
     CFG = ExperimentConfig(m=17, reference=9, topology_kind="daisy",
-                           snr_grid_db=(10.0, 20.0, 30.0), trials=40,
+                           snr_grid_db=(10.0, 20.0, 30.0), trials=200,
                            master_seed=3)
+    #: three batches, each of one point's full chunk and its short one
+    MIXED, MIXED_DIGEST = PINNED["chain-17-mixed-chunks"]
 
-    def test_a_failed_noise_fill_is_raised(self, monkeypatch):
-        draw_noise = harness.draw_noise
-        draw_gain_batch = harness.draw_gain_batch
-        calls, started = [], threading.Event()
+    def test_a_busy_helper_leaves_every_batch_to_the_caller(self,
+                                                            monkeypatch):
+        run_batch = harness._run_batch
+        threads = []
 
-        def failing(seed, out):
-            calls.append(threading.current_thread())
-            started.set()
-            if len(calls) == 2:
-                raise RuntimeError("noise fill failed")
-            return draw_noise(seed, out)
+        def recorded(*args, **kwargs):
+            threads.append(threading.current_thread())
+            return run_batch(*args, **kwargs)
 
-        def after_the_helper_starts(*args, **kwargs):
-            assert started.wait(5)
-            return draw_gain_batch(*args, **kwargs)
+        monkeypatch.setattr(harness, "_run_batch", recorded)
+        # the helper sleeps until the sweep has returned
+        released = threading.Event()
+        harness._sweep_helper().submit(released.wait, 60)
+        try:
+            csv_text = _csv(self.MIXED)
+        finally:
+            released.set()
+        assert hashlib.sha256(csv_text.encode()).hexdigest() == (
+            self.MIXED_DIGEST)
+        assert threads == [threading.current_thread()] * 3
 
-        monkeypatch.setattr(harness, "draw_noise", failing)
-        monkeypatch.setattr(harness, "draw_gain_batch",
-                            after_the_helper_starts)
-        with pytest.raises(RuntimeError, match="noise fill failed"):
-            run_snr_sweep(self.CFG)
-        assert len(calls) == 2
-        assert calls[0] is not threading.current_thread()
+    def test_the_helper_runs_the_batches_a_held_caller_leaves(self,
+                                                              monkeypatch):
+        run_batch = harness._run_batch
+        caller = threading.current_thread()
+        threads, others_done = [], threading.Event()
 
-    def test_no_fill_outlives_a_failed_call(self, monkeypatch):
-        draw_noise = harness.draw_noise
-        running, finished = threading.Event(), threading.Event()
+        def held(*args, **kwargs):
+            thread = threading.current_thread()
+            threads.append(thread)
+            if thread is caller:
+                # the caller's first batch waits for the helper's two
+                assert others_done.wait(30)
+            scores = run_batch(*args, **kwargs)
+            if thread is not caller and threads.count(thread) == 2:
+                others_done.set()
+            return scores
 
-        def slow(seed, out):
-            running.set()
-            time.sleep(0.2)
-            draw_noise(seed, out)
-            finished.set()
+        monkeypatch.setattr(harness, "_run_batch", held)
+        csv_text = _csv(self.MIXED)
+        assert hashlib.sha256(csv_text.encode()).hexdigest() == (
+            self.MIXED_DIGEST)
+        assert len(threads) == 3 and threads.count(caller) == 1
+
+    def test_a_batch_failed_on_the_helper_is_raised(self, monkeypatch):
+        run_batch = harness._run_batch
+        helper = harness._sweep_helper()
+        caller = threading.current_thread()
+        threads, tasks = [], []
+
+        class Recorded:
+            """The helper, keeping each task it is given."""
+
+            def submit(self, fn, *args):
+                tasks.append(helper.submit(fn, *args))
+                return tasks[-1]
 
         def failing(*args, **kwargs):
-            assert running.wait(5)
-            raise RuntimeError("gain draw failed")
+            thread = threading.current_thread()
+            threads.append(thread)
+            if thread is not caller:
+                raise RuntimeError("batch failed")
+            # the caller's first batch waits until the helper's task ends
+            assert not futures.wait(tasks, timeout=30).not_done
+            return run_batch(*args, **kwargs)
 
-        monkeypatch.setattr(harness, "draw_noise", slow)
-        monkeypatch.setattr(harness, "draw_gain_batch", failing)
-        with pytest.raises(RuntimeError, match="gain draw failed"):
-            run_snr_sweep(self.CFG)
+        monkeypatch.setattr(harness, "_sweep_helper", Recorded)
+        monkeypatch.setattr(harness, "_run_batch", failing)
+        with pytest.raises(RuntimeError, match="batch failed"):
+            _csv(self.MIXED)
+        # of three batches, the third is never started
+        assert len(threads) == 2 and threads.count(caller) == 1
+
+    def test_a_batch_failed_on_the_caller_leaves_nothing_running(
+            self, monkeypatch):
+        run_batch = harness._run_batch
+        caller = threading.current_thread()
+        threads = []
+        running, finished = threading.Event(), threading.Event()
+
+        def failing(*args, **kwargs):
+            thread = threading.current_thread()
+            threads.append(thread)
+            if thread is caller:
+                assert running.wait(30)
+                raise RuntimeError("batch failed")
+            running.set()
+            time.sleep(0.2)
+            scores = run_batch(*args, **kwargs)
+            finished.set()
+            return scores
+
+        monkeypatch.setattr(harness, "_run_batch", failing)
+        with pytest.raises(RuntimeError, match="batch failed"):
+            _csv(self.MIXED)
+        # the helper's batch ended before the call did, and no third began
         assert finished.is_set()
+        assert len(threads) == 2 and threads.count(caller) == 1
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_a_forked_child_sweeps(self):
         expected = _csv(self.CFG)
         # the parent's helper thread is running when it forks
         assert harness._helper is not None and harness._helper[0] == os.getpid()
-        assert any(t.name.startswith("selfcal-noise")
+        assert any(t.name.startswith("selfcal-sweep")
                    for t in threading.enumerate())
         with multiprocessing.get_context("fork").Pool(1) as pool:
             child = pool.apply_async(_csv, (self.CFG,)).get(timeout=60)
