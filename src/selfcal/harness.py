@@ -10,8 +10,9 @@ other tree for 5 <= m <= 9).
 The mean distance depends on the labels only through the tree's shape
 rooted at the reference, so the star and chain checks count trees by
 rooted shape, each once with weight (m-1)!/|Aut|, the number of labeled
-trees it stands for. The time-bounds check sees every labeled tree, in
-one pass of numpy blocks (decode, root, color, check) that counts them.
+trees it stands for, and read its mean distance and degree off its level
+sequence. The time-bounds check sees every labeled tree, in one pass of
+numpy blocks (decode, root, color, check) that counts them.
 """
 
 from __future__ import annotations
@@ -49,7 +50,6 @@ from .topology import (
     enumerate_shapes,
     make_daisy,
     make_star,
-    max_degree,
     pruefer_blocks,
     root_trees,
     schedule_faults,
@@ -522,11 +522,13 @@ def verify_star_optimality(m: int, reference: int = 1,
     enumerated shapes), and the weights add up to all m**(m-2) trees, so
     that a shape the enumeration misses fails the check.
     """
-    counts: dict[Fraction, int] = {}
-    for tree, weight in enumerate_shapes(m, reference, cap):
-        mean = calibration_distances(tree).mean
-        counts[mean] = counts.get(mean, 0) + weight
-    distribution = dict(sorted(counts.items()))
+    # by total hop count: over m-1 antennas it orders as the mean does
+    counts: dict[int, int] = {}
+    for shape in enumerate_shapes(m, reference, cap):
+        total = sum(shape.levels)
+        counts[total] = counts.get(total, 0) + shape.weight
+    distribution = {Fraction(total, m - 1): count
+                    for total, count in sorted(counts.items())}
     tree_count = sum(distribution.values())
     best = min(distribution)
     minimizers = distribution[best]
@@ -630,9 +632,9 @@ def verify_daisy_optimality(m_values: Iterable[int],
             # objective -> (all trees reaching it are optimal chains,
             # the star reaches it: the only tree of mean distance 1)
             verdicts: dict[Fraction, tuple[bool, bool]] = {}
-            for tree, _ in enumerate_shapes(m, f_best, brute_force_cap):
-                degree = max_degree(tree)
-                mean = calibration_distances(tree).mean
+            for shape in enumerate_shapes(m, f_best, brute_force_cap):
+                degree = shape.max_degree
+                mean = shape.mean_distance
                 objective = mean / ((m - 1) // degree)
                 chains, star = verdicts.get(objective, (True, False))
                 verdicts[objective] = (

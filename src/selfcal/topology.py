@@ -9,11 +9,10 @@ enforces the tree property at construction time.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -330,13 +329,19 @@ def max_degree(t: Topology) -> int:
 def measurement_schedule(t: Topology, slot_duration: float) -> Schedule:
     """Pack the 2(m-1) sounding measurements into 2*max_degree slots.
 
-    The schedule of `schedule_trees` for this one tree, rooted at its
-    reference by `root_trees` as a batch of one, with each slot's
-    measurements in ascending order: the rooting and coloring that
-    `verify --prop 2` checks on every labeled tree.
+    The schedule of `schedule_trees` for this one tree, rooted by its
+    cached breadth-first walk (`Topology.levels`), with each slot's
+    measurements in ascending order: the coloring that `verify --prop 2`
+    checks on every labeled tree.
     """
     _check_slot_duration(slot_duration)
-    arrays = schedule_trees(*root_trees(np.array([t.edges]), t.reference))
+    lines = np.array([line for level in t.levels for line in level]) - 1
+    parent = np.full((1, t.m), -1)
+    depth = np.zeros((1, t.m), dtype=int)
+    parent[0, lines[:, 1]] = lines[:, 0]
+    depth[0, lines[:, 1]] = np.repeat(np.arange(1, len(t.levels) + 1),
+                                      [len(level) for level in t.levels])
+    arrays = schedule_trees(parent, depth)
     tx, rx, slot = arrays.tx[0], arrays.rx[0], arrays.slot[0]
     order = np.lexsort((rx, tx, slot))
     pairs = list(zip(tx[order].tolist(), rx[order].tolist()))
@@ -397,40 +402,48 @@ def schedule_trees(parent: np.ndarray, depth: np.ndarray) -> ScheduleArrays:
     its siblings (ascending labels) gets color k below the color of its
     parent's own line and k+1 from that color on; the root's children
     take colors 0, 1, ... That needs exactly max_degree colors on a tree.
-    Colors go down the trees one depth at a time, for all rows at once;
-    sibling ranks come from sorting each row by parent, so a tree of m
-    antennas costs O(m log m). Color c fills slot 2c parent-to-child and
-    slot 2c+1 child-to-parent. Every row must have exactly one root.
+    The work runs antenna-major, on (m, n) arrays, so that a reduction
+    over a tree's antennas is an elementwise one over rows of n. Sibling
+    ranks come from sorting each tree's antennas stably by parent, so a
+    tree of m antennas costs O(m log m); colors go down the trees one
+    depth at a time, for all rows at once, each depth by a mask. Color c
+    fills slot 2c parent-to-child and slot 2c+1 child-to-parent; a
+    tree's measurements list its lines by child, ascending, first every
+    parent-to-child one. Every row must have exactly one root.
     """
     n, m = parent.shape
-    offsets = m * np.arange(n)[:, None]
-    flat_parent = (parent + offsets).ravel()
-    # siblings sit next to each other, labels ascending, once each row is
-    # sorted stably by parent; a rank is the distance to the first of them
-    by_parent = np.argsort(parent, axis=1, kind="stable") + offsets
-    grouped = flat_parent[by_parent]
-    columns = np.arange(m)
-    first = np.where(grouped != np.roll(grouped, 1, axis=1), columns, 0)
-    rank = np.empty(n * m, dtype=int)
-    rank[by_parent] = columns - np.maximum.accumulate(first, axis=1)
-    color = np.full(n * m, m)  # above every rank: no child skips a root
-    flat_depth = depth.ravel()
-    by_depth = np.argsort(flat_depth, kind="stable")
-    levels = np.searchsorted(flat_depth[by_depth],
-                             np.arange(1, flat_depth.max() + 2))
-    for lo, hi in zip(levels[:-1], levels[1:]):
-        nodes = by_depth[lo:hi]
-        k = rank[nodes]
-        color[nodes] = k + (k >= color[flat_parent[nodes]])
-    child = np.flatnonzero(parent.ravel() >= 0)
-    above = parent.ravel()[child].reshape(n, m - 1) + 1
-    below = (child % m).reshape(n, m - 1) + 1
-    colors = color[child].reshape(n, m - 1)
+    up = np.ascontiguousarray(parent.T)
+    down = depth.T
+    trees = np.arange(n)
+    # siblings sit next to each other, labels ascending, once each tree
+    # is sorted stably by parent; a rank is the distance to the first
+    by_parent = np.argsort(up, axis=0, kind="stable") * n + trees
+    grouped = up.ravel()[by_parent]
+    rows = np.arange(m)[:, None]
+    first = np.where(grouped != np.roll(grouped, 1, axis=0), rows, 0)
+    rank = np.empty(m * n, dtype=int)
+    rank[by_parent] = rows - np.maximum.accumulate(first, axis=0)
+    rank = rank.reshape(m, n)
+    color = np.full((m, n), m)  # above every rank: no child skips a root
+    flat_color = color.ravel()
+    # each antenna's parent as a flat index; the root's wraps round, and
+    # its depth 0 keeps what it reads from being written
+    above = (up * n + trees).ravel()
+    for d in range(1, int(down.max(initial=0)) + 1):
+        k = rank + (rank >= flat_color[above].reshape(m, n))
+        np.copyto(color, k, where=down == d)
+    # each tree's antennas but its root, ascending: column j of a tree is
+    # antenna j below its root and j+1 from it on
+    columns = np.arange(m - 1)[:, None]
+    child = columns + (columns >= (up < 0).argmax(axis=0))
+    at = child * n + trees
+    above_child = up.ravel()[at] + 1
+    colors = flat_color[at]
     return ScheduleArrays(
-        tx=np.concatenate([above, below], axis=1),
-        rx=np.concatenate([below, above], axis=1),
-        slot=np.concatenate([2 * colors, 2 * colors + 1], axis=1),
-        slots=2 * (colors.max(axis=1) + 1))
+        tx=np.concatenate([above_child, child + 1]).T,
+        rx=np.concatenate([child + 1, above_child]).T,
+        slot=np.concatenate([2 * colors, 2 * colors + 1]).T,
+        slots=2 * (colors.max(axis=0) + 1))
 
 
 @dataclass(frozen=True, eq=False)
@@ -467,46 +480,94 @@ def schedule_faults(edges: np.ndarray, schedules: ScheduleArrays
     `edges` is an (n, m-1, 2) array of the trees' lines over 1..m, as
     they were read and not as they were rooted, so that a schedule built
     from a wrongly rooted tree fails. Measurements are compared as
-    integer keys of (tree, slot, antenna) and (tree, sender, receiver):
-    one stable sort finds the repeated uses, and one sorted search finds
-    each scheduled pair among both directions of every line.
+    integer keys of (tree, slot, antenna), whose repeats are the reused
+    antennas, and of (tree, sender, receiver), matched against both
+    directions of every line (`_repeated`, `_matched`): on a block of
+    small trees through counting tables, without a sort. Degrees are
+    counted antenna-major, so that a tree's largest is a maximum over
+    rows. Labels outside 1..m are numbered on from m, in ascending order,
+    so that a stray antenna keeps its own keys and the key space its size.
     """
     n, lines = edges.shape[:2]
     m = lines + 1
-    tx, rx, slot = schedules.tx, schedules.rx, schedules.slot
-    rows = np.arange(n)[:, None]
-    degree = np.bincount((edges.reshape(n, -1) + (m + 1) * rows).ravel(),
-                         minlength=n * (m + 1)).reshape(n, m + 1)
-    expected = 2 * degree.max(axis=1)
-    # keys over every label in sight, so that a stray antenna stays apart
-    low = min(1, tx.min(initial=1), rx.min(initial=1))
-    base = max(m, tx.max(initial=m), rx.max(initial=m)) - low + 1
-    ends = np.stack([tx, rx], axis=2) - low
-    uses = (((rows * (slot.max(initial=0) + 1) + slot)[..., None]) * base
-            + ends).ravel()
-    order = np.argsort(uses, kind="stable")  # earlier uses first
-    ordered = uses[order]
-    reused = np.zeros(uses.size, dtype=bool)
-    reused[order[1:]] = ordered[1:] == ordered[:-1]
+    trees = np.arange(n)
+    degree = np.bincount((edges * n + trees[:, None, None]).ravel(),
+                         minlength=(m + 1) * n).reshape(m + 1, n)
+    expected = 2 * degree.max(axis=0)
+    # (measurement, end, tree), zero-based: a tree's uses in their order
+    ends = np.stack([schedules.tx.T, schedules.rx.T], axis=1) - 1
+    labels = m
+    if ends.min(initial=0) < 0 or ends.max(initial=0) >= m:
+        stray = (ends < 0) | (ends >= m)
+        ends[stray] = m + np.unique(ends[stray], return_inverse=True)[1]
+        labels = int(ends.max()) + 1
+    bits = (labels - 1).bit_length()  # labels fit a power-of-two base
+    slot = schedules.slot.T
+    slots = int(slot.max(initial=0)) + 1
+    uses = ((((trees * slots + slot) << bits)[:, None]) + ends).ravel()
+    reused = _repeated(uses, n * slots << bits).reshape(ends.shape)
 
     def pair_keys(senders, receivers):
-        return ((rows * base + senders - low) * base + receivers - low).ravel()
+        return ((((trees << bits) + senders) << bits) + receivers).ravel()
 
-    directions = np.concatenate([edges, edges[..., ::-1]], axis=1)
-    wanted = np.sort(pair_keys(directions[..., 0], directions[..., 1]))
-    scheduled = pair_keys(tx, rx)
-    at = np.searchsorted(wanted, scheduled).clip(max=wanted.size - 1)
-    on_line = wanted[at] == scheduled
-    pair = wanted % (base * base)
+    zero = edges.transpose(2, 1, 0) - 1  # (end, line, tree)
+    required, counts, on_line = _matched(
+        np.concatenate([pair_keys(zero[0], zero[1]),
+                        pair_keys(zero[1], zero[0])]),
+        pair_keys(ends[:, 0], ends[:, 1]), n << 2 * bits)
+    low = (1 << bits) - 1
     return ScheduleFaults(
         expected_slots=expected,
         wrong_slot_count=schedules.slots != expected,
-        reused=reused.reshape(ends.shape),
-        required=(np.stack([pair // base, pair % base], axis=1)
-                  + low).reshape(n, -1, 2),
-        counts=np.bincount(at[on_line], minlength=wanted.size
-                           ).reshape(n, -1),
-        off_line=~on_line.reshape(tx.shape))
+        reused=reused.transpose(2, 0, 1),
+        required=(np.stack([required >> bits & low, required & low], axis=1)
+                  + 1).reshape(n, -1, 2),
+        counts=counts.reshape(n, -1),
+        off_line=~on_line.reshape(ends.shape[0], n).T)
+
+
+#: Most entries per key that `_repeated` and `_matched` give a counting
+#: table. A block of small trees stays well within it (about 4 at
+#: m <= 8); the key space of one large tree grows as m^2 against its 4m
+#: uses, and is sorted instead, so that memory stays linear in them.
+_DENSE = 16
+
+
+def _repeated(keys: np.ndarray, size: int) -> np.ndarray:
+    """Whether each of `keys`, integers in [0, size), equals an earlier
+    one: the first use of each key, by `np.minimum.at` into a table of
+    `size` positions, marks every later one; past `_DENSE` entries per
+    key, one stable sort puts equal keys side by side in their order."""
+    if size > _DENSE * keys.size:
+        order = np.argsort(keys, kind="stable")
+        ordered = keys[order]
+        repeated = np.zeros(keys.size, dtype=bool)
+        repeated[order[1:]] = ordered[1:] == ordered[:-1]
+        return repeated
+    order = np.arange(keys.size, dtype=np.min_scalar_type(keys.size))
+    first = np.full(size, keys.size, dtype=order.dtype)
+    np.minimum.at(first, keys, order)
+    return first[keys] != order
+
+
+def _matched(wanted: np.ndarray, keys: np.ndarray, size: int
+             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`wanted`, distinct integers in [0, size), ascending; how often each
+    occurs among `keys`, integers in the same range; and which of `keys`
+    are wanted. A table of `size` flags, read in key order, gives the
+    first, and one count over it the second; past `_DENSE` entries per
+    key, a sort and a sorted search stand in for the table."""
+    if size > _DENSE * (wanted.size + keys.size):
+        wanted = np.sort(wanted)
+        at = np.searchsorted(wanted, keys).clip(max=wanted.size - 1)
+        found = wanted[at] == keys
+        return (wanted, np.bincount(at[found], minlength=wanted.size),
+                found)
+    table = np.zeros(size, dtype=bool)
+    table[wanted] = True
+    wanted = np.flatnonzero(table)
+    return (wanted, np.bincount(keys, minlength=size)[wanted],
+            table[keys])
 
 
 #: Most sequences `pruefer_blocks` puts in one block.
@@ -526,29 +587,48 @@ def pruefer_blocks(m: int, cap: int = ENUMERATION_CAP) -> Iterator[np.ndarray]:
         yield codes[:, None] // powers % m + 1
 
 
+class Shape(NamedTuple):
+    """A rooted tree shape, read off its canonical level sequence.
+
+    `levels` holds each node's depth in preorder (node 0 is the root),
+    which is its hop count to the reference; `parents` holds each node's
+    parent in that order (-1 at the root). `weight` is the number of
+    labeled trees of the shape, (m-1)!/|Aut|, and `max_degree` the most
+    lines that meet at one node.
+    """
+
+    levels: tuple[int, ...]
+    parents: tuple[int, ...]
+    weight: int
+    max_degree: int
+
+    @property
+    def mean_distance(self) -> Fraction:
+        """Mean hop count of the ordinary antennas to the reference."""
+        return Fraction(sum(self.levels), len(self.levels) - 1)
+
+
 def enumerate_shapes(m: int, reference: int = 1, cap: int = ENUMERATION_CAP
-                     ) -> Iterator[tuple[Topology, int]]:
-    """Yield one tree per rooted shape, rooted at `reference`, with its
-    weight: the number of labeled trees of that shape, (m-1)!/|Aut|.
+                     ) -> Iterator[Shape]:
+    """Yield every rooted tree shape on m nodes once, as a `Shape`.
 
     A shape is a canonical level sequence, the depths of its nodes in
     preorder with every node's subtrees in non-increasing order. The
     successor rule of Beyer and Hedetniemi ("Constant time generation of
     rooted trees", SIAM J. Comput. 9(4), 1980) runs through all of them,
     OEIS A000081(m), from the path down to the star; their weights sum to
-    m**(m-2). |Aut| counts the automorphisms that fix the root. Each
-    representative labels the root `reference` and the other nodes, in
-    preorder, with the ordinary antennas in ascending order, so at
-    reference 1 the path is `make_daisy(m, 1)`. `cap` bounds m as it does
-    for `pruefer_blocks`.
+    m**(m-2). |Aut| counts the automorphisms that fix the root. A shape
+    stands for the labeled trees rooted at any one antenna, so the
+    records do not depend on `reference`, which is checked, as m is
+    against `cap`, for the check that counts trees rooted at it.
     """
     _check_enumerable(m, reference, cap)
-    labels = [reference] + [k for k in range(1, m + 1) if k != reference]
     labelings = math.factorial(m - 1)
     levels = list(range(m))
     while True:
-        edges, automorphisms = _read_levels(levels, labels)
-        yield Topology(m, reference, edges), labelings // automorphisms
+        parents, automorphisms, degree = _read_levels(levels)
+        yield Shape(tuple(levels), parents, labelings // automorphisms,
+                    degree)
         # successor: from the last node p below level 1 on, repeat the
         # sequence that starts at p's parent q
         p = next((i for i in range(m - 1, 0, -1) if levels[i] > 1), None)
@@ -559,33 +639,38 @@ def enumerate_shapes(m: int, reference: int = 1, cap: int = ENUMERATION_CAP
             levels[i] = levels[i - p + q]
 
 
-def _read_levels(levels: list[int], labels: list[int]
-                 ) -> tuple[list[Edge], int]:
-    """The labeled lines of a level sequence, and its automorphisms that
-    fix the root.
+def _read_levels(levels: list[int]) -> tuple[tuple[int, ...], int, int]:
+    """The parents of a level sequence's nodes, its automorphisms that
+    fix the root, and its largest degree, in one pass over the nodes.
 
     A node's parent is the last node before it one level up, and its
-    subtree runs up to the next node on its level or above. |Aut| is the
-    product, over every node, of the factorials of how often each child
-    subtree repeats among its siblings.
+    previous sibling the last node before it on its level, if that comes
+    after the parent. |Aut| is the product, over every node, of the
+    factorials of how often each child subtree repeats among its
+    siblings. Siblings come in non-increasing order of their subtrees,
+    so equal ones are adjacent: a node whose subtree repeats its previous
+    sibling's is the k-th of such a run and multiplies |Aut| by k. The
+    previous sibling's subtree runs up to the node, and the node's
+    repeats it when its levels start the same way: it cannot run on
+    further, as it would then come first in that order.
     """
     m = len(levels)
-    parent = [0] * m
-    end = [m] * m
-    open_nodes: list[int] = []
-    for node, level in enumerate(levels):
-        while open_nodes and levels[open_nodes[-1]] >= level:
-            end[open_nodes.pop()] = node
-        if open_nodes:
-            parent[node] = open_nodes[-1]
-        open_nodes.append(node)
-    twins = Counter((parent[node], tuple(levels[node:end[node]]))
-                    for node in range(1, m))
+    parent = [-1] * m
+    degree = [0] + [1] * (m - 1)  # the line up, then those down
+    run = [1] * m  # place in a run of equal sibling subtrees
+    last = [0] * m  # by level: the last node seen there
     automorphisms = 1
-    for count in twins.values():
-        automorphisms *= math.factorial(count)
-    edges = [(labels[parent[node]], labels[node]) for node in range(1, m)]
-    return edges, automorphisms
+    for node in range(1, m):
+        level = levels[node]
+        above = parent[node] = last[level - 1]
+        degree[above] += 1
+        before = last[level]
+        if (before > above and levels[node:2 * node - before]
+                == levels[before:node]):
+            run[node] = run[before] + 1
+            automorphisms *= run[node]
+        last[level] = node
+    return tuple(parent), automorphisms, max(degree)
 
 
 def decode_pruefer_batch(codes: np.ndarray, m: int) -> np.ndarray:
@@ -626,34 +711,36 @@ def root_trees(edges: np.ndarray, reference: int
 
     `edges` is an (n, m-1, 2) array of lines over 1..m. Returns two
     (n, m) arrays over the zero-based antennas: each antenna's parent
-    (-1 at the reference) and its hop count from the reference. Depth
-    d+1 is reached from depth d in every row at once, and each line
-    direction is looked at once, when its sender's depth comes up; the
-    walk stops at the first depth from which no antenna is reached.
-    Raises NotEffective unless every row connects every antenna to the
-    reference, which m-1 lines do exactly when they form a spanning tree.
+    (-1 at the reference) and its hop count from the reference. Both are
+    views of antenna-major (m, n) arrays, as `schedule_trees` reads them.
+    Depth d+1 is reached from depth d in every row at once: a line
+    direction is due when its sender sits at depth d and its receiver is
+    not yet reached, so that its depth difference is d+1, read by a mask
+    over every line; the walk stops at the first depth from which no
+    antenna is reached. Raises NotEffective unless every row connects
+    every antenna to the reference, which m-1 lines do exactly when they
+    form a spanning tree.
     """
     n, lines = edges.shape[:2]
     m = lines + 1
-    # both directions of every line, as flat indices into (n, m)
-    ends = edges - 1 + m * np.arange(n)[:, None, None]
-    senders = np.concatenate([ends[..., 0], ends[..., 1]], axis=None)
-    receivers = np.concatenate([ends[..., 1], ends[..., 0]], axis=None)
-    parent = np.full(n * m, -1)
-    depth = np.full(n * m, -1)
-    depth[reference - 1::m] = 0
+    # row e holds end e of every line, as flat indices into (m, n), so
+    # that the reversed rows hold the other ends
+    ends = ((edges - 1) * n + np.arange(n)[:, None, None]
+            ).transpose(2, 1, 0).reshape(2, -1)
+    parent = np.full(m * n, -1)
+    depth = np.full(m * n, -1)
+    depth[(reference - 1) * n:reference * n] = 0
     for d in range(m - 1):
-        due = depth[senders] == d
-        child, above = receivers[due], senders[due]
-        fresh = depth[child] < 0  # not the line back up
-        if not fresh.any():  # no antenna at depth d+1, nor further down
+        at = depth[ends]
+        due = at - at[::-1] == d + 1  # only depth d against -1 differs so
+        child = ends[::-1][due]
+        if not child.size:  # no antenna at depth d+1, nor further down
             break
-        depth[child[fresh]] = d + 1
-        parent[child[fresh]] = above[fresh] % m
-        senders, receivers = senders[~due], receivers[~due]
+        depth[child] = d + 1
+        parent[child] = ends[due] // n
     if (depth < 0).any():
         raise NotEffective()
-    return parent.reshape(n, m), depth.reshape(n, m)
+    return parent.reshape(m, n).T, depth.reshape(m, n).T
 
 
 def topology_to_dict(t: Topology) -> dict:

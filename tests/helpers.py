@@ -228,6 +228,18 @@ def loop_fisher_entries(m, reference, edges, gains, s):
     return entries * (abs(s.line_gain) ** 2 / s.noise_variance)
 
 
+def shape_topology(shape, reference):
+    """The representative wiring of an enumerated shape: the root labeled
+    `reference` and the other nodes, in preorder, the ordinary antennas
+    in ascending order, so that at reference 1 the path is
+    `make_daisy(m, 1)`. Built from its parents alone and validated."""
+    m = len(shape.levels)
+    labels = [reference] + [k for k in range(1, m + 1) if k != reference]
+    return from_edges(m, reference, [
+        (labels[parent], labels[node])
+        for node, parent in enumerate(shape.parents) if node])
+
+
 def rooted_form(t):
     """Canonical string of a tree's shape rooted at its reference: each
     node is its children's forms, sorted, in parentheses."""

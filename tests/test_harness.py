@@ -34,7 +34,7 @@ from selfcal import (
     verify_star_optimality,
     verify_time_bounds,
 )
-from selfcal import harness
+from selfcal import harness, topology
 from selfcal.errors import ConfigError
 from selfcal.harness import _CHUNK
 
@@ -175,6 +175,29 @@ class TestTimeBounds:
         report = verify_time_bounds(6)
         assert report.tree_count == 1296
         assert report.schedules_valid and report.passed
+
+    def test_m8_at_the_cap(self):
+        # the workload of record: all 8**6 labeled trees at the default cap
+        report = verify_time_bounds(8)
+        assert report.tree_count == 8 ** 6
+        assert (report.min_slots, report.max_slots) == (4, 14)
+        assert report.chain_count == math.factorial(8) // 2
+        assert report.star_count == 8
+        assert report.schedules_valid and report.passed
+
+    @pytest.mark.parametrize("m", [5, 6])
+    @pytest.mark.parametrize("block", [1, 7, None, 6 ** 4 + 1])
+    def test_reports_do_not_depend_on_the_block_size(self, monkeypatch, m,
+                                                     block):
+        # the tables are per block, so a tree's checks must not see the
+        # other trees in its block: one tree per block, a size that leaves
+        # a short last block, the default, and one block for every tree
+        expected = verify_time_bounds(m)
+        if block is not None:
+            monkeypatch.setattr(topology, "PRUEFER_BLOCK", block)
+        sizes = [len(codes) for codes in harness.pruefer_blocks(m, 8)]
+        assert max(sizes) == min(block or topology.PRUEFER_BLOCK, m ** (m - 2))
+        assert_same_report(verify_time_bounds(m), expected)
 
     def test_a_dropped_block_fails(self, monkeypatch):
         # only trees that were decoded and checked are counted

@@ -14,12 +14,15 @@ draw. The single-trial calls (`draw_gains`, `synthesize`, `ml_estimate`,
 not import them. Prop 2 checks and counts every
 labeled tree in one pass of array stages (`pruefer_blocks`,
 `decode_pruefer_batch`, `root_trees`, `schedule_trees`,
-`schedule_faults`); `measurement_schedule` and `schedule_violations` are
-their batches of one, for one tree. Props 1 and 3 read
-`enumerate_shapes`, `calibration_distances` and `max_degree`. The batch
-kernels, the array stages and `enumerate_shapes` are listed although the
-benchmark does not wrap them yet: the drivers look them up in
-`selfcal.harness`, where a tracer can wrap them.
+`schedule_faults`). `measurement_schedule` roots its one tree from the
+wiring's cached walk and colors it with `schedule_trees` as a batch of
+one; `schedule_violations` checks it with `schedule_faults`. Props 1 and
+3 read each shape's mean distance and degree off the level sequences
+that `enumerate_shapes` yields, and prop 1 walks the star with
+`calibration_distances`. The batch kernels, the array stages and
+`enumerate_shapes` are listed although the benchmark does not wrap them
+yet: the verify and sweep functions look them up in `selfcal.harness`,
+where a tracer can wrap them.
 
 Every other module-level name has a caller in `src/` too, or is public
 API, so no helper is kept alive by tests alone.
@@ -40,7 +43,7 @@ SURFACE = {
         "sweep_rows_to_csv", "verify_star_optimality", "verify_time_bounds",
         "verify_daisy_optimality", "crlb_closed_form",
         "budgeted_average_crlb", "enumerate_shapes", "calibration_distances",
-        "max_degree", "pruefer_blocks", "decode_pruefer_batch", "root_trees",
+        "pruefer_blocks", "decode_pruefer_batch", "root_trees",
         "schedule_trees", "schedule_faults", "draw_gain_batch",
         "draw_noise", "add_gain_products", "ml_estimate_batch",
         "mean_sq_errors",
@@ -75,7 +78,7 @@ CALLS_THROUGH_HARNESS = {
          "schedule_trees", "schedule_faults"}),
     "verify_daisy_optimality": (
         lambda: harness.verify_daisy_optimality((3, 4)),
-        {"enumerate_shapes", "calibration_distances", "max_degree"}),
+        {"enumerate_shapes"}),
 }
 
 

@@ -28,10 +28,12 @@ from selfcal.errors import (
     TopologyError,
     WrongEdgeCount,
 )
+from selfcal import topology
 from selfcal.topology import (
     PRUEFER_BLOCK,
     Schedule,
-    Topology,
+    ScheduleArrays,
+    Shape,
     decode_pruefer_batch,
     enumerate_shapes,
     pruefer_blocks,
@@ -48,6 +50,7 @@ from helpers import (
     pairwise_schedule_violations,
     random_tree,
     rooted_form,
+    shape_topology,
     trees,
 )
 
@@ -394,7 +397,14 @@ class TestScheduleFaults:
         (make_star(4, 1), (((1, 2), (3, 4)), ((2, 1),), ((1, 3),), ((3, 1),),
                            ((1, 4),), ((4, 1),)),
          ["measurement (3, 4) is not on any line"]),
-    ], ids=["slot-count", "antenna-twice", "not-once", "off-line"])
+        # antennas outside 1..m keep apart from each other and from 1..m
+        (make_daisy(3, 1), (((1, 2), (5, 9), (0, 5)), ((2, 1),),
+                            ((2, 3), (3, -2)), ((3, 2),)),
+         ["antenna 5 used twice in slot 0", "antenna 3 used twice in slot 2",
+          "measurement (5, 9) is not on any line",
+          "measurement (0, 5) is not on any line",
+          "measurement (3, -2) is not on any line"]),
+    ], ids=["slot-count", "antenna-twice", "not-once", "off-line", "stray"])
     def test_each_kind_is_named(self, t, slots, problems):
         bad = Schedule(slots, 1.0)
         assert schedule_violations(t, bad) == problems
@@ -422,6 +432,47 @@ class TestScheduleFaults:
         assert sorted(schedule_violations(t, bad)) == (
             pairwise_schedule_violations(t, bad))
 
+    @pytest.mark.parametrize("t", [
+        make_star(129, 64), make_daisy(129, 64),
+        random_tree(np.random.default_rng(129), 129)],
+        ids=["star", "daisy", "random"])
+    def test_large_trees_match_the_pairwise_oracle(self, t):
+        # keys this sparse are sorted, not tabled
+        slots = [list(slot) for slot in measurement_schedule(t, 1.0).slots]
+        assert schedule_violations(t, Schedule(tuple(map(tuple, slots)),
+                                               1.0)) == []
+        slots[0].append(slots[1].pop())
+        slots[2].append(slots[2][0])
+        slots[-1].append((1, t.m + 5))
+        bad = Schedule(tuple(map(tuple, slots)), 1.0)
+        assert sorted(schedule_violations(t, bad)) == (
+            pairwise_schedule_violations(t, bad))
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_sorted_keys_give_the_tables_findings(self, data):
+        m = data.draw(st.integers(3, 9))
+        codes = np.array(data.draw(st.lists(
+            st.lists(st.integers(1, m), min_size=m - 2, max_size=m - 2),
+            min_size=1, max_size=5)))
+        edges = decode_pruefer_batch(codes, m)
+        arrays = schedule_trees(*root_trees(edges, 1))
+        tx, slot = arrays.tx.copy(), arrays.slot.copy()
+        for _ in range(data.draw(st.integers(0, 3))):
+            row = data.draw(st.integers(0, len(codes) - 1))
+            j = data.draw(st.integers(0, 2 * (m - 1) - 1))
+            slot[row, j] = data.draw(st.integers(0, 2 * m))
+            tx[row, j] = data.draw(st.integers(0, m + 2))
+        bad = ScheduleArrays(tx, arrays.rx, slot, arrays.slots)
+        tabled = schedule_faults(edges, bad)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(topology, "_DENSE", 0)
+            ordered = schedule_faults(edges, bad)
+        for name in ("expected_slots", "wrong_slot_count", "reused",
+                     "required", "counts", "off_line"):
+            assert np.array_equal(getattr(ordered, name),
+                                  getattr(tabled, name)), name
+
     def test_a_wrong_parent_flags_only_its_tree(self):
         edges = decode_pruefer_batch(np.concatenate(list(pruefer_blocks(5))),
                                      5)
@@ -434,6 +485,67 @@ class TestScheduleFaults:
                               if k not in (node, parent[7, node]))
         flagged = schedule_faults(edges, schedule_trees(wrong, depth)).flagged
         assert np.flatnonzero(flagged).tolist() == [7]
+
+
+class TestBlockRows:
+    """Each row of a block of trees is checked as if it were alone."""
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_rows_equal_their_batch_of_one(self, data):
+        m = data.draw(st.integers(3, 12))
+        reference = data.draw(st.integers(1, m))
+        codes = np.array(data.draw(st.lists(
+            st.lists(st.integers(1, m), min_size=m - 2, max_size=m - 2),
+            min_size=2, max_size=6)))
+        edges = decode_pruefer_batch(codes, m)
+        parent, depth = root_trees(edges, reference)
+        arrays = schedule_trees(parent, depth)
+        faults = schedule_faults(edges, arrays)
+        assert not faults.flagged.any()
+        for i in range(len(codes)):
+            one = slice(i, i + 1)
+            alone = root_trees(edges[one], reference)
+            assert np.array_equal(alone[0], parent[one])
+            assert np.array_equal(alone[1], depth[one])
+            schedule = schedule_trees(*alone)
+            for name in ("tx", "rx", "slot", "slots"):
+                assert np.array_equal(getattr(schedule, name),
+                                      getattr(arrays, name)[one]), name
+            checked = schedule_faults(edges[one], schedule)
+            for name in ("expected_slots", "wrong_slot_count", "reused",
+                         "required", "counts", "off_line"):
+                assert np.array_equal(getattr(checked, name),
+                                      getattr(faults, name)[one]), name
+
+    @PROPERTY
+    @given(data=st.data())
+    def test_a_corrupted_row_flags_only_itself(self, data):
+        m = data.draw(st.integers(3, 12))
+        codes = np.array(data.draw(st.lists(
+            st.lists(st.integers(1, m), min_size=m - 2, max_size=m - 2),
+            min_size=2, max_size=6)))
+        edges = decode_pruefer_batch(codes, m)
+        parent, depth = root_trees(edges, 1)
+        row = data.draw(st.integers(0, len(codes) - 1))
+        if data.draw(st.booleans()):
+            # a parent that is neither the antenna itself nor its own
+            wrong = parent.copy()
+            node = data.draw(st.integers(1, m - 1))
+            wrong[row, node] = data.draw(st.sampled_from(
+                [k for k in range(m) if k not in (node, parent[row, node])]))
+            flagged = schedule_faults(
+                edges, schedule_trees(wrong, depth)).flagged
+        else:
+            # a measurement moved into the slot of its own reverse, which
+            # uses the same two antennas
+            arrays = schedule_trees(parent, depth)
+            slot = arrays.slot.copy()
+            j = data.draw(st.integers(0, 2 * (m - 1) - 1))
+            slot[row, j] = slot[row, (j + m - 1) % (2 * (m - 1))]
+            flagged = schedule_faults(edges, ScheduleArrays(
+                arrays.tx, arrays.rx, slot, arrays.slots)).flagged
+        assert np.flatnonzero(flagged).tolist() == [row]
 
 
 def _decoded(m):
@@ -505,19 +617,36 @@ class TestShapes:
 
     @pytest.mark.parametrize("m", range(2, 13))
     def test_weights_sum_to_cayley(self, m):
-        assert sum(w for _, w in enumerate_shapes(m, 1, cap=m)) == m ** (m - 2)
+        assert sum(s.weight for s in enumerate_shapes(m, 1, cap=m)) == (
+            m ** (m - 2))
 
     @pytest.mark.parametrize("m", range(2, 8))
     def test_representatives_are_rooted_at_the_reference(self, m):
+        records = list(enumerate_shapes(m))
         for reference in range(1, m + 1):
+            # a shape stands for the trees rooted at any antenna
+            assert list(enumerate_shapes(m, reference)) == records
             forms = set()
-            for t, weight in enumerate_shapes(m, reference):
-                assert isinstance(t, Topology)
+            for shape in records:
+                assert isinstance(shape, Shape) and shape.weight >= 1
+                t = shape_topology(shape, reference)
                 assert t.m == m and t.reference == reference
-                assert from_edges(m, reference, t.edges) == t
-                assert weight >= 1
                 forms.add(rooted_form(t))
             assert len(forms) == ROOTED_SHAPES[m - 1]
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_levels_are_the_hop_distances(self, m):
+        # each record reads its mean distance and degree off its level
+        # sequence as the wiring walk and the neighbour lists give them;
+        # every reference up to m=7, three of them at m=8
+        for reference in range(1, m + 1) if m < 8 else (1, 4, 8):
+            for shape in enumerate_shapes(m, reference):
+                t = shape_topology(shape, reference)
+                dist = hop_distances(t.edges, m, reference)
+                labels = [reference] + list(t.ordinary)
+                assert [dist[k] for k in labels] == list(shape.levels)
+                assert shape.mean_distance == calibration_distances(t).mean
+                assert shape.max_degree == max_degree(t)
 
     @pytest.mark.parametrize("m, reference", [
         (2, 1), (3, 1), (4, 1), (5, 1), (5, 3), (6, 1), (6, 6), (7, 1)])
@@ -526,14 +655,18 @@ class TestShapes:
         for t in labelled_trees(m, reference):
             form = rooted_form(t)
             labeled[form] = labeled.get(form, 0) + 1
-        weights = {rooted_form(t): w
-                   for t, w in enumerate_shapes(m, reference)}
+        weights = {rooted_form(shape_topology(s, reference)): s.weight
+                   for s in enumerate_shapes(m, reference)}
         assert weights == labeled
 
     def test_path_and_star(self):
         shapes = list(enumerate_shapes(5, 1))
-        assert shapes[0] == (make_daisy(5, 1), 24)
-        assert shapes[-1] == (make_star(5, 1), 1)
+        assert (shape_topology(shapes[0], 1), shapes[0].weight) == (
+            make_daisy(5, 1), 24)
+        assert (shape_topology(shapes[-1], 1), shapes[-1].weight) == (
+            make_star(5, 1), 1)
+        assert shapes[0] == ((0, 1, 2, 3, 4), (-1, 0, 1, 2, 3), 24, 2)
+        assert shapes[-1] == ((0, 1, 1, 1, 1), (-1, 0, 0, 0, 0), 1, 4)
 
     def test_cap_and_reference_checked(self):
         with pytest.raises(ValueError, match="enumeration cap 8"):
