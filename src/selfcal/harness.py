@@ -45,6 +45,7 @@ from .simulate import add_gain_products, draw_gain_batch, draw_noise
 from .topology import (
     ENUMERATION_CAP,
     Topology,
+    _check_m_reference,
     calibration_distances,
     decode_pruefer_batch,
     enumerate_shapes,
@@ -522,9 +523,10 @@ def verify_star_optimality(m: int, reference: int = 1,
     enumerated shapes), and the weights add up to all m**(m-2) trees, so
     that a shape the enumeration misses fails the check.
     """
+    _check_m_reference(m, reference)  # the shapes stand for any reference
     # by total hop count: over m-1 antennas it orders as the mean does
     counts: dict[int, int] = {}
-    for shape in enumerate_shapes(m, reference, cap):
+    for shape in enumerate_shapes(m, cap):
         total = sum(shape.levels)
         counts[total] = counts.get(total, 0) + shape.weight
     distribution = {Fraction(total, m - 1): count
@@ -628,11 +630,11 @@ def verify_daisy_optimality(m_values: Iterable[int],
         brute = m <= brute_force_cap
         brute_min = brute_matches = minimizers_ok = None
         if brute:
-            f_best, best_mean = optimal_reference(m)
+            best_mean = optimal_reference(m)[1]
             # objective -> (all trees reaching it are optimal chains,
             # the star reaches it: the only tree of mean distance 1)
             verdicts: dict[Fraction, tuple[bool, bool]] = {}
-            for shape in enumerate_shapes(m, f_best, brute_force_cap):
+            for shape in enumerate_shapes(m, brute_force_cap):
                 degree = shape.max_degree
                 mean = shape.mean_distance
                 objective = mean / ((m - 1) // degree)

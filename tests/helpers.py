@@ -232,12 +232,17 @@ def shape_topology(shape, reference):
     """The representative wiring of an enumerated shape: the root labeled
     `reference` and the other nodes, in preorder, the ordinary antennas
     in ascending order, so that at reference 1 the path is
-    `make_daisy(m, 1)`. Built from its parents alone and validated."""
+    `make_daisy(m, 1)`. Each node's parent is the last node before it one
+    level up; the lines are built from those alone and validated."""
     m = len(shape.levels)
     labels = [reference] + [k for k in range(1, m + 1) if k != reference]
-    return from_edges(m, reference, [
-        (labels[parent], labels[node])
-        for node, parent in enumerate(shape.parents) if node])
+    last = {}  # by level: the last node seen there
+    lines = []
+    for node, level in enumerate(shape.levels):
+        if node:
+            lines.append((labels[last[level - 1]], labels[node]))
+        last[level] = node
+    return from_edges(m, reference, lines)
 
 
 def rooted_form(t):

@@ -128,8 +128,8 @@ class TestStarOptimality:
         # star still wins among the shapes left, so only the count shows
         enumerate_shapes = harness.enumerate_shapes
 
-        def without_path(m, reference, cap):
-            shapes = enumerate_shapes(m, reference, cap)
+        def without_path(m, cap):
+            shapes = enumerate_shapes(m, cap)
             next(shapes)
             return shapes
 

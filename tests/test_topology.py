@@ -19,6 +19,7 @@ from selfcal import (
     time_to_collect,
     topology_from_dict,
     topology_to_dict,
+    verify_star_optimality,
 )
 from selfcal.errors import (
     DuplicateEdge,
@@ -612,20 +613,19 @@ ROOTED_SHAPES = (1, 1, 2, 4, 9, 20, 48, 115, 286, 719, 1842, 4766, 12486,
 class TestShapes:
     @pytest.mark.parametrize("m", range(2, 15))
     def test_counts(self, m):
-        shapes = sum(1 for _ in enumerate_shapes(m, 1, cap=m))
+        shapes = sum(1 for _ in enumerate_shapes(m, cap=m))
         assert shapes == ROOTED_SHAPES[m - 1]
 
     @pytest.mark.parametrize("m", range(2, 13))
     def test_weights_sum_to_cayley(self, m):
-        assert sum(s.weight for s in enumerate_shapes(m, 1, cap=m)) == (
+        assert sum(s.weight for s in enumerate_shapes(m, cap=m)) == (
             m ** (m - 2))
 
     @pytest.mark.parametrize("m", range(2, 8))
     def test_representatives_are_rooted_at_the_reference(self, m):
+        # a shape stands for the trees rooted at any antenna
         records = list(enumerate_shapes(m))
         for reference in range(1, m + 1):
-            # a shape stands for the trees rooted at any antenna
-            assert list(enumerate_shapes(m, reference)) == records
             forms = set()
             for shape in records:
                 assert isinstance(shape, Shape) and shape.weight >= 1
@@ -639,8 +639,9 @@ class TestShapes:
         # each record reads its mean distance and degree off its level
         # sequence as the wiring walk and the neighbour lists give them;
         # every reference up to m=7, three of them at m=8
+        records = list(enumerate_shapes(m))
         for reference in range(1, m + 1) if m < 8 else (1, 4, 8):
-            for shape in enumerate_shapes(m, reference):
+            for shape in records:
                 t = shape_topology(shape, reference)
                 dist = hop_distances(t.edges, m, reference)
                 labels = [reference] + list(t.ordinary)
@@ -656,23 +657,28 @@ class TestShapes:
             form = rooted_form(t)
             labeled[form] = labeled.get(form, 0) + 1
         weights = {rooted_form(shape_topology(s, reference)): s.weight
-                   for s in enumerate_shapes(m, reference)}
+                   for s in enumerate_shapes(m)}
         assert weights == labeled
 
     def test_path_and_star(self):
-        shapes = list(enumerate_shapes(5, 1))
+        shapes = list(enumerate_shapes(5))
         assert (shape_topology(shapes[0], 1), shapes[0].weight) == (
             make_daisy(5, 1), 24)
         assert (shape_topology(shapes[-1], 1), shapes[-1].weight) == (
             make_star(5, 1), 1)
-        assert shapes[0] == ((0, 1, 2, 3, 4), (-1, 0, 1, 2, 3), 24, 2)
-        assert shapes[-1] == ((0, 1, 1, 1, 1), (-1, 0, 0, 0, 0), 1, 4)
+        assert shapes[0] == ((0, 1, 2, 3, 4), 24, 2)
+        assert shapes[-1] == ((0, 1, 1, 1, 1), 1, 4)
 
     def test_cap_and_reference_checked(self):
         with pytest.raises(ValueError, match="enumeration cap 8"):
             next(enumerate_shapes(9))
+        with pytest.raises(ValueError, match="at least 2 antennas"):
+            next(enumerate_shapes(1))
+        # the shapes stand for any reference; prop 1 checks its own
         with pytest.raises(IndexOutOfRange):
-            next(enumerate_shapes(5, 6))
+            verify_star_optimality(5, 6)
+        with pytest.raises(IndexOutOfRange):
+            verify_star_optimality(9, 10)
 
 
 class TestSerialization:
