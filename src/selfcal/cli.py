@@ -101,20 +101,7 @@ def _finite(text: str, what: str) -> float:
     return value
 
 
-def _check_file_fields(kind, given: dict) -> None:
-    """A file: topology takes m and the reference from the file, so
-    either beside it is rejected, not ignored. `given` maps the name
-    each was given under (a flag or a config field) to its value, None
-    when not given."""
-    if isinstance(kind, str) and kind.startswith("file:"):
-        for name, value in given.items():
-            if value is not None:
-                raise ConfigError(f"a file: topology does not read {name}; "
-                                  "the file gives m and the reference")
-
-
 def _topology_from_args(args):
-    _check_file_fields(args.topology, {"--m": args.m, "--ref": args.ref})
     if args.topology in ("star", "daisy") and None in (args.m, args.ref):
         raise ConfigError(f"--topology {args.topology} needs --m and --ref")
     return resolve_topology(ExperimentConfig(
@@ -288,11 +275,6 @@ def _cmd_sweep(args) -> int:
              "master_seed": args.seed, "output_format": args.format,
              "output_path": args.out}
     fields.update((k, v) for k, v in flags.items() if v is not None)
-    # named as given: a flag's value overrides the config field's
-    _check_file_fields(fields.get("topology_kind"), {
-        "--m" if args.m is not None else "m": fields.get("m"),
-        "--ref" if args.ref is not None else "reference":
-            fields.get("reference")})
     if args.snr is not None:
         fields["snr_grid_db"] = parse_snr_grid(args.snr)
     if args.budget is not None:

@@ -7,12 +7,13 @@ promise: the star minimizes the single-round average bound, collection
 times sit between the chain's and the star's, and under equal time
 budgets the mid-referenced chain beats the star from m=5 on (and every
 other tree for 5 <= m <= 9).
-The mean distance depends on the labels only through the tree's shape
-rooted at the reference, so the star and chain checks count trees by
-rooted shape, each once with weight (m-1)!/|Aut|, the number of labeled
-trees it stands for, and read its mean distance and degree off its level
-sequence. The time-bounds check sees every labeled tree, in one pass of
-numpy blocks (decode, root, color, check) that counts them.
+The mean distance and the collection time depend on the labels only
+through the tree's shape rooted at the reference (the collection time
+through its largest degree), so all three checks count trees by rooted
+shape, each once with weight (m-1)!/|Aut|, the number of labeled trees
+it stands for. The star and chain checks read each shape's mean distance
+and degree off its level sequence; the time-bounds check colors one
+labeling of every shape, in one numpy block, and checks its schedule.
 """
 
 from __future__ import annotations
@@ -47,12 +48,9 @@ from .topology import (
     Topology,
     _check_m_reference,
     calibration_distances,
-    decode_pruefer_batch,
     enumerate_shapes,
     make_daisy,
     make_star,
-    pruefer_blocks,
-    root_trees,
     schedule_faults,
     schedule_trees,
     topology_from_dict,
@@ -70,12 +68,14 @@ class ExperimentConfig:
 
     `budget_mode` "measurements" allows a single collection round;
     "time" grants `budget_value` slot durations, out of which as many
-    whole rounds as fit are collected. For "file:<path>" topologies the
-    antenna count and reference come from the file.
+    whole rounds as fit are collected. A "star" or "daisy" topology
+    takes `m` and `reference` as given, 129 and 64 when None; a
+    "file:<path>" topology takes both from the file, and either one
+    given beside it is rejected (`resolve_topology`).
     """
 
-    m: int = 129
-    reference: int = 64
+    m: int | None = None
+    reference: int | None = None
     topology_kind: str = "daisy"
     snr_grid_db: tuple[float, ...] = (10.0, 15.0, 20.0, 25.0, 30.0, 35.0, 40.0)
     trials: int = 10_000
@@ -117,15 +117,16 @@ def validate_config(cfg: ExperimentConfig) -> Topology:
     """Raise ConfigError unless every field has its type and a valid
     value; return the wiring the config names.
 
-    Config files arrive as JSON, so types are checked before any value.
-    The wiring is resolved last, and a measurement budget is checked
-    against its antenna count, which a "file:" topology takes from the
-    file and not from `m`.
+    Config files arrive as JSON, so types are checked before any value;
+    `m` and `reference` may be None. The wiring is resolved last, and a
+    measurement budget is checked against its antenna count, which a
+    "file:" topology takes from the file and not from `m`.
     """
     for name in ("m", "reference", "trials", "master_seed"):
-        if not is_integer(getattr(cfg, name)):
-            raise ConfigError(
-                f"{name} must be an integer, got {getattr(cfg, name)!r}")
+        value = getattr(cfg, name)
+        if not (is_integer(value)
+                or (value is None and name in ("m", "reference"))):
+            raise ConfigError(f"{name} must be an integer, got {value!r}")
     for name in ("topology_kind", "budget_mode", "output_format"):
         if not isinstance(getattr(cfg, name), str):
             raise ConfigError(
@@ -166,15 +167,27 @@ def validate_config(cfg: ExperimentConfig) -> Topology:
 
 
 def resolve_topology(cfg: ExperimentConfig) -> Topology:
-    """Build the wiring the config names."""
+    """Build the wiring the config names.
+
+    A "file:" topology gives the antenna count and reference, so `m` or
+    `reference` beside it raises ConfigError, which names the field,
+    rather than being ignored. "star" and "daisy" take 129 antennas and
+    reference 64 for a field that is None.
+    """
     kind = cfg.topology_kind
-    if kind == "star":
-        return make_star(cfg.m, cfg.reference)
-    if kind == "daisy":
-        return make_daisy(cfg.m, cfg.reference)
     if kind.startswith("file:"):
+        for name in ("m", "reference"):
+            if getattr(cfg, name) is not None:
+                raise ConfigError(f"a file: topology does not read {name}; "
+                                  "the file gives m and the reference")
         with open(kind[len("file:"):], encoding="utf-8") as fh:
             return topology_from_dict(json.load(fh))
+    m = 129 if cfg.m is None else cfg.m
+    reference = 64 if cfg.reference is None else cfg.reference
+    if kind == "star":
+        return make_star(m, reference)
+    if kind == "daisy":
+        return make_daisy(m, reference)
     raise ConfigError(f"unknown topology kind {kind!r}")
 
 
@@ -558,29 +571,36 @@ class TimeBoundsReport:
 def verify_time_bounds(m: int, cap: int = ENUMERATION_CAP) -> TimeBoundsReport:
     """Confirm 4 <= slots <= 2(m-1) with equality exactly for chains/stars.
 
-    One pass over every labeled tree in blocks of sequence codes: decode
-    them, root them at antenna 1, color their lines and check the
-    schedules against the decoded lines (antenna-disjoint slots, both
-    directions of every line once, 2 * max_degree slots). The report is
-    read off a count of the checked trees by those slots, so it passes
-    only if all m**(m-2) were checked, every schedule is valid, and the
-    equality cases are the m!/2 labeled paths and the m stars.
+    A schedule takes 2 * max_degree slots, and the degrees depend on a
+    tree's rooted shape alone, so each shape is colored once, labeled by
+    preorder from the root: one block of them, one row per shape, with
+    its level sequence as depths, its parents, and the lines (parent,
+    node). The schedules are checked against those lines
+    (antenna-disjoint slots, both directions of every line once,
+    2 * max_degree slots). The report is read off a count of the shapes'
+    weights by those slots, so it passes only if the weights add up to
+    all m**(m-2) labeled trees, every schedule is valid, and the equality
+    cases are the m!/2 labeled paths and the m stars.
     """
     if m < 3:
         raise ValueError(f"time bounds need m >= 3, got {m}")
     low, high = 4, 2 * (m - 1)
-    # root_trees raises unless every tree spans, so none needs > 2(m-1)
-    by_slots = np.zeros(high + 1, dtype=int)
-    schedules_valid = True
-    for codes in pruefer_blocks(m, cap):
-        edges = decode_pruefer_batch(codes, m)
-        faults = schedule_faults(edges, schedule_trees(*root_trees(edges, 1)))
-        by_slots += np.bincount(faults.expected_slots, minlength=high + 1)
-        schedules_valid &= not faults.flagged.any()
-    tree_count = int(by_slots.sum())
-    seen = np.flatnonzero(by_slots).tolist() or [0]
-    min_slots, max_slots = seen[0], seen[-1]
-    chain_count, star_count = int(by_slots[low]), int(by_slots[high])
+    shapes = list(enumerate_shapes(m, cap))
+    parent = np.array([shape.parents for shape in shapes],
+                      dtype=int).reshape(-1, m)
+    depth = np.array([shape.levels for shape in shapes],
+                     dtype=int).reshape(-1, m)
+    child = np.broadcast_to(np.arange(2, m + 1), (len(shapes), m - 1))
+    edges = np.stack([parent[:, 1:] + 1, child], axis=2)
+    faults = schedule_faults(edges, schedule_trees(parent, depth))
+    schedules_valid = not faults.flagged.any()
+    # slots -> labeled trees
+    by_slots: dict[int, int] = {}
+    for slots, shape in zip(faults.expected_slots.tolist(), shapes):
+        by_slots[slots] = by_slots.get(slots, 0) + shape.weight
+    tree_count = sum(by_slots.values())
+    min_slots, max_slots = min(by_slots, default=0), max(by_slots, default=0)
+    chain_count, star_count = by_slots.get(low, 0), by_slots.get(high, 0)
     passed = (schedules_valid and tree_count == m ** (m - 2)
               and min_slots == low and max_slots == high
               and chain_count == math.factorial(m) // 2 and star_count == m)

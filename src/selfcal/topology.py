@@ -31,7 +31,8 @@ from .errors import (
 
 Edge = tuple[int, int]
 
-#: Largest antenna count accepted by exhaustive enumeration (m**(m-2) trees).
+#: Largest antenna count accepted by exhaustive enumeration: the rooted
+#: shapes that stand for all m**(m-2) labeled trees (115 at m=8).
 ENUMERATION_CAP = 8
 
 
@@ -332,7 +333,7 @@ def measurement_schedule(t: Topology, slot_duration: float) -> Schedule:
     The schedule of `schedule_trees` for this one tree, rooted by its
     cached breadth-first walk (`Topology.levels`), with each slot's
     measurements in ascending order: the coloring that `verify --prop 2`
-    checks on every labeled tree.
+    checks on one labeling of every rooted shape.
     """
     _check_slot_duration(slot_duration)
     lines = np.array([line for level in t.levels for line in level]) - 1
@@ -397,8 +398,10 @@ class ScheduleArrays:
 def schedule_trees(parent: np.ndarray, depth: np.ndarray) -> ScheduleArrays:
     """Greedy line coloring of rooted trees, as parallel schedules.
 
-    `parent` and `depth` are (n, m) arrays over the zero-based antennas
-    as `root_trees` returns them. The line to the child of rank k among
+    `parent` and `depth` are (n, m) arrays over the zero-based antennas:
+    each antenna's parent (-1 at the root) and its hop count from the
+    root, as a wiring's walk or a shape's level sequence gives them. The
+    line to the child of rank k among
     its siblings (ascending labels) gets color k below the color of its
     parent's own line and k+1 from that color on; the root's children
     take colors 0, 1, ... That needs exactly max_degree colors on a tree.
@@ -482,11 +485,12 @@ def schedule_faults(edges: np.ndarray, schedules: ScheduleArrays
     from a wrongly rooted tree fails. Measurements are compared as
     integer keys of (tree, slot, antenna), whose repeats are the reused
     antennas, and of (tree, sender, receiver), matched against both
-    directions of every line (`_repeated`, `_matched`): on a block of
-    small trees through counting tables, without a sort. Degrees are
-    counted antenna-major, so that a tree's largest is a maximum over
-    rows. Labels outside 1..m are numbered on from m, in ascending order,
-    so that a stray antenna keeps its own keys and the key space its size.
+    directions of every line (`_repeated`, `_matched`), each by one sort:
+    a block of trees and a single large tree take the same route, in
+    memory linear in their measurements. Degrees are counted
+    antenna-major, so that a tree's largest is a maximum over rows.
+    Labels outside 1..m are numbered on from m, in ascending order, so
+    that a stray antenna keeps its own keys and the keys their width.
     """
     n, lines = edges.shape[:2]
     m = lines + 1
@@ -505,7 +509,7 @@ def schedule_faults(edges: np.ndarray, schedules: ScheduleArrays
     slot = schedules.slot.T
     slots = int(slot.max(initial=0)) + 1
     uses = ((((trees * slots + slot) << bits)[:, None]) + ends).ravel()
-    reused = _repeated(uses, n * slots << bits).reshape(ends.shape)
+    reused = _repeated(uses).reshape(ends.shape)
 
     def pair_keys(senders, receivers):
         return ((((trees << bits) + senders) << bits) + receivers).ravel()
@@ -514,93 +518,50 @@ def schedule_faults(edges: np.ndarray, schedules: ScheduleArrays
     required, counts, on_line = _matched(
         np.concatenate([pair_keys(zero[0], zero[1]),
                         pair_keys(zero[1], zero[0])]),
-        pair_keys(ends[:, 0], ends[:, 1]), n << 2 * bits)
+        pair_keys(ends[:, 0], ends[:, 1]))
     low = (1 << bits) - 1
     return ScheduleFaults(
         expected_slots=expected,
         wrong_slot_count=schedules.slots != expected,
         reused=reused.transpose(2, 0, 1),
         required=(np.stack([required >> bits & low, required & low], axis=1)
-                  + 1).reshape(n, -1, 2),
-        counts=counts.reshape(n, -1),
+                  + 1).reshape(n, 2 * lines, 2),
+        counts=counts.reshape(n, 2 * lines),
         off_line=~on_line.reshape(ends.shape[0], n).T)
 
 
-#: Most entries per key that `_repeated` and `_matched` give a counting
-#: table. A block of small trees stays well within it (about 4 at
-#: m <= 8); the key space of one large tree grows as m^2 against its 4m
-#: uses, and is sorted instead, so that memory stays linear in them. On a
-#: 2-core Xeon the tables check the blocks of `verify --prop 2` 1.2x
-#: faster than sorting, while one tree at m=2049 takes 5-10x longer and
-#: about 80 MiB more memory through them.
-_DENSE = 16
+def _repeated(keys: np.ndarray) -> np.ndarray:
+    """Whether each of `keys` equals an earlier one: one stable sort puts
+    equal keys side by side in their order."""
+    order = np.argsort(keys, kind="stable")
+    ordered = keys[order]
+    repeated = np.zeros(keys.size, dtype=bool)
+    repeated[order[1:]] = ordered[1:] == ordered[:-1]
+    return repeated
 
 
-def _repeated(keys: np.ndarray, size: int) -> np.ndarray:
-    """Whether each of `keys`, integers in [0, size), equals an earlier
-    one: the first use of each key, by `np.minimum.at` into a table of
-    `size` positions, marks every later one; past `_DENSE` entries per
-    key, one stable sort puts equal keys side by side in their order."""
-    if size > _DENSE * keys.size:
-        order = np.argsort(keys, kind="stable")
-        ordered = keys[order]
-        repeated = np.zeros(keys.size, dtype=bool)
-        repeated[order[1:]] = ordered[1:] == ordered[:-1]
-        return repeated
-    order = np.arange(keys.size, dtype=np.min_scalar_type(keys.size))
-    first = np.full(size, keys.size, dtype=order.dtype)
-    np.minimum.at(first, keys, order)
-    return first[keys] != order
-
-
-def _matched(wanted: np.ndarray, keys: np.ndarray, size: int
+def _matched(wanted: np.ndarray, keys: np.ndarray
              ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`wanted`, distinct integers in [0, size), ascending; how often each
-    occurs among `keys`, integers in the same range; and which of `keys`
-    are wanted. A table of `size` flags, read in key order, gives the
-    first, and one count over it the second; past `_DENSE` entries per
-    key, a sort and a sorted search stand in for the table."""
-    if size > _DENSE * (wanted.size + keys.size):
-        wanted = np.sort(wanted)
-        at = np.searchsorted(wanted, keys).clip(max=wanted.size - 1)
-        found = wanted[at] == keys
-        return (wanted, np.bincount(at[found], minlength=wanted.size),
-                found)
-    table = np.zeros(size, dtype=bool)
-    table[wanted] = True
-    wanted = np.flatnonzero(table)
-    return (wanted, np.bincount(keys, minlength=size)[wanted],
-            table[keys])
-
-
-#: Most sequences `pruefer_blocks` puts in one block.
-PRUEFER_BLOCK = 512
-
-
-def pruefer_blocks(m: int, cap: int = ENUMERATION_CAP) -> Iterator[np.ndarray]:
-    """Every sequence of length m-2 over 1..m, in `itertools.product`
-    order, as (k, m-2) arrays of at most `PRUEFER_BLOCK` rows, so that
-    memory stays bounded as m grows. Row i of the whole run is i written
-    in base m, most significant digit first, each digit plus one."""
-    _check_enumerable(m, 1, cap)
-    count = m ** (m - 2)
-    powers = m ** np.arange(m - 3, -1, -1)
-    for start in range(0, count, PRUEFER_BLOCK):
-        codes = np.arange(start, min(start + PRUEFER_BLOCK, count))
-        yield codes[:, None] // powers % m + 1
+    """`wanted`, distinct integers, ascending; how often each occurs among
+    `keys`; and which of `keys` are wanted: one sort and a sorted search."""
+    wanted = np.sort(wanted)
+    at = np.searchsorted(wanted, keys).clip(max=wanted.size - 1)
+    found = wanted[at] == keys
+    return wanted, np.bincount(at[found], minlength=wanted.size), found
 
 
 class Shape(NamedTuple):
     """A rooted tree shape, read off its canonical level sequence.
 
     `levels` holds each node's depth in preorder (node 0 is the root),
-    which is its hop count to the reference; a node's parent is the last
-    node before it one level up. `weight` is the number of labeled trees
-    of the shape, (m-1)!/|Aut|, and `max_degree` the most lines that
-    meet at one node.
+    which is its hop count to the reference; `parents` holds each node's
+    parent in that order (-1 at the root), the last node before it one
+    level up. `weight` is the number of labeled trees of the shape,
+    (m-1)!/|Aut|, and `max_degree` the most lines that meet at one node.
     """
 
     levels: tuple[int, ...]
+    parents: tuple[int, ...]
     weight: int
     max_degree: int
 
@@ -625,8 +586,9 @@ def enumerate_shapes(m: int, cap: int = ENUMERATION_CAP) -> Iterator[Shape]:
     labelings = math.factorial(m - 1)
     levels = list(range(m))
     while True:
-        automorphisms, degree = _read_levels(levels)
-        yield Shape(tuple(levels), labelings // automorphisms, degree)
+        parents, automorphisms, degree = _read_levels(levels)
+        yield Shape(tuple(levels), parents, labelings // automorphisms,
+                    degree)
         # successor: from the last node p below level 1 on, repeat the
         # sequence that starts at p's parent q
         p = next((i for i in range(m - 1, 0, -1) if levels[i] > 1), None)
@@ -637,9 +599,9 @@ def enumerate_shapes(m: int, cap: int = ENUMERATION_CAP) -> Iterator[Shape]:
             levels[i] = levels[i - p + q]
 
 
-def _read_levels(levels: list[int]) -> tuple[int, int]:
-    """A level sequence's automorphisms that fix the root and its largest
-    degree, in one pass over the nodes.
+def _read_levels(levels: list[int]) -> tuple[tuple[int, ...], int, int]:
+    """The parents of a level sequence's nodes, its automorphisms that
+    fix the root, and its largest degree, in one pass over the nodes.
 
     A node's parent is the last node before it one level up, and its
     previous sibling the last node before it on its level, if that comes
@@ -653,13 +615,14 @@ def _read_levels(levels: list[int]) -> tuple[int, int]:
     further, as it would then come first in that order.
     """
     m = len(levels)
+    parent = [-1] * m
     degree = [0] + [1] * (m - 1)  # the line up, then those down
     run = [1] * m  # place in a run of equal sibling subtrees
     last = [0] * m  # by level: the last node seen there
     automorphisms = 1
     for node in range(1, m):
         level = levels[node]
-        above = last[level - 1]
+        above = parent[node] = last[level - 1]
         degree[above] += 1
         before = last[level]
         if (before > above and levels[node:2 * node - before]
@@ -667,77 +630,7 @@ def _read_levels(levels: list[int]) -> tuple[int, int]:
             run[node] = run[before] + 1
             automorphisms *= run[node]
         last[level] = node
-    return automorphisms, max(degree)
-
-
-def decode_pruefer_batch(codes: np.ndarray, m: int) -> np.ndarray:
-    """Lines of the labeled trees encoded by the rows of `codes`, an
-    (n, m-2) array over 1..m, as an (n, m-1, 2) array.
-
-    Step i joins the smallest leaf to symbol i and drops that leaf, for
-    all rows at once; a leaf is an antenna of degree one that is still
-    in the tree, and the smallest is its row's first such column. The
-    last line joins the two antennas left, ascending: the largest label
-    m is never the smallest of two or more leaves, so it is one of them.
-    """
-    if (codes.ndim != 2 or codes.shape[1] != m - 2
-            or (codes.size and not 1 <= codes.min() <= codes.max() <= m)):
-        raise ValueError(f"codes of shape {codes.shape} do not encode "
-                         f"trees on 1..{m}")
-    n = len(codes)
-    rows = np.arange(n)
-    # column 0 is no antenna; a degree is 1 + occurrences in the code
-    degree = np.bincount((codes + (m + 1) * rows[:, None]).ravel(),
-                         minlength=n * (m + 1)).reshape(n, m + 1) + 1
-    degree[:, 0] = 0
-    edges = np.empty((n, m - 1, 2), dtype=int)
-    edges[:, :-1, 1] = codes
-    for i in range(m - 2):
-        leaf = (degree == 1).argmax(axis=1)
-        edges[:, i, 0] = leaf
-        degree[rows, leaf] = 0
-        degree[rows, codes[:, i]] -= 1
-    edges[:, -1, 0] = (degree == 1).argmax(axis=1)
-    edges[:, -1, 1] = m
-    return edges
-
-
-def root_trees(edges: np.ndarray, reference: int
-               ) -> tuple[np.ndarray, np.ndarray]:
-    """Parents and depths of n trees rooted at `reference`.
-
-    `edges` is an (n, m-1, 2) array of lines over 1..m. Returns two
-    (n, m) arrays over the zero-based antennas: each antenna's parent
-    (-1 at the reference) and its hop count from the reference. Both are
-    views of antenna-major (m, n) arrays, as `schedule_trees` reads them.
-    Depth d+1 is reached from depth d in every row at once: a line
-    direction is due when its sender sits at depth d and its receiver is
-    not yet reached, so that its depth difference is d+1, read by a mask
-    over every line; the walk stops at the first depth from which no
-    antenna is reached. Raises NotEffective unless every row connects
-    every antenna to the reference, which m-1 lines do exactly when they
-    form a spanning tree.
-    """
-    n, lines = edges.shape[:2]
-    m = lines + 1
-    # row e holds end e of every line, as flat indices into (m, n), so
-    # that the reversed rows hold the other ends
-    ends = ((edges - 1) * n + np.arange(n)[:, None, None]
-            ).transpose(2, 1, 0).reshape(2, -1)
-    parent = np.full(m * n, -1)
-    depth = np.full(m * n, -1)
-    depth[(reference - 1) * n:reference * n] = 0
-    for d in range(m - 1):
-        at = depth[ends]
-        due = at - at[::-1] == d + 1  # only depth d against -1 differs so
-        child = ends[::-1][due]
-        if not child.size:  # no antenna at depth d+1, nor further down
-            break
-        depth[child] = d + 1
-        parent[child] = ends[due] // n
-    if (depth < 0).any():
-        raise NotEffective()
-    return parent.reshape(m, n).T, depth.reshape(m, n).T
+    return tuple(parent), automorphisms, max(degree)
 
 
 def topology_to_dict(t: Topology) -> dict:

@@ -133,13 +133,29 @@ def random_tree(rng, m, reference=None):
 
 
 @st.composite
-def trees(draw, max_m=20):
-    """Hypothesis strategy: a labeled tree on 2..max_m antennas with any
-    reference, drawn as its sequence code, so failures shrink."""
-    m = draw(st.integers(2, max_m))
+def trees(draw, max_m=20, min_m=2):
+    """Hypothesis strategy: a labeled tree on min_m..max_m antennas with
+    any reference, drawn as its sequence code, so failures shrink."""
+    m = draw(st.integers(min_m, max_m))
     reference = draw(st.integers(1, m))
     seq = draw(st.lists(st.integers(1, m), min_size=m - 2, max_size=m - 2))
     return from_edges(m, reference, naive_pruefer_edges(seq, m))
+
+
+def rooted_block(topologies):
+    """Lines, parents and depths of trees on the same antennas, each
+    rooted at its own reference by its breadth-first walk: the (n, m-1, 2)
+    and two (n, m) arrays that `schedule_trees` and `schedule_faults`
+    read, parents and depths over the zero-based antennas."""
+    m = topologies[0].m
+    parent = np.full((len(topologies), m), -1)
+    depth = np.zeros((len(topologies), m), dtype=int)
+    for row, t in enumerate(topologies):
+        for d, level in enumerate(t.levels, 1):
+            for p, c in level:
+                parent[row, c - 1] = p - 1
+                depth[row, c - 1] = d
+    return np.array([t.edges for t in topologies]), parent, depth
 
 
 def hop_distances(edges, m, reference):

@@ -307,6 +307,10 @@ class TestMalformedJson:
         assert names in err
 
 
+#: the config field each topology flag sets
+FIELDS = {"--m": "m", "--ref": "reference"}
+
+
 class TestFlagValues:
     @pytest.mark.parametrize("argv, names", [
         ([command, "--topology", "daisy", "--m", "3", "--ref", "1",
@@ -359,9 +363,10 @@ class TestFlagValues:
         (["verify", "--prop", "3"], "--prop 3 needs --m or --m-range"),
         (["verify", "--prop", "3", "--m", "2"], "need m >= 3, got 2"),
     ] + [
-        # net.json gives m and the reference, so the flags are not read
+        # net.json gives m and the reference, so the flags are not read;
+        # the message names the field the flag sets
         ([command, "--topology", "file:net.json"] + flags,
-         f"a file: topology does not read {flags[0]}")
+         f"a file: topology does not read {FIELDS[flags[0]]}")
         for command, flags in (("crlb", ["--m", "99", "--ref", "7"]),
                                ("schedule", ["--ref", "7"]),
                                ("simulate", ["--m", "99"]),
@@ -423,11 +428,11 @@ class TestSweepCommand:
         ({"topology_kind": "file:net.json", "m": 4, "reference": 1}, [],
          "m"),
         ({"m": 99}, ["--topology", "file:net.json"], "m"),
-        ({"topology_kind": "file:net.json"}, ["--m", "99"], "--m"),
-        ({"topology_kind": "file:net.json"}, ["--ref", "7"], "--ref"),
-        ({"topology_kind": "file:net.json", "m": 99}, ["--m", "4"], "--m"),
+        ({"topology_kind": "file:net.json"}, ["--m", "99"], "m"),
+        ({"topology_kind": "file:net.json"}, ["--ref", "7"], "reference"),
+        ({"topology_kind": "file:net.json", "m": 99}, ["--m", "4"], "m"),
         ({"topology_kind": "file:net.json", "reference": 42},
-         ["--ref", "1"], "--ref"),
+         ["--ref", "1"], "reference"),
     ], ids=["json-m", "json-reference", "json-both", "json-m-flag-kind",
             "flag-m", "flag-ref", "flag-m-over-json", "flag-ref-over-json"])
     def test_a_file_topology_reads_no_m_or_reference(

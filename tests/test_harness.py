@@ -34,7 +34,7 @@ from selfcal import (
     verify_star_optimality,
     verify_time_bounds,
 )
-from selfcal import harness, topology
+from selfcal import harness
 from selfcal.errors import ConfigError
 from selfcal.harness import _CHUNK
 
@@ -82,6 +82,36 @@ class TestConfig:
         else:
             with pytest.raises(ConfigError, match=r"2\(m-1\)=12 "):
                 validate_config(cfg)
+
+    @pytest.mark.parametrize("fields, name", [
+        ({"m": 99, "reference": 42}, "m"), ({"m": 7}, "m"),
+        ({"reference": 3}, "reference")])
+    def test_a_file_topology_reads_no_m_or_reference(self, tmp_path, fields,
+                                                    name):
+        # the file gives both, so a value beside it is rejected, not
+        # ignored, whether or not it agrees with the file
+        path = tmp_path / "net7.json"
+        path.write_text(json.dumps(topology_to_dict(from_edges(
+            7, 3, [(3, 1), (1, 2), (3, 4), (4, 5), (3, 6), (6, 7)]))))
+        cfg = ExperimentConfig(topology_kind=f"file:{path}",
+                               snr_grid_db=(30.0,), trials=5, **fields)
+        message = f"a file: topology does not read {name}; "
+        with pytest.raises(ConfigError, match=message):
+            run_snr_sweep(cfg)
+        with pytest.raises(ConfigError, match=message):
+            validate_config(cfg)
+        assert validate_config(replace(cfg, m=None, reference=None)).m == 7
+
+    def test_named_wirings_default_to_129_and_64(self):
+        assert (ExperimentConfig().m, ExperimentConfig().reference) == (
+            None, None)
+        for kind, make in (("star", make_star), ("daisy", make_daisy)):
+            assert validate_config(ExperimentConfig(topology_kind=kind)) is (
+                make(129, 64))
+            assert validate_config(ExperimentConfig(
+                topology_kind=kind, m=200)) is make(200, 64)
+            assert validate_config(ExperimentConfig(
+                topology_kind=kind, reference=5)) is make(129, 5)
 
     def test_rejects_bad_grid_and_kind(self):
         with pytest.raises(ConfigError):
@@ -156,8 +186,9 @@ class TestTimeBounds:
 
     def test_miscounted_chain_fails(self, monkeypatch):
         # a tree's slot count is twice its degree, so a census that
-        # misreads one chain as of degree 3 shows only in the class counts;
-        # the 125 trees at m=5 are one block, so one chain is misread
+        # misreads one chain shape as of degree 3 shows only in the class
+        # counts; the 9 shapes at m=5 are one block, and the first is the
+        # path rooted at an end, which stands for 4! labeled chains
         schedule_faults = harness.schedule_faults
 
         def one_chain_misread(edges, schedules):
@@ -167,8 +198,10 @@ class TestTimeBounds:
 
         monkeypatch.setattr(harness, "schedule_faults", one_chain_misread)
         report = verify_time_bounds(5)
+        path = next(harness.enumerate_shapes(5))
+        assert (path.max_degree, path.weight) == (2, 24)
         assert report.tree_count == 125 and report.schedules_valid
-        assert report.chain_count == 59
+        assert report.chain_count == 60 - path.weight
         assert report.passed is False
 
     def test_m6(self):
@@ -185,59 +218,45 @@ class TestTimeBounds:
         assert report.star_count == 8
         assert report.schedules_valid and report.passed
 
-    @pytest.mark.parametrize("m", [5, 6])
-    @pytest.mark.parametrize("block", [1, 7, None, 6 ** 4 + 1])
-    def test_reports_do_not_depend_on_the_block_size(self, monkeypatch, m,
-                                                     block):
-        # the tables are per block, so a tree's checks must not see the
-        # other trees in its block: one tree per block, a size that leaves
-        # a short last block, the default, and one block for every tree
-        expected = verify_time_bounds(m)
-        if block is not None:
-            monkeypatch.setattr(topology, "PRUEFER_BLOCK", block)
-        sizes = [len(codes) for codes in harness.pruefer_blocks(m, 8)]
-        assert max(sizes) == min(block or topology.PRUEFER_BLOCK, m ** (m - 2))
-        assert_same_report(verify_time_bounds(m), expected)
-
-    def test_a_dropped_block_fails(self, monkeypatch):
-        # only trees that were decoded and checked are counted
-        pruefer_blocks = harness.pruefer_blocks
-        monkeypatch.setattr(harness, "pruefer_blocks",
-                            lambda m, cap: list(pruefer_blocks(m, cap))[:-1])
-        report = verify_time_bounds(6)
-        assert report.tree_count == 1024
-        assert report.schedules_valid and report.passed is False
-
-    def test_a_dropped_tree_fails(self, monkeypatch):
-        # code (1, 1, 2) is a tree of max degree 3, neither chain nor
-        # star, so only the tree count shows that it was skipped
-        pruefer_blocks = harness.pruefer_blocks
-        monkeypatch.setattr(harness, "pruefer_blocks", lambda m, cap: [
-            np.delete(codes, 1, axis=0) for codes in pruefer_blocks(m, cap)])
+    def test_a_dropped_shape_fails(self, monkeypatch):
+        # only shapes that were colored and checked are counted; shape 1
+        # at m=5, a path of three with two leaves at its end, is of max
+        # degree 3, neither chain nor star, so only the tree count shows
+        # that it was skipped, short by its weight
+        enumerate_shapes = harness.enumerate_shapes
+        dropped = list(enumerate_shapes(5))[1]
+        assert (dropped.max_degree, dropped.weight) == (3, 12)
+        monkeypatch.setattr(harness, "enumerate_shapes", lambda m, cap: [
+            shape for i, shape in enumerate(enumerate_shapes(m, cap))
+            if i != 1])
         report = verify_time_bounds(5)
-        assert report.tree_count == 124 and report.schedules_valid
+        assert report.tree_count == 125 - dropped.weight
+        assert report.schedules_valid
         assert (report.min_slots, report.max_slots) == (4, 8)
         assert (report.chain_count, report.star_count) == (60, 5)
         assert report.passed is False
 
-    def test_no_block_fails(self, monkeypatch):
-        monkeypatch.setattr(harness, "pruefer_blocks", lambda m, cap: [])
+    def test_no_shape_fails(self, monkeypatch):
+        # an empty block is checked without raising, and counts nothing
+        monkeypatch.setattr(harness, "enumerate_shapes",
+                            lambda m, cap: iter(()))
         report = verify_time_bounds(6)
         assert report.tree_count == report.chain_count == 0
         assert report.passed is False
 
     def test_a_wrong_parent_fails(self, monkeypatch):
-        # a rooting bug in one tree shows, since the schedules are checked
-        # against the decoded lines
-        root_trees = harness.root_trees
+        # a wrong parent in one row of the shape block shows, since the
+        # schedules are checked against the lines (parent, node) as the
+        # shapes give them
+        schedule_trees = harness.schedule_trees
 
-        def misrooted(edges, reference):
-            parent, depth = root_trees(edges, reference)
-            if len(parent) > 40:
-                parent[40, np.flatnonzero(parent[40] > 0)[0]] = 0
-            return parent, depth
+        def misrooted(parent, depth):
+            parent = parent.copy()
+            assert parent[2, 4] == 1  # levels (0, 1, 2, 3, 2)
+            parent[2, 4] = 0
+            return schedule_trees(parent, depth)
 
-        monkeypatch.setattr(harness, "root_trees", misrooted)
+        monkeypatch.setattr(harness, "schedule_trees", misrooted)
         report = verify_time_bounds(5)
         assert report.schedules_valid is False and report.passed is False
         assert report.tree_count == 125 and report.chain_count == 60
@@ -303,8 +322,8 @@ class TestDaisyOptimality:
 
 class TestShapeRouteMatchesLabelled:
     """Each report equals the one the labelled oracles count over every
-    labeled tree: props 1 and 3 count by rooted shape, and prop 2 decodes
-    and schedules in blocks."""
+    labeled tree, each scheduled and checked on its own: all three props
+    count by rooted shape."""
 
     @pytest.mark.parametrize("m, reference", [
         (m, reference) for m in range(2, 8) for reference in range(1, m + 1)])

@@ -11,18 +11,17 @@ other check. The sweep's stages are its batch kernels
 stages, the first run on the sweep's helper thread, are the collapsed
 draw. The single-trial calls (`draw_gains`, `synthesize`, `ml_estimate`,
 `estimation_error`) serve the CLI and tests, so `selfcal.harness` does
-not import them. Prop 2 checks and counts every
-labeled tree in one pass of array stages (`pruefer_blocks`,
-`decode_pruefer_batch`, `root_trees`, `schedule_trees`,
-`schedule_faults`). `measurement_schedule` roots its one tree from the
-wiring's cached walk and colors it with `schedule_trees` as a batch of
-one; `schedule_violations` checks it with `schedule_faults`. Props 1 and
-3 read each shape's mean distance and degree off the level sequences
-that `enumerate_shapes` yields, and prop 1 walks the star with
-`calibration_distances`. The batch kernels, the array stages and
-`enumerate_shapes` are listed although the benchmark does not wrap them
-yet: the verify and sweep functions look them up in `selfcal.harness`,
-where a tracer can wrap them.
+not import them. Prop 2 colors one labeling of every rooted shape that
+`enumerate_shapes` yields, as one block (`schedule_trees`), and checks
+the schedules against the shapes' lines (`schedule_faults`).
+`measurement_schedule` roots its one tree from the wiring's cached walk
+and colors it with `schedule_trees` as a batch of one;
+`schedule_violations` checks it with `schedule_faults`. Props 1 and 3
+read each shape's mean distance and degree off its level sequence, and
+prop 1 walks the star with `calibration_distances`. The batch kernels,
+the array stages and `enumerate_shapes` are listed although the
+benchmark does not wrap them yet: the verify and sweep functions look
+them up in `selfcal.harness`, where a tracer can wrap them.
 
 Every other module-level name has a caller in `src/` too, or is public
 API, so no helper is kept alive by tests alone.
@@ -43,7 +42,6 @@ SURFACE = {
         "sweep_rows_to_csv", "verify_star_optimality", "verify_time_bounds",
         "verify_daisy_optimality", "crlb_closed_form",
         "budgeted_average_crlb", "enumerate_shapes", "calibration_distances",
-        "pruefer_blocks", "decode_pruefer_batch", "root_trees",
         "schedule_trees", "schedule_faults", "draw_gain_batch",
         "draw_noise", "add_gain_products", "ml_estimate_batch",
         "mean_sq_errors",
@@ -74,8 +72,7 @@ CALLS_THROUGH_HARNESS = {
         {"enumerate_shapes", "calibration_distances"}),
     "verify_time_bounds": (
         lambda: harness.verify_time_bounds(4),
-        {"pruefer_blocks", "decode_pruefer_batch", "root_trees",
-         "schedule_trees", "schedule_faults"}),
+        {"enumerate_shapes", "schedule_trees", "schedule_faults"}),
     "verify_daisy_optimality": (
         lambda: harness.verify_daisy_optimality((3, 4)),
         {"enumerate_shapes"}),

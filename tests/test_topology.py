@@ -1,4 +1,3 @@
-import itertools
 import json
 from fractions import Fraction
 
@@ -20,6 +19,7 @@ from selfcal import (
     topology_from_dict,
     topology_to_dict,
     verify_star_optimality,
+    verify_time_bounds,
 )
 from selfcal.errors import (
     DuplicateEdge,
@@ -29,27 +29,22 @@ from selfcal.errors import (
     TopologyError,
     WrongEdgeCount,
 )
-from selfcal import topology
 from selfcal.topology import (
-    PRUEFER_BLOCK,
     Schedule,
     ScheduleArrays,
     Shape,
-    decode_pruefer_batch,
     enumerate_shapes,
-    pruefer_blocks,
-    root_trees,
     schedule_faults,
     schedule_trees,
 )
 
 from helpers import (
     greedy_schedule,
-    heap_pruefer_edges,
     hop_distances,
     labelled_trees,
     pairwise_schedule_violations,
     random_tree,
+    rooted_block,
     rooted_form,
     shape_topology,
     trees,
@@ -279,78 +274,6 @@ def _slots_of(row_tx, row_rx, row_slot):
             for a, b, k in zip(row_tx, row_rx, row_slot)}
 
 
-class TestPrueferBatch:
-    @pytest.mark.parametrize("m", range(2, 7))
-    def test_every_sequence_matches_the_heap_oracle(self, m):
-        codes = np.concatenate(list(pruefer_blocks(m)))
-        sequences = list(itertools.product(range(1, m + 1), repeat=m - 2))
-        assert list(map(tuple, codes.tolist())) == sequences
-        decoded = decode_pruefer_batch(codes, m).tolist()
-        assert [tuple(map(tuple, edges)) for edges in decoded] == [
-            heap_pruefer_edges(seq, m) for seq in sequences]
-        for seq in sequences:  # a batch of one decodes the same
-            one = decode_pruefer_batch(np.array([seq], dtype=int), m)[0]
-            assert tuple(map(tuple, one.tolist())) == heap_pruefer_edges(seq, m)
-
-    @PROPERTY
-    @given(data=st.data())
-    def test_generated_sequences_match_the_heap_oracle(self, data):
-        m = data.draw(st.integers(2, 40))
-        codes = data.draw(st.lists(
-            st.lists(st.integers(1, m), min_size=m - 2, max_size=m - 2),
-            min_size=1, max_size=5))
-        decoded = decode_pruefer_batch(
-            np.array(codes, dtype=int).reshape(len(codes), m - 2), m)
-        for seq, edges in zip(codes, decoded.tolist()):
-            assert tuple(map(tuple, edges)) == heap_pruefer_edges(seq, m)
-
-    def test_blocks_are_bounded(self):
-        sizes = [len(block) for block in pruefer_blocks(8)]
-        assert sum(sizes) == 8 ** 6 and max(sizes) <= PRUEFER_BLOCK
-
-    def test_bad_codes_rejected(self):
-        for codes, m in (([[4]], 3), ([[0, 1]], 4), ([[1, 5]], 4),
-                         ([[1, 2, 3]], 4), ([1, 2], 4)):
-            with pytest.raises(ValueError, match="do not encode"):
-                decode_pruefer_batch(np.array(codes), m)
-        with pytest.raises(ValueError, match="enumeration cap 8"):
-            next(pruefer_blocks(9))
-
-
-class TestRootTrees:
-    @PROPERTY
-    @given(t=trees(max_m=40))
-    def test_parents_and_depths(self, t):
-        parent, depth = root_trees(np.array([t.edges]), t.reference)
-        dist = hop_distances(t.edges, t.m, t.reference)
-        above = {child: p for level in t.levels for p, child in level}
-        assert depth[0].tolist() == [dist[k] for k in range(1, t.m + 1)]
-        assert parent[0].tolist() == [above.get(k, 0) - 1
-                                      for k in range(1, t.m + 1)]
-
-    def test_rows_of_unequal_depth(self):
-        # the walk goes on until the deepest row has been reached: a star
-        # (depth 1), a chain with the reference in the middle (depth 4)
-        # and one that starts at the reference (depth 8)
-        path = [5, 1, 2, 3, 4, 6, 7, 8, 9]
-        rows = [make_star(9, 5).edges, make_daisy(9, 5).edges,
-                tuple(zip(path, path[1:]))]
-        parent, depth = root_trees(np.array(rows), 5)
-        for k, edges in enumerate(rows):
-            dist = hop_distances(edges, 9, 5)
-            assert depth[k].tolist() == [dist[a] for a in range(1, 10)]
-            assert all(dist[parent[k, a - 1] + 1] == dist[a] - 1
-                       for a in range(1, 10) if a != 5)
-        assert depth.max(axis=1).tolist() == [1, 4, 8]
-
-    def test_rows_that_do_not_span_are_rejected(self):
-        # the second row closes a cycle on 1, 2, 3 and leaves 4 out
-        edges = np.array([[(1, 2), (2, 3), (3, 4)], [(1, 2), (2, 3), (1, 3)]])
-        root_trees(edges[:1], 4)
-        with pytest.raises(NotEffective):
-            root_trees(edges, 4)
-
-
 class TestColoringKernel:
     @pytest.mark.parametrize("m", range(2, 7))
     def test_every_labelled_tree_and_reference(self, m):
@@ -371,14 +294,21 @@ class TestColoringKernel:
             assert measurement_schedule(t, 1.0) == greedy_schedule(t, 1.0)
 
     def test_batch_rows_equal_single_trees(self):
-        codes = np.concatenate(list(pruefer_blocks(5)))
-        edges = decode_pruefer_batch(codes, 5)
-        arrays = schedule_trees(*root_trees(edges, 2))
-        for i, t in enumerate(labelled_trees(5, 2)):
-            slots = measurement_schedule(t, 1.0).slots
-            assert arrays.slots[i] == len(slots)
-            assert _slots_of(arrays.tx[i], arrays.rx[i], arrays.slot[i]) == {
-                (k, pair) for k, slot in enumerate(slots) for pair in slot}
+        # a block of every shape, as prop 2 colors it: parents and levels
+        # over the nodes in preorder, which are the labels 1..m of the
+        # shape's wiring at reference 1
+        for m in range(3, 9):
+            shapes = list(enumerate_shapes(m))
+            arrays = schedule_trees(np.array([s.parents for s in shapes]),
+                                    np.array([s.levels for s in shapes]))
+            for i, shape in enumerate(shapes):
+                t = shape_topology(shape, 1)
+                slots = measurement_schedule(t, 1.0).slots
+                assert arrays.slots[i] == len(slots)
+                assert _slots_of(arrays.tx[i], arrays.rx[i],
+                                 arrays.slot[i]) == {
+                    (k, pair) for k, slot in enumerate(slots)
+                    for pair in slot}
 
 
 # the daisy 1-2-3-4-5 from antenna 1: colors 0 and 1 alternate down it
@@ -433,12 +363,34 @@ class TestScheduleFaults:
         assert sorted(schedule_violations(t, bad)) == (
             pairwise_schedule_violations(t, bad))
 
+    @PROPERTY
+    @given(t=trees(max_m=9), data=st.data())
+    def test_reused_marks_every_later_use(self, t, data):
+        # an end is marked when an earlier use in its slot, in
+        # measurement order and sender first, has its antenna; the first
+        # use never is
+        edges, parent, depth = rooted_block([t])
+        arrays = schedule_trees(parent, depth)
+        slot = arrays.slot.copy()
+        for _ in range(data.draw(st.integers(1, 4))):
+            j = data.draw(st.integers(0, slot.shape[1] - 1))
+            slot[0, j] = data.draw(st.integers(0, int(arrays.slots[0]) - 1))
+        faults = schedule_faults(edges, ScheduleArrays(
+            arrays.tx, arrays.rx, slot, arrays.slots))
+        seen, expected = set(), []
+        for a, b, k in zip(arrays.tx[0].tolist(), arrays.rx[0].tolist(),
+                           slot[0].tolist()):
+            expected.append([])
+            for antenna in (a, b):
+                expected[-1].append((k, antenna) in seen)
+                seen.add((k, antenna))
+        assert faults.reused[0].tolist() == expected
+
     @pytest.mark.parametrize("t", [
         make_star(129, 64), make_daisy(129, 64),
         random_tree(np.random.default_rng(129), 129)],
         ids=["star", "daisy", "random"])
     def test_large_trees_match_the_pairwise_oracle(self, t):
-        # keys this sparse are sorted, not tabled
         slots = [list(slot) for slot in measurement_schedule(t, 1.0).slots]
         assert schedule_violations(t, Schedule(tuple(map(tuple, slots)),
                                                1.0)) == []
@@ -449,40 +401,15 @@ class TestScheduleFaults:
         assert sorted(schedule_violations(t, bad)) == (
             pairwise_schedule_violations(t, bad))
 
-    @PROPERTY
-    @given(data=st.data())
-    def test_sorted_keys_give_the_tables_findings(self, data):
-        m = data.draw(st.integers(3, 9))
-        codes = np.array(data.draw(st.lists(
-            st.lists(st.integers(1, m), min_size=m - 2, max_size=m - 2),
-            min_size=1, max_size=5)))
-        edges = decode_pruefer_batch(codes, m)
-        arrays = schedule_trees(*root_trees(edges, 1))
-        tx, slot = arrays.tx.copy(), arrays.slot.copy()
-        for _ in range(data.draw(st.integers(0, 3))):
-            row = data.draw(st.integers(0, len(codes) - 1))
-            j = data.draw(st.integers(0, 2 * (m - 1) - 1))
-            slot[row, j] = data.draw(st.integers(0, 2 * m))
-            tx[row, j] = data.draw(st.integers(0, m + 2))
-        bad = ScheduleArrays(tx, arrays.rx, slot, arrays.slots)
-        tabled = schedule_faults(edges, bad)
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(topology, "_DENSE", 0)
-            ordered = schedule_faults(edges, bad)
-        for name in ("expected_slots", "wrong_slot_count", "reused",
-                     "required", "counts", "off_line"):
-            assert np.array_equal(getattr(ordered, name),
-                                  getattr(tabled, name)), name
-
     def test_a_wrong_parent_flags_only_its_tree(self):
-        edges = decode_pruefer_batch(np.concatenate(list(pruefer_blocks(5))),
-                                     5)
-        parent, depth = root_trees(edges, 1)
+        # the 20 shapes at m=6, each wired at reference 2
+        edges, parent, depth = rooted_block([
+            shape_topology(shape, 2) for shape in enumerate_shapes(6)])
         assert not schedule_faults(
             edges, schedule_trees(parent, depth)).flagged.any()
         wrong = parent.copy()
         node = int(np.flatnonzero(parent[7] >= 0)[0])
-        wrong[7, node] = next(k for k in range(5)
+        wrong[7, node] = next(k for k in range(6)
                               if k not in (node, parent[7, node]))
         flagged = schedule_faults(edges, schedule_trees(wrong, depth)).flagged
         assert np.flatnonzero(flagged).tolist() == [7]
@@ -495,21 +422,14 @@ class TestBlockRows:
     @given(data=st.data())
     def test_rows_equal_their_batch_of_one(self, data):
         m = data.draw(st.integers(3, 12))
-        reference = data.draw(st.integers(1, m))
-        codes = np.array(data.draw(st.lists(
-            st.lists(st.integers(1, m), min_size=m - 2, max_size=m - 2),
-            min_size=2, max_size=6)))
-        edges = decode_pruefer_batch(codes, m)
-        parent, depth = root_trees(edges, reference)
+        edges, parent, depth = rooted_block(data.draw(st.lists(
+            trees(min_m=m, max_m=m), min_size=2, max_size=6)))
         arrays = schedule_trees(parent, depth)
         faults = schedule_faults(edges, arrays)
         assert not faults.flagged.any()
-        for i in range(len(codes)):
+        for i in range(len(edges)):
             one = slice(i, i + 1)
-            alone = root_trees(edges[one], reference)
-            assert np.array_equal(alone[0], parent[one])
-            assert np.array_equal(alone[1], depth[one])
-            schedule = schedule_trees(*alone)
+            schedule = schedule_trees(parent[one], depth[one])
             for name in ("tx", "rx", "slot", "slots"):
                 assert np.array_equal(getattr(schedule, name),
                                       getattr(arrays, name)[one]), name
@@ -523,16 +443,14 @@ class TestBlockRows:
     @given(data=st.data())
     def test_a_corrupted_row_flags_only_itself(self, data):
         m = data.draw(st.integers(3, 12))
-        codes = np.array(data.draw(st.lists(
-            st.lists(st.integers(1, m), min_size=m - 2, max_size=m - 2),
-            min_size=2, max_size=6)))
-        edges = decode_pruefer_batch(codes, m)
-        parent, depth = root_trees(edges, 1)
-        row = data.draw(st.integers(0, len(codes) - 1))
+        edges, parent, depth = rooted_block(data.draw(st.lists(
+            trees(min_m=m, max_m=m), min_size=2, max_size=6)))
+        row = data.draw(st.integers(0, len(edges) - 1))
         if data.draw(st.booleans()):
             # a parent that is neither the antenna itself nor its own
             wrong = parent.copy()
-            node = data.draw(st.integers(1, m - 1))
+            node = data.draw(st.sampled_from(
+                np.flatnonzero(parent[row] >= 0).tolist()))
             wrong[row, node] = data.draw(st.sampled_from(
                 [k for k in range(m) if k not in (node, parent[row, node])]))
             flagged = schedule_faults(
@@ -549,34 +467,35 @@ class TestBlockRows:
         assert np.flatnonzero(flagged).tolist() == [row]
 
 
-def _decoded(m):
-    """Lines of every labeled tree on 1..m, as one (m**(m-2), m-1, 2)
-    array in sequence order."""
-    return np.concatenate([decode_pruefer_batch(codes, m)
-                           for codes in pruefer_blocks(m)])
-
-
 class TestEnumeration:
+    """The shape enumeration stands for every labeled tree once."""
+
     def test_counts(self):
-        assert len(_decoded(3)) == 3
-        assert len(_decoded(5)) == 125
+        for m, count in ((3, 3), (5, 125)):
+            assert sum(s.weight for s in enumerate_shapes(m)) == count
+            assert sum(1 for _ in labelled_trees(m, 1)) == count
 
     def test_m4_census(self):
-        edges = _decoded(4)
-        assert len(edges) == 16
-        degrees = np.array([np.bincount(row.ravel(), minlength=5).max()
-                            for row in edges])
-        assert (degrees == 3).sum() == 4 and (degrees == 2).sum() == 12
+        # 4 stars and 12 paths, by the largest degree
+        census = {}
+        for shape in enumerate_shapes(4):
+            census[shape.max_degree] = (census.get(shape.max_degree, 0)
+                                        + shape.weight)
+        assert census == {3: 4, 2: 12}
 
     def test_no_duplicates(self):
-        seen = {tuple(sorted(map(tuple, np.sort(row, axis=1).tolist())))
-                for row in _decoded(5)}
-        assert len(seen) == 125
+        for m in range(2, 9):
+            shapes = list(enumerate_shapes(m))
+            assert len({s.levels for s in shapes}) == len(shapes)
+            assert len({rooted_form(shape_topology(s, 1))
+                        for s in shapes}) == len(shapes)
 
     def test_cap(self):
         with pytest.raises(ValueError, match="enumeration cap 5"):
-            next(pruefer_blocks(6, cap=5))
-        assert len(next(pruefer_blocks(9, cap=9))) == PRUEFER_BLOCK
+            next(enumerate_shapes(6, cap=5))
+        with pytest.raises(ValueError, match="enumeration cap 5"):
+            verify_time_bounds(6, cap=5)
+        assert next(enumerate_shapes(9, cap=9)).levels == tuple(range(9))
 
     def test_factories_pass_validation(self):
         rng = np.random.default_rng(1)
@@ -666,8 +585,19 @@ class TestShapes:
             make_daisy(5, 1), 24)
         assert (shape_topology(shapes[-1], 1), shapes[-1].weight) == (
             make_star(5, 1), 1)
-        assert shapes[0] == ((0, 1, 2, 3, 4), 24, 2)
-        assert shapes[-1] == ((0, 1, 1, 1, 1), 1, 4)
+        assert shapes[0] == ((0, 1, 2, 3, 4), (-1, 0, 1, 2, 3), 24, 2)
+        assert shapes[-1] == ((0, 1, 1, 1, 1), (-1, 0, 0, 0, 0), 1, 4)
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_parents_are_the_rebuilt_ones(self, m):
+        # the parents `_read_levels` finds, against those of the wiring
+        # `shape_topology` builds from the levels alone, walked from the
+        # reference; at reference 1 node i is antenna i+1
+        for shape in enumerate_shapes(m):
+            t = shape_topology(shape, 1)
+            above = {child: p for level in t.levels for p, child in level}
+            assert shape.parents == tuple(above.get(k, 0) - 1
+                                          for k in range(1, m + 1))
 
     def test_cap_and_reference_checked(self):
         with pytest.raises(ValueError, match="enumeration cap 8"):
