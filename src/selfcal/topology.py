@@ -401,10 +401,10 @@ def schedule_trees(parent: np.ndarray, depth: np.ndarray) -> ScheduleArrays:
     `parent` and `depth` are (n, m) arrays over the zero-based antennas:
     each antenna's parent (-1 at the root) and its hop count from the
     root, as a wiring's walk or a shape's level sequence gives them. The
-    line to the child of rank k among
-    its siblings (ascending labels) gets color k below the color of its
-    parent's own line and k+1 from that color on; the root's children
-    take colors 0, 1, ... That needs exactly max_degree colors on a tree.
+    line to the child of rank k among its siblings (ascending labels)
+    gets color k below the color of its parent's own line and k+1 from
+    that color on; the root's children take colors 0, 1, ... That needs
+    exactly max_degree colors on a tree.
     The work runs antenna-major, on (m, n) arrays, so that a reduction
     over a tree's antennas is an elementwise one over rows of n. Sibling
     ranks come from sorting each tree's antennas stably by parent, so a
