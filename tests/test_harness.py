@@ -218,7 +218,18 @@ class TestTimeBounds:
         assert report.star_count == 8
         assert report.schedules_valid and report.passed
 
-    def test_a_dropped_shape_fails(self, monkeypatch):
+    def test_a_dropped_block_fails(self, monkeypatch):
+        # only shapes that were colored and checked are counted, so losing
+        # the tail of the enumeration shows in the tree count: the first
+        # 10 of the 20 shapes at m=6 stand for 800 labeled trees
+        enumerate_shapes = harness.enumerate_shapes
+        monkeypatch.setattr(harness, "enumerate_shapes", lambda m, cap:
+                            list(enumerate_shapes(m, cap))[:10])
+        report = verify_time_bounds(6)
+        assert report.tree_count == 800
+        assert report.schedules_valid and report.passed is False
+
+    def test_a_dropped_tree_fails(self, monkeypatch):
         # only shapes that were colored and checked are counted; shape 1
         # at m=5, a path of three with two leaves at its end, is of max
         # degree 3, neither chain nor star, so only the tree count shows
