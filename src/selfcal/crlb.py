@@ -10,7 +10,11 @@ rounds.
 The information matrix is stored as its diagonal and one coupling per
 ordered pair of wired ordinary antennas. For a tree wiring the couplings
 form a forest, and the numeric route eliminates it leaf first in O(m)
-time and memory. A wiring with a cycle among the ordinary antennas, which
+time and memory. Where the entries come from and the leaf-first order,
+peeled from the couplings, depend on the wiring alone: a `Topology`
+builds them once (`Topology.coupling_plan`), and each matrix of it then
+costs only the gathers of its gains and each solve only the elimination
+arithmetic. A wiring with a cycle among the ordinary antennas, which
 only `fisher_from_edges` accepts, falls back to a dense
 eigendecomposition of the whole matrix.
 """
@@ -32,12 +36,14 @@ from .errors import (
     SingularFisherMatrix,
 )
 from .topology import (
+    CouplingPlan,
     Topology,
     _check_edges,
     _check_m_reference,
     _check_slot_duration,
     calibration_distances,
     max_degree,
+    plan_couplings,
 )
 
 if TYPE_CHECKING:
@@ -141,7 +147,11 @@ class FisherMatrix:
     n + index of a and column index of k; its mirror holds the conjugate.
     Everything already carries the |h|^2 / sigma^2 scaling. The matrix is
     Hermitian by construction and positive definite whenever the wiring
-    is effective.
+    is effective. `steps` is the leaf-first elimination order that
+    `Topology.coupling_plan` peeled from `rows` and `cols`, or None when
+    the couplings contain a cycle. `rows`, `cols` and `steps` depend on
+    the wiring alone and are shared by every matrix of one `Topology`,
+    so the arrays are read-only.
     """
 
     diagonal: np.ndarray
@@ -149,6 +159,7 @@ class FisherMatrix:
     cols: np.ndarray
     couplings: np.ndarray
     antennas: tuple[int, ...]
+    steps: tuple[tuple[int, int, int], ...] | None
 
     @property
     def order(self) -> int:
@@ -175,11 +186,13 @@ def fisher_matrix(t: Topology, gains: "RfGains",
                   s: ScenarioParams) -> FisherMatrix:
     """Assemble the information matrix for a tree wiring.
 
-    The gains must carry the scenario's nominal amplitudes within a
-    relative 1e-9; phases are free.
+    The gains must be vectors of one entry per antenna and carry the
+    scenario's nominal amplitudes within a relative 1e-9; phases are
+    free. What depends on the wiring alone, the gather indices and the
+    leaf-first order, is built once per wiring (`Topology.coupling_plan`).
     """
-    _check_amplitudes(gains, s)
-    return _assemble_fisher(t.m, t.reference, t.edges, gains, s)
+    _check_gains(gains, s, t.m)
+    return _assemble_fisher(t.coupling_plan, gains, s)
 
 
 def fisher_from_edges(m: int, reference: int, edges, gains: "RfGains",
@@ -189,56 +202,54 @@ def fisher_from_edges(m: int, reference: int, edges, gains: "RfGains",
     The lines get `Topology`'s per-line checks (no self-loop, ends in
     1..m, no line twice) but not its spanning-tree check, so a candidate
     wiring that leaves antennas unreachable can be diagnosed by the
-    singularity of its matrix instead of being rejected up front.
+    singularity of its matrix instead of being rejected up front. The
+    gather indices and the leaf-first order are built on every call.
     """
     _check_m_reference(m, reference)
     lines = _check_edges(m, edges)
-    _check_amplitudes(gains, s)
-    return _assemble_fisher(m, reference, lines, gains, s)
+    _check_gains(gains, s, m)
+    return _assemble_fisher(plan_couplings(m, reference, lines), gains, s)
 
 
-def _check_amplitudes(gains: "RfGains", s: ScenarioParams) -> None:
-    ok_a = np.allclose(np.abs(gains.alpha), s.tx_amplitude,
-                       rtol=_AMPLITUDE_RTOL, atol=0.0)
-    ok_b = np.allclose(np.abs(gains.beta), s.rx_amplitude,
-                       rtol=_AMPLITUDE_RTOL, atol=0.0)
-    if not (ok_a and ok_b):
-        raise AmplitudeMismatch(
-            "gain amplitudes do not match the scenario's nominal values")
+def _check_gains(gains: "RfGains", s: ScenarioParams, m: int) -> None:
+    """ValueError unless both gain vectors have shape (m,), then
+    AmplitudeMismatch unless every amplitude is within a relative
+    `_AMPLITUDE_RTOL` of the scenario's (what `np.allclose` with
+    atol=0 accepts, in one comparison per vector)."""
+    sides = (("transmit", gains.alpha, s.tx_amplitude),
+             ("receive", gains.beta, s.rx_amplitude))
+    for side, values, _ in sides:
+        if np.shape(values) != (m,):
+            raise ValueError(f"{side} gains have shape {np.shape(values)}, "
+                             f"wiring needs ({m},)")
+    for _, values, amplitude in sides:
+        if not (abs(np.abs(values) - amplitude)
+                <= _AMPLITUDE_RTOL * amplitude).all():
+            raise AmplitudeMismatch(
+                "gain amplitudes do not match the scenario's nominal values")
 
 
-def _assemble_fisher(m: int, reference: int, edges, gains: "RfGains",
+def _assemble_fisher(plan: CouplingPlan, gains: "RfGains",
                      s: ScenarioParams) -> FisherMatrix:
     if s.noise_variance == 0:
         raise ScenarioError("information matrix undefined for zero noise")
-    n = m - 1
-    ordinary = tuple(k for k in range(1, m + 1) if k != reference)
-    # index of antenna k among the ordinary ones (meaningless at the reference)
-    index = np.arange(m + 1) - 1
-    index[reference + 1:] -= 1
-    lines = np.asarray(edges, dtype=np.intp).reshape(-1, 2)
-    # both directions of every line: the antenna here, the one wired to it
-    here = np.concatenate((lines[:, 0], lines[:, 1]))
-    there = np.concatenate((lines[:, 1], lines[:, 0]))
+    n = len(plan.antennas)
     alpha, beta = np.asarray(gains.alpha), np.asarray(gains.beta)
     scale = abs(s.line_gain) ** 2 / s.noise_variance
-    own = here != reference
-    at, far = index[here[own]], there[own] - 1
-    pair = own & (there != reference)
-    here, there = here[pair], there[pair]
     # entries that overflow are rejected below, by name, not warned about
     with np.errstate(over="ignore", invalid="ignore"):
         diagonal = np.concatenate((
-            np.bincount(at, np.abs(beta[far]) ** 2, minlength=n),
-            np.bincount(at, np.abs(alpha[far]) ** 2, minlength=n))) * scale
+            np.bincount(plan.at, np.abs(beta[plan.far]) ** 2, minlength=n),
+            np.bincount(plan.at, np.abs(alpha[plan.far]) ** 2,
+                        minlength=n))) * scale
         # cross block: rx gain here times conjugate tx gain there
-        couplings = beta[here - 1] * alpha[there - 1].conj() * scale
+        couplings = beta[plan.here] * alpha[plan.there].conj() * scale
     if not (np.isfinite(diagonal).all() and np.isfinite(couplings).all()):
         raise ScenarioError(
             f"information matrix entries overflow: noise variance "
             f"{s.noise_variance!r} gives the scale |h|^2/sigma^2 = {scale!r}")
-    return FisherMatrix(diagonal, n + index[here], index[there], couplings,
-                        ordinary)
+    return FisherMatrix(diagonal, plan.rows, plan.cols, couplings,
+                        plan.antennas, plan.steps)
 
 
 def crlb_numeric(j: FisherMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -251,9 +262,12 @@ def crlb_numeric(j: FisherMatrix) -> tuple[np.ndarray, np.ndarray]:
 
     For a tree wiring the couplings form a forest, which leaf-first
     elimination factors with no fill-in in O(m); the matrix's own
-    couplings choose that route, never the wiring's hop distances. A
-    wiring with a cycle among the ordinary antennas leaves couplings that
-    no leaf elimination removes, and such a matrix goes through a dense
+    couplings choose that route, never the wiring's hop distances. The
+    route is peeled from the couplings once per wiring and carried as
+    `j.steps`, so a solve runs only the pivots, the back-substitution
+    and the condition check. A wiring with a cycle among the ordinary
+    antennas leaves couplings that no leaf elimination removes
+    (`j.steps` is None), and such a matrix goes through a dense
     eigendecomposition. A cycle through the reference does not count: the
     reference has no row, so taking it out opens that cycle.
     """
@@ -273,53 +287,34 @@ def _forest_inverse_diagonal(j: FisherMatrix) -> np.ndarray | None:
     """Diagonal of the inverse by leaf-first elimination (Takahashi,
     Fagan & Chen, 1973), or None when the couplings contain a cycle.
 
+    The order is `j.steps`, peeled from the couplings once per wiring.
     Eliminating leaf v into its one remaining neighbour p leaves pivot
     D_v and subtracts |J_pv|^2 / D_v from p's diagonal; roots keep their
     pivot. Going back from the roots, Z_v = 1/D_v + |J_pv|^2/D_v^2 * Z_p.
     The condition number is bounded by the largest Gershgorin row sum
     (at least lambda_max) times trace(Z) (at least 1/lambda_min).
     """
-    size = j.order
-    ends = (j.rows + j.cols).tolist()
-    degree = (np.bincount(j.rows, minlength=size)
-              + np.bincount(j.cols, minlength=size)).tolist()
-    # XOR of the incident coupling numbers: a leaf's is its last coupling
-    incident = np.zeros(size, dtype=np.intp)
-    numbers = np.arange(len(ends))
-    np.bitwise_xor.at(incident, j.rows, numbers)
-    np.bitwise_xor.at(incident, j.cols, numbers)
-    incident = incident.tolist()
-    leaves = np.flatnonzero(np.equal(degree, 1)).tolist()
-    steps = []  # (leaf, the neighbour it is eliminated into, coupling)
-    while leaves:
-        v = leaves.pop()
-        if degree[v] != 1:  # its neighbour was eliminated into it first
-            continue
-        e = incident[v]
-        p = ends[e] - v
-        degree[v] = 0
-        degree[p] -= 1
-        incident[p] ^= e
-        steps.append((v, p, e))
-        if degree[p] == 1:
-            leaves.append(p)
-    if any(degree):
+    steps = j.steps
+    if steps is None:
         return None
-    weight = (np.abs(j.couplings) ** 2).tolist()
+    size = j.order
+    magnitude = np.abs(j.couplings)
+    weight = (magnitude ** 2).tolist()
     pivot = j.diagonal.tolist()
-    for v, p, e in steps:
-        d = pivot[v]
-        if not 0 < d < math.inf:
-            raise _singular()
-        pivot[p] -= weight[e] / d
-    pivots = np.array(pivot)
+    # a leaf's pivot is final when it is divided by, so the check of all
+    # pivots below sees every divisor; only a zero one must stop the pass
+    try:
+        for v, p, e in steps:
+            pivot[p] -= weight[e] / pivot[v]
+    except ZeroDivisionError:
+        raise _singular() from None
+    pivots = np.fromiter(pivot, float, size)
     if not np.all((pivots > 0) & (pivots < math.inf)):
         raise _singular()
     z = (1.0 / pivots).tolist()
     for v, p, e in reversed(steps):
         z[v] += weight[e] / (pivot[v] * pivot[v]) * z[p]
-    diag = np.array(z)
-    magnitude = np.abs(j.couplings)
+    diag = np.fromiter(z, float, size)
     row_sums = (j.diagonal + np.bincount(j.rows, magnitude, minlength=size)
                 + np.bincount(j.cols, magnitude, minlength=size))
     if not row_sums.max() * diag.sum() <= _COND_LIMIT:

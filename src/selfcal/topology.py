@@ -68,6 +68,32 @@ class PropagationPlan:
     parents: np.ndarray
 
 
+@dataclass(frozen=True, eq=False)
+class CouplingPlan:
+    """Where the information matrix of a wiring takes its entries from.
+
+    Rows 0..n-1 of that matrix (n = m-1) belong to the transmit gains of
+    `antennas`, the ordinary ones ascending, and rows n..2n-1 to their
+    receive gains. Over both directions of every line that leaves an
+    ordinary antenna, `at` is that antenna's index among `antennas` and
+    `far` the zero-based antenna at the other end: the gains at `far`
+    sum into the diagonal at `at`. Over the directions between two
+    ordinary antennas, the receive gain at `here` and the transmit gain
+    at `there` (both zero-based) fill the coupling (`rows[e]`,
+    `cols[e]`). `steps` eliminates the couplings leaf first (see
+    `_leaf_first`), or is None when they contain a cycle.
+    """
+
+    antennas: tuple[int, ...]
+    at: np.ndarray
+    far: np.ndarray
+    here: np.ndarray
+    there: np.ndarray
+    rows: np.ndarray
+    cols: np.ndarray
+    steps: tuple[tuple[int, int, int], ...] | None
+
+
 def _index_or_slice(indices: list[int]) -> slice | np.ndarray:
     """Basic indexing for evenly spaced indices, an index array otherwise.
 
@@ -192,6 +218,29 @@ class Topology:
         return PropagationPlan(tuple(levels), _read_only(np.array(order)),
                                _read_only(parents))
 
+    @cached_property
+    def coupling_plan(self) -> CouplingPlan:
+        """The information matrix's gather indices and leaf-first order."""
+        return plan_couplings(self.m, self.reference, self.edges)
+
+    @cached_property
+    def distance_profile(self) -> DistanceProfile:
+        """Hop count of each ordinary antenna's unique path to the
+        reference."""
+        hops = [0] * (self.m + 1)  # by label; 0 is no antenna
+        for d, level in enumerate(self.levels, 1):
+            for _, child in level:
+                hops[child] = d
+        del hops[self.reference]
+        distances = tuple(hops[1:])
+        return DistanceProfile(self.ordinary, distances,
+                               Fraction(sum(distances), self.m - 1))
+
+    @cached_property
+    def max_degree(self) -> int:
+        """Largest number of lines meeting at any antenna."""
+        return max(map(len, self.neighbors))
+
 
 @dataclass(frozen=True)
 class DistanceProfile:
@@ -260,7 +309,64 @@ def _check_edges(m: int, edges: Iterable[Edge]) -> list[Edge]:
     return canonical
 
 
-#: Named wirings kept built, with their walk and propagation plan: a
+def plan_couplings(m: int, reference: int, lines) -> CouplingPlan:
+    """The `CouplingPlan` of checked (low, high) lines on antennas 1..m,
+    which need not form a tree: `Topology.coupling_plan` keeps a tree's,
+    and `fisher_from_edges` builds one for any wiring on every call."""
+    n = m - 1
+    antennas = tuple(k for k in range(1, m + 1) if k != reference)
+    # index of antenna k among the ordinary ones (meaningless at the reference)
+    index = np.arange(m + 1) - 1
+    index[reference + 1:] -= 1
+    lines = np.asarray(lines, dtype=np.intp).reshape(-1, 2)
+    # both directions of every line: the antenna here, the one wired to it
+    here = np.concatenate((lines[:, 0], lines[:, 1]))
+    there = np.concatenate((lines[:, 1], lines[:, 0]))
+    own = here != reference
+    at, far = index[here[own]], there[own] - 1
+    pair = own & (there != reference)
+    here, there = here[pair], there[pair]
+    rows, cols = n + index[here], index[there]
+    arrays = [_read_only(a) for a in (at, far, here - 1, there - 1, rows,
+                                      cols)]
+    return CouplingPlan(antennas, *arrays, _leaf_first(rows, cols, 2 * n))
+
+
+def _leaf_first(rows: np.ndarray, cols: np.ndarray, size: int
+                ) -> tuple[tuple[int, int, int], ...] | None:
+    """Steps (leaf, the neighbour it is eliminated into, coupling) that
+    take apart the graph on 0..size-1 whose edge e joins `rows[e]` and
+    `cols[e]`, one leaf at a time, or None when it has a cycle: the
+    route of leaf-first elimination, which never fills in a forest."""
+    ends = (rows + cols).tolist()
+    degree = (np.bincount(rows, minlength=size)
+              + np.bincount(cols, minlength=size)).tolist()
+    # XOR of the incident coupling numbers: a leaf's is its last coupling
+    incident = np.zeros(size, dtype=np.intp)
+    numbers = np.arange(len(ends))
+    np.bitwise_xor.at(incident, rows, numbers)
+    np.bitwise_xor.at(incident, cols, numbers)
+    incident = incident.tolist()
+    leaves = np.flatnonzero(np.equal(degree, 1)).tolist()
+    steps = []
+    while leaves:
+        v = leaves.pop()
+        if degree[v] != 1:  # its neighbour was eliminated into it first
+            continue
+        e = incident[v]
+        p = ends[e] - v
+        degree[v] = 0
+        degree[p] -= 1
+        incident[p] ^= e
+        steps.append((v, p, e))
+        if degree[p] == 1:
+            leaves.append(p)
+    if any(degree):
+        return None
+    return tuple(steps)
+
+
+#: Named wirings kept built, with their walk and their plans: a
 #: `Topology` is immutable, so each derived fact is computed once per
 #: process. Typed, so that a float or bool argument is not served the
 #: wiring built for the equal int.
@@ -311,20 +417,15 @@ def from_edges(m: int, reference: int,
 
 
 def calibration_distances(t: Topology) -> DistanceProfile:
-    """Hop count of each ordinary antenna's unique path to the reference."""
-    hops = [0] * (t.m + 1)  # by label; 0 is no antenna
-    for d, level in enumerate(t.levels, 1):
-        for _, child in level:
-            hops[child] = d
-    del hops[t.reference]
-    distances = tuple(hops[1:])
-    return DistanceProfile(t.ordinary, distances,
-                           Fraction(sum(distances), t.m - 1))
+    """Hop count of each ordinary antenna's unique path to the reference,
+    computed once per wiring (`Topology.distance_profile`)."""
+    return t.distance_profile
 
 
 def max_degree(t: Topology) -> int:
-    """Largest number of lines meeting at any antenna."""
-    return max(map(len, t.neighbors))
+    """Largest number of lines meeting at any antenna, computed once per
+    wiring (`Topology.max_degree`)."""
+    return t.max_degree
 
 
 def measurement_schedule(t: Topology, slot_duration: float) -> Schedule:

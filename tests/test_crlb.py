@@ -155,6 +155,60 @@ class TestFisherMatrix:
         with pytest.raises(AmplitudeMismatch):
             fisher_matrix(make_daisy(3, 1), g, UNIT)
 
+    @pytest.mark.parametrize("amplitudes", [
+        [1.0, 1 + 5e-10, 1 - 5e-10], [1.0, 1 + 1e-9, 1 - 1e-9],
+        [1.0, 1 + 2e-9, 1.0], [1.0, 1 - 2e-9, 1.0],
+        [1.0, np.nan, 1.0], [1.0, np.inf, 1.0], [0.0, 1.0, 1.0],
+        [1.0, 1.0, 1 + 1.5e-9]])
+    @pytest.mark.parametrize("dtype", [complex, np.complex64, float])
+    def test_amplitude_check_accepts_what_allclose_accepts(self, amplitudes,
+                                                           dtype):
+        # the check replaced two np.allclose calls with atol=0
+        s = ScenarioParams(tx_amplitude=1.0, rx_amplitude=1.5)
+        tx, rx = (np.multiply(amplitudes, nominal).astype(dtype)
+                  for nominal in (1.0, 1.5))
+        for side, nominal, gains in ((tx, 1.0, RfGains(tx, np.full(3, 1.5))),
+                                     (rx, 1.5, RfGains(np.ones(3), rx))):
+            want = np.allclose(np.abs(side), nominal, rtol=1e-9, atol=0.0)
+            try:
+                fisher_matrix(make_daisy(3, 1), gains, s)
+            except AmplitudeMismatch:
+                assert not want
+            else:
+                assert want
+
+    def test_amplitude_tolerance_is_inclusive(self):
+        # a deviation of exactly 1e-9 times the amplitude passes, as it
+        # passes np.allclose
+        a = 1.000000082740371
+        alpha = np.array([a, a + 1e-9 * a, a], dtype=complex)
+        assert abs(alpha[1]) - a == 1e-9 * a
+        fisher_matrix(make_daisy(3, 1), RfGains(alpha, np.ones(3)),
+                      ScenarioParams(tx_amplitude=a))
+
+    @pytest.mark.parametrize("shape", [(7,), (1,), (3,), (2, 5)],
+                             ids=["too-long", "one", "too-short", "2-d"])
+    def test_gain_shape_checked(self, shape):
+        t = make_daisy(5, 1)
+        bad, good = np.ones(shape, dtype=complex), np.ones(5, dtype=complex)
+        for gains, side in ((RfGains(bad, good), "transmit"),
+                            (RfGains(good, bad), "receive")):
+            for assemble in (lambda: fisher_matrix(t, gains, UNIT),
+                             lambda: fisher_from_edges(5, 1, t.edges, gains,
+                                                       UNIT)):
+                with pytest.raises(ValueError) as error:
+                    assemble()
+                assert str(error.value) == (
+                    f"{side} gains have shape {shape}, wiring needs (5,)")
+
+    def test_shared_index_arrays_read_only(self):
+        t = make_daisy(6, 3)
+        j = fisher_matrix(t, unit_gains(6), UNIT)
+        assert j.rows is fisher_matrix(t, unit_gains(6), UNIT).rows
+        for shared in (j.rows, j.cols):
+            with pytest.raises(ValueError, match="read-only"):
+                shared[0] = 0
+
     def test_zero_noise_rejected(self):
         s = ScenarioParams(noise_variance=0.0)
         with pytest.raises(ScenarioError):
@@ -233,6 +287,8 @@ class TestNumericCrlb:
         j = fisher_matrix(t, g, s)
         from_lines = fisher_from_edges(t.m, t.reference, t.edges, g, s)
         np.testing.assert_array_equal(from_lines.entries, j.entries)
+        # the wiring's cached order is the one peeled from the lines anew
+        assert j.steps is not None and from_lines.steps == j.steps
         want = eigh_inverse_diagonal(j.entries)
         for matrix in (j, from_lines):
             with dense_calls() as calls:
@@ -240,6 +296,23 @@ class TestNumericCrlb:
             assert calls == []
             np.testing.assert_allclose(np.concatenate((alpha, beta)), want,
                                        rtol=1e-9, atol=0)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(t=trees(), seed=st.integers(0, 2**32 - 1))
+    def test_solves_on_one_wiring_equal_fresh_wirings(self, t, seed):
+        # what a wiring keeps built carries nothing of the gains or the
+        # scenario of an earlier solve
+        rng = np.random.default_rng(seed)
+        for _ in range(2):
+            s = random_scenario(rng)
+            g = random_gains(rng, t.m, s)
+            fresh = from_edges(t.m, t.reference, t.edges)
+            solves = [(*crlb_numeric(fisher_matrix(wiring, g, s)),
+                       crlb_closed_form(wiring, s)) for wiring in (t, fresh)]
+            (alpha, beta, closed), (want_a, want_b, want) = solves
+            assert alpha.tobytes() == want_a.tobytes()
+            assert beta.tobytes() == want_b.tobytes()
+            assert closed.to_dict() == want.to_dict()
 
     @pytest.mark.parametrize("kind", ["star", "mid-chain", "random-tree"])
     def test_elimination_equals_dense_inverse_m513(self, kind):
@@ -265,6 +338,7 @@ class TestNumericCrlb:
         rng = np.random.default_rng(m)
         s = random_scenario(rng)
         j = fisher_from_edges(m, reference, edges, random_gains(rng, m, s), s)
+        assert j.steps is None
         with dense_calls() as calls:
             alpha, beta = crlb_numeric(j)
         assert calls == [j.order]
@@ -297,6 +371,17 @@ class TestNumericCrlb:
         s = random_scenario(rng)
         j = fisher_from_edges(4, 1, [(1, 2), (3, 4)],
                               random_gains(rng, 4, s), s)
+        with dense_calls() as calls, pytest.raises(SingularFisherMatrix):
+            crlb_numeric(j)
+        assert calls == []
+
+    def test_zero_pivot_before_it_is_divided_by_reported_singular(self):
+        # eliminating 1 into 2 leaves pivot 1 - 1/1 = 0 at 2, which is
+        # eliminated next; the matrix is indefinite
+        j = crlb.FisherMatrix(
+            diagonal=np.array([5.0, 1.0, 1.0, 1.0]), rows=np.array([2, 2]),
+            cols=np.array([0, 1]), couplings=np.ones(2, dtype=complex),
+            antennas=(2, 3), steps=((1, 2, 1), (2, 0, 0)))
         with dense_calls() as calls, pytest.raises(SingularFisherMatrix):
             crlb_numeric(j)
         assert calls == []

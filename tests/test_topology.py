@@ -147,6 +147,12 @@ class TestDistances:
         assert profile.distances == (1, 2, 3, 4)
         assert profile.mean == Fraction(5, 2)
 
+    def test_computed_once_per_wiring(self):
+        t = from_edges(4, 2, [(4, 3), (2, 1), (2, 3)])
+        assert calibration_distances(t) is calibration_distances(t)
+        assert calibration_distances(t) == calibration_distances(
+            from_edges(4, 2, t.edges))
+
     def test_against_bfs_oracle(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
@@ -202,11 +208,14 @@ class TestSharedWirings:
     @pytest.mark.parametrize("t", [make_star(9, 4), make_daisy(9, 4), SEVEN],
                              ids=["star", "chain", "branched"])
     def test_cached_arrays_are_read_only(self, t):
-        plan = t.propagation_plan
+        plan, couplings = t.propagation_plan, t.coupling_plan
         arrays = [*t.pair_endpoints, plan.order, plan.parents] + [
             index for level in plan.levels
             for index in (level.parents, level.children)
-            if isinstance(index, np.ndarray)]
+            if isinstance(index, np.ndarray)] + [
+            index for index in (couplings.at, couplings.far, couplings.here,
+                                couplings.there, couplings.rows,
+                                couplings.cols) if index.size]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = a[0] + 1
