@@ -17,7 +17,6 @@ from .crlb import (
     crlb_numeric,
     daisy_mean_distance,
     daisy_vs_star_ratio,
-    fisher_from_edges,
     fisher_matrix,
     optimal_reference,
     repetition_budget,

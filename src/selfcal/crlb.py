@@ -8,15 +8,13 @@ module also carries the time-budget arithmetic for repeated measurement
 rounds.
 
 The information matrix is stored as its diagonal and one coupling per
-ordered pair of wired ordinary antennas. For a tree wiring the couplings
-form a forest, and the numeric route eliminates it leaf first in O(m)
+ordered pair of wired ordinary antennas. A tree wiring's couplings form
+a forest, and the numeric route eliminates it leaf first in O(m)
 time and memory. Where the entries come from and the leaf-first order,
 peeled from the couplings, depend on the wiring alone: a `Topology`
 builds them once (`Topology.coupling_plan`), and each matrix of it then
 costs only the gathers of its gains and each solve only the elimination
-arithmetic. A wiring with a cycle among the ordinary antennas, which
-only `fisher_from_edges` accepts, falls back to a dense
-eigendecomposition of the whole matrix.
+arithmetic.
 """
 
 from __future__ import annotations
@@ -38,12 +36,10 @@ from .errors import (
 from .topology import (
     CouplingPlan,
     Topology,
-    _check_edges,
     _check_m_reference,
     _check_slot_duration,
     calibration_distances,
     max_degree,
-    plan_couplings,
 )
 
 if TYPE_CHECKING:
@@ -148,10 +144,9 @@ class FisherMatrix:
     Everything already carries the |h|^2 / sigma^2 scaling. The matrix is
     Hermitian by construction and positive definite whenever the wiring
     is effective. `steps` is the leaf-first elimination order that
-    `Topology.coupling_plan` peeled from `rows` and `cols`, or None when
-    the couplings contain a cycle. `rows`, `cols` and `steps` depend on
-    the wiring alone and are shared by every matrix of one `Topology`,
-    so the arrays are read-only.
+    `Topology.coupling_plan` peeled from `rows` and `cols`. `rows`, `cols`
+    and `steps` depend on the wiring alone and are shared by every matrix
+    of one `Topology`, so the arrays are read-only.
     """
 
     diagonal: np.ndarray
@@ -159,21 +154,12 @@ class FisherMatrix:
     cols: np.ndarray
     couplings: np.ndarray
     antennas: tuple[int, ...]
-    steps: tuple[tuple[int, int, int], ...] | None
+    steps: tuple[tuple[int, int, int], ...]
 
     @property
     def order(self) -> int:
         """Rows (and columns) of the matrix, 2n."""
         return len(self.diagonal)
-
-    @property
-    def entries(self) -> np.ndarray:
-        """The dense 2n x 2n matrix, built afresh on each access, for the
-        cycle fallback and for checks against a dense inverse."""
-        dense = np.diag(self.diagonal.astype(complex))
-        dense[self.rows, self.cols] = self.couplings
-        dense[self.cols, self.rows] = self.couplings.conj()
-        return dense
 
 
 #: Relative tolerance of gain amplitudes against the scenario's.
@@ -193,22 +179,6 @@ def fisher_matrix(t: Topology, gains: "RfGains",
     """
     _check_gains(gains, s, t.m)
     return _assemble_fisher(t.coupling_plan, gains, s)
-
-
-def fisher_from_edges(m: int, reference: int, edges, gains: "RfGains",
-                      s: ScenarioParams) -> FisherMatrix:
-    """Assemble the information matrix for an arbitrary wiring.
-
-    The lines get `Topology`'s per-line checks (no self-loop, ends in
-    1..m, no line twice) but not its spanning-tree check, so a candidate
-    wiring that leaves antennas unreachable can be diagnosed by the
-    singularity of its matrix instead of being rejected up front. The
-    gather indices and the leaf-first order are built on every call.
-    """
-    _check_m_reference(m, reference)
-    lines = _check_edges(m, edges)
-    _check_gains(gains, s, m)
-    return _assemble_fisher(plan_couplings(m, reference, lines), gains, s)
 
 
 def _check_gains(gains: "RfGains", s: ScenarioParams, m: int) -> None:
@@ -257,23 +227,17 @@ def crlb_numeric(j: FisherMatrix) -> tuple[np.ndarray, np.ndarray]:
 
     Returns (transmit-gain bounds, receive-gain bounds) ordered like
     `j.antennas`. Raises SingularFisherMatrix when the matrix is not
-    safely invertible, which is how an ineffective wiring or a degenerate
-    gain profile shows up.
+    safely invertible, which is how a scenario too ill-conditioned to
+    bound, such as far unequal transmit and receive amplitudes, shows up.
 
-    For a tree wiring the couplings form a forest, which leaf-first
+    A tree wiring's couplings form a forest, which leaf-first
     elimination factors with no fill-in in O(m); the matrix's own
     couplings choose that route, never the wiring's hop distances. The
     route is peeled from the couplings once per wiring and carried as
     `j.steps`, so a solve runs only the pivots, the back-substitution
-    and the condition check. A wiring with a cycle among the ordinary
-    antennas leaves couplings that no leaf elimination removes
-    (`j.steps` is None), and such a matrix goes through a dense
-    eigendecomposition. A cycle through the reference does not count: the
-    reference has no row, so taking it out opens that cycle.
+    and the condition check.
     """
     diag = _forest_inverse_diagonal(j)
-    if diag is None:
-        diag = _dense_inverse_diagonal(j.entries)
     n = j.order // 2
     return diag[:n], diag[n:]
 
@@ -283,9 +247,9 @@ def _singular() -> SingularFisherMatrix:
         f"information matrix condition number beyond {_COND_LIMIT:.0e}")
 
 
-def _forest_inverse_diagonal(j: FisherMatrix) -> np.ndarray | None:
+def _forest_inverse_diagonal(j: FisherMatrix) -> np.ndarray:
     """Diagonal of the inverse by leaf-first elimination (Takahashi,
-    Fagan & Chen, 1973), or None when the couplings contain a cycle.
+    Fagan & Chen, 1973).
 
     The order is `j.steps`, peeled from the couplings once per wiring.
     Eliminating leaf v into its one remaining neighbour p leaves pivot
@@ -295,8 +259,6 @@ def _forest_inverse_diagonal(j: FisherMatrix) -> np.ndarray | None:
     (at least lambda_max) times trace(Z) (at least 1/lambda_min).
     """
     steps = j.steps
-    if steps is None:
-        return None
     size = j.order
     magnitude = np.abs(j.couplings)
     weight = (magnitude ** 2).tolist()
@@ -320,15 +282,6 @@ def _forest_inverse_diagonal(j: FisherMatrix) -> np.ndarray | None:
     if not row_sums.max() * diag.sum() <= _COND_LIMIT:
         raise _singular()
     return diag
-
-
-def _dense_inverse_diagonal(entries: np.ndarray) -> np.ndarray:
-    """Diagonal of the inverse through `eigh`, for any Hermitian matrix."""
-    lam, vec = np.linalg.eigh(entries)
-    if (not np.all(np.isfinite(lam)) or lam[0] <= 0
-            or lam[-1] > _COND_LIMIT * lam[0]):
-        raise _singular()
-    return (np.abs(vec) ** 2) @ (1.0 / lam)
 
 
 @dataclass(frozen=True, eq=False)

@@ -81,7 +81,7 @@ class CouplingPlan:
     ordinary antennas, the receive gain at `here` and the transmit gain
     at `there` (both zero-based) fill the coupling (`rows[e]`,
     `cols[e]`). `steps` eliminates the couplings leaf first (see
-    `_leaf_first`), or is None when they contain a cycle.
+    `_leaf_first`).
     """
 
     antennas: tuple[int, ...]
@@ -91,7 +91,7 @@ class CouplingPlan:
     there: np.ndarray
     rows: np.ndarray
     cols: np.ndarray
-    steps: tuple[tuple[int, int, int], ...] | None
+    steps: tuple[tuple[int, int, int], ...]
 
 
 def _index_or_slice(indices: list[int]) -> slice | np.ndarray:
@@ -221,7 +221,24 @@ class Topology:
     @cached_property
     def coupling_plan(self) -> CouplingPlan:
         """The information matrix's gather indices and leaf-first order."""
-        return plan_couplings(self.m, self.reference, self.edges)
+        m, reference = self.m, self.reference
+        n = m - 1
+        # index of antenna k among the ordinary ones (none at the reference)
+        index = np.arange(m + 1) - 1
+        index[reference + 1:] -= 1
+        lines = np.array(self.edges, dtype=np.intp)
+        # both directions of every line: the antenna here, the one wired to it
+        here = np.concatenate((lines[:, 0], lines[:, 1]))
+        there = np.concatenate((lines[:, 1], lines[:, 0]))
+        own = here != reference
+        at, far = index[here[own]], there[own] - 1
+        pair = own & (there != reference)
+        here, there = here[pair], there[pair]
+        rows, cols = n + index[here], index[there]
+        arrays = [_read_only(a) for a in (at, far, here - 1, there - 1, rows,
+                                          cols)]
+        return CouplingPlan(self.ordinary, *arrays,
+                            _leaf_first(rows, cols, 2 * n))
 
     @cached_property
     def distance_profile(self) -> DistanceProfile:
@@ -309,35 +326,18 @@ def _check_edges(m: int, edges: Iterable[Edge]) -> list[Edge]:
     return canonical
 
 
-def plan_couplings(m: int, reference: int, lines) -> CouplingPlan:
-    """The `CouplingPlan` of checked (low, high) lines on antennas 1..m,
-    which need not form a tree: `Topology.coupling_plan` keeps a tree's,
-    and `fisher_from_edges` builds one for any wiring on every call."""
-    n = m - 1
-    antennas = tuple(k for k in range(1, m + 1) if k != reference)
-    # index of antenna k among the ordinary ones (meaningless at the reference)
-    index = np.arange(m + 1) - 1
-    index[reference + 1:] -= 1
-    lines = np.asarray(lines, dtype=np.intp).reshape(-1, 2)
-    # both directions of every line: the antenna here, the one wired to it
-    here = np.concatenate((lines[:, 0], lines[:, 1]))
-    there = np.concatenate((lines[:, 1], lines[:, 0]))
-    own = here != reference
-    at, far = index[here[own]], there[own] - 1
-    pair = own & (there != reference)
-    here, there = here[pair], there[pair]
-    rows, cols = n + index[here], index[there]
-    arrays = [_read_only(a) for a in (at, far, here - 1, there - 1, rows,
-                                      cols)]
-    return CouplingPlan(antennas, *arrays, _leaf_first(rows, cols, 2 * n))
-
-
 def _leaf_first(rows: np.ndarray, cols: np.ndarray, size: int
-                ) -> tuple[tuple[int, int, int], ...] | None:
+                ) -> tuple[tuple[int, int, int], ...]:
     """Steps (leaf, the neighbour it is eliminated into, coupling) that
-    take apart the graph on 0..size-1 whose edge e joins `rows[e]` and
-    `cols[e]`, one leaf at a time, or None when it has a cycle: the
-    route of leaf-first elimination, which never fills in a forest."""
+    take apart the forest on 0..size-1 whose edge e joins `rows[e]` and
+    `cols[e]`, one leaf at a time: the route of leaf-first elimination,
+    which never fills in a forest.
+
+    A tree wiring's couplings always form a forest: they are the
+    bipartite double cover of the tree (transmit row of one antenna,
+    receive row of the other) with the reference's rows left out, and a
+    double cover of a tree is two trees, which removing rows only splits.
+    """
     ends = (rows + cols).tolist()
     degree = (np.bincount(rows, minlength=size)
               + np.bincount(cols, minlength=size)).tolist()
@@ -361,8 +361,6 @@ def _leaf_first(rows: np.ndarray, cols: np.ndarray, size: int
         steps.append((v, p, e))
         if degree[p] == 1:
             leaves.append(p)
-    if any(degree):
-        return None
     return tuple(steps)
 
 

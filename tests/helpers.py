@@ -214,10 +214,19 @@ def collapsed_draw(t, gains, s, repetitions, seed):
 
 
 def eigh_inverse_diagonal(entries):
-    """Diagonal of a Hermitian matrix's inverse by dense `eigh`, the same
-    arithmetic as the numeric bound's fallback for wirings with cycles."""
+    """Diagonal of a Hermitian matrix's inverse by dense `eigh`: the test
+    oracle for the numeric bound's leaf-first elimination."""
     lam, vec = np.linalg.eigh(entries)
     return (np.abs(vec) ** 2) @ (1.0 / lam)
+
+
+def dense_entries(j):
+    """The dense 2n x 2n matrix that a `FisherMatrix` stores as its
+    diagonal and one coupling per ordered pair of wired antennas."""
+    dense = np.diag(j.diagonal.astype(complex))
+    dense[j.rows, j.cols] = j.couplings
+    dense[j.cols, j.rows] = j.couplings.conj()
+    return dense
 
 
 def loop_fisher_entries(m, reference, edges, gains, s):

@@ -1,4 +1,3 @@
-from contextlib import contextmanager
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +14,6 @@ from selfcal import (
     crlb_numeric,
     daisy_mean_distance,
     daisy_vs_star_ratio,
-    fisher_from_edges,
     fisher_matrix,
     from_edges,
     make_daisy,
@@ -27,15 +25,14 @@ from selfcal import (
 from selfcal.errors import (
     AmplitudeMismatch,
     BudgetError,
-    DuplicateEdge,
-    IndexOutOfRange,
     ScenarioError,
-    SelfLoop,
     SingularFisherMatrix,
 )
 from selfcal.simulate import RfGains
+from selfcal.topology import _leaf_first
 
 from helpers import (
+    dense_entries,
     eigh_inverse_diagonal,
     loop_fisher_entries,
     random_gains,
@@ -49,22 +46,6 @@ UNIT = ScenarioParams()
 
 def unit_gains(m):
     return RfGains(np.ones(m, dtype=complex), np.ones(m, dtype=complex))
-
-
-@contextmanager
-def dense_calls():
-    """Record the order of every matrix the numeric bound hands to its
-    dense fallback instead of eliminating it."""
-    calls = []
-    dense = crlb._dense_inverse_diagonal
-
-    def spy(entries):
-        calls.append(entries.shape[0])
-        return dense(entries)
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(crlb, "_dense_inverse_diagonal", spy)
-        yield calls
 
 
 def accepts(invert, j):
@@ -117,12 +98,12 @@ class TestFisherMatrix:
             [0, 1, 2, 0],
             [1, 0, 0, 1],
         ], dtype=complex)
-        assert np.allclose(j.entries, expected)
+        assert np.allclose(dense_entries(j), expected)
         assert j.antennas == (2, 3)
 
     def test_star3_diagonal(self):
         j = fisher_matrix(make_star(3, 1), unit_gains(3), UNIT)
-        assert np.allclose(j.entries, np.eye(4))
+        assert np.allclose(dense_entries(j), np.eye(4))
 
     def test_hermitian_positive_definite(self):
         rng = np.random.default_rng(2)
@@ -130,9 +111,9 @@ class TestFisherMatrix:
             t = random_tree(rng, int(rng.integers(2, 11)))
             s = random_scenario(rng)
             g = random_gains(rng, t.m, s)
-            j = fisher_matrix(t, g, s)
-            assert np.allclose(j.entries, j.entries.conj().T)
-            assert np.linalg.eigvalsh(j.entries)[0] > 0
+            entries = dense_entries(fisher_matrix(t, g, s))
+            assert np.allclose(entries, entries.conj().T)
+            assert np.linalg.eigvalsh(entries)[0] > 0
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(t=trees(), seed=st.integers(0, 2**32 - 1))
@@ -141,14 +122,12 @@ class TestFisherMatrix:
         rng = np.random.default_rng(seed)
         s = random_scenario(rng)
         g = random_gains(rng, t.m, s)
-        ring = [(k, k % t.m + 1) for k in range(1, t.m + 1)] if t.m > 2 else []
-        for j, edges in ((fisher_matrix(t, g, s), t.edges),
-                         (fisher_from_edges(t.m, t.reference, ring, g, s),
-                          ring)):
-            assert j.order == 2 * (t.m - 1) and j.antennas == t.ordinary
-            np.testing.assert_allclose(
-                j.entries, loop_fisher_entries(t.m, t.reference, edges, g, s),
-                rtol=1e-14, atol=0)
+        j = fisher_matrix(t, g, s)
+        assert j.order == 2 * (t.m - 1) and j.antennas == t.ordinary
+        np.testing.assert_allclose(
+            dense_entries(j), loop_fisher_entries(t.m, t.reference, t.edges,
+                                                  g, s),
+            rtol=1e-14, atol=0)
 
     def test_amplitude_check(self):
         g = RfGains(2 * np.ones(3, dtype=complex), np.ones(3, dtype=complex))
@@ -193,13 +172,10 @@ class TestFisherMatrix:
         bad, good = np.ones(shape, dtype=complex), np.ones(5, dtype=complex)
         for gains, side in ((RfGains(bad, good), "transmit"),
                             (RfGains(good, bad), "receive")):
-            for assemble in (lambda: fisher_matrix(t, gains, UNIT),
-                             lambda: fisher_from_edges(5, 1, t.edges, gains,
-                                                       UNIT)):
-                with pytest.raises(ValueError) as error:
-                    assemble()
-                assert str(error.value) == (
-                    f"{side} gains have shape {shape}, wiring needs (5,)")
+            with pytest.raises(ValueError) as error:
+                fisher_matrix(t, gains, UNIT)
+            assert str(error.value) == (
+                f"{side} gains have shape {shape}, wiring needs (5,)")
 
     def test_shared_index_arrays_read_only(self):
         t = make_daisy(6, 3)
@@ -219,14 +195,10 @@ class TestFisherMatrix:
     @pytest.mark.parametrize("noise_variance", [5e-324, 1e-310, 1e-308])
     def test_overflowing_entries_rejected(self, noise_variance):
         s = ScenarioParams(noise_variance=noise_variance)
-        t = make_daisy(5, 1)
-        for assemble in (lambda: fisher_matrix(t, unit_gains(5), s),
-                         lambda: fisher_from_edges(5, 1, t.edges,
-                                                   unit_gains(5), s)):
-            with pytest.raises(ScenarioError,
-                               match=r"overflow: noise variance .* "
-                                     r"\|h\|\^2/sigma\^2"):
-                assemble()
+        with pytest.raises(ScenarioError,
+                           match=r"overflow: noise variance .* "
+                                 r"\|h\|\^2/sigma\^2"):
+            fisher_matrix(make_daisy(5, 1), unit_gains(5), s)
 
 
 class TestNumericCrlb:
@@ -284,18 +256,12 @@ class TestNumericCrlb:
         rng = np.random.default_rng(seed)
         s = random_scenario(rng)
         g = random_gains(rng, t.m, s)
-        j = fisher_matrix(t, g, s)
-        from_lines = fisher_from_edges(t.m, t.reference, t.edges, g, s)
-        np.testing.assert_array_equal(from_lines.entries, j.entries)
-        # the wiring's cached order is the one peeled from the lines anew
-        assert j.steps is not None and from_lines.steps == j.steps
-        want = eigh_inverse_diagonal(j.entries)
-        for matrix in (j, from_lines):
-            with dense_calls() as calls:
-                alpha, beta = crlb_numeric(matrix)
-            assert calls == []
-            np.testing.assert_allclose(np.concatenate((alpha, beta)), want,
-                                       rtol=1e-9, atol=0)
+        alpha, beta = crlb_numeric(fisher_matrix(t, g, s))
+        np.testing.assert_allclose(
+            np.concatenate((alpha, beta)),
+            eigh_inverse_diagonal(loop_fisher_entries(t.m, t.reference,
+                                                      t.edges, g, s)),
+            rtol=1e-9, atol=0)
 
     @settings(max_examples=40, deadline=None, database=None)
     @given(t=trees(), seed=st.integers(0, 2**32 - 1))
@@ -321,59 +287,35 @@ class TestNumericCrlb:
              "mid-chain": lambda: make_daisy(513, 257),
              "random-tree": lambda: random_tree(rng, 513)}[kind]()
         s = random_scenario(rng)
-        j = fisher_matrix(t, random_gains(rng, 513, s), s)
-        with dense_calls() as calls:
-            alpha, beta = crlb_numeric(j)
-        assert calls == []
-        np.testing.assert_allclose(np.concatenate((alpha, beta)),
-                                   eigh_inverse_diagonal(j.entries),
-                                   rtol=1e-9, atol=0)
-
-    @pytest.mark.parametrize("m, reference, edges", [
-        (7, 7, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (1, 7)]),
-        (5, 1, [(1, 2), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)]),
-    ], ids=["6-ring-beside-reference", "5-antennas-several-cycles"])
-    def test_cycle_falls_back_to_dense_inverse(self, m, reference, edges):
-        # every cycle avoids the reference, so no leaf elimination opens it
-        rng = np.random.default_rng(m)
-        s = random_scenario(rng)
-        j = fisher_from_edges(m, reference, edges, random_gains(rng, m, s), s)
-        assert j.steps is None
-        with dense_calls() as calls:
-            alpha, beta = crlb_numeric(j)
-        assert calls == [j.order]
-        np.testing.assert_array_equal(np.concatenate((alpha, beta)),
-                                      eigh_inverse_diagonal(j.entries))
-
-    def test_ring_through_reference_eliminated(self):
-        # taking the reference out opens a 6-ring's only cycle; the bounds
-        # are the effective resistances d(6-d)/6 times the noise ratios
-        rng = np.random.default_rng(6)
-        s = random_scenario(rng)
-        edges = [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)]
-        j = fisher_from_edges(6, 1, edges, random_gains(rng, 6, s), s)
-        with dense_calls() as calls:
-            alpha, beta = crlb_numeric(j)
-        assert calls == []
-        np.testing.assert_allclose(np.concatenate((alpha, beta)),
-                                   eigh_inverse_diagonal(j.entries),
-                                   rtol=1e-9, atol=0)
-        resistance = np.array([5, 8, 9, 8, 5]) / 6
-        np.testing.assert_allclose(alpha, resistance * s.rho_b, rtol=1e-9)
-        np.testing.assert_allclose(beta, resistance * s.rho_a, rtol=1e-9)
+        g = random_gains(rng, 513, s)
+        alpha, beta = crlb_numeric(fisher_matrix(t, g, s))
+        np.testing.assert_allclose(
+            np.concatenate((alpha, beta)),
+            eigh_inverse_diagonal(loop_fisher_entries(513, t.reference,
+                                                      t.edges, g, s)),
+            rtol=1e-9, atol=0)
 
     @pytest.mark.parametrize("seed", range(12))
     def test_forest_off_reference_singular(self, seed):
-        # antennas 3 and 4 are wired to each other only: their 2x2 blocks
-        # are singular, but rounding may leave a pivot near 1e-16 (seeds 3
-        # and 6), which only the condition bound catches
+        # the matrix of lines (1,2) and (3,4) at reference 1, in the
+        # assembly's arithmetic: antennas 3 and 4 are wired to each other
+        # only, so their 2x2 blocks are singular, but rounding may leave a
+        # pivot near 1e-16 (seeds 3 and 6), which only the condition bound
+        # catches
         rng = np.random.default_rng(seed)
         s = random_scenario(rng)
-        j = fisher_from_edges(4, 1, [(1, 2), (3, 4)],
-                              random_gains(rng, 4, s), s)
-        with dense_calls() as calls, pytest.raises(SingularFisherMatrix):
+        g = random_gains(rng, 4, s)
+        scale = abs(s.line_gain) ** 2 / s.noise_variance
+        far = np.array([0, 3, 2])  # each of antennas 2, 3, 4's one line
+        rows, cols = np.array([4, 5]), np.array([2, 1])
+        j = crlb.FisherMatrix(
+            diagonal=np.concatenate((np.abs(g.beta[far]) ** 2,
+                                     np.abs(g.alpha[far]) ** 2)) * scale,
+            rows=rows, cols=cols,
+            couplings=g.beta[[2, 3]] * g.alpha[[3, 2]].conj() * scale,
+            antennas=(2, 3, 4), steps=_leaf_first(rows, cols, 6))
+        with pytest.raises(SingularFisherMatrix):
             crlb_numeric(j)
-        assert calls == []
 
     def test_zero_pivot_before_it_is_divided_by_reported_singular(self):
         # eliminating 1 into 2 leaves pivot 1 - 1/1 = 0 at 2, which is
@@ -382,32 +324,8 @@ class TestNumericCrlb:
             diagonal=np.array([5.0, 1.0, 1.0, 1.0]), rows=np.array([2, 2]),
             cols=np.array([0, 1]), couplings=np.ones(2, dtype=complex),
             antennas=(2, 3), steps=((1, 2, 1), (2, 0, 0)))
-        with dense_calls() as calls, pytest.raises(SingularFisherMatrix):
-            crlb_numeric(j)
-        assert calls == []
-
-    def test_disconnected_reported_singular(self):
-        # 4 lines on 5 antennas, but a cycle 3-4-5 leaves {1,2} stranded
-        edges = [(1, 2), (3, 4), (4, 5), (3, 5)]
-        j = fisher_from_edges(5, 1, edges, unit_gains(5), UNIT)
         with pytest.raises(SingularFisherMatrix):
             crlb_numeric(j)
-
-    @pytest.mark.parametrize("m, reference, edges, error", [
-        (3, 1, [(1, 2), (2, 1), (2, 3)], DuplicateEdge),
-        (3, 1, [(1, 1), (2, 3)], SelfLoop),
-        (3, 1, [(1, 2), (2, 4)], IndexOutOfRange),
-        (3, 4, [(1, 2), (2, 3)], IndexOutOfRange),
-        (1, 1, [], ValueError),
-    ])
-    def test_bad_wiring_rejected_like_from_edges(self, m, reference, edges,
-                                                 error):
-        # the wiring checks are Topology's own, short of the tree check
-        with pytest.raises(error) as fisher:
-            fisher_from_edges(m, reference, edges, unit_gains(m), UNIT)
-        with pytest.raises(error) as topology:
-            from_edges(m, reference, edges)
-        assert str(fisher.value) == str(topology.value)
 
 
 class TestConditioning:
@@ -421,7 +339,8 @@ class TestConditioning:
         # near r^4 times a chain factor; elimination bounds it by the
         # largest Gershgorin row sum times trace of the inverse, which
         # here reads 3.8x (m=9) and 4.9x (m=129) the exact ratio, so it
-        # rejects the grid points `stricter` that eigh still accepts
+        # rejects the grid points `stricter` that the exact ratio, from
+        # the dense eigenvalues, still passes
         t = make_daisy(m, (m + 1) // 2)
         rng = np.random.default_rng(m)
         eliminated, dense = [], []
@@ -429,8 +348,8 @@ class TestConditioning:
             s = ScenarioParams(tx_amplitude=r, rx_amplitude=1 / r)
             j = fisher_matrix(t, random_gains(rng, m, s), s)
             eliminated.append(accepts(crlb_numeric, j))
-            dense.append(accepts(
-                lambda j: crlb._dense_inverse_diagonal(j.entries), j))
+            lam = np.linalg.eigvalsh(dense_entries(j))
+            dense.append(bool(lam[0] > 0 and lam[-1] <= 1e12 * lam[0]))
         assert eliminated[0] and dense[0]            # r = 1e2
         assert not eliminated[-1] and not dense[-1]  # r = 1e3
         assert all(d for e, d in zip(eliminated, dense) if e)

@@ -220,6 +220,16 @@ class TestSharedWirings:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = a[0] + 1
 
+    @PROPERTY
+    @given(t=trees(max_m=40))
+    def test_leaf_first_steps_eliminate_every_coupling_once(self, t):
+        # a tree's couplings form a forest, so the peel takes every one of
+        # them apart, each along its own ends
+        plan = t.coupling_plan
+        assert sorted(e for *_, e in plan.steps) == list(range(len(plan.rows)))
+        for v, p, e in plan.steps:
+            assert {v, p} == {plan.rows[e], plan.cols[e]}
+
 
 class TestDegreeAndChains:
     def test_max_degree_examples(self):
