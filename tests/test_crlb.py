@@ -25,8 +25,10 @@ from selfcal import (
 from selfcal.errors import (
     AmplitudeMismatch,
     BudgetError,
+    NotEffective,
     ScenarioError,
     SingularFisherMatrix,
+    WrongEdgeCount,
 )
 from selfcal.simulate import RfGains
 from selfcal.topology import _leaf_first
@@ -326,6 +328,70 @@ class TestNumericCrlb:
             antennas=(2, 3), steps=((1, 2, 1), (2, 0, 0)))
         with pytest.raises(SingularFisherMatrix):
             crlb_numeric(j)
+
+
+    def test_disconnected_reported_singular(self):
+        # the matrix of lines (1,2), (3,4) and (4,5) at reference 1 with
+        # unit gains: the chain 3-4-5 is stranded from the reference, and
+        # its blocks peel down to a root pivot of exactly 1 - 1/1 = 0
+        entries = loop_fisher_entries(5, 1, [(1, 2), (3, 4), (4, 5)],
+                                      unit_gains(5), UNIT)
+        lower = np.nonzero(entries[4:, :4])
+        rows, cols = lower[0] + 4, lower[1]
+        j = crlb.FisherMatrix(
+            diagonal=entries.diagonal().real.copy(), rows=rows, cols=cols,
+            couplings=entries[rows, cols], antennas=(2, 3, 4, 5),
+            steps=_leaf_first(rows, cols, 8))
+        assert len(j.steps) == len(rows) == 4
+        with pytest.raises(SingularFisherMatrix):
+            crlb_numeric(j)
+
+    @pytest.mark.parametrize("couples", [
+        [(4, 0), (4, 1), (5, 1), (5, 2), (6, 2), (6, 3), (7, 3)],
+        [(4, 0), (4, 1), (4, 2), (4, 3)],
+        [(4, 1), (5, 0), (5, 2), (6, 3), (7, 3)],
+        [],
+    ], ids=["one-path", "star-and-isolated", "two-trees", "no-couplings"])
+    def test_any_forest_eliminated_exactly(self, couples):
+        # the elimination reads only the couplings' forest, whether or not
+        # a tree wiring made it: a diagonally dominant matrix on each
+        # forest inverts to the dense oracle's diagonal
+        rng = np.random.default_rng(len(couples))
+        rows = np.array([r for r, _ in couples], dtype=np.intp)
+        cols = np.array([c for _, c in couples], dtype=np.intp)
+        couplings = (rng.standard_normal(len(couples))
+                     + 1j * rng.standard_normal(len(couples)))
+        magnitude = np.abs(couplings)
+        diagonal = (1.0 + np.bincount(rows, magnitude, minlength=8)
+                    + np.bincount(cols, magnitude, minlength=8))
+        steps = _leaf_first(rows, cols, 8)
+        assert sorted(e for *_, e in steps) == list(range(len(couples)))
+        j = crlb.FisherMatrix(diagonal=diagonal, rows=rows, cols=cols,
+                              couplings=couplings, antennas=(2, 3, 4, 5),
+                              steps=steps)
+        alpha, beta = crlb_numeric(j)
+        np.testing.assert_allclose(np.concatenate((alpha, beta)),
+                                   eigh_inverse_diagonal(dense_entries(j)),
+                                   rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("m, reference, edges, error", [
+        (7, 7, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6), (1, 7)],
+         WrongEdgeCount),
+        (5, 1, [(1, 2), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)],
+         WrongEdgeCount),
+        (6, 1, [(1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (1, 6)],
+         WrongEdgeCount),
+        (6, 6, [(1, 2), (2, 3), (1, 3), (4, 5), (5, 6)], NotEffective),
+    ], ids=["6-ring-beside-reference", "5-antennas-several-cycles",
+            "6-ring-through-reference", "3-ring-stranded"])
+    def test_cyclic_wiring_refused_before_assembly(self, m, reference,
+                                                   edges, error):
+        # the numeric bound takes a Topology, so a wiring with a cycle
+        # never reaches it: too many lines, or m-1 lines that strand
+        # the cycle from the reference
+        with pytest.raises(error):
+            fisher_matrix(from_edges(m, reference, edges), unit_gains(m),
+                          UNIT)
 
 
 class TestConditioning:
