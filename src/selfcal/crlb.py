@@ -255,28 +255,36 @@ def _forest_inverse_diagonal(j: FisherMatrix) -> np.ndarray:
     Eliminating leaf v into its one remaining neighbour p leaves pivot
     D_v and subtracts |J_pv|^2 / D_v from p's diagonal; roots keep their
     pivot. Going back from the roots, Z_v = 1/D_v + |J_pv|^2/D_v^2 * Z_p.
+    With no couplings, as on a star wired at its reference, every row is a
+    root and the diagonal is 1/D, taken on the array as it stands.
     The condition number is bounded by the largest Gershgorin row sum
     (at least lambda_max) times trace(Z) (at least 1/lambda_min).
     """
     steps = j.steps
     size = j.order
     magnitude = np.abs(j.couplings)
-    weight = (magnitude ** 2).tolist()
-    pivot = j.diagonal.tolist()
-    # a leaf's pivot is final when it is divided by, so the check of all
-    # pivots below sees every divisor; only a zero one must stop the pass
-    try:
-        for v, p, e in steps:
-            pivot[p] -= weight[e] / pivot[v]
-    except ZeroDivisionError:
-        raise _singular() from None
-    pivots = np.fromiter(pivot, float, size)
+    if steps:
+        weight = (magnitude ** 2).tolist()
+        pivot = j.diagonal.tolist()
+        # a leaf's pivot is final when it is divided by, so the check of
+        # all pivots below sees every divisor; only a zero one must stop
+        # the pass
+        try:
+            for v, p, e in steps:
+                pivot[p] -= weight[e] / pivot[v]
+        except ZeroDivisionError:
+            raise _singular() from None
+        pivots = np.fromiter(pivot, float, size)
+    else:  # no couplings, as on a star wired at its reference
+        pivots = j.diagonal
     if not np.all((pivots > 0) & (pivots < math.inf)):
         raise _singular()
-    z = (1.0 / pivots).tolist()
-    for v, p, e in reversed(steps):
-        z[v] += weight[e] / (pivot[v] * pivot[v]) * z[p]
-    diag = np.fromiter(z, float, size)
+    diag = 1.0 / pivots
+    if steps:
+        z = diag.tolist()
+        for v, p, e in reversed(steps):
+            z[v] += weight[e] / (pivot[v] * pivot[v]) * z[p]
+        diag = np.fromiter(z, float, size)
     row_sums = (j.diagonal + np.bincount(j.rows, magnitude, minlength=size)
                 + np.bincount(j.cols, magnitude, minlength=size))
     if not row_sums.max() * diag.sum() <= _COND_LIMIT:
@@ -411,7 +419,7 @@ def _distance_report(t: Topology, s: ScenarioParams, repetitions: int,
     profile = calibration_distances(t)
     rho_a, rho_b = s.rho_a, s.rho_b
     # d / I is correctly rounded, hence equal to float(Fraction(d, I))
-    factors = np.asarray(profile.distances, float) / repetitions
+    factors = t.distance_array / repetitions
     mean_factor = float(profile.mean / repetitions)
     return CrlbReport(
         antennas=profile.antennas,

@@ -11,9 +11,10 @@ The mean distance and the collection time depend on the labels only
 through the tree's shape rooted at the reference (the collection time
 through its largest degree), so all three checks count trees by rooted
 shape, each once with weight (m-1)!/|Aut|, the number of labeled trees
-it stands for. The star and chain checks read each shape's mean distance
-and degree off its level sequence; the time-bounds check colors one
-labeling of every shape, in one numpy block, and checks its schedule.
+it stands for. The star and chain checks read each shape's total depth
+and degree off its level sequence, as integers; the time-bounds check
+colors one labeling of every shape, in one numpy block, and checks its
+schedule.
 """
 
 from __future__ import annotations
@@ -539,9 +540,9 @@ def verify_star_optimality(m: int, reference: int = 1,
     _check_m_reference(m, reference)  # the shapes stand for any reference
     # by total hop count: over m-1 antennas it orders as the mean does
     counts: dict[int, int] = {}
-    for shape in enumerate_shapes(m, cap):
-        total = sum(shape.levels)
-        counts[total] = counts.get(total, 0) + shape.weight
+    for levels, _, weight, _ in enumerate_shapes(m, cap):
+        total = sum(levels)
+        counts[total] = counts.get(total, 0) + weight
     distribution = {Fraction(total, m - 1): count
                     for total, count in sorted(counts.items())}
     tree_count = sum(distribution.values())
@@ -585,19 +586,20 @@ def verify_time_bounds(m: int, cap: int = ENUMERATION_CAP) -> TimeBoundsReport:
     if m < 3:
         raise ValueError(f"time bounds need m >= 3, got {m}")
     low, high = 4, 2 * (m - 1)
-    shapes = list(enumerate_shapes(m, cap))
-    parent = np.array([shape.parents for shape in shapes],
-                      dtype=int).reshape(-1, m)
-    depth = np.array([shape.levels for shape in shapes],
-                     dtype=int).reshape(-1, m)
-    child = np.broadcast_to(np.arange(2, m + 1), (len(shapes), m - 1))
-    edges = np.stack([parent[:, 1:] + 1, child], axis=2)
+    # the shapes' fields as columns; an empty enumeration counts nothing
+    levels, parents, weights, _ = (tuple(zip(*enumerate_shapes(m, cap)))
+                                   or ((),) * 4)
+    parent = np.array(parents, dtype=int).reshape(-1, m)
+    depth = np.array(levels, dtype=int).reshape(-1, m)
+    edges = np.empty((len(parents), m - 1, 2), dtype=int)
+    np.add(parent[:, 1:], 1, out=edges[:, :, 0])
+    edges[:, :, 1] = np.arange(2, m + 1)
     faults = schedule_faults(edges, schedule_trees(parent, depth))
     schedules_valid = not faults.flagged.any()
     # slots -> labeled trees
     by_slots: dict[int, int] = {}
-    for slots, shape in zip(faults.expected_slots.tolist(), shapes):
-        by_slots[slots] = by_slots.get(slots, 0) + shape.weight
+    for slots, weight in zip(faults.expected_slots.tolist(), weights):
+        by_slots[slots] = by_slots.get(slots, 0) + weight
     tree_count = sum(by_slots.values())
     min_slots, max_slots = min(by_slots, default=0), max(by_slots, default=0)
     chain_count, star_count = by_slots.get(low, 0), by_slots.get(high, 0)
@@ -641,6 +643,12 @@ def verify_daisy_optimality(m_values: Iterable[int],
     brute force fails: at m=10 a tree of max degree 3 with mean distance
     5/3 collects 3 rounds and reaches 5/9 against the chain's 25/36. An
     empty `m_values` checks nothing and is rejected.
+
+    A shape's objective, its mean distance over its rounds, is its total
+    depth over (m-1) * rounds. Each is compared with the running minimum
+    by integer cross-multiplication, and only the minimum's two verdicts
+    are kept: every shape reaching it is an optimal chain, and the star
+    reaches it. The one `Fraction` built is the report's `brute_min`.
     """
     entries: list[DaisyOptimalityEntry] = []
     for m in m_values:
@@ -650,20 +658,25 @@ def verify_daisy_optimality(m_values: Iterable[int],
         brute = m <= brute_force_cap
         brute_min = brute_matches = minimizers_ok = None
         if brute:
-            best_mean = optimal_reference(m)[1]
-            # objective -> (all trees reaching it are optimal chains,
-            # the star reaches it: the only tree of mean distance 1)
-            verdicts: dict[Fraction, tuple[bool, bool]] = {}
-            for shape in enumerate_shapes(m, brute_force_cap):
-                degree = shape.max_degree
-                mean = shape.mean_distance
-                objective = mean / ((m - 1) // degree)
-                chains, star = verdicts.get(objective, (True, False))
-                verdicts[objective] = (
-                    chains and degree == 2 and mean == best_mean,
-                    star or mean == 1)
-            brute_min = min(verdicts)
-            chains, star = verdicts[brute_min]
+            # objective: total depth over rounds, over the m-1 antennas,
+            # total / ((m-1) * rounds), compared by cross-multiplication
+            chain_total = int(optimal_reference(m)[1] * (m - 1))
+            best_total, best_den = m, 1  # above every objective, <= m/2
+            # the minimum's verdicts: all trees reaching it are optimal
+            # chains; the star, the only tree of total m-1, reaches it
+            chains = star = False
+            for levels, _, _, degree in enumerate_shapes(m, brute_force_cap):
+                total = sum(levels)
+                den = (m - 1) * ((m - 1) // degree)
+                lower = total * best_den
+                if lower > best_total * den:
+                    continue
+                if lower < best_total * den:
+                    best_total, best_den = total, den
+                    chains, star = True, False
+                chains = chains and degree == 2 and total == chain_total
+                star = star or total == m - 1
+            brute_min = Fraction(best_total, best_den)
             expected = ratio if m >= 5 else Fraction(1)
             brute_matches = brute_min == expected
             minimizers_ok = chains if m >= 5 else star

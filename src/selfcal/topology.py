@@ -254,6 +254,12 @@ class Topology:
                                Fraction(sum(distances), self.m - 1))
 
     @cached_property
+    def distance_array(self) -> np.ndarray:
+        """`distance_profile.distances` as floats, for the closed-form
+        bounds that scale them."""
+        return _read_only(np.asarray(self.distance_profile.distances, float))
+
+    @cached_property
     def max_degree(self) -> int:
         """Largest number of lines meeting at any antenna."""
         return max(map(len, self.neighbors))
@@ -657,17 +663,14 @@ class Shape(NamedTuple):
     parent in that order (-1 at the root), the last node before it one
     level up. `weight` is the number of labeled trees of the shape,
     (m-1)!/|Aut|, and `max_degree` the most lines that meet at one node.
+    `enumerate_shapes` reads all three in the one pass over the nodes
+    that also finds the next shape.
     """
 
     levels: tuple[int, ...]
     parents: tuple[int, ...]
     weight: int
     max_degree: int
-
-    @property
-    def mean_distance(self) -> Fraction:
-        """Mean hop count of the ordinary antennas to the reference."""
-        return Fraction(sum(self.levels), len(self.levels) - 1)
 
 
 def enumerate_shapes(m: int, cap: int = ENUMERATION_CAP) -> Iterator[Shape]:
@@ -678,58 +681,56 @@ def enumerate_shapes(m: int, cap: int = ENUMERATION_CAP) -> Iterator[Shape]:
     successor rule of Beyer and Hedetniemi ("Constant time generation of
     rooted trees", SIAM J. Comput. 9(4), 1980) runs through all of them,
     OEIS A000081(m), from the path down to the star; their weights sum to
-    m**(m-2). |Aut| counts the automorphisms that fix the root. A shape
-    stands for the labeled trees rooted at any one antenna.
+    m**(m-2). A shape stands for the labeled trees rooted at any one
+    antenna.
+
+    Each shape costs one pass over its nodes, which reads its parents,
+    degrees and automorphisms together. A node's parent is the last node
+    before it one level up, and its previous sibling the last node before
+    it on its level, if that comes after the parent. |Aut|, the
+    automorphisms that fix the root, is the product over every node of
+    the factorials of how often each child subtree repeats among its
+    siblings. Siblings come in non-increasing order of their subtrees, so
+    equal ones are adjacent: a node whose subtree repeats its previous
+    sibling's is the k-th of such a run and multiplies |Aut| by k. The
+    previous sibling's subtree runs up to the node, and the node's
+    repeats it when its levels start the same way: it cannot run on
+    further, as it would then come first in that order. The successor
+    repeats, from the last node p below level 1 on, the levels from p's
+    parent q up to p; the pass has found q already.
     """
     _check_enumerable(m, 1, cap)
     labelings = math.factorial(m - 1)
     levels = list(range(m))
+    nodes = range(1, m)
     while True:
-        parents, automorphisms, degree = _read_levels(levels)
-        yield Shape(tuple(levels), parents, labelings // automorphisms,
-                    degree)
+        parent = [-1] * m
+        degree = [0] + [1] * (m - 1)  # the line up, then those down
+        run = [1] * m  # place in a run of equal sibling subtrees
+        last = [0] * m  # by level: the last node seen there
+        automorphisms = 1
+        for node in nodes:
+            level = levels[node]
+            above = parent[node] = last[level - 1]
+            degree[above] += 1
+            before = last[level]
+            if (before > above and levels[node:2 * node - before]
+                    == levels[before:node]):
+                run[node] = repeats = run[before] + 1
+                automorphisms *= repeats
+            last[level] = node
+        yield Shape(tuple(levels), tuple(parent), labelings // automorphisms,
+                    max(degree))
         # successor: from the last node p below level 1 on, repeat the
-        # sequence that starts at p's parent q
-        p = next((i for i in range(m - 1, 0, -1) if levels[i] > 1), None)
-        if p is None:  # the star comes last
+        # levels from p's parent q up to p
+        p = m - 1
+        while levels[p] == 1:
+            p -= 1
+        if not p:  # the star comes last
             return
-        q = next(i for i in range(p - 1, 0, -1) if levels[i] == levels[p] - 1)
-        for i in range(p, m):
-            levels[i] = levels[i - p + q]
-
-
-def _read_levels(levels: list[int]) -> tuple[tuple[int, ...], int, int]:
-    """The parents of a level sequence's nodes, its automorphisms that
-    fix the root, and its largest degree, in one pass over the nodes.
-
-    A node's parent is the last node before it one level up, and its
-    previous sibling the last node before it on its level, if that comes
-    after the parent. |Aut| is the product, over every node, of the
-    factorials of how often each child subtree repeats among its
-    siblings. Siblings come in non-increasing order of their subtrees,
-    so equal ones are adjacent: a node whose subtree repeats its previous
-    sibling's is the k-th of such a run and multiplies |Aut| by k. The
-    previous sibling's subtree runs up to the node, and the node's
-    repeats it when its levels start the same way: it cannot run on
-    further, as it would then come first in that order.
-    """
-    m = len(levels)
-    parent = [-1] * m
-    degree = [0] + [1] * (m - 1)  # the line up, then those down
-    run = [1] * m  # place in a run of equal sibling subtrees
-    last = [0] * m  # by level: the last node seen there
-    automorphisms = 1
-    for node in range(1, m):
-        level = levels[node]
-        above = parent[node] = last[level - 1]
-        degree[above] += 1
-        before = last[level]
-        if (before > above and levels[node:2 * node - before]
-                == levels[before:node]):
-            run[node] = run[before] + 1
-            automorphisms *= run[node]
-        last[level] = node
-    return tuple(parent), automorphisms, max(degree)
+        q = parent[p]
+        period = levels[q:p]
+        levels[p:] = (period * ((m - p) // (p - q) + 1))[:m - p]
 
 
 def topology_to_dict(t: Topology) -> dict:

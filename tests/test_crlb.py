@@ -214,6 +214,38 @@ class TestNumericCrlb:
         alpha, beta = crlb_numeric(j)
         assert np.allclose(alpha, 1) and np.allclose(beta, 1)
 
+    @pytest.mark.parametrize("m, reference", [(2, 1), (9, 4), (129, 64)])
+    def test_star_at_its_reference_inverts_its_diagonal(self, m, reference):
+        # no couplings, so no elimination: the bounds are 1/diagonal
+        s = random_scenario(np.random.default_rng(m))
+        gains = random_gains(np.random.default_rng(reference), m, s)
+        j = fisher_matrix(make_star(m, reference), gains, s)
+        assert j.steps == () and j.couplings.size == 0
+        alpha, beta = crlb_numeric(j)
+        assert np.concatenate((alpha, beta)).tobytes() == (
+            1.0 / j.diagonal).tobytes()
+
+    @pytest.mark.parametrize("bad", [0.0, -1.0, np.inf, np.nan])
+    def test_star_pivots_checked(self, bad):
+        # without couplings the pivots are the diagonal, checked as such
+        diagonal = np.ones(6)
+        diagonal[4] = bad
+        none = np.empty(0, dtype=np.intp)
+        j = crlb.FisherMatrix(diagonal=diagonal, rows=none, cols=none,
+                              couplings=np.empty(0, dtype=complex),
+                              antennas=(2, 3, 4), steps=())
+        with pytest.raises(SingularFisherMatrix):
+            crlb_numeric(j)
+
+    def test_star_condition_checked(self):
+        # pivots 1 and 1e-13: the bound 1 * (2 + 1e13) passes 1e12
+        none = np.empty(0, dtype=np.intp)
+        j = crlb.FisherMatrix(diagonal=np.array([1.0, 1e-13]), rows=none,
+                              cols=none, couplings=np.empty(0, dtype=complex),
+                              antennas=(2,), steps=())
+        with pytest.raises(SingularFisherMatrix):
+            crlb_numeric(j)
+
     def test_daisy5_pattern(self):
         j = fisher_matrix(make_daisy(5, 1), unit_gains(5), UNIT)
         alpha, _ = crlb_numeric(j)

@@ -359,6 +359,96 @@ class TestShapeRouteMatchesLabelled:
         assert keys == sorted(keys)
 
 
+class TestPinnedReports:
+    """The reports at m <= 8 as the two-scan enumeration and the
+    `Fraction`-keyed prop 3 gave them, before the one-pass enumeration
+    and the integer objectives: equal field for field, `distribution` in
+    the same order."""
+
+    #: verify_star_optimality(m): the labeled trees by total hop count,
+    #: ascending; the distribution's keys are these totals over m-1
+    STAR_DISTRIBUTIONS = {
+        3: {2: 1, 3: 2},
+        4: {3: 1, 4: 6, 5: 3, 6: 6},
+        5: {4: 1, 5: 12, 6: 24, 7: 28, 8: 24, 9: 12, 10: 24},
+        6: {5: 1, 6: 20, 7: 90, 8: 140, 9: 245, 10: 120, 11: 240, 12: 140,
+            13: 120, 14: 60, 15: 120},
+        7: {6: 1, 7: 30, 8: 240, 9: 660, 10: 1320, 11: 1626, 12: 1920,
+            13: 2100, 14: 1560, 15: 1830, 16: 1440, 17: 1440, 18: 840,
+            19: 720, 20: 360, 21: 720},
+        8: {7: 1, 8: 42, 9: 525, 10: 2450, 11: 6195, 12: 12432, 13: 15127,
+            14: 23310, 15: 21000, 16: 26250, 17: 19320, 18: 26502,
+            19: 19320, 20: 19740, 21: 13440, 22: 17850, 23: 10080,
+            24: 10080, 25: 5880, 26: 5040, 27: 2520, 28: 5040},
+    }
+    #: verify_time_bounds(m): tree_count, min_slots, max_slots,
+    #: chain_count, star_count, schedules_valid, passed
+    TIME_BOUNDS = {
+        3: (3, 4, 4, 3, 3, True, True),
+        4: (16, 4, 6, 12, 4, True, True),
+        5: (125, 4, 8, 60, 5, True, True),
+        6: (1296, 4, 10, 360, 6, True, True),
+        7: (16807, 4, 12, 2520, 7, True, True),
+        8: (262144, 4, 14, 20160, 8, True, True),
+    }
+    #: verify_daisy_optimality entries: m, ratio, beats_star, brute_forced,
+    #: brute_min, brute_min_matches, minimizers_as_expected, passed
+    DAISY_3_TO_8 = (
+        (3, Fraction(1), False, True, Fraction(1), True, True, True),
+        (4, Fraction(4, 3), False, True, Fraction(1), True, True, True),
+        (5, Fraction(3, 4), True, True, Fraction(3, 4), True, True, True),
+        (6, Fraction(9, 10), True, True, Fraction(9, 10), True, True, True),
+        (7, Fraction(2, 3), True, True, Fraction(2, 3), True, True, True),
+        (8, Fraction(16, 21), True, True, Fraction(16, 21), True, True,
+         True),
+    )
+    # a degree-3 tree wins at m=10 and 12 and ties the chain at m=11
+    DAISY_10_TO_12 = (
+        (10, Fraction(25, 36), True, True, Fraction(5, 9), False, False,
+         False),
+        (11, Fraction(3, 5), True, True, Fraction(3, 5), True, False, False),
+        (12, Fraction(36, 55), True, True, Fraction(7, 11), False, False,
+         False),
+    )
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_star_optimality(self, m):
+        report = verify_star_optimality(m)
+        distribution = {Fraction(total, m - 1): count for total, count
+                        in self.STAR_DISTRIBUTIONS[m].items()}
+        assert_same_report(report, harness.StarOptimalityReport(
+            m, 1, m ** (m - 2), Fraction(1), 1, True, distribution, True))
+        assert list(report.distribution.items()) == list(
+            distribution.items())
+
+    @pytest.mark.parametrize("m", range(3, 9))
+    def test_time_bounds(self, m):
+        assert_same_report(verify_time_bounds(m), harness.TimeBoundsReport(
+            m, *self.TIME_BOUNDS[m]))
+
+    @pytest.mark.parametrize("m_values, cap, entries, passed", [
+        (range(3, 9), 8, DAISY_3_TO_8, True),
+        ([10, 11, 12], 12, DAISY_10_TO_12, False)])
+    def test_daisy_optimality(self, m_values, cap, entries, passed):
+        report = verify_daisy_optimality(m_values, brute_force_cap=cap)
+        assert report == harness.DaisyOptimalityReport(
+            tuple(harness.DaisyOptimalityEntry(*entry) for entry in entries),
+            passed)
+        for entry, expected in zip(report.entries, entries):
+            assert type(entry.brute_min) is Fraction
+            assert_same_report(entry, harness.DaisyOptimalityEntry(*expected))
+
+    def test_daisy_optimality_in_any_shape_order(self, monkeypatch):
+        # ties keep both verdicts whichever shape comes first: at m=11 the
+        # chain and a degree-3 tree both reach 3/5
+        enumerate_shapes = harness.enumerate_shapes
+        monkeypatch.setattr(harness, "enumerate_shapes", lambda m, cap:
+                            reversed(list(enumerate_shapes(m, cap))))
+        self.test_daisy_optimality([10, 11, 12], 12, self.DAISY_10_TO_12,
+                                   False)
+        self.test_daisy_optimality(range(3, 9), 8, self.DAISY_3_TO_8, True)
+
+
 class TestSweep:
     CFG = ExperimentConfig(m=6, reference=3, topology_kind="daisy",
                            snr_grid_db=(20.0, 30.0), trials=400,

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from fractions import Fraction
 
@@ -209,7 +210,8 @@ class TestSharedWirings:
                              ids=["star", "chain", "branched"])
     def test_cached_arrays_are_read_only(self, t):
         plan, couplings = t.propagation_plan, t.coupling_plan
-        arrays = [*t.pair_endpoints, plan.order, plan.parents] + [
+        arrays = [*t.pair_endpoints, plan.order, plan.parents,
+                  t.distance_array] + [
             index for level in plan.levels
             for index in (level.parents, level.children)
             if isinstance(index, np.ndarray)] + [
@@ -584,7 +586,8 @@ class TestShapes:
                 dist = hop_distances(t.edges, m, reference)
                 labels = [reference] + list(t.ordinary)
                 assert [dist[k] for k in labels] == list(shape.levels)
-                assert shape.mean_distance == calibration_distances(t).mean
+                assert Fraction(sum(shape.levels), m - 1) == (
+                    calibration_distances(t).mean)
                 assert shape.max_degree == max_degree(t)
 
     @pytest.mark.parametrize("m, reference", [
@@ -609,7 +612,7 @@ class TestShapes:
 
     @pytest.mark.parametrize("m", range(2, 9))
     def test_parents_are_the_rebuilt_ones(self, m):
-        # the parents `_read_levels` finds, against those of the wiring
+        # the parents the enumeration finds, against those of the wiring
         # `shape_topology` builds from the levels alone, walked from the
         # reference; at reference 1 node i is antenna i+1
         for shape in enumerate_shapes(m):
@@ -617,6 +620,58 @@ class TestShapes:
             above = {child: p for level in t.levels for p, child in level}
             assert shape.parents == tuple(above.get(k, 0) - 1
                                           for k in range(1, m + 1))
+
+    #: sha256 of repr(list(enumerate_shapes(m, cap=m))), as the two-scan
+    #: enumeration gave it: the one-pass read yields equal shapes in the
+    #: same order
+    DIGESTS = {
+        2: "9ae35ba439001a6bc4323dc615de75610fc8350ec12b2a98b3339a60ce0d05d5",
+        3: "e952817767de56e8b95ec6c7715908dd73137ba18abf58fca2dc1c520899025c",
+        4: "fbfc9a6f9956f15e916f7380c73a7eede8c145bc5794e71b9cfb81e5e5e31e3f",
+        5: "7cddf84ec1f511e494067f29d0249a417b39bbf6450560a9c43de9561d4484a8",
+        6: "a09057a9931d0bcb7733da3c16edb156604df3f08e68e29f57c4d219ce744652",
+        7: "0ff6c7a72cb8d58c6cbc6dfe93fe631a8dd2f08a87c8db617e2dfd6e2ac51078",
+        8: "83d039d92cbdd68b24df6101b45ea7398fc2777aa8d7abf06060082b99e36297",
+        9: "ea5406c09f4deb83a7d29cef620ea70aa10d9c31d529205c3bff5d367f3babe8",
+        10: "f9b4dfab0aabdd5fcbfc2ac0b40f411362f3358110d29a281531c2af546c0996",
+    }
+
+    @pytest.mark.parametrize("m", range(2, 11))
+    def test_sequence_pinned(self, m):
+        shapes = list(enumerate_shapes(m, cap=m))
+        assert all(type(shape) is Shape for shape in shapes)
+        assert all(type(value) is int for shape in shapes
+                   for field in shape[:2] for value in field)
+        digest = hashlib.sha256(repr(shapes).encode()).hexdigest()
+        assert digest == self.DIGESTS[m]
+
+    @pytest.mark.parametrize("m", range(2, 8))
+    def test_each_shape_by_brute_force(self, m):
+        # weight: the labeled trees rooted at antenna 1 of the shape's
+        # rooted form; parents: a wiring (node i is antenna i+1) whose
+        # preorder, children by label, visits the nodes in order at the
+        # depths `levels`; max_degree: that wiring's
+        labeled = {}
+        for t in labelled_trees(m, 1):
+            form = rooted_form(t)
+            labeled[form] = labeled.get(form, 0) + 1
+        for shape in enumerate_shapes(m):
+            assert shape.parents[0] == -1
+            t = from_edges(m, 1, [(shape.parents[node] + 1, node + 1)
+                                  for node in range(1, m)])
+            order, depths, stack = [], [], [(1, 0)]
+            while stack:
+                antenna, depth = stack.pop()
+                order.append(antenna)
+                depths.append(depth)
+                stack.extend((k, depth + 1) for k in sorted(
+                    t.neighbors[antenna], reverse=True)
+                    if k not in order)
+            assert order == list(range(1, m + 1))
+            assert tuple(depths) == shape.levels
+            assert shape.max_degree == max_degree(t)
+            assert shape.weight == labeled.pop(rooted_form(t))
+        assert labeled == {}
 
     def test_cap_and_reference_checked(self):
         with pytest.raises(ValueError, match="enumeration cap 8"):
