@@ -46,11 +46,9 @@ from .simulate import (
     synthesize,
 )
 from .topology import (
-    calibration_distances,
     from_edges,
     make_daisy,
     make_star,
-    max_degree,
     measurement_schedule,
     schedule_to_dict,
     schedule_violations,

@@ -38,8 +38,6 @@ from .topology import (
     Topology,
     _check_m_reference,
     _check_slot_duration,
-    calibration_distances,
-    max_degree,
 )
 
 if TYPE_CHECKING:
@@ -134,27 +132,22 @@ class FisherMatrix:
     """Information matrix for the unknown gains of the ordinary antennas.
 
     Rows/columns 0..n-1 (n = m-1) belong to the transmit gains of
-    `antennas` in ascending order and rows n..2n-1 to the receive gains.
-    A transmit gain is informed only by the receive gains of the antennas
-    wired to it, and a receive gain only by their transmit gains, so no
-    dense array is held: `diagonal` has the 2n real diagonal entries, and
-    each ordered pair (a, k) of wired ordinary antennas contributes one
-    coupling, entry (`rows[e]`, `cols[e]`) = `couplings[e]` with row
-    n + index of a and column index of k; its mirror holds the conjugate.
-    Everything already carries the |h|^2 / sigma^2 scaling. The matrix is
-    Hermitian by construction and positive definite whenever the wiring
-    is effective. `steps` is the leaf-first elimination order that
-    `Topology.coupling_plan` peeled from `rows` and `cols`. `rows`, `cols`
-    and `steps` depend on the wiring alone and are shared by every matrix
-    of one `Topology`, so the arrays are read-only.
+    `plan.antennas` in ascending order and rows n..2n-1 to the receive
+    gains. A transmit gain is informed only by the receive gains of the
+    antennas wired to it, and a receive gain only by their transmit
+    gains, so no dense array is held: `diagonal` has the 2n real diagonal
+    entries, and each ordered pair (a, k) of wired ordinary antennas
+    contributes one coupling, entry (`plan.rows[e]`, `plan.cols[e]`) =
+    `couplings[e]` with row n + index of a and column index of k; its
+    mirror holds the conjugate. Everything already carries the
+    |h|^2 / sigma^2 scaling. The matrix is Hermitian by construction and
+    positive definite whenever the wiring is effective. `plan` is the
+    wiring's `Topology.coupling_plan`, shared by every matrix of it.
     """
 
     diagonal: np.ndarray
-    rows: np.ndarray
-    cols: np.ndarray
     couplings: np.ndarray
-    antennas: tuple[int, ...]
-    steps: tuple[tuple[int, int, int], ...]
+    plan: CouplingPlan
 
     @property
     def order(self) -> int:
@@ -218,15 +211,14 @@ def _assemble_fisher(plan: CouplingPlan, gains: "RfGains",
         raise ScenarioError(
             f"information matrix entries overflow: noise variance "
             f"{s.noise_variance!r} gives the scale |h|^2/sigma^2 = {scale!r}")
-    return FisherMatrix(diagonal, plan.rows, plan.cols, couplings,
-                        plan.antennas, plan.steps)
+    return FisherMatrix(diagonal, couplings, plan)
 
 
 def crlb_numeric(j: FisherMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Per-antenna bounds from the inverse information matrix diagonal.
 
     Returns (transmit-gain bounds, receive-gain bounds) ordered like
-    `j.antennas`. Raises SingularFisherMatrix when the matrix is not
+    `j.plan.antennas`. Raises SingularFisherMatrix when the matrix is not
     safely invertible, which is how a scenario too ill-conditioned to
     bound, such as far unequal transmit and receive amplitudes, shows up.
 
@@ -234,7 +226,7 @@ def crlb_numeric(j: FisherMatrix) -> tuple[np.ndarray, np.ndarray]:
     elimination factors with no fill-in in O(m); the matrix's own
     couplings choose that route, never the wiring's hop distances. The
     route is peeled from the couplings once per wiring and carried as
-    `j.steps`, so a solve runs only the pivots, the back-substitution
+    `j.plan.steps`, so a solve runs only the pivots, the back-substitution
     and the condition check.
     """
     diag = _forest_inverse_diagonal(j)
@@ -251,7 +243,7 @@ def _forest_inverse_diagonal(j: FisherMatrix) -> np.ndarray:
     """Diagonal of the inverse by leaf-first elimination (Takahashi,
     Fagan & Chen, 1973).
 
-    The order is `j.steps`, peeled from the couplings once per wiring.
+    The order is `j.plan.steps`, peeled from the couplings once per wiring.
     Eliminating leaf v into its one remaining neighbour p leaves pivot
     D_v and subtracts |J_pv|^2 / D_v from p's diagonal; roots keep their
     pivot. Going back from the roots, Z_v = 1/D_v + |J_pv|^2/D_v^2 * Z_p.
@@ -260,7 +252,8 @@ def _forest_inverse_diagonal(j: FisherMatrix) -> np.ndarray:
     The condition number is bounded by the largest Gershgorin row sum
     (at least lambda_max) times trace(Z) (at least 1/lambda_min).
     """
-    steps = j.steps
+    plan = j.plan
+    steps = plan.steps
     size = j.order
     magnitude = np.abs(j.couplings)
     if steps:
@@ -285,8 +278,8 @@ def _forest_inverse_diagonal(j: FisherMatrix) -> np.ndarray:
         for v, p, e in reversed(steps):
             z[v] += weight[e] / (pivot[v] * pivot[v]) * z[p]
         diag = np.fromiter(z, float, size)
-    row_sums = (j.diagonal + np.bincount(j.rows, magnitude, minlength=size)
-                + np.bincount(j.cols, magnitude, minlength=size))
+    row_sums = (j.diagonal + np.bincount(plan.rows, magnitude, minlength=size)
+                + np.bincount(plan.cols, magnitude, minlength=size))
     if not row_sums.max() * diag.sum() <= _COND_LIMIT:
         raise _singular()
     return diag
@@ -367,7 +360,7 @@ def time_to_collect(t: Topology, s: ScenarioParams) -> float:
     parallel schedule achieves and no schedule can beat. Raises
     ScenarioError if the slot duration is so long that the time overflows.
     """
-    slots = 2 * max_degree(t)
+    slots = 2 * t.max_degree
     seconds = slots * s.slot_duration
     if not math.isfinite(seconds):
         raise ScenarioError(f"slot duration {s.slot_duration:g} s overflows "
@@ -416,19 +409,18 @@ def budgeted_average_crlb(t: Topology, s: ScenarioParams,
 
 def _distance_report(t: Topology, s: ScenarioParams, repetitions: int,
                      remainder: float, collection_time: float) -> CrlbReport:
-    profile = calibration_distances(t)
     rho_a, rho_b = s.rho_a, s.rho_b
     # d / I is correctly rounded, hence equal to float(Fraction(d, I))
     factors = t.distance_array / repetitions
-    mean_factor = float(profile.mean / repetitions)
+    mean_factor = float(t.mean_distance / repetitions)
     return CrlbReport(
-        antennas=profile.antennas,
-        distances=profile.distances,
+        antennas=t.ordinary,
+        distances=t.distances,
         per_antenna_alpha=factors * rho_b,
         per_antenna_beta=factors * rho_a,
         average_alpha=mean_factor * rho_b,
         average_beta=mean_factor * rho_a,
-        mean_distance=profile.mean,
+        mean_distance=t.mean_distance,
         rho_a=rho_a,
         rho_b=rho_b,
         repetitions=repetitions,

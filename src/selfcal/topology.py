@@ -241,42 +241,32 @@ class Topology:
                             _leaf_first(rows, cols, 2 * n))
 
     @cached_property
-    def distance_profile(self) -> DistanceProfile:
+    def distances(self) -> tuple[int, ...]:
         """Hop count of each ordinary antenna's unique path to the
-        reference."""
+        reference, in `ordinary` order."""
         hops = [0] * (self.m + 1)  # by label; 0 is no antenna
         for d, level in enumerate(self.levels, 1):
             for _, child in level:
                 hops[child] = d
         del hops[self.reference]
-        distances = tuple(hops[1:])
-        return DistanceProfile(self.ordinary, distances,
-                               Fraction(sum(distances), self.m - 1))
+        return tuple(hops[1:])
+
+    @cached_property
+    def mean_distance(self) -> Fraction:
+        """Mean of `distances`, an exact rational, so that closed-form
+        comparisons need no tolerance."""
+        return Fraction(sum(self.distances), self.m - 1)
 
     @cached_property
     def distance_array(self) -> np.ndarray:
-        """`distance_profile.distances` as floats, for the closed-form
-        bounds that scale them."""
-        return _read_only(np.asarray(self.distance_profile.distances, float))
+        """`distances` as floats, for the closed-form bounds that scale
+        them."""
+        return _read_only(np.asarray(self.distances, float))
 
     @cached_property
     def max_degree(self) -> int:
         """Largest number of lines meeting at any antenna."""
         return max(map(len, self.neighbors))
-
-
-@dataclass(frozen=True)
-class DistanceProfile:
-    """Hop count from the reference to every ordinary antenna.
-
-    `antennas` and `distances` run over the ordinary antennas in ascending
-    index order; `mean` is kept as an exact rational so that closed-form
-    comparisons need no tolerance.
-    """
-
-    antennas: tuple[int, ...]
-    distances: tuple[int, ...]
-    mean: Fraction
 
 
 @dataclass(frozen=True)
@@ -303,12 +293,6 @@ def _check_slot_duration(seconds: float) -> None:
     if not is_finite(seconds) or seconds <= 0:
         raise ScenarioError(
             f"slot duration must be a positive finite number, got {seconds}")
-
-
-def _check_enumerable(m: int, reference: int, cap: int) -> None:
-    _check_m_reference(m, reference)
-    if m > cap:
-        raise ValueError(f"m={m} exceeds the enumeration cap {cap}")
 
 
 def _check_edges(m: int, edges: Iterable[Edge]) -> list[Edge]:
@@ -418,18 +402,6 @@ def from_edges(m: int, reference: int,
                 f"line ends must be integers, got {[p, q]!r}")
     return Topology(int(m), int(reference),
                     tuple((int(p), int(q)) for p, q in pairs))
-
-
-def calibration_distances(t: Topology) -> DistanceProfile:
-    """Hop count of each ordinary antenna's unique path to the reference,
-    computed once per wiring (`Topology.distance_profile`)."""
-    return t.distance_profile
-
-
-def max_degree(t: Topology) -> int:
-    """Largest number of lines meeting at any antenna, computed once per
-    wiring (`Topology.max_degree`)."""
-    return t.max_degree
 
 
 def measurement_schedule(t: Topology, slot_duration: float) -> Schedule:
@@ -699,7 +671,9 @@ def enumerate_shapes(m: int, cap: int = ENUMERATION_CAP) -> Iterator[Shape]:
     repeats, from the last node p below level 1 on, the levels from p's
     parent q up to p; the pass has found q already.
     """
-    _check_enumerable(m, 1, cap)
+    _check_m_reference(m, 1)
+    if m > cap:
+        raise ValueError(f"m={m} exceeds the enumeration cap {cap}")
     labelings = math.factorial(m - 1)
     levels = list(range(m))
     nodes = range(1, m)

@@ -9,7 +9,6 @@ from selfcal import (
     crlb,
     ScenarioParams,
     budgeted_average_crlb,
-    calibration_distances,
     crlb_closed_form,
     crlb_numeric,
     daisy_mean_distance,
@@ -31,7 +30,7 @@ from selfcal.errors import (
     WrongEdgeCount,
 )
 from selfcal.simulate import RfGains
-from selfcal.topology import _leaf_first
+from selfcal.topology import CouplingPlan, _leaf_first
 
 from helpers import (
     dense_entries,
@@ -48,6 +47,14 @@ UNIT = ScenarioParams()
 
 def unit_gains(m):
     return RfGains(np.ones(m, dtype=complex), np.ones(m, dtype=complex))
+
+
+def hand_made(diagonal, rows, cols, couplings, antennas, steps):
+    """A matrix given by its entries rather than a wiring: its plan holds
+    the couplings' places and their elimination order, and no gathers."""
+    none = np.empty(0, dtype=np.intp)
+    plan = CouplingPlan(antennas, none, none, none, none, rows, cols, steps)
+    return crlb.FisherMatrix(diagonal, couplings, plan)
 
 
 def accepts(invert, j):
@@ -101,7 +108,7 @@ class TestFisherMatrix:
             [1, 0, 0, 1],
         ], dtype=complex)
         assert np.allclose(dense_entries(j), expected)
-        assert j.antennas == (2, 3)
+        assert j.plan.antennas == (2, 3)
 
     def test_star3_diagonal(self):
         j = fisher_matrix(make_star(3, 1), unit_gains(3), UNIT)
@@ -125,7 +132,7 @@ class TestFisherMatrix:
         s = random_scenario(rng)
         g = random_gains(rng, t.m, s)
         j = fisher_matrix(t, g, s)
-        assert j.order == 2 * (t.m - 1) and j.antennas == t.ordinary
+        assert j.order == 2 * (t.m - 1) and j.plan.antennas == t.ordinary
         np.testing.assert_allclose(
             dense_entries(j), loop_fisher_entries(t.m, t.reference, t.edges,
                                                   g, s),
@@ -182,8 +189,9 @@ class TestFisherMatrix:
     def test_shared_index_arrays_read_only(self):
         t = make_daisy(6, 3)
         j = fisher_matrix(t, unit_gains(6), UNIT)
-        assert j.rows is fisher_matrix(t, unit_gains(6), UNIT).rows
-        for shared in (j.rows, j.cols):
+        assert j.plan is t.coupling_plan
+        assert fisher_matrix(t, unit_gains(6), UNIT).plan is j.plan
+        for shared in (j.plan.rows, j.plan.cols):
             with pytest.raises(ValueError, match="read-only"):
                 shared[0] = 0
 
@@ -220,7 +228,7 @@ class TestNumericCrlb:
         s = random_scenario(np.random.default_rng(m))
         gains = random_gains(np.random.default_rng(reference), m, s)
         j = fisher_matrix(make_star(m, reference), gains, s)
-        assert j.steps == () and j.couplings.size == 0
+        assert j.plan.steps == () and j.couplings.size == 0
         alpha, beta = crlb_numeric(j)
         assert np.concatenate((alpha, beta)).tobytes() == (
             1.0 / j.diagonal).tobytes()
@@ -231,18 +239,16 @@ class TestNumericCrlb:
         diagonal = np.ones(6)
         diagonal[4] = bad
         none = np.empty(0, dtype=np.intp)
-        j = crlb.FisherMatrix(diagonal=diagonal, rows=none, cols=none,
-                              couplings=np.empty(0, dtype=complex),
-                              antennas=(2, 3, 4), steps=())
+        j = hand_made(diagonal, none, none, np.empty(0, dtype=complex),
+                      antennas=(2, 3, 4), steps=())
         with pytest.raises(SingularFisherMatrix):
             crlb_numeric(j)
 
     def test_star_condition_checked(self):
         # pivots 1 and 1e-13: the bound 1 * (2 + 1e13) passes 1e12
         none = np.empty(0, dtype=np.intp)
-        j = crlb.FisherMatrix(diagonal=np.array([1.0, 1e-13]), rows=none,
-                              cols=none, couplings=np.empty(0, dtype=complex),
-                              antennas=(2,), steps=())
+        j = hand_made(np.array([1.0, 1e-13]), none, none,
+                      np.empty(0, dtype=complex), antennas=(2,), steps=())
         with pytest.raises(SingularFisherMatrix):
             crlb_numeric(j)
 
@@ -342,7 +348,7 @@ class TestNumericCrlb:
         scale = abs(s.line_gain) ** 2 / s.noise_variance
         far = np.array([0, 3, 2])  # each of antennas 2, 3, 4's one line
         rows, cols = np.array([4, 5]), np.array([2, 1])
-        j = crlb.FisherMatrix(
+        j = hand_made(
             diagonal=np.concatenate((np.abs(g.beta[far]) ** 2,
                                      np.abs(g.alpha[far]) ** 2)) * scale,
             rows=rows, cols=cols,
@@ -354,7 +360,7 @@ class TestNumericCrlb:
     def test_zero_pivot_before_it_is_divided_by_reported_singular(self):
         # eliminating 1 into 2 leaves pivot 1 - 1/1 = 0 at 2, which is
         # eliminated next; the matrix is indefinite
-        j = crlb.FisherMatrix(
+        j = hand_made(
             diagonal=np.array([5.0, 1.0, 1.0, 1.0]), rows=np.array([2, 2]),
             cols=np.array([0, 1]), couplings=np.ones(2, dtype=complex),
             antennas=(2, 3), steps=((1, 2, 1), (2, 0, 0)))
@@ -370,11 +376,11 @@ class TestNumericCrlb:
                                       unit_gains(5), UNIT)
         lower = np.nonzero(entries[4:, :4])
         rows, cols = lower[0] + 4, lower[1]
-        j = crlb.FisherMatrix(
+        j = hand_made(
             diagonal=entries.diagonal().real.copy(), rows=rows, cols=cols,
             couplings=entries[rows, cols], antennas=(2, 3, 4, 5),
             steps=_leaf_first(rows, cols, 8))
-        assert len(j.steps) == len(rows) == 4
+        assert len(j.plan.steps) == len(rows) == 4
         with pytest.raises(SingularFisherMatrix):
             crlb_numeric(j)
 
@@ -398,9 +404,8 @@ class TestNumericCrlb:
                     + np.bincount(cols, magnitude, minlength=8))
         steps = _leaf_first(rows, cols, 8)
         assert sorted(e for *_, e in steps) == list(range(len(couples)))
-        j = crlb.FisherMatrix(diagonal=diagonal, rows=rows, cols=cols,
-                              couplings=couplings, antennas=(2, 3, 4, 5),
-                              steps=steps)
+        j = hand_made(diagonal, rows, cols, couplings, antennas=(2, 3, 4, 5),
+                      steps=steps)
         alpha, beta = crlb_numeric(j)
         np.testing.assert_allclose(np.concatenate((alpha, beta)),
                                    eigh_inverse_diagonal(dense_entries(j)),
@@ -546,8 +551,8 @@ class TestChainClosedForms:
     def test_mean_distance_matches_hops(self):
         for m in range(2, 41):
             for f in range(1, m + 1):
-                profile = calibration_distances(make_daisy(m, f))
-                assert daisy_mean_distance(m, f) == profile.mean
+                assert (daisy_mean_distance(m, f)
+                        == make_daisy(m, f).mean_distance)
 
     def test_optimal_reference(self):
         assert optimal_reference(129) == (65, Fraction(65, 2))

@@ -17,14 +17,15 @@ the schedules against the shapes' lines (`schedule_faults`).
 `measurement_schedule` roots its one tree from the wiring's cached walk
 and colors it with `schedule_trees` as a batch of one;
 `schedule_violations` checks it with `schedule_faults`. Props 1 and 3
-read each shape's mean distance and degree off its level sequence, and
-prop 1 walks the star with `calibration_distances`. The batch kernels,
-the array stages and `enumerate_shapes` are listed although the
-benchmark does not wrap them yet: the verify and sweep functions look
-them up in `selfcal.harness`, where a tracer can wrap them.
+read each shape's mean distance and degree off its level sequence. The
+batch kernels, the array stages and `enumerate_shapes` are listed
+although the benchmark does not wrap them yet: the verify and sweep
+functions look them up in `selfcal.harness`, where a tracer can wrap
+them.
 
 Every other module-level name has a caller in `src/` too, or is public
-API, so no helper is kept alive by tests alone.
+API, so no helper is kept alive by tests alone. A wiring's facts are
+`Topology` properties, so no module-level function only hands one on.
 """
 
 import ast
@@ -41,10 +42,9 @@ SURFACE = {
         "ExperimentConfig", "resolve_topology", "run_snr_sweep",
         "sweep_rows_to_csv", "verify_star_optimality", "verify_time_bounds",
         "verify_daisy_optimality", "crlb_closed_form",
-        "budgeted_average_crlb", "enumerate_shapes", "calibration_distances",
-        "schedule_trees", "schedule_faults", "draw_gain_batch",
-        "draw_noise", "add_gain_products", "ml_estimate_batch",
-        "mean_sq_errors",
+        "budgeted_average_crlb", "enumerate_shapes", "schedule_trees",
+        "schedule_faults", "draw_gain_batch", "draw_noise",
+        "add_gain_products", "ml_estimate_batch", "mean_sq_errors",
     ),
     crlb: ("ScenarioParams", "fisher_matrix", "crlb_numeric",
            "crlb_closed_form"),
@@ -69,7 +69,7 @@ CALLS_THROUGH_HARNESS = {
                        {"budgeted_average_crlb"} | SWEEP_STAGES),
     "verify_star_optimality": (
         lambda: harness.verify_star_optimality(4),
-        {"enumerate_shapes", "calibration_distances"}),
+        {"enumerate_shapes"}),
     "verify_time_bounds": (
         lambda: harness.verify_time_bounds(4),
         {"enumerate_shapes", "schedule_trees", "schedule_faults"}),
@@ -131,11 +131,16 @@ def _referenced(stmt: ast.stmt) -> Counter:
         or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)))
 
 
+def _module_statements() -> list[tuple[str, ast.stmt]]:
+    """(module name, statement) for every top-level statement in `src/`."""
+    return [(path.stem, stmt)
+            for path in sorted(Path(selfcal.__file__).parent.glob("*.py"))
+            for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+
+
 def test_every_module_name_has_a_caller_in_src():
-    statements = [
-        (path.stem, stmt, _referenced(stmt))
-        for path in sorted(Path(selfcal.__file__).parent.glob("*.py"))
-        for stmt in ast.parse(path.read_text(encoding="utf-8")).body]
+    statements = [(module, stmt, _referenced(stmt))
+                  for module, stmt in _module_statements()]
     uses = Counter()
     for _, _, referenced in statements:
         uses.update(referenced)
@@ -143,3 +148,23 @@ def test_every_module_name_has_a_caller_in_src():
     uncalled = [f"{module}.{name}" for module, stmt, own in statements
                 for name in _defined(stmt) if uses[name] == own[name]]
     assert uncalled == []
+
+
+def _hands_on_an_attribute(stmt: ast.stmt) -> bool:
+    """Whether `stmt` is a def whose body, docstring aside, is one
+    `return <parameter>.<attribute>`."""
+    if not isinstance(stmt, ast.FunctionDef):
+        return False
+    body = stmt.body[1:] if ast.get_docstring(stmt) is not None else stmt.body
+    args = stmt.args
+    params = {a.arg for a in args.posonlyargs + args.args + args.kwonlyargs}
+    return (len(body) == 1 and isinstance(body[0], ast.Return)
+            and isinstance(body[0].value, ast.Attribute)
+            and isinstance(body[0].value.value, ast.Name)
+            and body[0].value.value.id in params)
+
+
+def test_no_module_function_only_reads_an_attribute():
+    wrappers = [f"{module}.{stmt.name}" for module, stmt in
+                _module_statements() if _hands_on_an_attribute(stmt)]
+    assert wrappers == []

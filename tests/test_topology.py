@@ -8,11 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from selfcal import (
     ScenarioParams,
-    calibration_distances,
     from_edges,
     make_daisy,
     make_star,
-    max_degree,
     measurement_schedule,
     schedule_to_dict,
     schedule_violations,
@@ -133,34 +131,39 @@ class TestConstruction:
 
 class TestDistances:
     def test_star_distances(self):
-        profile = calibration_distances(make_star(5, 1))
-        assert profile.distances == (1, 1, 1, 1)
-        assert profile.mean == 1
+        t = make_star(5, 1)
+        assert t.distances == (1, 1, 1, 1)
+        assert t.mean_distance == 1
 
     def test_daisy_mid_reference(self):
-        profile = calibration_distances(make_daisy(5, 3))
-        assert profile.antennas == (1, 2, 4, 5)
-        assert profile.distances == (2, 1, 1, 2)
-        assert profile.mean == Fraction(3, 2)
+        t = make_daisy(5, 3)
+        assert t.ordinary == (1, 2, 4, 5)
+        assert t.distances == (2, 1, 1, 2)
+        assert t.mean_distance == Fraction(3, 2)
 
     def test_daisy_end_reference(self):
-        profile = calibration_distances(make_daisy(5, 1))
-        assert profile.distances == (1, 2, 3, 4)
-        assert profile.mean == Fraction(5, 2)
+        t = make_daisy(5, 1)
+        assert t.distances == (1, 2, 3, 4)
+        assert t.mean_distance == Fraction(5, 2)
 
     def test_computed_once_per_wiring(self):
         t = from_edges(4, 2, [(4, 3), (2, 1), (2, 3)])
-        assert calibration_distances(t) is calibration_distances(t)
-        assert calibration_distances(t) == calibration_distances(
-            from_edges(4, 2, t.edges))
+        for name in ("distances", "mean_distance", "distance_array"):
+            assert getattr(t, name) is getattr(t, name)
+        again = from_edges(4, 2, t.edges)
+        assert (t.distances, t.mean_distance) == (again.distances,
+                                                  again.mean_distance)
 
-    def test_against_bfs_oracle(self):
-        rng = np.random.default_rng(11)
-        for _ in range(50):
-            t = random_tree(rng, int(rng.integers(2, 12)))
-            oracle = hop_distances(t.edges, t.m, t.reference)
-            profile = calibration_distances(t)
-            assert profile.distances == tuple(oracle[k] for k in t.ordinary)
+    @PROPERTY
+    @given(t=trees(max_m=40))
+    def test_against_bfs_oracle(self, t):
+        oracle = hop_distances(t.edges, t.m, t.reference)
+        expected = tuple(oracle[k] for k in t.ordinary)
+        assert t.distances == expected
+        assert isinstance(t.mean_distance, Fraction)
+        assert t.mean_distance == Fraction(sum(expected), t.m - 1)
+        assert t.distance_array.dtype == float
+        assert t.distance_array.tolist() == list(expected)
 
 
 class TestWalk:
@@ -235,9 +238,9 @@ class TestSharedWirings:
 
 class TestDegreeAndChains:
     def test_max_degree_examples(self):
-        assert max_degree(make_daisy(6, 3)) == 2
-        assert max_degree(make_star(6, 1)) == 5
-        assert max_degree(SEVEN) == 3
+        assert make_daisy(6, 3).max_degree == 2
+        assert make_star(6, 1).max_degree == 5
+        assert SEVEN.max_degree == 3
 
 
 class TestSchedule:
@@ -270,7 +273,7 @@ class TestSchedule:
             for t in labelled_trees(m, 1):
                 schedule = measurement_schedule(t, 1.0)
                 assert schedule_violations(t, schedule) == []
-                assert len(schedule.slots) == 2 * max_degree(t)
+                assert len(schedule.slots) == 2 * t.max_degree
 
     @PROPERTY
     @given(t=trees())
@@ -531,11 +534,11 @@ class TestEnumeration:
         for m in (4, 5):
             for t in labelled_trees(m, 2):
                 is_star = t.edges == make_star(m, 2).edges
-                assert (calibration_distances(t).mean == 1) == is_star
+                assert (t.mean_distance == 1) == is_star
 
     def test_degree_bounds_and_classes(self):
         for t in labelled_trees(5, 1):
-            degree = max_degree(t)
+            degree = t.max_degree
             assert 2 <= degree <= 4
             if degree == 2:
                 assert all(len(t.neighbors[k]) <= 2 for k in range(1, 6))
@@ -586,9 +589,8 @@ class TestShapes:
                 dist = hop_distances(t.edges, m, reference)
                 labels = [reference] + list(t.ordinary)
                 assert [dist[k] for k in labels] == list(shape.levels)
-                assert Fraction(sum(shape.levels), m - 1) == (
-                    calibration_distances(t).mean)
-                assert shape.max_degree == max_degree(t)
+                assert Fraction(sum(shape.levels), m - 1) == t.mean_distance
+                assert shape.max_degree == t.max_degree
 
     @pytest.mark.parametrize("m, reference", [
         (2, 1), (3, 1), (4, 1), (5, 1), (5, 3), (6, 1), (6, 6), (7, 1)])
@@ -669,7 +671,7 @@ class TestShapes:
                     if k not in order)
             assert order == list(range(1, m + 1))
             assert tuple(depths) == shape.levels
-            assert shape.max_degree == max_degree(t)
+            assert shape.max_degree == t.max_degree
             assert shape.weight == labeled.pop(rooted_form(t))
         assert labeled == {}
 
