@@ -10,10 +10,11 @@ rounds.
 The information matrix is stored as its diagonal and one coupling per
 ordered pair of wired ordinary antennas. A tree wiring's couplings form
 a forest, and the numeric route eliminates it leaf first in O(m)
-time and memory. Where the entries come from and the leaf-first order,
-peeled from the couplings, depend on the wiring alone: a `Topology`
-builds them once (`Topology.coupling_plan`), and each matrix of it then
-costs only the gathers of its gains and each solve only the elimination
+time and memory, in the order of the wiring's walk read from its
+deepest line up; it uses no hop distance. Where the entries come from
+and that order depend on the wiring alone: a `Topology` builds them
+once (`Topology.coupling_plan`), and each matrix of it then costs only
+the gathers of its gains and each solve only the elimination
 arithmetic.
 """
 
@@ -131,8 +132,8 @@ def _signal_power(amplitude: float, line_gain: complex) -> float:
 class FisherMatrix:
     """Information matrix for the unknown gains of the ordinary antennas.
 
-    Rows/columns 0..n-1 (n = m-1) belong to the transmit gains of
-    `plan.antennas` in ascending order and rows n..2n-1 to the receive
+    Rows/columns 0..n-1 (n = m-1) belong to the transmit gains of the
+    ordinary antennas in ascending order and rows n..2n-1 to the receive
     gains. A transmit gain is informed only by the receive gains of the
     antennas wired to it, and a receive gain only by their transmit
     gains, so no dense array is held: `diagonal` has the 2n real diagonal
@@ -171,7 +172,7 @@ def fisher_matrix(t: Topology, gains: "RfGains",
     leaf-first order, is built once per wiring (`Topology.coupling_plan`).
     """
     _check_gains(gains, s, t.m)
-    return _assemble_fisher(t.coupling_plan, gains, s)
+    return _assemble_fisher(t, gains, s)
 
 
 def _check_gains(gains: "RfGains", s: ScenarioParams, m: int) -> None:
@@ -192,11 +193,11 @@ def _check_gains(gains: "RfGains", s: ScenarioParams, m: int) -> None:
                 "gain amplitudes do not match the scenario's nominal values")
 
 
-def _assemble_fisher(plan: CouplingPlan, gains: "RfGains",
+def _assemble_fisher(t: Topology, gains: "RfGains",
                      s: ScenarioParams) -> FisherMatrix:
     if s.noise_variance == 0:
         raise ScenarioError("information matrix undefined for zero noise")
-    n = len(plan.antennas)
+    plan, n = t.coupling_plan, t.m - 1
     alpha, beta = np.asarray(gains.alpha), np.asarray(gains.beta)
     scale = abs(s.line_gain) ** 2 / s.noise_variance
     # entries that overflow are rejected below, by name, not warned about
@@ -217,17 +218,18 @@ def _assemble_fisher(plan: CouplingPlan, gains: "RfGains",
 def crlb_numeric(j: FisherMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Per-antenna bounds from the inverse information matrix diagonal.
 
-    Returns (transmit-gain bounds, receive-gain bounds) ordered like
-    `j.plan.antennas`. Raises SingularFisherMatrix when the matrix is not
-    safely invertible, which is how a scenario too ill-conditioned to
-    bound, such as far unequal transmit and receive amplitudes, shows up.
+    Returns (transmit-gain bounds, receive-gain bounds) ordered like the
+    wiring's `Topology.ordinary`. Raises SingularFisherMatrix when the
+    matrix is not safely invertible, which is how a scenario too
+    ill-conditioned to bound, such as far unequal transmit and receive
+    amplitudes, shows up.
 
     A tree wiring's couplings form a forest, which leaf-first
-    elimination factors with no fill-in in O(m); the matrix's own
-    couplings choose that route, never the wiring's hop distances. The
-    route is peeled from the couplings once per wiring and carried as
-    `j.plan.steps`, so a solve runs only the pivots, the back-substitution
-    and the condition check.
+    elimination factors with no fill-in in O(m). The route is the
+    wiring's walk read from its deepest line up, built once per wiring
+    and carried as `j.plan.steps`; it uses no hop distance, so the
+    numeric bound stays a check on the closed form. A solve runs only
+    the pivots, the back-substitution and the condition check.
     """
     diag = _forest_inverse_diagonal(j)
     n = j.order // 2
@@ -243,7 +245,8 @@ def _forest_inverse_diagonal(j: FisherMatrix) -> np.ndarray:
     """Diagonal of the inverse by leaf-first elimination (Takahashi,
     Fagan & Chen, 1973).
 
-    The order is `j.plan.steps`, peeled from the couplings once per wiring.
+    The order is `j.plan.steps`, built once per wiring from its walk
+    read from the deepest line up; it uses no hop distance.
     Eliminating leaf v into its one remaining neighbour p leaves pivot
     D_v and subtracts |J_pv|^2 / D_v from p's diagonal; roots keep their
     pivot. Going back from the roots, Z_v = 1/D_v + |J_pv|^2/D_v^2 * Z_p.

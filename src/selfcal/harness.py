@@ -283,9 +283,7 @@ def run_snr_sweep(cfg: ExperimentConfig,
     mean_factor = float(bound.mean_distance / bound.repetitions)
     m, pairs = topo.m, 2 * (topo.m - 1)
     batches = _plan_batches(cfg, m)
-    # a batch holds one chunk, or more within _BATCH antenna-trials
-    capacity = min(max(min(_CHUNK, cfg.trials), _BATCH // m),
-                   points * cfg.trials)
+    capacity = max(batch[-1].rows.stop for batch in batches)
     # per thread: gain and observation rows, and scratch for a chunk's
     # phases, then its gain products and gathered transmit gains, then a
     # batch's estimator work arrays, the largest of the three; the

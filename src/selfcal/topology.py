@@ -73,18 +73,19 @@ class CouplingPlan:
     """Where the information matrix of a wiring takes its entries from.
 
     Rows 0..n-1 of that matrix (n = m-1) belong to the transmit gains of
-    `antennas`, the ordinary ones ascending, and rows n..2n-1 to their
-    receive gains. Over both directions of every line that leaves an
-    ordinary antenna, `at` is that antenna's index among `antennas` and
-    `far` the zero-based antenna at the other end: the gains at `far`
-    sum into the diagonal at `at`. Over the directions between two
-    ordinary antennas, the receive gain at `here` and the transmit gain
-    at `there` (both zero-based) fill the coupling (`rows[e]`,
-    `cols[e]`). `steps` eliminates the couplings leaf first (see
-    `_leaf_first`).
+    the ordinary antennas, ascending (`Topology.ordinary`), and rows
+    n..2n-1 to their receive gains. Over both directions of every line
+    that leaves an ordinary antenna, `at` is that antenna's index among
+    the ordinary ones and `far` the zero-based antenna at the other end:
+    the gains at `far` sum into the diagonal at `at`. Over the walk's
+    lines between two ordinary antennas, deepest first, each line (p, c)
+    gives two couplings: the receive gain at `here` and the transmit
+    gain at `there` (both zero-based), first at p and c, then at c and
+    p, fill the coupling (`rows[e]`, `cols[e]`). `steps[e]` eliminates
+    coupling e as (the child's row, the parent's row, e): every deeper
+    line is eliminated before it, so the child's row is then a leaf.
     """
 
-    antennas: tuple[int, ...]
     at: np.ndarray
     far: np.ndarray
     here: np.ndarray
@@ -232,13 +233,19 @@ class Topology:
         there = np.concatenate((lines[:, 1], lines[:, 0]))
         own = here != reference
         at, far = index[here[own]], there[own] - 1
-        pair = own & (there != reference)
-        here, there = here[pair], there[pair]
+        # the lines below the reference's own, deepest first, each as
+        # (p, c) then (c, p)
+        below = np.array([line for level in reversed(self.levels[1:])
+                          for line in level], dtype=np.intp).reshape(-1, 2)
+        here, there = below.ravel(), below[:, ::-1].ravel()
         rows, cols = n + index[here], index[there]
+        # the child's row: its transmit row, then its receive row
+        leaf, into = cols.copy(), rows.copy()
+        leaf[1::2], into[1::2] = rows[1::2], cols[1::2]
         arrays = [_read_only(a) for a in (at, far, here - 1, there - 1, rows,
                                           cols)]
-        return CouplingPlan(self.ordinary, *arrays,
-                            _leaf_first(rows, cols, 2 * n))
+        return CouplingPlan(*arrays, tuple(zip(
+            leaf.tolist(), into.tolist(), range(len(leaf)))))
 
     @cached_property
     def distances(self) -> tuple[int, ...]:
@@ -314,44 +321,6 @@ def _check_edges(m: int, edges: Iterable[Edge]) -> list[Edge]:
         seen.add(edge)
         canonical.append(edge)
     return canonical
-
-
-def _leaf_first(rows: np.ndarray, cols: np.ndarray, size: int
-                ) -> tuple[tuple[int, int, int], ...]:
-    """Steps (leaf, the neighbour it is eliminated into, coupling) that
-    take apart the forest on 0..size-1 whose edge e joins `rows[e]` and
-    `cols[e]`, one leaf at a time: the route of leaf-first elimination,
-    which never fills in a forest.
-
-    A tree wiring's couplings always form a forest: they are the
-    bipartite double cover of the tree (transmit row of one antenna,
-    receive row of the other) with the reference's rows left out, and a
-    double cover of a tree is two trees, which removing rows only splits.
-    """
-    ends = (rows + cols).tolist()
-    degree = (np.bincount(rows, minlength=size)
-              + np.bincount(cols, minlength=size)).tolist()
-    # XOR of the incident coupling numbers: a leaf's is its last coupling
-    incident = np.zeros(size, dtype=np.intp)
-    numbers = np.arange(len(ends))
-    np.bitwise_xor.at(incident, rows, numbers)
-    np.bitwise_xor.at(incident, cols, numbers)
-    incident = incident.tolist()
-    leaves = np.flatnonzero(np.equal(degree, 1)).tolist()
-    steps = []
-    while leaves:
-        v = leaves.pop()
-        if degree[v] != 1:  # its neighbour was eliminated into it first
-            continue
-        e = incident[v]
-        p = ends[e] - v
-        degree[v] = 0
-        degree[p] -= 1
-        incident[p] ^= e
-        steps.append((v, p, e))
-        if degree[p] == 1:
-            leaves.append(p)
-    return tuple(steps)
 
 
 #: Named wirings kept built, with their walk and their plans: a

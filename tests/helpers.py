@@ -208,6 +208,19 @@ def dense_entries(j):
     return dense
 
 
+def check_leaf_first(steps, rows, cols):
+    """Assert that `steps`, (leaf, into, coupling) triples, take apart
+    the forest whose coupling e joins rows `rows[e]` and `cols[e]` leaf
+    first: every coupling once, along its own ends, and no row met again
+    once eliminated, so each leaf has no other coupling left."""
+    assert sorted(e for *_, e in steps) == list(range(len(rows)))
+    eliminated = set()
+    for v, p, e in steps:
+        assert {v, p} == {int(rows[e]), int(cols[e])}
+        assert v not in eliminated and p not in eliminated
+        eliminated.add(v)
+
+
 def loop_fisher_entries(m, reference, edges, gains, s):
     """Dense information matrix assembled antenna by antenna, the
     reference for the vectorised assembly."""

@@ -30,9 +30,10 @@ from selfcal.errors import (
     WrongEdgeCount,
 )
 from selfcal.simulate import RfGains
-from selfcal.topology import CouplingPlan, _leaf_first
+from selfcal.topology import CouplingPlan
 
 from helpers import (
+    check_leaf_first,
     dense_entries,
     eigh_inverse_diagonal,
     loop_fisher_entries,
@@ -49,11 +50,13 @@ def unit_gains(m):
     return RfGains(np.ones(m, dtype=complex), np.ones(m, dtype=complex))
 
 
-def hand_made(diagonal, rows, cols, couplings, antennas, steps):
+def hand_made(diagonal, rows, cols, couplings, steps):
     """A matrix given by its entries rather than a wiring: its plan holds
-    the couplings' places and their elimination order, and no gathers."""
+    the couplings' places and their elimination order, leaf first, and
+    no gathers."""
+    check_leaf_first(steps, rows, cols)
     none = np.empty(0, dtype=np.intp)
-    plan = CouplingPlan(antennas, none, none, none, none, rows, cols, steps)
+    plan = CouplingPlan(none, none, none, none, rows, cols, steps)
     return crlb.FisherMatrix(diagonal, couplings, plan)
 
 
@@ -100,7 +103,8 @@ class TestScenario:
 
 class TestFisherMatrix:
     def test_daisy3_entries(self):
-        j = fisher_matrix(make_daisy(3, 1), unit_gains(3), UNIT)
+        t = make_daisy(3, 1)
+        j = fisher_matrix(t, unit_gains(3), UNIT)
         expected = np.array([
             [2, 0, 0, 1],
             [0, 1, 1, 0],
@@ -108,7 +112,7 @@ class TestFisherMatrix:
             [1, 0, 0, 1],
         ], dtype=complex)
         assert np.allclose(dense_entries(j), expected)
-        assert j.plan.antennas == (2, 3)
+        assert t.ordinary == (2, 3)
 
     def test_star3_diagonal(self):
         j = fisher_matrix(make_star(3, 1), unit_gains(3), UNIT)
@@ -132,7 +136,7 @@ class TestFisherMatrix:
         s = random_scenario(rng)
         g = random_gains(rng, t.m, s)
         j = fisher_matrix(t, g, s)
-        assert j.order == 2 * (t.m - 1) and j.plan.antennas == t.ordinary
+        assert j.order == 2 * len(t.ordinary)
         np.testing.assert_allclose(
             dense_entries(j), loop_fisher_entries(t.m, t.reference, t.edges,
                                                   g, s),
@@ -240,7 +244,7 @@ class TestNumericCrlb:
         diagonal[4] = bad
         none = np.empty(0, dtype=np.intp)
         j = hand_made(diagonal, none, none, np.empty(0, dtype=complex),
-                      antennas=(2, 3, 4), steps=())
+                      steps=())
         with pytest.raises(SingularFisherMatrix):
             crlb_numeric(j)
 
@@ -248,7 +252,7 @@ class TestNumericCrlb:
         # pivots 1 and 1e-13: the bound 1 * (2 + 1e13) passes 1e12
         none = np.empty(0, dtype=np.intp)
         j = hand_made(np.array([1.0, 1e-13]), none, none,
-                      np.empty(0, dtype=complex), antennas=(2,), steps=())
+                      np.empty(0, dtype=complex), steps=())
         with pytest.raises(SingularFisherMatrix):
             crlb_numeric(j)
 
@@ -341,7 +345,7 @@ class TestNumericCrlb:
         # assembly's arithmetic: antennas 3 and 4 are wired to each other
         # only, so their 2x2 blocks are singular, but rounding may leave a
         # pivot near 1e-16 (seeds 3 and 6), which only the condition bound
-        # catches
+        # catches; each receive row is eliminated into its transmit row
         rng = np.random.default_rng(seed)
         s = random_scenario(rng)
         g = random_gains(rng, 4, s)
@@ -353,7 +357,7 @@ class TestNumericCrlb:
                                      np.abs(g.alpha[far]) ** 2)) * scale,
             rows=rows, cols=cols,
             couplings=g.beta[[2, 3]] * g.alpha[[3, 2]].conj() * scale,
-            antennas=(2, 3, 4), steps=_leaf_first(rows, cols, 6))
+            steps=((5, 1, 1), (4, 2, 0)))
         with pytest.raises(SingularFisherMatrix):
             crlb_numeric(j)
 
@@ -363,7 +367,7 @@ class TestNumericCrlb:
         j = hand_made(
             diagonal=np.array([5.0, 1.0, 1.0, 1.0]), rows=np.array([2, 2]),
             cols=np.array([0, 1]), couplings=np.ones(2, dtype=complex),
-            antennas=(2, 3), steps=((1, 2, 1), (2, 0, 0)))
+            steps=((1, 2, 1), (2, 0, 0)))
         with pytest.raises(SingularFisherMatrix):
             crlb_numeric(j)
 
@@ -371,29 +375,37 @@ class TestNumericCrlb:
     def test_disconnected_reported_singular(self):
         # the matrix of lines (1,2), (3,4) and (4,5) at reference 1 with
         # unit gains: the chain 3-4-5 is stranded from the reference, and
-        # its blocks peel down to a root pivot of exactly 1 - 1/1 = 0
+        # its two paths of couplings, 7-2-5 and 3-6-1, eliminated from
+        # 7 and 3, leave a root pivot of exactly 1 - 1/1 = 0
         entries = loop_fisher_entries(5, 1, [(1, 2), (3, 4), (4, 5)],
                                       unit_gains(5), UNIT)
         lower = np.nonzero(entries[4:, :4])
         rows, cols = lower[0] + 4, lower[1]
         j = hand_made(
             diagonal=entries.diagonal().real.copy(), rows=rows, cols=cols,
-            couplings=entries[rows, cols], antennas=(2, 3, 4, 5),
-            steps=_leaf_first(rows, cols, 8))
+            couplings=entries[rows, cols],
+            steps=((7, 2, 3), (2, 5, 0), (3, 6, 2), (6, 1, 1)))
         assert len(j.plan.steps) == len(rows) == 4
         with pytest.raises(SingularFisherMatrix):
             crlb_numeric(j)
 
-    @pytest.mark.parametrize("couples", [
-        [(4, 0), (4, 1), (5, 1), (5, 2), (6, 2), (6, 3), (7, 3)],
-        [(4, 0), (4, 1), (4, 2), (4, 3)],
-        [(4, 1), (5, 0), (5, 2), (6, 3), (7, 3)],
-        [],
+    # each forest with its steps by hand, leaf first: the path from its
+    # end 7, the star's leaves into its centre 4, each tree of the last
+    # forest from one end
+    @pytest.mark.parametrize("couples, steps", [
+        ([(4, 0), (4, 1), (5, 1), (5, 2), (6, 2), (6, 3), (7, 3)],
+         ((7, 3, 6), (3, 6, 5), (6, 2, 4), (2, 5, 3), (5, 1, 2), (1, 4, 1),
+          (4, 0, 0))),
+        ([(4, 0), (4, 1), (4, 2), (4, 3)],
+         ((3, 4, 3), (2, 4, 2), (1, 4, 1), (4, 0, 0))),
+        ([(4, 1), (5, 0), (5, 2), (6, 3), (7, 3)],
+         ((7, 3, 4), (3, 6, 3), (4, 1, 0), (2, 5, 2), (5, 0, 1))),
+        ([], ()),
     ], ids=["one-path", "star-and-isolated", "two-trees", "no-couplings"])
-    def test_any_forest_eliminated_exactly(self, couples):
-        # the elimination reads only the couplings' forest, whether or not
-        # a tree wiring made it: a diagonally dominant matrix on each
-        # forest inverts to the dense oracle's diagonal
+    def test_any_forest_eliminated_exactly(self, couples, steps):
+        # the elimination reads only the couplings' forest and its steps,
+        # whether or not a tree wiring made them: a diagonally dominant
+        # matrix on each forest inverts to the dense oracle's diagonal
         rng = np.random.default_rng(len(couples))
         rows = np.array([r for r, _ in couples], dtype=np.intp)
         cols = np.array([c for _, c in couples], dtype=np.intp)
@@ -402,10 +414,7 @@ class TestNumericCrlb:
         magnitude = np.abs(couplings)
         diagonal = (1.0 + np.bincount(rows, magnitude, minlength=8)
                     + np.bincount(cols, magnitude, minlength=8))
-        steps = _leaf_first(rows, cols, 8)
-        assert sorted(e for *_, e in steps) == list(range(len(couples)))
-        j = hand_made(diagonal, rows, cols, couplings, antennas=(2, 3, 4, 5),
-                      steps=steps)
+        j = hand_made(diagonal, rows, cols, couplings, steps)
         alpha, beta = crlb_numeric(j)
         np.testing.assert_allclose(np.concatenate((alpha, beta)),
                                    eigh_inverse_diagonal(dense_entries(j)),

@@ -7,8 +7,8 @@ name without a word, so deleting or renaming one, or calling it past the
 harness namespace, would zero a per-layer span and still pass every
 other check. The sweep's stages are its batch kernels
 (`draw_gain_batch`, `draw_noise`, `add_gain_products`,
-`ml_estimate_batch`, `mean_sq_errors`): the observation draw's two
-stages, the first run on the sweep's helper thread, are the collapsed
+`ml_estimate_batch`, `mean_sq_errors`), each run on both of the
+sweep's threads: the observation draw's two stages are the collapsed
 draw. The single-trial calls (`draw_gains`, `synthesize`, `ml_estimate`,
 `estimation_error`) serve the CLI and tests, so `selfcal.harness` does
 not import them. Prop 2 colors one labeling of every rooted shape that

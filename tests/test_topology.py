@@ -38,6 +38,7 @@ from selfcal.topology import (
 )
 
 from helpers import (
+    check_leaf_first,
     greedy_schedule,
     hop_distances,
     labelled_trees,
@@ -228,12 +229,11 @@ class TestSharedWirings:
     @PROPERTY
     @given(t=trees(max_m=40))
     def test_leaf_first_steps_eliminate_every_coupling_once(self, t):
-        # a tree's couplings form a forest, so the peel takes every one of
-        # them apart, each along its own ends
+        # the walk read from its deepest line up takes the couplings'
+        # forest apart leaf first: a child's rows are leaves once every
+        # deeper line is eliminated
         plan = t.coupling_plan
-        assert sorted(e for *_, e in plan.steps) == list(range(len(plan.rows)))
-        for v, p, e in plan.steps:
-            assert {v, p} == {plan.rows[e], plan.cols[e]}
+        check_leaf_first(plan.steps, plan.rows, plan.cols)
 
 
 class TestDegreeAndChains:
