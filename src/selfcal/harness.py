@@ -13,8 +13,8 @@ through its largest degree), so all three checks count trees by rooted
 shape, each once with weight (m-1)!/|Aut|, the number of labeled trees
 it stands for. The star and chain checks read each shape's total depth
 and degree off its level sequence, as integers; the time-bounds check
-colors one labeling of every shape, in one numpy block, and checks its
-schedule.
+colors one labeling of every shape, one Python pass each, and checks the
+colorings as one numpy block.
 """
 
 from __future__ import annotations
@@ -48,11 +48,10 @@ from .topology import (
     ENUMERATION_CAP,
     Topology,
     _check_m_reference,
+    color_lines,
     enumerate_shapes,
     make_daisy,
     make_star,
-    schedule_faults,
-    schedule_trees,
     topology_from_dict,
 )
 
@@ -567,33 +566,44 @@ def verify_time_bounds(m: int, cap: int = ENUMERATION_CAP) -> TimeBoundsReport:
     """Confirm 4 <= slots <= 2(m-1) with equality exactly for chains/stars.
 
     A schedule takes 2 * max_degree slots, and the degrees depend on a
-    tree's rooted shape alone, so each shape is colored once, labeled by
-    preorder from the root: one block of them, one row per shape, with
-    its level sequence as depths, its parents, and the lines (parent,
-    node). The schedules are checked against those lines
-    (antenna-disjoint slots, both directions of every line once,
-    2 * max_degree slots). The report is read off a count of the shapes'
-    weights by those slots, so it passes only if the weights add up to
-    all m**(m-2) labeled trees, every schedule is valid, and the equality
-    cases are the m!/2 labeled paths and the m stars.
+    tree's rooted shape alone, so each shape is colored once
+    (`color_lines`), labeled by preorder from the root: its lines are
+    (parent, node). A colored schedule sounds every line direction once
+    and nothing off the lines by construction, so what is left to check
+    is the coloring, all shapes as one block: the keys (antenna, color)
+    over both ends of every line, as the shape gives the lines, are
+    distinct within each shape (one sort per row), and each shape takes
+    `Shape.max_degree` colors. The report is read off a count of the
+    shapes' weights by 2 * max_degree slots, so it passes only if the
+    weights add up to all m**(m-2) labeled trees, every coloring is
+    proper, and the equality cases are the m!/2 labeled paths and the m
+    stars.
     """
     if m < 3:
         raise ValueError(f"time bounds need m >= 3, got {m}")
     low, high = 4, 2 * (m - 1)
-    # the shapes' fields as columns; an empty enumeration counts nothing
-    levels, parents, weights, _ = (tuple(zip(*enumerate_shapes(m, cap)))
-                                   or ((),) * 4)
-    parent = np.array(parents, dtype=int).reshape(-1, m)
-    depth = np.array(levels, dtype=int).reshape(-1, m)
-    edges = np.empty((len(parents), m - 1, 2), dtype=int)
-    np.add(parent[:, 1:], 1, out=edges[:, :, 0])
-    edges[:, :, 1] = np.arange(2, m + 1)
-    faults = schedule_faults(edges, schedule_trees(parent, depth))
-    schedules_valid = not faults.flagged.any()
+    nodes = range(1, m)
+    shapes = list(enumerate_shapes(m, cap))
+    parents = [shape.parents[1:] for shape in shapes]  # of nodes 1..m-1
+    parent = np.array(parents, dtype=int).reshape(-1, m - 1)
+    color = np.array([color_lines(list(zip(above, nodes)))
+                      for above in parents], dtype=int).reshape(-1, m - 1)
+    degrees = [shape.max_degree for shape in shapes]
+    # (antenna, color) at both ends of every line, in a base above every
+    # color that came back, so that two keys are equal only if both are
+    base = int(color.max(initial=0)) + 1
+    keys = np.concatenate([parent * base + color,
+                           np.arange(1, m) * base + color], axis=1)
+    keys.sort(axis=1)
+    proper = (keys[:, 1:] != keys[:, :-1]).all(axis=1)
+    # colors 0..max_degree-1, so that the slots number 2 * max_degree
+    counted = (color.min(axis=1) >= 0) & (color.max(axis=1) + 1 == degrees)
+    schedules_valid = bool((proper & counted).all())
     # slots -> labeled trees
     by_slots: dict[int, int] = {}
-    for slots, weight in zip(faults.expected_slots.tolist(), weights):
-        by_slots[slots] = by_slots.get(slots, 0) + weight
+    for shape in shapes:
+        slots = 2 * shape.max_degree
+        by_slots[slots] = by_slots.get(slots, 0) + shape.weight
     tree_count = sum(by_slots.values())
     min_slots, max_slots = min(by_slots, default=0), max(by_slots, default=0)
     chain_count, star_count = by_slots.get(low, 0), by_slots.get(high, 0)

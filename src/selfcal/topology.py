@@ -373,29 +373,47 @@ def from_edges(m: int, reference: int,
                     tuple((int(p), int(q)) for p, q in pairs))
 
 
+def color_lines(lines: list[Edge]) -> list[int]:
+    """Greedy line coloring of a rooted tree, in one pass over its lines.
+
+    `lines` are the tree's (parent, child) lines over labels 0..m, each
+    parent's own line before its children's and siblings in ascending
+    order, as a wiring's walk (`Topology.levels`) or a shape's preorder
+    lists them. The line to the child of rank k among its siblings gets
+    color k below the color of its parent's own line and k+1 from that
+    color on; the root's lines take colors 0, 1, ... That needs exactly
+    max_degree colors on a tree. Returns each line's color, in order.
+    """
+    up = [len(lines) + 1] * (len(lines) + 2)  # above every rank at the root
+    taken = [0] * (len(lines) + 2)  # lines colored so far below each parent
+    colors: list[int] = []
+    for parent, child in lines:
+        k = taken[parent]
+        taken[parent] = k + 1
+        up[child] = color = k + (k >= up[parent])
+        colors.append(color)
+    return colors
+
+
 def measurement_schedule(t: Topology, slot_duration: float) -> Schedule:
     """Pack the 2(m-1) sounding measurements into 2*max_degree slots.
 
-    The schedule of `schedule_trees` for this one tree, rooted by its
-    cached breadth-first walk (`Topology.levels`), with each slot's
-    measurements in ascending order: the coloring that `verify --prop 2`
-    checks on one labeling of every rooted shape.
+    The wiring's cached walk (`Topology.levels`), colored by
+    `color_lines`: color k fills slot 2k parent-to-child and slot 2k+1
+    child-to-parent, each slot in ascending order. This is the coloring
+    that `verify --prop 2` checks on one labeling of every rooted shape.
     """
     _check_slot_duration(slot_duration)
-    lines = np.array([line for level in t.levels for line in level]) - 1
-    parent = np.full((1, t.m), -1)
-    depth = np.zeros((1, t.m), dtype=int)
-    parent[0, lines[:, 1]] = lines[:, 0]
-    depth[0, lines[:, 1]] = np.repeat(np.arange(1, len(t.levels) + 1),
-                                      [len(level) for level in t.levels])
-    arrays = schedule_trees(parent, depth)
-    tx, rx, slot = arrays.tx[0], arrays.rx[0], arrays.slot[0]
-    order = np.lexsort((rx, tx, slot))
-    pairs = list(zip(tx[order].tolist(), rx[order].tolist()))
-    bounds = np.searchsorted(slot[order], np.arange(arrays.slots[0] + 1))
-    slots = tuple(tuple(pairs[lo:hi])
-                  for lo, hi in zip(bounds[:-1], bounds[1:]))
-    return Schedule(slots, float(slot_duration))
+    lines = [line for level in t.levels for line in level]
+    colors = color_lines(lines)
+    groups: list[list[Edge]] = [[] for _ in range(max(colors) + 1)]
+    for line, color in zip(lines, colors):
+        groups[color].append(line)
+    slots: list[tuple[Edge, ...]] = []
+    for group in groups:
+        slots += [tuple(sorted(group)),
+                  tuple(sorted([(c, p) for p, c in group]))]
+    return Schedule(tuple(slots), float(slot_duration))
 
 
 def schedule_violations(t: Topology, schedule: Schedule) -> list[str]:
@@ -404,9 +422,15 @@ def schedule_violations(t: Topology, schedule: Schedule) -> list[str]:
     The findings of `schedule_faults` for this one tree, in order: the
     slot count, every repeated use of an antenna in a slot, every line
     direction not scheduled exactly once (ascending), every measurement
-    on no line (in order of first use).
+    on no line (in order of first use). Raises ValueError at the first
+    measurement that is not a pair of integers (bools are not).
     """
     pairs = [pair for slot in schedule.slots for pair in slot]
+    for pair in pairs:
+        if not (isinstance(pair, tuple | list) and len(pair) == 2
+                and all(map(is_integer, pair))):
+            raise ValueError(
+                f"measurement {pair!r} is not a pair of integers")
     tx, rx = np.array(pairs, dtype=int).reshape(-1, 2).T
     slot = np.repeat(np.arange(len(schedule.slots)),
                      [len(s) for s in schedule.slots])
@@ -441,60 +465,6 @@ class ScheduleArrays:
     slots: np.ndarray
 
 
-def schedule_trees(parent: np.ndarray, depth: np.ndarray) -> ScheduleArrays:
-    """Greedy line coloring of rooted trees, as parallel schedules.
-
-    `parent` and `depth` are (n, m) arrays over the zero-based antennas:
-    each antenna's parent (-1 at the root) and its hop count from the
-    root, as a wiring's walk or a shape's level sequence gives them. The
-    line to the child of rank k among its siblings (ascending labels)
-    gets color k below the color of its parent's own line and k+1 from
-    that color on; the root's children take colors 0, 1, ... That needs
-    exactly max_degree colors on a tree.
-    The work runs antenna-major, on (m, n) arrays, so that a reduction
-    over a tree's antennas is an elementwise one over rows of n. Sibling
-    ranks come from sorting each tree's antennas stably by parent, so a
-    tree of m antennas costs O(m log m); colors go down the trees one
-    depth at a time, for all rows at once, each depth by a mask. Color c
-    fills slot 2c parent-to-child and slot 2c+1 child-to-parent; a
-    tree's measurements list its lines by child, ascending, first every
-    parent-to-child one. Every row must have exactly one root.
-    """
-    n, m = parent.shape
-    up = np.ascontiguousarray(parent.T)
-    down = depth.T
-    trees = np.arange(n)
-    # siblings sit next to each other, labels ascending, once each tree
-    # is sorted stably by parent; a rank is the distance to the first
-    by_parent = np.argsort(up, axis=0, kind="stable") * n + trees
-    grouped = up.ravel()[by_parent]
-    rows = np.arange(m)[:, None]
-    first = np.where(grouped != np.roll(grouped, 1, axis=0), rows, 0)
-    rank = np.empty(m * n, dtype=int)
-    rank[by_parent] = rows - np.maximum.accumulate(first, axis=0)
-    rank = rank.reshape(m, n)
-    color = np.full((m, n), m)  # above every rank: no child skips a root
-    flat_color = color.ravel()
-    # each antenna's parent as a flat index; the root's wraps round, and
-    # its depth 0 keeps what it reads from being written
-    above = (up * n + trees).ravel()
-    for d in range(1, int(down.max(initial=0)) + 1):
-        k = rank + (rank >= flat_color[above].reshape(m, n))
-        np.copyto(color, k, where=down == d)
-    # each tree's antennas but its root, ascending: column j of a tree is
-    # antenna j below its root and j+1 from it on
-    columns = np.arange(m - 1)[:, None]
-    child = columns + (columns >= (up < 0).argmax(axis=0))
-    at = child * n + trees
-    above_child = up.ravel()[at] + 1
-    colors = flat_color[at]
-    return ScheduleArrays(
-        tx=np.concatenate([above_child, child + 1]).T,
-        rx=np.concatenate([child + 1, above_child]).T,
-        slot=np.concatenate([2 * colors, 2 * colors + 1]).T,
-        slots=2 * (colors.max(axis=0) + 1))
-
-
 @dataclass(frozen=True, eq=False)
 class ScheduleFaults:
     """What `schedule_faults` found, per tree i:
@@ -526,9 +496,13 @@ def schedule_faults(edges: np.ndarray, schedules: ScheduleArrays
                     ) -> ScheduleFaults:
     """Check the schedules of n trees against their lines at once.
 
-    `edges` is an (n, m-1, 2) array of the trees' lines over 1..m, as
-    they were read and not as they were rooted, so that a schedule built
-    from a wrongly rooted tree fails. Measurements are compared as
+    The checker for arbitrary schedules, which `schedule_violations` runs
+    on one tree: a schedule may list any measurements in any slots. (A
+    coloring's schedule cannot miss or repeat a line direction, so
+    `verify_time_bounds` checks its colorings directly.) `edges` is an
+    (n, m-1, 2) array of the trees' lines over 1..m, as they were read
+    and not as they were rooted, so that a schedule built from a wrongly
+    rooted tree fails. Measurements are compared as
     integer keys of (tree, slot, antenna), whose repeats are the reused
     antennas, and of (tree, sender, receiver), matched against both
     directions of every line (`_repeated`, `_matched`), each by one sort:

@@ -15,7 +15,7 @@ from selfcal import (
     optimal_reference,
 )
 from selfcal.simulate import add_gain_products, draw_noise
-from selfcal.topology import Schedule
+from selfcal.topology import Schedule, ScheduleArrays, color_lines
 from selfcal.harness import (
     DaisyOptimalityEntry,
     DaisyOptimalityReport,
@@ -42,14 +42,15 @@ def naive_pruefer_edges(seq, m):
     return edges
 
 
-def greedy_schedule(t, slot_duration):
-    """Line coloring one node at a time in breadth-first order: the
-    oracle for the array coloring kernel, slot for slot."""
+def greedy_colors(t):
+    """Line coloring one node at a time in breadth-first order, each
+    node's lines down in ascending order, skipping the color of its own
+    line up: {(parent, child): color}. The oracle for `color_lines`."""
     lines = [line for level in t.levels for line in level]
     children = {}
     for parent, child in lines:
         children.setdefault(parent, []).append(child)
-    color_classes = [[] for _ in range(t.max_degree)]
+    colors = {}
     parent_color = {}
     for node in [t.reference] + [child for _, child in lines]:
         color = 0
@@ -57,9 +58,18 @@ def greedy_schedule(t, slot_duration):
         for child in children.get(node, ()):
             if color == blocked:
                 color += 1
-            color_classes[color].append((node, child))
-            parent_color[child] = color
+            colors[(node, child)] = parent_color[child] = color
             color += 1
+    return colors
+
+
+def greedy_schedule(t, slot_duration):
+    """The schedule of `greedy_colors`, slot for slot: color k fills slot
+    2k parent-to-child and slot 2k+1 child-to-parent, each ascending. The
+    oracle for `measurement_schedule`."""
+    color_classes = [[] for _ in range(t.max_degree)]
+    for line, color in greedy_colors(t).items():
+        color_classes[color].append(line)
     slots = []
     for group in color_classes:
         slots.append(tuple(sorted(group)))
@@ -120,20 +130,33 @@ def trees(draw, max_m=20, min_m=2):
     return from_edges(m, reference, naive_pruefer_edges(seq, m))
 
 
-def rooted_block(topologies):
-    """Lines, parents and depths of trees on the same antennas, each
-    rooted at its own reference by its breadth-first walk: the (n, m-1, 2)
-    and two (n, m) arrays that `schedule_trees` and `schedule_faults`
-    read, parents and depths over the zero-based antennas."""
-    m = topologies[0].m
-    parent = np.full((len(topologies), m), -1)
-    depth = np.zeros((len(topologies), m), dtype=int)
-    for row, t in enumerate(topologies):
-        for d, level in enumerate(t.levels, 1):
-            for p, c in level:
-                parent[row, c - 1] = p - 1
-                depth[row, c - 1] = d
-    return np.array([t.edges for t in topologies]), parent, depth
+#: A 12-antenna wiring read as a `file:` topology, whose sweep CSV and
+#: schedule JSON bytes are pinned.
+PINNED_WIRING = {"m": 12, "reference": 5,
+                 "edges": [[1, 5], [2, 5], [3, 2], [4, 2], [6, 5], [7, 6],
+                           [8, 7], [9, 3], [10, 9], [11, 6], [12, 1]]}
+
+
+def walk_lines(t):
+    """A wiring's (parent, child) lines in the order of its walk from the
+    reference, as `measurement_schedule` colors them."""
+    return [line for level in t.levels for line in level]
+
+
+def colored_block(rooted):
+    """The schedules of trees on the same antennas, each rooted as its
+    (parent, child) lines are given and colored by `color_lines`, packed
+    as the `ScheduleArrays` that `schedule_faults` reads: a tree's
+    measurements are its lines in the order given, first every
+    parent-to-child one, then every child-to-parent one, and color k
+    fills slots 2k and 2k+1."""
+    parent, child = np.array(rooted).transpose(2, 0, 1)
+    color = np.array([color_lines(lines) for lines in rooted])
+    return ScheduleArrays(
+        tx=np.concatenate([parent, child], axis=1),
+        rx=np.concatenate([child, parent], axis=1),
+        slot=np.concatenate([2 * color, 2 * color + 1], axis=1),
+        slots=2 * (color.max(axis=1) + 1))
 
 
 def hop_distances(edges, m, reference):

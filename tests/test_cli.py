@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -16,6 +17,8 @@ from selfcal import (
 )
 from selfcal.cli import main, parse_budget, parse_snr_grid
 from selfcal.errors import ConfigError
+
+from helpers import PINNED_WIRING
 
 
 @pytest.fixture
@@ -83,6 +86,23 @@ class TestScheduleCommand:
             main(["schedule", "--topology", "star", "--m", "7", "--ref", "2",
                   "--out", str(p)])
         assert paths[0].read_bytes() == paths[1].read_bytes()
+
+
+    @pytest.mark.parametrize("args, digest", [
+        (["--topology", "star", "--m", "129", "--ref", "64"],
+         "fbdb1a55a23a73ba0bd52aeae8fcd54397501f8b323333afdf3cb4a8b19dee90"),
+        (["--topology", "daisy", "--m", "513", "--ref", "257"],
+         "37e0e80a966f69c10b4ba42fe48546c68de91c6b87700bade2987d20cbf52070"),
+        (["--topology", "file:wiring.json"],
+         "2d0c401603fe479bd98c8818d7a6a477a4f93f2d7f4da6867ea2eddd6e568cf7"),
+    ], ids=["star-129", "daisy-513", "file-12"])
+    def test_pinned_bytes(self, tmp_path, monkeypatch, args, digest):
+        # the JSON bytes of the array coloring this schedule replaced
+        monkeypatch.chdir(tmp_path)
+        Path("wiring.json").write_text(json.dumps(PINNED_WIRING))
+        assert main(["schedule", *args, "--out", "sched.json"]) == 0
+        assert hashlib.sha256(
+            Path("sched.json").read_bytes()).hexdigest() == digest
 
 
 class TestSimulateCommand:

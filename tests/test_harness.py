@@ -37,6 +37,7 @@ from selfcal.errors import ConfigError
 from selfcal.harness import _CHUNK
 
 from helpers import (
+    PINNED_WIRING,
     labelled_daisy_optimality,
     labelled_star_optimality,
     labelled_time_bounds,
@@ -185,21 +186,22 @@ class TestTimeBounds:
 
     def test_miscounted_chain_fails(self, monkeypatch):
         # a tree's slot count is twice its degree, so a census that
-        # misreads one chain shape as of degree 3 shows only in the class
-        # counts; the 9 shapes at m=5 are one block, and the first is the
+        # misreads one chain shape as of degree 3 shows in the class
+        # counts, and its coloring, of 2 colors, no longer takes as many
+        # colors as the degree; the first of the 9 shapes at m=5 is the
         # path rooted at an end, which stands for 4! labeled chains
-        schedule_faults = harness.schedule_faults
-
-        def one_chain_misread(edges, schedules):
-            faults = schedule_faults(edges, schedules)
-            faults.expected_slots[np.argmax(faults.expected_slots == 4)] = 6
-            return faults
-
-        monkeypatch.setattr(harness, "schedule_faults", one_chain_misread)
-        report = verify_time_bounds(5)
-        path = next(harness.enumerate_shapes(5))
+        enumerate_shapes = harness.enumerate_shapes
+        path = next(enumerate_shapes(5))
         assert (path.max_degree, path.weight) == (2, 24)
-        assert report.tree_count == 125 and report.schedules_valid
+
+        def one_chain_misread(m, cap):
+            shapes = list(enumerate_shapes(m, cap))
+            shapes[0] = shapes[0]._replace(max_degree=3)
+            return shapes
+
+        monkeypatch.setattr(harness, "enumerate_shapes", one_chain_misread)
+        report = verify_time_bounds(5)
+        assert report.tree_count == 125 and report.schedules_valid is False
         assert report.chain_count == 60 - path.weight
         assert report.passed is False
 
@@ -254,32 +256,74 @@ class TestTimeBounds:
         assert report.tree_count == report.chain_count == 0
         assert report.passed is False
 
+    @staticmethod
+    def recolor_one(monkeypatch, index, recolor):
+        """Have the `index`-th coloring of prop 2 (one per shape, in
+        enumeration order) go through `recolor(lines, color_lines)`."""
+        color_lines = harness.color_lines
+        calls = []
+
+        def patched(lines):
+            calls.append(lines)
+            if len(calls) - 1 == index:
+                return recolor(lines, color_lines)
+            return color_lines(lines)
+
+        monkeypatch.setattr(harness, "color_lines", patched)
+        return calls
+
     def test_a_wrong_parent_fails(self, monkeypatch):
-        # a wrong parent in one row of the shape block shows, since the
-        # schedules are checked against the lines (parent, node) as the
-        # shapes give them
-        schedule_trees = harness.schedule_trees
+        # one shape colored on a misrooted copy shows, since the colors
+        # are checked against the lines (parent, node) as the shapes give
+        # them: shape 2 at m=5, levels (0, 1, 2, 3, 2), has node 4 below
+        # node 1, which its misrooted copy hangs from the root
+        def misrooted(lines, color_lines):
+            assert lines == [(0, 1), (1, 2), (2, 3), (1, 4)]
+            return color_lines(lines[:3] + [(0, 4)])
 
-        def misrooted(parent, depth):
-            parent = parent.copy()
-            assert parent[2, 4] == 1  # levels (0, 1, 2, 3, 2)
-            parent[2, 4] = 0
-            return schedule_trees(parent, depth)
-
-        monkeypatch.setattr(harness, "schedule_trees", misrooted)
+        calls = self.recolor_one(monkeypatch, 2, misrooted)
         report = verify_time_bounds(5)
+        assert len(calls) == 9
         assert report.schedules_valid is False and report.passed is False
         assert report.tree_count == 125 and report.chain_count == 60
 
     def test_shifted_colors_fail(self, monkeypatch):
-        schedule_trees = harness.schedule_trees
+        # every coloring one color up takes one color too many
+        color_lines = harness.color_lines
+        monkeypatch.setattr(harness, "color_lines", lambda lines: [
+            color + 1 for color in color_lines(lines)])
+        report = verify_time_bounds(4)
+        assert report.schedules_valid is False and report.passed is False
+        assert report.tree_count == 16
 
-        def shifted(parent, depth):
-            s = schedule_trees(parent, depth)
-            return type(s)(s.tx, s.rx, s.slot + 2, s.slots + 2)
+    def test_a_color_below_zero_fails(self, monkeypatch):
+        # the path rooted at an end, colored -1, 1, 0, 1: no two alike at
+        # one antenna and 2 the largest, but three colors
+        def below_zero(lines, color_lines):
+            colors = color_lines(lines)
+            assert colors == [0, 1, 0, 1]
+            return [-1] + colors[1:]
 
-        monkeypatch.setattr(harness, "schedule_trees", shifted)
-        assert verify_time_bounds(4).schedules_valid is False
+        self.recolor_one(monkeypatch, 0, below_zero)
+        report = verify_time_bounds(5)
+        assert report.schedules_valid is False and report.passed is False
+
+    @pytest.mark.parametrize("index, colors", [
+        # the star, last of the 9 shapes at m=5: two lines at the root
+        # share color 0, and the star keeps its 4 colors
+        (8, [0, 0, 2, 3]),
+        # the path rooted at an end: the lines (2, 3) and (3, 4) share
+        # color 0 at node 3, the child end of one and the parent end of
+        # the other
+        (0, [0, 1, 0, 0]),
+    ], ids=["star-root", "path-middle"])
+    def test_an_improper_coloring_fails(self, monkeypatch, index, colors):
+        # only the schedules' validity, and so the verdict, changes
+        sound = verify_time_bounds(5)
+        self.recolor_one(monkeypatch, index, lambda lines, _: colors)
+        report = verify_time_bounds(5)
+        assert report == replace(sound, schedules_valid=False, passed=False)
+        assert sound.passed
 
 
 class TestDaisyOptimality:
@@ -636,9 +680,6 @@ class TestChunking:
 #: down to -5 dB. A change to the draw order or to the rounding of any
 #: step shows here, where rerunning the same code would not.
 PINNED_GRID = (-5.0, 10.0, 25.0, 40.0)
-PINNED_WIRING = {"m": 12, "reference": 5,
-                 "edges": [[1, 5], [2, 5], [3, 2], [4, 2], [6, 5], [7, 6],
-                           [8, 7], [9, 3], [10, 9], [11, 6], [12, 1]]}
 PINNED = {
     "star-129": (
         ExperimentConfig(m=129, reference=64, topology_kind="star",

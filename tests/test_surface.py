@@ -12,16 +12,15 @@ sweep's threads: the observation draw's two stages are the collapsed
 draw. The single-trial calls (`draw_gains`, `synthesize`, `ml_estimate`,
 `estimation_error`) serve the CLI and tests, so `selfcal.harness` does
 not import them. Prop 2 colors one labeling of every rooted shape that
-`enumerate_shapes` yields, as one block (`schedule_trees`), and checks
-the schedules against the shapes' lines (`schedule_faults`).
-`measurement_schedule` roots its one tree from the wiring's cached walk
-and colors it with `schedule_trees` as a batch of one;
-`schedule_violations` checks it with `schedule_faults`. Props 1 and 3
-read each shape's mean distance and degree off its level sequence. The
-batch kernels, the array stages and `enumerate_shapes` are listed
-although the benchmark does not wrap them yet: the verify and sweep
-functions look them up in `selfcal.harness`, where a tracer can wrap
-them.
+`enumerate_shapes` yields, one shape at a time (`color_lines`), and
+checks the colorings against the shapes' lines as one block.
+`measurement_schedule` colors the wiring's cached walk with
+`color_lines`; `schedule_violations` checks any schedule with
+`schedule_faults`. Props 1 and 3 read each shape's mean distance and
+degree off its level sequence. The batch kernels, `color_lines` and
+`enumerate_shapes` are listed although the benchmark does not wrap them
+yet: the verify and sweep functions look them up in `selfcal.harness`,
+where a tracer can wrap them.
 
 Every other module-level name has a caller in `src/` too, or is public
 API, so no helper is kept alive by tests alone. A wiring's facts are
@@ -42,9 +41,9 @@ SURFACE = {
         "ExperimentConfig", "resolve_topology", "run_snr_sweep",
         "sweep_rows_to_csv", "verify_star_optimality", "verify_time_bounds",
         "verify_daisy_optimality", "crlb_closed_form",
-        "budgeted_average_crlb", "enumerate_shapes", "schedule_trees",
-        "schedule_faults", "draw_gain_batch", "draw_noise",
-        "add_gain_products", "ml_estimate_batch", "mean_sq_errors",
+        "budgeted_average_crlb", "enumerate_shapes", "color_lines",
+        "draw_gain_batch", "draw_noise", "add_gain_products",
+        "ml_estimate_batch", "mean_sq_errors",
     ),
     crlb: ("ScenarioParams", "fisher_matrix", "crlb_numeric",
            "crlb_closed_form"),
@@ -72,7 +71,7 @@ CALLS_THROUGH_HARNESS = {
         {"enumerate_shapes"}),
     "verify_time_bounds": (
         lambda: harness.verify_time_bounds(4),
-        {"enumerate_shapes", "schedule_trees", "schedule_faults"}),
+        {"enumerate_shapes", "color_lines"}),
     "verify_daisy_optimality": (
         lambda: harness.verify_daisy_optimality((3, 4)),
         {"enumerate_shapes"}),

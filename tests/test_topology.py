@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -32,22 +33,24 @@ from selfcal.topology import (
     Schedule,
     ScheduleArrays,
     Shape,
+    color_lines,
     enumerate_shapes,
     schedule_faults,
-    schedule_trees,
 )
 
 from helpers import (
     check_leaf_first,
+    colored_block,
+    greedy_colors,
     greedy_schedule,
     hop_distances,
     labelled_trees,
     pairwise_schedule_violations,
     random_tree,
-    rooted_block,
     rooted_form,
     shape_topology,
     trees,
+    walk_lines,
 )
 
 PROPERTY = settings(max_examples=60, deadline=None, database=None)
@@ -286,6 +289,21 @@ class TestSchedule:
         with pytest.raises(ValueError, match="positive finite"):
             measurement_schedule(make_daisy(3, 1), slot)
 
+    @pytest.mark.parametrize("pair", [
+        (1.5, 2), (1, 2, 3), (True, 2), (1,), 7, ("1", 2)],
+        ids=["float", "triple", "bool", "single", "int", "str"])
+    def test_rejects_a_measurement_not_a_pair_of_integers(self, pair):
+        # 1.5 would be cut to 1 and (1, 2) reported as scheduled
+        with pytest.raises(ValueError,
+                           match=re.escape(f"measurement {pair!r} is not")):
+            schedule_violations(make_daisy(3, 1), Schedule(((pair,),), 1.0))
+
+    def test_accepts_numpy_integers(self):
+        t = make_daisy(3, 1)
+        slots = tuple(tuple((np.int64(a), np.int64(b)) for a, b in slot)
+                      for slot in measurement_schedule(t, 1.0).slots)
+        assert schedule_violations(t, Schedule(slots, 1.0)) == []
+
     def test_violations_detected(self):
         t = make_daisy(3, 1)
         good = measurement_schedule(t, 1.0)
@@ -296,6 +314,21 @@ class TestSchedule:
 def _slots_of(row_tx, row_rx, row_slot):
     return {(int(k), (int(a), int(b)))
             for a, b, k in zip(row_tx, row_rx, row_slot)}
+
+
+def wired_block(wirings):
+    """The lines of wirings on the same antennas, as the (n, m-1, 2) array
+    that `schedule_faults` reads, and each wiring's lines rooted by its
+    walk, as `colored_block` reads them."""
+    return (np.array([t.edges for t in wirings]),
+            [walk_lines(t) for t in wirings])
+
+
+def preorder_lines(shape, first):
+    """A shape's lines (parent, node) in preorder, as prop 2 colors them,
+    with the nodes labeled from `first` on."""
+    return [(parent + first, node + first)
+            for node, parent in enumerate(shape.parents) if node]
 
 
 class TestColoringKernel:
@@ -318,13 +351,12 @@ class TestColoringKernel:
             assert measurement_schedule(t, 1.0) == greedy_schedule(t, 1.0)
 
     def test_batch_rows_equal_single_trees(self):
-        # a block of every shape, as prop 2 colors it: parents and levels
-        # over the nodes in preorder, which are the labels 1..m of the
-        # shape's wiring at reference 1
+        # a block of every shape, as prop 2 colors it: the lines (parent,
+        # node) over the nodes in preorder, which are the labels 1..m of
+        # the shape's wiring at reference 1
         for m in range(3, 9):
             shapes = list(enumerate_shapes(m))
-            arrays = schedule_trees(np.array([s.parents for s in shapes]),
-                                    np.array([s.levels for s in shapes]))
+            arrays = colored_block([preorder_lines(s, 1) for s in shapes])
             for i, shape in enumerate(shapes):
                 t = shape_topology(shape, 1)
                 slots = measurement_schedule(t, 1.0).slots
@@ -333,6 +365,41 @@ class TestColoringKernel:
                                  arrays.slot[i]) == {
                     (k, pair) for k, slot in enumerate(slots)
                     for pair in slot}
+
+
+class TestColorLines:
+    """The one-pass coloring on its own, against the greedy oracle."""
+
+    @pytest.mark.parametrize("lines, colors", [
+        ([(1, 2), (2, 3), (3, 4), (4, 5)], [0, 1, 0, 1]),
+        ([(1, 2), (1, 3), (1, 4)], [0, 1, 2]),
+        # SEVEN's walk from antenna 3: each arm's second line skips the
+        # color of its first
+        ([(3, 1), (3, 4), (3, 6), (1, 2), (4, 5), (6, 7)],
+         [0, 1, 2, 1, 0, 0]),
+    ], ids=["daisy", "star", "seven"])
+    def test_hand_checked(self, lines, colors):
+        assert color_lines(lines) == colors
+
+    @PROPERTY
+    @given(t=trees())
+    def test_generated_trees(self, t):
+        lines = walk_lines(t)
+        assert dict(zip(lines, color_lines(lines))) == greedy_colors(t)
+
+    @pytest.mark.parametrize("m", range(2, 9))
+    def test_every_shape_rooted_at_each_antenna(self, m):
+        for shape in enumerate_shapes(m):
+            t = shape_topology(shape, 1)
+            # prop 2's lines, over the nodes 0..m-1 in preorder
+            lines = preorder_lines(shape, 0)
+            assert {(p + 1, c + 1): color for (p, c), color in zip(
+                lines, color_lines(lines))} == greedy_colors(t)
+            for root in range(1, m + 1):
+                rooted = from_edges(m, root, t.edges)
+                lines = walk_lines(rooted)
+                assert dict(zip(lines, color_lines(lines))) == (
+                    greedy_colors(rooted))
 
 
 # the daisy 1-2-3-4-5 from antenna 1: colors 0 and 1 alternate down it
@@ -393,8 +460,8 @@ class TestScheduleFaults:
         # an end is marked when an earlier use in its slot, in
         # measurement order and sender first, has its antenna; the first
         # use never is
-        edges, parent, depth = rooted_block([t])
-        arrays = schedule_trees(parent, depth)
+        edges, rooted = wired_block([t])
+        arrays = colored_block(rooted)
         slot = arrays.slot.copy()
         for _ in range(data.draw(st.integers(1, 4))):
             j = data.draw(st.integers(0, slot.shape[1] - 1))
@@ -426,16 +493,18 @@ class TestScheduleFaults:
             pairwise_schedule_violations(t, bad))
 
     def test_a_wrong_parent_flags_only_its_tree(self):
-        # the 20 shapes at m=6, each wired at reference 2
-        edges, parent, depth = rooted_block([
+        # the 20 shapes at m=6, each wired at reference 2; in tree 7, the
+        # line into the lowest antenna but the root hangs from the lowest
+        # antenna that is neither it nor its parent
+        edges, rooted = wired_block([
             shape_topology(shape, 2) for shape in enumerate_shapes(6)])
-        assert not schedule_faults(
-            edges, schedule_trees(parent, depth)).flagged.any()
-        wrong = parent.copy()
-        node = int(np.flatnonzero(parent[7] >= 0)[0])
-        wrong[7, node] = next(k for k in range(6)
-                              if k not in (node, parent[7, node]))
-        flagged = schedule_faults(edges, schedule_trees(wrong, depth)).flagged
+        assert not schedule_faults(edges, colored_block(rooted)).flagged.any()
+        wrong = [list(lines) for lines in rooted]
+        j = min(range(5), key=lambda i: wrong[7][i][1])
+        parent, node = wrong[7][j]
+        wrong[7][j] = (next(k for k in range(1, 7) if k not in (node, parent)),
+                       node)
+        flagged = schedule_faults(edges, colored_block(wrong)).flagged
         assert np.flatnonzero(flagged).tolist() == [7]
 
 
@@ -446,14 +515,14 @@ class TestBlockRows:
     @given(data=st.data())
     def test_rows_equal_their_batch_of_one(self, data):
         m = data.draw(st.integers(3, 12))
-        edges, parent, depth = rooted_block(data.draw(st.lists(
+        edges, rooted = wired_block(data.draw(st.lists(
             trees(min_m=m, max_m=m), min_size=2, max_size=6)))
-        arrays = schedule_trees(parent, depth)
+        arrays = colored_block(rooted)
         faults = schedule_faults(edges, arrays)
         assert not faults.flagged.any()
         for i in range(len(edges)):
             one = slice(i, i + 1)
-            schedule = schedule_trees(parent[one], depth[one])
+            schedule = colored_block(rooted[one])
             for name in ("tx", "rx", "slot", "slots"):
                 assert np.array_equal(getattr(schedule, name),
                                       getattr(arrays, name)[one]), name
@@ -467,22 +536,22 @@ class TestBlockRows:
     @given(data=st.data())
     def test_a_corrupted_row_flags_only_itself(self, data):
         m = data.draw(st.integers(3, 12))
-        edges, parent, depth = rooted_block(data.draw(st.lists(
+        edges, rooted = wired_block(data.draw(st.lists(
             trees(min_m=m, max_m=m), min_size=2, max_size=6)))
         row = data.draw(st.integers(0, len(edges) - 1))
         if data.draw(st.booleans()):
             # a parent that is neither the antenna itself nor its own
-            wrong = parent.copy()
-            node = data.draw(st.sampled_from(
-                np.flatnonzero(parent[row] >= 0).tolist()))
-            wrong[row, node] = data.draw(st.sampled_from(
-                [k for k in range(m) if k not in (node, parent[row, node])]))
-            flagged = schedule_faults(
-                edges, schedule_trees(wrong, depth)).flagged
+            wrong = [list(lines) for lines in rooted]
+            j = data.draw(st.integers(0, m - 2))
+            parent, node = wrong[row][j]
+            wrong[row][j] = (data.draw(st.sampled_from(
+                [k for k in range(1, m + 1) if k not in (node, parent)])),
+                node)
+            flagged = schedule_faults(edges, colored_block(wrong)).flagged
         else:
             # a measurement moved into the slot of its own reverse, which
             # uses the same two antennas
-            arrays = schedule_trees(parent, depth)
+            arrays = colored_block(rooted)
             slot = arrays.slot.copy()
             j = data.draw(st.integers(0, 2 * (m - 1) - 1))
             slot[row, j] = slot[row, (j + m - 1) % (2 * (m - 1))]
