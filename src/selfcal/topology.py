@@ -419,155 +419,39 @@ def measurement_schedule(t: Topology, slot_duration: float) -> Schedule:
 def schedule_violations(t: Topology, schedule: Schedule) -> list[str]:
     """Check a schedule against the wiring; an empty list means valid.
 
-    The findings of `schedule_faults` for this one tree, in order: the
-    slot count, every repeated use of an antenna in a slot, every line
-    direction not scheduled exactly once (ascending), every measurement
-    on no line (in order of first use). Raises ValueError at the first
+    The findings, in order: a slot count other than 2*max_degree, every
+    later use of an antenna in the same slot (sender before receiver),
+    every line direction not scheduled exactly once (in `directed_pairs`
+    order), and every measurement on no line, in order of first use.
+    Ends are read as plain ints, so a label outside 1..m, however large,
+    is a measurement on no line. Raises ValueError at the first
     measurement that is not a pair of integers (bools are not).
     """
-    pairs = [pair for slot in schedule.slots for pair in slot]
-    for pair in pairs:
-        if not (isinstance(pair, tuple | list) and len(pair) == 2
-                and all(map(is_integer, pair))):
-            raise ValueError(
-                f"measurement {pair!r} is not a pair of integers")
-    tx, rx = np.array(pairs, dtype=int).reshape(-1, 2).T
-    slot = np.repeat(np.arange(len(schedule.slots)),
-                     [len(s) for s in schedule.slots])
-    faults = schedule_faults(np.array([t.edges]), ScheduleArrays(
-        tx[None], rx[None], slot[None], np.array([len(schedule.slots)])))
-    problems: list[str] = []
-    if faults.wrong_slot_count[0]:
-        problems.append(f"{len(schedule.slots)} slots, "
-                        f"expected {faults.expected_slots[0]}")
-    for i, end in zip(*np.nonzero(faults.reused[0])):
-        problems.append(f"antenna {pairs[i][end]} used twice "
-                        f"in slot {slot[i]}")
-    required = map(tuple, faults.required[0].tolist())
-    for pair, count in zip(required, faults.counts[0].tolist()):
+    expected = 2 * t.max_degree
+    problems = ([] if len(schedule.slots) == expected else
+                [f"{len(schedule.slots)} slots, expected {expected}"])
+    counts: dict[Edge, int] = {}
+    for k, slot in enumerate(schedule.slots):
+        busy: set[int] = set()
+        for pair in slot:
+            if not (isinstance(pair, tuple | list) and len(pair) == 2
+                    and all(map(is_integer, pair))):
+                raise ValueError(
+                    f"measurement {pair!r} is not a pair of integers")
+            ends = int(pair[0]), int(pair[1])
+            for antenna in ends:
+                if antenna in busy:
+                    problems.append(f"antenna {antenna} used twice "
+                                    f"in slot {k}")
+                busy.add(antenna)
+            counts[ends] = counts.get(ends, 0) + 1
+    for ends in t.directed_pairs:
+        count = counts.pop(ends, 0)
         if count != 1:
-            problems.append(f"measurement {pair} scheduled {count} times")
-    for pair in dict.fromkeys(tuple(pairs[i])
-                              for i in np.flatnonzero(faults.off_line[0])):
-        problems.append(f"measurement {pair} is not on any line")
-    return problems
-
-
-@dataclass(frozen=True, eq=False)
-class ScheduleArrays:
-    """The schedules of n trees: measurement j of tree i sends from
-    antenna tx[i, j] to rx[i, j] (labels 1..m) in slot slot[i, j], and
-    tree i takes slots[i] slots."""
-
-    tx: np.ndarray
-    rx: np.ndarray
-    slot: np.ndarray
-    slots: np.ndarray
-
-
-@dataclass(frozen=True, eq=False)
-class ScheduleFaults:
-    """What `schedule_faults` found, per tree i:
-
-    - `wrong_slot_count[i]`: the slot count is not `expected_slots[i]`,
-      twice the largest degree of the lines;
-    - `reused[i, j, e]`: end e (0 sender, 1 receiver) of measurement j
-      uses an antenna that an earlier measurement uses in the same slot;
-    - `counts[i, r]`: how often line direction `required[i, r]` is
-      scheduled, over both directions of every line in ascending order;
-    - `off_line[i, j]`: measurement j is on no line.
-    """
-
-    expected_slots: np.ndarray
-    wrong_slot_count: np.ndarray
-    reused: np.ndarray
-    required: np.ndarray
-    counts: np.ndarray
-    off_line: np.ndarray
-
-    @property
-    def flagged(self) -> np.ndarray:
-        """Trees with any fault."""
-        return (self.wrong_slot_count | self.reused.any(axis=(1, 2))
-                | (self.counts != 1).any(axis=1) | self.off_line.any(axis=1))
-
-
-def schedule_faults(edges: np.ndarray, schedules: ScheduleArrays
-                    ) -> ScheduleFaults:
-    """Check the schedules of n trees against their lines at once.
-
-    The checker for arbitrary schedules, which `schedule_violations` runs
-    on one tree: a schedule may list any measurements in any slots. (A
-    coloring's schedule cannot miss or repeat a line direction, so
-    `verify_time_bounds` checks its colorings directly.) `edges` is an
-    (n, m-1, 2) array of the trees' lines over 1..m, as they were read
-    and not as they were rooted, so that a schedule built from a wrongly
-    rooted tree fails. Measurements are compared as
-    integer keys of (tree, slot, antenna), whose repeats are the reused
-    antennas, and of (tree, sender, receiver), matched against both
-    directions of every line (`_repeated`, `_matched`), each by one sort:
-    a block of trees and a single large tree take the same route, in
-    memory linear in their measurements. Degrees are counted
-    antenna-major, so that a tree's largest is a maximum over rows.
-    Labels outside 1..m are numbered on from m, in ascending order, so
-    that a stray antenna keeps its own keys and the keys their width.
-    """
-    n, lines = edges.shape[:2]
-    m = lines + 1
-    trees = np.arange(n)
-    degree = np.bincount((edges * n + trees[:, None, None]).ravel(),
-                         minlength=(m + 1) * n).reshape(m + 1, n)
-    expected = 2 * degree.max(axis=0)
-    # (measurement, end, tree), zero-based: a tree's uses in their order
-    ends = np.stack([schedules.tx.T, schedules.rx.T], axis=1) - 1
-    labels = m
-    if ends.min(initial=0) < 0 or ends.max(initial=0) >= m:
-        stray = (ends < 0) | (ends >= m)
-        ends[stray] = m + np.unique(ends[stray], return_inverse=True)[1]
-        labels = int(ends.max()) + 1
-    bits = (labels - 1).bit_length()  # labels fit a power-of-two base
-    slot = schedules.slot.T
-    slots = int(slot.max(initial=0)) + 1
-    uses = ((((trees * slots + slot) << bits)[:, None]) + ends).ravel()
-    reused = _repeated(uses).reshape(ends.shape)
-
-    def pair_keys(senders, receivers):
-        return ((((trees << bits) + senders) << bits) + receivers).ravel()
-
-    zero = edges.transpose(2, 1, 0) - 1  # (end, line, tree)
-    required, counts, on_line = _matched(
-        np.concatenate([pair_keys(zero[0], zero[1]),
-                        pair_keys(zero[1], zero[0])]),
-        pair_keys(ends[:, 0], ends[:, 1]))
-    low = (1 << bits) - 1
-    return ScheduleFaults(
-        expected_slots=expected,
-        wrong_slot_count=schedules.slots != expected,
-        reused=reused.transpose(2, 0, 1),
-        required=(np.stack([required >> bits & low, required & low], axis=1)
-                  + 1).reshape(n, 2 * lines, 2),
-        counts=counts.reshape(n, 2 * lines),
-        off_line=~on_line.reshape(ends.shape[0], n).T)
-
-
-def _repeated(keys: np.ndarray) -> np.ndarray:
-    """Whether each of `keys` equals an earlier one: one stable sort puts
-    equal keys side by side in their order."""
-    order = np.argsort(keys, kind="stable")
-    ordered = keys[order]
-    repeated = np.zeros(keys.size, dtype=bool)
-    repeated[order[1:]] = ordered[1:] == ordered[:-1]
-    return repeated
-
-
-def _matched(wanted: np.ndarray, keys: np.ndarray
-             ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`wanted`, distinct integers, ascending; how often each occurs among
-    `keys`; and which of `keys` are wanted: one sort and a sorted search."""
-    wanted = np.sort(wanted)
-    at = np.searchsorted(wanted, keys).clip(max=wanted.size - 1)
-    found = wanted[at] == keys
-    return wanted, np.bincount(at[found], minlength=wanted.size), found
+            problems.append(f"measurement {ends} scheduled {count} times")
+    # what is left is on no line, in order of first use
+    return problems + [f"measurement {ends} is not on any line"
+                       for ends in counts]
 
 
 class Shape(NamedTuple):

@@ -15,7 +15,7 @@ from selfcal import (
     optimal_reference,
 )
 from selfcal.simulate import add_gain_products, draw_noise
-from selfcal.topology import Schedule, ScheduleArrays, color_lines
+from selfcal.topology import Schedule, color_lines
 from selfcal.harness import (
     DaisyOptimalityEntry,
     DaisyOptimalityReport,
@@ -63,12 +63,12 @@ def greedy_colors(t):
     return colors
 
 
-def greedy_schedule(t, slot_duration):
-    """The schedule of `greedy_colors`, slot for slot: color k fills slot
-    2k parent-to-child and slot 2k+1 child-to-parent, each ascending. The
-    oracle for `measurement_schedule`."""
-    color_classes = [[] for _ in range(t.max_degree)]
-    for line, color in greedy_colors(t).items():
+def colored_schedule(colors, slot_duration=1.0):
+    """The schedule of a line coloring {(parent, child): color}: color k
+    fills slot 2k parent-to-child and slot 2k+1 child-to-parent, each
+    ascending, up to the largest color."""
+    color_classes = [[] for _ in range(max(colors.values()) + 1)]
+    for line, color in colors.items():
         color_classes[color].append(line)
     slots = []
     for group in color_classes:
@@ -77,10 +77,22 @@ def greedy_schedule(t, slot_duration):
     return Schedule(tuple(slots), float(slot_duration))
 
 
+def greedy_schedule(t, slot_duration):
+    """The schedule of `greedy_colors`: the oracle for
+    `measurement_schedule`."""
+    return colored_schedule(greedy_colors(t), slot_duration)
+
+
+def line_schedule(lines):
+    """The schedule of rooted (parent, child) lines colored by
+    `color_lines`, as `colored_schedule` packs it."""
+    return colored_schedule(dict(zip(lines, color_lines(lines))))
+
+
 def pairwise_schedule_violations(t, schedule):
-    """Schedule check one measurement at a time with sets and counters:
-    the oracle for the array check. Its findings, as a sorted list, equal
-    those of `schedule_violations`."""
+    """Schedule check one measurement at a time, over an unordered set of
+    required pairs: the oracle for `schedule_violations`, whose findings,
+    as a sorted list, equal these."""
     problems = []
     expected = 2 * t.max_degree
     if len(schedule.slots) != expected:
@@ -141,22 +153,6 @@ def walk_lines(t):
     """A wiring's (parent, child) lines in the order of its walk from the
     reference, as `measurement_schedule` colors them."""
     return [line for level in t.levels for line in level]
-
-
-def colored_block(rooted):
-    """The schedules of trees on the same antennas, each rooted as its
-    (parent, child) lines are given and colored by `color_lines`, packed
-    as the `ScheduleArrays` that `schedule_faults` reads: a tree's
-    measurements are its lines in the order given, first every
-    parent-to-child one, then every child-to-parent one, and color k
-    fills slots 2k and 2k+1."""
-    parent, child = np.array(rooted).transpose(2, 0, 1)
-    color = np.array([color_lines(lines) for lines in rooted])
-    return ScheduleArrays(
-        tx=np.concatenate([parent, child], axis=1),
-        rx=np.concatenate([child, parent], axis=1),
-        slot=np.concatenate([2 * color, 2 * color + 1], axis=1),
-        slots=2 * (color.max(axis=1) + 1))
 
 
 def hop_distances(edges, m, reference):

@@ -15,12 +15,12 @@ not import them. Prop 2 colors one labeling of every rooted shape that
 `enumerate_shapes` yields, one shape at a time (`color_lines`), and
 checks the colorings against the shapes' lines as one block.
 `measurement_schedule` colors the wiring's cached walk with
-`color_lines`; `schedule_violations` checks any schedule with
-`schedule_faults`. Props 1 and 3 read each shape's mean distance and
-degree off its level sequence. The batch kernels, `color_lines` and
-`enumerate_shapes` are listed although the benchmark does not wrap them
-yet: the verify and sweep functions look them up in `selfcal.harness`,
-where a tracer can wrap them.
+`color_lines`; `schedule_violations` checks any schedule against one
+wiring with sets and counts. Props 1 and 3 read each shape's mean
+distance and degree off its level sequence. The batch kernels,
+`color_lines` and `enumerate_shapes` are listed although the benchmark
+does not wrap them yet: the verify and sweep functions look them up in
+`selfcal.harness`, where a tracer can wrap them.
 
 Every other module-level name has a caller in `src/` too, or is public
 API, so no helper is kept alive by tests alone. A wiring's facts are

@@ -29,22 +29,15 @@ from selfcal.errors import (
     TopologyError,
     WrongEdgeCount,
 )
-from selfcal.topology import (
-    Schedule,
-    ScheduleArrays,
-    Shape,
-    color_lines,
-    enumerate_shapes,
-    schedule_faults,
-)
+from selfcal.topology import Schedule, Shape, color_lines, enumerate_shapes
 
 from helpers import (
     check_leaf_first,
-    colored_block,
     greedy_colors,
     greedy_schedule,
     hop_distances,
     labelled_trees,
+    line_schedule,
     pairwise_schedule_violations,
     random_tree,
     rooted_form,
@@ -303,25 +296,17 @@ class TestSchedule:
         slots = tuple(tuple((np.int64(a), np.int64(b)) for a, b in slot)
                       for slot in measurement_schedule(t, 1.0).slots)
         assert schedule_violations(t, Schedule(slots, 1.0)) == []
+        # every message names plain integers, not np.int64(...)
+        stray = (slots[0] + ((np.int64(1), np.int64(3)),),) + slots[1:]
+        assert schedule_violations(t, Schedule(stray, 1.0)) == [
+            "antenna 1 used twice in slot 0",
+            "measurement (1, 3) is not on any line"]
 
     def test_violations_detected(self):
         t = make_daisy(3, 1)
         good = measurement_schedule(t, 1.0)
         bad = type(good)(good.slots[:-1], 1.0)
         assert schedule_violations(t, bad)
-
-
-def _slots_of(row_tx, row_rx, row_slot):
-    return {(int(k), (int(a), int(b)))
-            for a, b, k in zip(row_tx, row_rx, row_slot)}
-
-
-def wired_block(wirings):
-    """The lines of wirings on the same antennas, as the (n, m-1, 2) array
-    that `schedule_faults` reads, and each wiring's lines rooted by its
-    walk, as `colored_block` reads them."""
-    return (np.array([t.edges for t in wirings]),
-            [walk_lines(t) for t in wirings])
 
 
 def preorder_lines(shape, first):
@@ -350,21 +335,14 @@ class TestColoringKernel:
                   random_tree(rng, m)):
             assert measurement_schedule(t, 1.0) == greedy_schedule(t, 1.0)
 
-    def test_batch_rows_equal_single_trees(self):
-        # a block of every shape, as prop 2 colors it: the lines (parent,
-        # node) over the nodes in preorder, which are the labels 1..m of
-        # the shape's wiring at reference 1
+    def test_shapes_colored_as_prop_2_equal_their_schedules(self):
+        # every shape, as prop 2 colors it: the lines (parent, node) over
+        # the nodes in preorder, which are the labels 1..m of the shape's
+        # wiring at reference 1
         for m in range(3, 9):
-            shapes = list(enumerate_shapes(m))
-            arrays = colored_block([preorder_lines(s, 1) for s in shapes])
-            for i, shape in enumerate(shapes):
-                t = shape_topology(shape, 1)
-                slots = measurement_schedule(t, 1.0).slots
-                assert arrays.slots[i] == len(slots)
-                assert _slots_of(arrays.tx[i], arrays.rx[i],
-                                 arrays.slot[i]) == {
-                    (k, pair) for k, slot in enumerate(slots)
-                    for pair in slot}
+            for shape in enumerate_shapes(m):
+                assert line_schedule(preorder_lines(shape, 1)) == (
+                    measurement_schedule(shape_topology(shape, 1), 1.0))
 
 
 class TestColorLines:
@@ -407,7 +385,7 @@ DAISY5 = (((1, 2), (3, 4)), ((2, 1), (4, 3)), ((2, 3), (4, 5)),
           ((3, 2), (5, 4)))
 
 
-class TestScheduleFaults:
+class TestScheduleViolations:
     @pytest.mark.parametrize("t, slots, problems", [
         (make_daisy(5, 1), DAISY5 + ((),), ["5 slots, expected 4"]),
         (make_daisy(5, 1),
@@ -426,7 +404,19 @@ class TestScheduleFaults:
           "measurement (5, 9) is not on any line",
           "measurement (0, 5) is not on any line",
           "measurement (3, -2) is not on any line"]),
-    ], ids=["slot-count", "antenna-twice", "not-once", "off-line", "stray"])
+        # labels beyond 64 bits are checked as any other integer
+        (make_daisy(3, 1), (((1, 2), (2**64, 3)),
+                            ((2, 1), (-2**63 - 1, 2**64), (2**64, -2**63 - 1)),
+                            ((2, 3),), ((3, 2),)),
+         ["antenna 18446744073709551616 used twice in slot 1",
+          "antenna -9223372036854775809 used twice in slot 1",
+          "measurement (18446744073709551616, 3) is not on any line",
+          "measurement (-9223372036854775809, 18446744073709551616) "
+          "is not on any line",
+          "measurement (18446744073709551616, -9223372036854775809) "
+          "is not on any line"]),
+    ], ids=["slot-count", "antenna-twice", "not-once", "off-line", "stray",
+            "beyond-int64"])
     def test_each_kind_is_named(self, t, slots, problems):
         bad = Schedule(slots, 1.0)
         assert schedule_violations(t, bad) == problems
@@ -435,13 +425,23 @@ class TestScheduleFaults:
     @PROPERTY
     @given(t=trees(max_m=9), data=st.data())
     def test_matches_the_pairwise_oracle(self, t, data):
+        # labels on and off 1..m, 0 and negatives among them
+        labels = st.integers(-2, t.m + 2) | st.sampled_from(
+            [2**64, -2**63 - 1])
         slots = [list(slot) for slot in measurement_schedule(t, 1.0).slots]
         for _ in range(data.draw(st.integers(1, 3))):
+            op = data.draw(st.sampled_from(
+                ["drop", "move", "copy", "add", "add slot", "drop slot"]))
+            if op == "add slot":
+                slots.append([])
+                continue
+            if not slots:
+                continue
             i = data.draw(st.integers(0, len(slots) - 1))
-            op = data.draw(st.sampled_from(["drop", "move", "copy", "add"]))
-            if op == "add":
-                pair = tuple(data.draw(st.integers(1, t.m)) for _ in "ab")
-                slots[i].append(pair)
+            if op == "drop slot":
+                del slots[i]
+            elif op == "add":
+                slots[i].append(tuple(data.draw(labels) for _ in "ab"))
             elif slots[i]:
                 j = data.draw(st.integers(0, len(slots[i]) - 1))
                 pair = slots[i][j] if op == "copy" else slots[i].pop(j)
@@ -457,25 +457,28 @@ class TestScheduleFaults:
     @PROPERTY
     @given(t=trees(max_m=9), data=st.data())
     def test_reused_marks_every_later_use(self, t, data):
-        # an end is marked when an earlier use in its slot, in
-        # measurement order and sender first, has its antenna; the first
-        # use never is
-        edges, rooted = wired_block([t])
-        arrays = colored_block(rooted)
-        slot = arrays.slot.copy()
+        # a use is named when an earlier use in its slot, in measurement
+        # order and sender first, has its antenna; the first use never is
+        slots = [list(slot) for slot in measurement_schedule(t, 1.0).slots]
         for _ in range(data.draw(st.integers(1, 4))):
-            j = data.draw(st.integers(0, slot.shape[1] - 1))
-            slot[0, j] = data.draw(st.integers(0, int(arrays.slots[0]) - 1))
-        faults = schedule_faults(edges, ScheduleArrays(
-            arrays.tx, arrays.rx, slot, arrays.slots))
+            i = data.draw(st.integers(0, len(slots) - 1))
+            if slots[i]:
+                j = data.draw(st.integers(0, len(slots[i]) - 1))
+                pair = slots[i].pop(j)
+                k = data.draw(st.integers(0, len(slots) - 1))
+                slots[k].insert(data.draw(st.integers(0, len(slots[k]))),
+                                pair)
         seen, expected = set(), []
-        for a, b, k in zip(arrays.tx[0].tolist(), arrays.rx[0].tolist(),
-                           slot[0].tolist()):
-            expected.append([])
-            for antenna in (a, b):
-                expected[-1].append((k, antenna) in seen)
-                seen.add((k, antenna))
-        assert faults.reused[0].tolist() == expected
+        for k, slot in enumerate(slots):
+            for pair in slot:
+                for antenna in pair:
+                    if (k, antenna) in seen:
+                        expected.append(f"antenna {antenna} used twice "
+                                        f"in slot {k}")
+                    seen.add((k, antenna))
+        found = schedule_violations(t, Schedule(tuple(map(tuple, slots)),
+                                                1.0))
+        assert [p for p in found if "used twice" in p] == expected
 
     @pytest.mark.parametrize("t", [
         make_star(129, 64), make_daisy(129, 64),
@@ -496,68 +499,41 @@ class TestScheduleFaults:
         # the 20 shapes at m=6, each wired at reference 2; in tree 7, the
         # line into the lowest antenna but the root hangs from the lowest
         # antenna that is neither it nor its parent
-        edges, rooted = wired_block([
-            shape_topology(shape, 2) for shape in enumerate_shapes(6)])
-        assert not schedule_faults(edges, colored_block(rooted)).flagged.any()
-        wrong = [list(lines) for lines in rooted]
-        j = min(range(5), key=lambda i: wrong[7][i][1])
-        parent, node = wrong[7][j]
-        wrong[7][j] = (next(k for k in range(1, 7) if k not in (node, parent)),
-                       node)
-        flagged = schedule_faults(edges, colored_block(wrong)).flagged
-        assert np.flatnonzero(flagged).tolist() == [7]
-
-
-class TestBlockRows:
-    """Each row of a block of trees is checked as if it were alone."""
+        wirings = [shape_topology(shape, 2) for shape in enumerate_shapes(6)]
+        rooted = [walk_lines(t) for t in wirings]
+        for t, lines in zip(wirings, rooted):
+            assert schedule_violations(t, line_schedule(lines)) == []
+        j = min(range(5), key=lambda i: rooted[7][i][1])
+        parent, node = rooted[7][j]
+        rooted[7][j] = (next(k for k in range(1, 7) if k not in (node, parent)),
+                        node)
+        flagged = [i for i, (t, lines) in enumerate(zip(wirings, rooted))
+                   if schedule_violations(t, line_schedule(lines))]
+        assert flagged == [7]
 
     @PROPERTY
-    @given(data=st.data())
-    def test_rows_equal_their_batch_of_one(self, data):
-        m = data.draw(st.integers(3, 12))
-        edges, rooted = wired_block(data.draw(st.lists(
-            trees(min_m=m, max_m=m), min_size=2, max_size=6)))
-        arrays = colored_block(rooted)
-        faults = schedule_faults(edges, arrays)
-        assert not faults.flagged.any()
-        for i in range(len(edges)):
-            one = slice(i, i + 1)
-            schedule = colored_block(rooted[one])
-            for name in ("tx", "rx", "slot", "slots"):
-                assert np.array_equal(getattr(schedule, name),
-                                      getattr(arrays, name)[one]), name
-            checked = schedule_faults(edges[one], schedule)
-            for name in ("expected_slots", "wrong_slot_count", "reused",
-                         "required", "counts", "off_line"):
-                assert np.array_equal(getattr(checked, name),
-                                      getattr(faults, name)[one]), name
-
-    @PROPERTY
-    @given(data=st.data())
-    def test_a_corrupted_row_flags_only_itself(self, data):
-        m = data.draw(st.integers(3, 12))
-        edges, rooted = wired_block(data.draw(st.lists(
-            trees(min_m=m, max_m=m), min_size=2, max_size=6)))
-        row = data.draw(st.integers(0, len(edges) - 1))
+    @given(t=trees(min_m=3, max_m=12), data=st.data())
+    def test_a_corrupted_schedule_is_flagged(self, t, data):
+        lines = walk_lines(t)
         if data.draw(st.booleans()):
             # a parent that is neither the antenna itself nor its own
-            wrong = [list(lines) for lines in rooted]
-            j = data.draw(st.integers(0, m - 2))
-            parent, node = wrong[row][j]
-            wrong[row][j] = (data.draw(st.sampled_from(
-                [k for k in range(1, m + 1) if k not in (node, parent)])),
+            j = data.draw(st.integers(0, t.m - 2))
+            parent, node = lines[j]
+            lines[j] = (data.draw(st.sampled_from(
+                [k for k in range(1, t.m + 1) if k not in (node, parent)])),
                 node)
-            flagged = schedule_faults(edges, colored_block(wrong)).flagged
+            bad = line_schedule(lines)
         else:
             # a measurement moved into the slot of its own reverse, which
             # uses the same two antennas
-            arrays = colored_block(rooted)
-            slot = arrays.slot.copy()
-            j = data.draw(st.integers(0, 2 * (m - 1) - 1))
-            slot[row, j] = slot[row, (j + m - 1) % (2 * (m - 1))]
-            flagged = schedule_faults(edges, ScheduleArrays(
-                arrays.tx, arrays.rx, slot, arrays.slots)).flagged
-        assert np.flatnonzero(flagged).tolist() == [row]
+            slots = [list(slot) for slot in line_schedule(lines).slots]
+            i = data.draw(st.integers(0, len(slots) - 1))
+            pair = slots[i].pop(data.draw(st.integers(0, len(slots[i]) - 1)))
+            slots[i ^ 1].append(pair)
+            bad = Schedule(tuple(map(tuple, slots)), 1.0)
+        found = schedule_violations(t, bad)
+        assert found
+        assert sorted(found) == pairwise_schedule_violations(t, bad)
 
 
 class TestEnumeration:
