@@ -57,7 +57,7 @@ def ml_estimate(ms: MeasurementSet, t: Topology, s: ScenarioParams,
     divided by the set's sounding value, is handed to `ml_estimate_batch`
     as a batch of one trial. The set must carry exactly the measurements
     of the wiring in `t.directed_pairs` order, as `synthesize` and replay
-    files give them: nothing else, none missing.
+    files give them: nothing else, none missing, and at least one round.
 
     Raises DivisionHazard naming the first antenna, in walk order, whose
     estimate fell below `_HAZARD_FLOOR` times its nominal amplitude
@@ -73,6 +73,8 @@ def ml_estimate(ms: MeasurementSet, t: Topology, s: ScenarioParams,
         raise ValueError(
             f"measurement pairs do not match the wiring: missing "
             f"{missing}, not on any line {extra}")
+    if not ms.values.shape[1]:
+        raise ValueError("the measurement set holds no rounds")
     # overflow and NaN are raised on below, by antenna, not warned about
     with np.errstate(all="ignore"):
         values = ms.values.mean(axis=1) / ms.sounding_value

@@ -1,7 +1,8 @@
 """Experiment drivers: SNR sweeps, exhaustive wiring checks, result output.
 
 The sweep pairs closed-form average bounds with the Monte-Carlo error of
-the exact-ML estimator across an SNR grid. The verify_* functions check,
+the exact-ML estimator across an SNR grid, one routine drawing,
+estimating and scoring each batch of trials. The verify_* functions check,
 over every tree within a cap, the optimality statements the closed forms
 promise: the star minimizes the single-round average bound, collection
 times sit between the chain's and the star's, and under equal time
@@ -43,7 +44,7 @@ from .crlb import (
 )
 from .errors import ConfigError, is_finite, is_integer
 from .estimator import mean_sq_errors, ml_estimate_batch, work_size
-from .simulate import add_gain_products, draw_gain_batch, draw_noise
+from .simulate import draw_gain_batch, draw_observations
 from .topology import (
     ENUMERATION_CAP,
     Topology,
@@ -230,7 +231,7 @@ def run_snr_sweep(cfg: ExperimentConfig,
     distance are worked out once per sweep, and each point scales them by
     its rho with the float steps of `crlb_closed_form`. Every trial draws
     fresh gains and the collapsed observation of those rounds (the mean
-    of I rounds as one draw, see `add_gain_products`), estimates, and
+    of I rounds as one draw, see `draw_observations`), estimates, and
     scores against the truth. Trials the estimator flags as division
     hazards are counted in `hazard_rate` and excluded from the error
     averages; rates above 1% are logged as flagged rows.
@@ -261,9 +262,9 @@ def run_snr_sweep(cfg: ExperimentConfig,
 
     Batches run on two threads: the calling thread and one helper
     thread per process each take the next batch not yet taken, draw its
-    chunks' noise (`draw_noise`) and gains (`draw_gain_batch`) into rows
-    of their own, add the gain products (`add_gain_products`), estimate
-    and score it; numpy releases the GIL in the draws. A batch's result
+    chunks' gains (`draw_gain_batch`) and observations
+    (`draw_observations`) into rows of their own, estimate and score it
+    (`_run_batch`); numpy releases the GIL in the draws. A batch's result
     is each chunk's error sum and hazard count, and the call adds them up
     in chunk order once both threads are done, so the output is the same
     bytes whichever thread ran which batch. A sweep of one batch runs it
@@ -433,43 +434,28 @@ def _run_batch(batch: list[_Chunk], rows: _Rows, topo: Topology,
                repetitions: int) -> list[tuple[int, np.ndarray, int]]:
     """Draw a batch's chunks into `rows`, then estimate and score them.
 
-    Each chunk's noise and gains come from its own two seeds, and its
-    observations take the gain products of its grid point's scenario
-    over `repetitions` rounds.
+    Each chunk's gains and observations (the mean of `repetitions`
+    rounds under its grid point's scenario) come from its own two seeds.
+    The estimator reads only the line gain and amplitudes, which every
+    grid point shares, and works in the scratch. Each chunk gives its
+    (grid index, error sum over its sound trials, flagged trial count).
     """
     gains, observed, scratch = rows
     floats = scratch.view(float)
+    m, ref = topo.m, topo.reference - 1
     for chunk in batch:
         gains_seed, noise_seed = chunk.seeds()
-        draw_noise(noise_seed, observed[chunk.rows])
-        draw_gain_batch(chunk.trials, topo.m, scenarios[chunk.grid_index],
-                        gains_seed, out=gains[chunk.rows],
-                        phases=floats[:chunk.trials * 2 * topo.m].reshape(
-                            chunk.trials, 2, topo.m))
-        add_gain_products(topo, gains[chunk.rows],
-                          scenarios[chunk.grid_index], repetitions,
-                          observed[chunk.rows],
+        s = scenarios[chunk.grid_index]
+        draw_gain_batch(chunk.trials, m, s, gains_seed, out=gains[chunk.rows],
+                        phases=floats[:chunk.trials * 2 * m].reshape(
+                            chunk.trials, 2, m))
+        draw_observations(topo, gains[chunk.rows], s, repetitions,
+                          noise_seed, observed[chunk.rows],
                           scratch[:2 * chunk.trials * observed.shape[1]])
-    return _score_batch(batch, topo, scenarios[0], rows)
-
-
-def _score_batch(batch: list[_Chunk], topo: Topology, s: ScenarioParams,
-                 rows: _Rows) -> list[tuple[int, np.ndarray, int]]:
-    """Estimate and score drawn chunks in one call.
-
-    The chunks' gains and collapsed observations fill the leading rows of
-    `rows` in batch order; the estimator keeps its arrays in its scratch
-    and reads only the line gain and amplitudes of `s`, which every grid
-    point shares. Each trial is scored against its own gains; each chunk
-    gives its (grid index, error sum over its sound trials, count of its
-    flagged trials).
-    """
-    gains, observed, work = rows
-    ref = topo.reference - 1
     n = batch[-1].rows.stop
-    est, hazard_at = ml_estimate_batch(observed[:n], topo, s,
+    est, hazard_at = ml_estimate_batch(observed[:n], topo, scenarios[0],
                                        gains[:n, 0, ref], gains[:n, 1, ref],
-                                       work)
+                                       scratch)
     # flagged rows may score inf or NaN; they are masked out
     with np.errstate(over="ignore", invalid="ignore"):
         errors = mean_sq_errors(est, gains[:n])

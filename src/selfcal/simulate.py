@@ -89,16 +89,15 @@ def synthesize(t: Topology, gains: RfGains, s: ScenarioParams,
     exact noiseless values.
 
     The full observation table is a pure function of (topology, gains,
-    scenario, repetitions, seed): `draw_noise` fills it and
-    `add_gain_products` completes it, as for a batch of one trial whose
-    every round is one sounding, in one pass over the canonical pair
-    order, so results do not depend on how the set is later consumed.
+    scenario, repetitions, seed): `draw_observations` draws it as a
+    batch of one trial whose every round is one sounding, in one pass
+    over the canonical pair order, so results do not depend on how the
+    set is later consumed.
     """
     _check_repetitions(repetitions)
     batch = np.stack((gains.alpha, gains.beta))[None]
     values = np.empty((1, len(t.directed_pairs), repetitions), dtype=complex)
-    draw_noise(seed, values)
-    add_gain_products(t, batch, s, 1, values)
+    draw_observations(t, batch, s, 1, seed, values)
     return MeasurementSet(t.directed_pairs, values[0])
 
 
@@ -107,44 +106,26 @@ def _check_repetitions(repetitions: int) -> None:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
 
 
-def _check_contiguous(out: np.ndarray) -> None:
-    if not out.flags.c_contiguous:
-        raise ValueError("observations need a C-contiguous output array")
-
-
-def draw_noise(seed, out: np.ndarray) -> np.ndarray:
-    """First stage of the observation draw: raw noise into `out`.
-
-    `out` is complex and C-contiguous, of shape (trials, pairs) or
-    (trials, pairs, rounds); every value's real and imaginary parts take
-    standard normals from the stream of `seed`, consecutively in memory
-    order, real part first. The stream is used for nothing else, so this
-    stage needs neither the gains nor the scenario, and can run while
-    the gains are drawn from their own stream. Returns `out`.
-    """
-    _check_contiguous(out)
-    np.random.default_rng(seed).standard_normal(out=out.view(np.float64))
-    return out
-
-
-def add_gain_products(t: Topology, gains: np.ndarray, s: ScenarioParams,
-                      repetitions: int, out: np.ndarray,
+def draw_observations(t: Topology, gains: np.ndarray, s: ScenarioParams,
+                      repetitions: int, seed, out: np.ndarray,
                       scratch: np.ndarray | None = None) -> np.ndarray:
-    """Second stage of the observation draw: noise to observations.
+    """Collapsed observations of a gain batch into `out`, each the mean
+    of `repetitions` soundings.
 
-    `out` holds what `draw_noise` wrote, (trials, 2(m-1)) or (trials,
-    2(m-1), rounds) with pairs in `t.directed_pairs` order, and `gains`
-    is a (trials, 2, m) batch as from `draw_gain_batch`. Each value
-    becomes the mean of `repetitions` soundings: row k of a (trials,
-    2(m-1)) `out` is then distributed as `synthesize(t, gains_k, s,
+    `gains` is a (trials, 2, m) batch as from `draw_gain_batch`; `out` is
+    complex and C-contiguous, (trials, 2(m-1)) or (trials, 2(m-1),
+    rounds), pairs in `t.directed_pairs` order. Row k of a (trials,
+    2(m-1)) `out` is distributed as `synthesize(t, gains_k, s,
     repetitions).values.mean(axis=1)`, the per-direction mean that
-    `ml_estimate` estimates from. The mean of `repetitions` i.i.d. rounds
-    is the noiseless value plus one circularly symmetric complex Gaussian
-    of variance noise_variance / repetitions, so one draw of that
-    variance stands for them: the standard normals are scaled to it in
-    place, and each trial's gain product (rx gain * line gain * tx gain,
-    the sounding signal being 1) is added to every round. Zero variance
-    leaves the products alone, whatever `out` held. Returns `out`.
+    `ml_estimate` estimates from: the mean of i.i.d. rounds is the
+    noiseless value plus one circularly symmetric complex Gaussian of
+    variance noise_variance / repetitions, so one draw stands for them.
+    Every value's real and imaginary parts take standard normals from the
+    stream of `seed`, which serves nothing else, consecutively in memory
+    order, real part first; they are scaled to that variance in place,
+    and each trial's gain product (rx gain * line gain * tx gain, the
+    sounding signal being 1) is added to every round. Zero variance draws
+    no normals and leaves the products. Returns `out`.
 
     `scratch`, at least 2 * trials * 2(m-1) complex elements, holds the
     products and the gathered transmit gains on their way when given; it
@@ -154,7 +135,8 @@ def add_gain_products(t: Topology, gains: np.ndarray, s: ScenarioParams,
     if gains.shape[1:] != (2, t.m):
         raise ValueError(f"gain batch has shape {gains.shape}, "
                          f"wiring needs (trials, 2, {t.m})")
-    _check_contiguous(out)
+    if not out.flags.c_contiguous:
+        raise ValueError("observations need a C-contiguous output array")
     tx, rx = t.pair_endpoints
     shape = (len(gains), len(tx))
     observed = out.reshape(shape + (-1,))
@@ -173,6 +155,7 @@ def add_gain_products(t: Topology, gains: np.ndarray, s: ScenarioParams,
         observed[...] = noiseless[..., None]
         return out
     # the normal pairs, read as complex values, scaled and shifted in place
+    np.random.default_rng(seed).standard_normal(out=out.view(np.float64))
     observed *= math.sqrt(variance / 2)
     observed += noiseless[..., None]
     return out

@@ -14,7 +14,7 @@ from selfcal import (
     from_edges,
     optimal_reference,
 )
-from selfcal.simulate import add_gain_products, draw_noise
+from selfcal.simulate import draw_observations
 from selfcal.topology import Schedule, color_lines
 from selfcal.harness import (
     DaisyOptimalityEntry,
@@ -197,16 +197,15 @@ def random_gains(rng, m, s):
 
 def collapsed_draw(t, gains, s, repetitions, seed):
     """The collapsed observations of a gain batch, drawn as the sweep
-    draws them: `draw_noise` into rows of a larger C-contiguous buffer,
-    then `add_gain_products` working in the prefix of a larger scratch
-    area, both filled with NaN first. Returns the (trials, 2(m-1)) rows,
-    a view into the buffer."""
+    draws them: `draw_observations` into rows of a larger C-contiguous
+    buffer, working in the prefix of a larger scratch area, both filled
+    with NaN first. Returns the (trials, 2(m-1)) rows, a view into the
+    buffer."""
     trials, pairs = len(gains), 2 * (t.m - 1)
     size = 2 * trials * pairs
     observed = np.full((trials + 2, pairs), np.nan + 0j)[1:-1]
     scratch = np.full(size + 3, np.nan + 0j)
-    draw_noise(seed, observed)
-    return add_gain_products(t, gains, s, repetitions, observed,
+    return draw_observations(t, gains, s, repetitions, seed, observed,
                              scratch[:size])
 
 

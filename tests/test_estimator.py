@@ -207,6 +207,15 @@ class TestMlEstimate:
             estimate(t, MeasurementSet(ms.pairs[1:], ms.values[1:]),
                      NOISELESS, g)
 
+    def test_a_set_of_no_rounds_is_rejected_before_any_arithmetic(self):
+        # the mean of no rounds would warn and then read as a hazard
+        t = make_daisy(4, 1)
+        empty = MeasurementSet(t.directed_pairs, np.empty((6, 0), complex))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="no rounds"):
+                estimate(t, empty, UNIT, draw_gains(4, UNIT, 0))
+
     def test_sounding_value_divides_the_observations(self):
         t = make_daisy(4, 2)
         g = draw_gains(4, UNIT, 6)

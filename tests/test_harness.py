@@ -780,7 +780,7 @@ class _InlineExecutor:
         return future
 
 
-class TestNoiseHelper:
+class TestSweepHelper:
     @pytest.mark.parametrize("name", PINNED)
     def test_the_helper_changes_no_byte(self, name, tmp_path, monkeypatch):
         monkeypatch.chdir(tmp_path)
