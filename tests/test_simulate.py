@@ -174,12 +174,12 @@ class TestBatchDraws:
         assert abs(variances[0] - variances[1]) < 5 * v * np.sqrt(2 / n)
 
     @settings(max_examples=40, deadline=None, database=None)
-    @given(t=trees(), seed=st.integers(0, 2**32 - 1))
-    def test_single_round_draws_are_one_draw(self, t, seed):
-        # one noisy round of the collapsed draw and of synthesis take the
-        # same normals in the same order: the same bytes
+    @given(t=trees(), seed=st.integers(0, 2**32 - 1), noisy=st.booleans())
+    def test_single_round_draws_are_one_draw(self, t, seed, noisy):
+        # one round of the collapsed draw and of synthesis, with or without
+        # noise, is the same draw: the same bytes
         rng = np.random.default_rng(seed)
-        s = random_scenario(rng)
+        s = random_scenario(rng, allow_zero_noise=not noisy)
         g = draw_gain_batch(1, t.m, s, seed)[0]
         direct = collapsed_draw(t, g[None], s, 1, seed + 1)[0]
         ms = synthesize(t, RfGains(*g), s, 1, seed + 1)
