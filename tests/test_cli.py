@@ -546,3 +546,50 @@ class TestVerifyCommand:
         bad.write_text(json.dumps({"m": 4, "reference": 1,
                                    "edges": [[1, 2], [2, 3]]}))
         assert main(["crlb", "--topology", f"file:{bad}"]) == 2
+
+
+# sha256 of `selfcal verify` stdout, with the exit code
+_VERIFY_PINS = [
+    (["--prop", "1", "--m", "2"], 0,
+     "292c2796b4b7f4c9a8cee7af556830d7343771494897dfeaa3ba030d60f031e7"),
+    (["--prop", "1", "--m", "3"], 0,
+     "5bbd05fbe8baf596a4d0a1ad5e3235e46b913b3f8972e48fb3fd0f7ad136d23d"),
+    (["--prop", "1", "--m", "4"], 0,
+     "a31dd464aea5453e6b334abc7697f6f33c1b309aa1df35c26944c66a935c28e0"),
+    (["--prop", "1", "--m", "5"], 0,
+     "bbc577175fe8050adc0f6903e99a328800831d8e291226504a5e6474fb21034c"),
+    (["--prop", "1", "--m", "6"], 0,
+     "340ca8e75478a383706523c096ae13ad5319cb9f720d6bd9f9e4843858b92550"),
+    (["--prop", "1", "--m", "7"], 0,
+     "dc267cb531fedaeccb9b4928d3844b9092d485b9204414c91fe36edc35ba8a82"),
+    (["--prop", "1", "--m", "8"], 0,
+     "d9e2d28092cc345e0c58f29a1da825fa6b4197483cde25de3e3d95f10e6cf187"),
+    (["--prop", "1", "--m", "7", "--ref", "3"], 0,
+     "6b81c26ec27f47afbb7de017f7f979b325ab7e4a6098a67d3b27588ce2b62500"),
+    (["--prop", "2", "--m", "3"], 0,
+     "b2a9aaeee09026b20eb2aab12e3dcfb0ff6c534d3d85e34845909fc2a5fac658"),
+    (["--prop", "2", "--m", "4"], 0,
+     "7a9e5145e49ab2c36770b3e5aed6c7b3830fbd2fa21278aa651c2a8dedd3899f"),
+    (["--prop", "2", "--m", "5"], 0,
+     "7d7bad8b66586df195b1a289acbec178adcae872e41e05879ec7d1fcf798c43e"),
+    (["--prop", "2", "--m", "6"], 0,
+     "c7aa10b0aa09a0fefe09c49833485c78b68f95fdadcdd56e0e37e0399fb69394"),
+    (["--prop", "2", "--m", "7"], 0,
+     "81c430a9e3994f2beb41538a31fd8223d10fd441bf03af1cba1deac623d3c6e3"),
+    (["--prop", "2", "--m", "8"], 0,
+     "fa686ded2bf851165c5996c7281df1962dd176c557a8201fed0a2fe47470b7ad"),
+    (["--prop", "3", "--m-range", "3:8"], 0,
+     "055bdfc8de19812fb798ce58d4d4ce5482eddfda2ecb261370ba2177614ea252"),
+    # fails at m=10: a degree-3 tree reaches 5/9 against the chain's 25/36
+    (["--prop", "3", "--m-range", "9:12", "--cap", "12"], 3,
+     "342391274903b02e6cd194bb49787a03a58e590dbe94a11cf7cb7e7c71b0c879"),
+]
+
+
+@pytest.mark.parametrize("args, code, digest", _VERIFY_PINS,
+                         ids=["_".join(a.lstrip("-") for a in args)
+                              for args, _, _ in _VERIFY_PINS])
+def test_verify_pinned_bytes(capsys, args, code, digest):
+    assert main(["verify", *args]) == code
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
