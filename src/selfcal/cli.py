@@ -321,7 +321,8 @@ def _cmd_verify(args) -> int:
         report = verify_daisy_optimality(m_values, brute_force_cap=args.cap)
         for entry in report.entries:
             brute = (f", brute-force min {entry.brute_min}"
-                     if entry.brute_forced else "")
+                     if entry.brute_forced
+                     else f", brute force skipped (m > cap {args.cap})")
             print(f"m={entry.m}: chain/star ratio {entry.ratio} "
                   f"({float(entry.ratio):.6f}), beats star: "
                   f"{entry.beats_star}{brute}")

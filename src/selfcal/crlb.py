@@ -222,7 +222,9 @@ def crlb_numeric(j: FisherMatrix) -> tuple[np.ndarray, np.ndarray]:
     wiring's `Topology.ordinary`. Raises SingularFisherMatrix when the
     matrix is not safely invertible, which is how a scenario too
     ill-conditioned to bound, such as far unequal transmit and receive
-    amplitudes, shows up.
+    amplitudes, shows up. Its message says which test rejected the
+    matrix: a pivot that is not positive and finite, or the bound on the
+    condition number, which can exceed the exact one severalfold.
 
     A tree wiring's couplings form a forest, which leaf-first
     elimination factors with no fill-in in O(m). The route is the
@@ -284,7 +286,9 @@ def _forest_inverse_diagonal(j: FisherMatrix) -> np.ndarray:
     row_sums = (j.diagonal + np.bincount(plan.rows, magnitude, minlength=size)
                 + np.bincount(plan.cols, magnitude, minlength=size))
     if not row_sums.max() * diag.sum() <= _COND_LIMIT:
-        raise _singular()
+        raise SingularFisherMatrix(
+            "information matrix condition number bound (largest Gershgorin "
+            f"row sum times trace of the inverse) beyond {_COND_LIMIT:.0e}")
     return diag
 
 
@@ -432,14 +436,25 @@ def _distance_report(t: Topology, s: ScenarioParams, repetitions: int,
     )
 
 
+def _chain_hop_total(m: int, f: int) -> int:
+    """Total hop count to the reference f over the chain 1-2-...-m.
+
+    The sum of |k - f| over k = 1..m: the f-1 antennas before f add
+    (f-1)f/2 and the m-f after it (m-f)(m-f+1)/2. Every chain closed form
+    is read off this one.
+    """
+    return ((f - 1) * f + (m - f) * (m - f + 1)) // 2
+
+
 def daisy_mean_distance(m: int, f: int) -> Fraction:
     """Mean hop distance of the chain 1-2-...-m with the reference at f.
 
-    Closed form (m - 2f)/2 + (f - 1)^2/(m - 1) + 1; agrees exactly with
-    averaging the hop counts for every valid f.
+    The chain's total hop count (`_chain_hop_total`) over its m-1
+    ordinary antennas; agrees exactly with averaging the hop counts for
+    every valid f.
     """
     _check_m_reference(m, f)
-    return Fraction(m - 2 * f, 2) + Fraction((f - 1) ** 2, m - 1) + 1
+    return Fraction(_chain_hop_total(m, f), m - 1)
 
 
 def optimal_reference(m: int) -> tuple[int, Fraction]:
@@ -460,12 +475,13 @@ def daisy_vs_star_ratio(m: int) -> Fraction:
     relative to the star's single-round average.
 
     With 2(m-1) slot durations of budget the chain collects
-    floor((m-1)/2) rounds, giving (m+1)/(2m-2) for odd m and
-    m^2/(2m^2-6m+4) for even m. Values below 1 mean the chain beats the
-    star on equal time; both parity branches decrease toward 1/2.
+    floor((m-1)/2) rounds, so the ratio is the chain's total hop count at
+    the reference floor((m+1)/2) (`_chain_hop_total`) over
+    (m-1) * floor((m-1)/2): (m+1)/(2m-2) for odd m and m^2/(2m^2-6m+4)
+    for even m. Values below 1 mean the chain beats the star on equal
+    time; both parities decrease toward 1/2.
     """
     if m < 3:
         raise ValueError(f"need m >= 3, got {m}")
-    if m % 2:
-        return Fraction(m + 1, 2 * m - 2)
-    return Fraction(m * m, 2 * m * m - 6 * m + 4)
+    return Fraction(_chain_hop_total(m, (m + 1) // 2),
+                    (m - 1) * ((m - 1) // 2))

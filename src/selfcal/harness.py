@@ -13,9 +13,11 @@ through the tree's shape rooted at the reference (the collection time
 through its largest degree), so all three checks count trees by rooted
 shape, each once with weight (m-1)!/|Aut|, the number of labeled trees
 it stands for. The star and chain checks read each shape's total depth
-and degree off its level sequence, as integers; the time-bounds check
-colors one labeling of every shape, one Python pass each, and checks the
-colorings as one numpy block.
+and degree off its level sequence and decide on those integers, the
+chain's total taken from its one closed form in `crlb`
+(`_chain_hop_total`); they build `Fraction`s only for their reports. The
+time-bounds check colors one labeling of every shape, one Python pass
+each, and checks the colorings as one numpy block.
 """
 
 from __future__ import annotations
@@ -37,10 +39,10 @@ import numpy as np
 
 from .crlb import (
     ScenarioParams,
+    _chain_hop_total,
     budgeted_average_crlb,
     crlb_closed_form,
     daisy_vs_star_ratio,
-    optimal_reference,
 )
 from .errors import ConfigError, is_finite, is_integer
 from .estimator import mean_sq_errors, ml_estimate_batch, work_size
@@ -510,13 +512,14 @@ def verify_star_optimality(m: int, reference: int = 1,
                            cap: int = ENUMERATION_CAP) -> StarOptimalityReport:
     """Confirm the reference-centered star minimizes the mean distance.
 
-    Counts the mean distances of all m**(m-2) labeled trees (the
-    `distribution`, ascending by mean distance), each rooted shape once
-    with its weight, and reads the report off that count: it passes when
-    the smallest mean distance is exactly 1, one tree attains it (only
-    the star centered at the reference has every antenna one hop from
-    it), and the weights add up to all m**(m-2) trees, so that a shape
-    the enumeration misses fails the check.
+    Counts the total hop counts of all m**(m-2) labeled trees, each
+    rooted shape once with its weight, and decides on that integer count:
+    it passes when the smallest total is m-1 (a mean distance of exactly
+    1), one tree attains it (only the star centered at the reference has
+    every antenna one hop from it), and the weights add up to all
+    m**(m-2) trees, so that a shape the enumeration misses fails the
+    check. The report's `distribution` maps each mean distance, ascending,
+    to its tree count.
     """
     _check_m_reference(m, reference)  # the shapes stand for any reference
     # by total hop count: over m-1 antennas it orders as the mean does
@@ -524,13 +527,14 @@ def verify_star_optimality(m: int, reference: int = 1,
     for levels, _, weight, _ in enumerate_shapes(m, cap):
         total = sum(levels)
         counts[total] = counts.get(total, 0) + weight
+    tree_count = sum(counts.values())
+    lowest = min(counts)
+    minimizers = counts[lowest]
+    passed = lowest == m - 1 and minimizers == 1 and tree_count == m ** (m - 2)
     distribution = {Fraction(total, m - 1): count
                     for total, count in sorted(counts.items())}
-    tree_count = sum(distribution.values())
-    best = min(distribution)
-    minimizers = distribution[best]
-    passed = best == 1 and minimizers == 1 and tree_count == m ** (m - 2)
-    return StarOptimalityReport(m, reference, tree_count, best, minimizers,
+    return StarOptimalityReport(m, reference, tree_count,
+                                Fraction(lowest, m - 1), minimizers,
                                 distribution, passed)
 
 
@@ -637,8 +641,9 @@ def verify_daisy_optimality(m_values: Iterable[int],
     A shape's objective, its mean distance over its rounds, is its total
     depth over (m-1) * rounds. Each is compared with the running minimum
     by integer cross-multiplication, and only the minimum's two verdicts
-    are kept: every shape reaching it is an optimal chain, and the star
-    reaches it. The one `Fraction` built is the report's `brute_min`.
+    are kept: every shape reaching it is an optimal chain, its total the
+    chain's closed form (`_chain_hop_total`), and the star reaches it.
+    The only `Fraction`s built are the report's `ratio` and `brute_min`.
     """
     entries: list[DaisyOptimalityEntry] = []
     for m in m_values:
@@ -650,7 +655,7 @@ def verify_daisy_optimality(m_values: Iterable[int],
         if brute:
             # objective: total depth over rounds, over the m-1 antennas,
             # total / ((m-1) * rounds), compared by cross-multiplication
-            chain_total = int(optimal_reference(m)[1] * (m - 1))
+            chain_total = _chain_hop_total(m, (m + 1) // 2)
             best_total, best_den = m, 1  # above every objective, <= m/2
             # the minimum's verdicts: all trees reaching it are optimal
             # chains; the star, the only tree of total m-1, reaches it
@@ -667,8 +672,7 @@ def verify_daisy_optimality(m_values: Iterable[int],
                 chains = chains and degree == 2 and total == chain_total
                 star = star or total == m - 1
             brute_min = Fraction(best_total, best_den)
-            expected = ratio if m >= 5 else Fraction(1)
-            brute_matches = brute_min == expected
+            brute_matches = brute_min == (ratio if m >= 5 else 1)
             minimizers_ok = chains if m >= 5 else star
             ok = ok and brute_matches and minimizers_ok
         entries.append(DaisyOptimalityEntry(

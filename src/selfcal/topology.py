@@ -520,8 +520,9 @@ def enumerate_shapes(m: int, cap: int = ENUMERATION_CAP) -> Iterator[Shape]:
                 run[node] = repeats = run[before] + 1
                 automorphisms *= repeats
             last[level] = node
-        yield Shape(tuple(levels), tuple(parent), labelings // automorphisms,
-                    max(degree))
+        # tuple.__new__ skips the NamedTuple's Python-level __new__
+        yield tuple.__new__(Shape, (tuple(levels), tuple(parent),
+                                    labelings // automorphisms, max(degree)))
         # successor: from the last node p below level 1 on, repeat the
         # levels from p's parent q up to p
         p = m - 1

@@ -522,6 +522,16 @@ class TestVerifyCommand:
         assert out.splitlines()[0].startswith("m=5: chain/star ratio 3/4")
         assert out.splitlines()[-1] == "PASS"
 
+    def test_daisy_beyond_cap_says_skipped(self, capsys):
+        assert main(["verify", "--prop", "3", "--m-range", "8:11"]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0].endswith(", brute-force min 16/21")
+        assert [line.split(":")[0] for line in lines[1:4]] == [
+            "m=9", "m=10", "m=11"]
+        assert all(line.endswith(", brute force skipped (m > cap 8)")
+                   for line in lines[1:4])
+        assert lines[-1] == "PASS"
+
     def test_star_optimality_at_a_reference(self, capsys):
         assert main(["verify", "--prop", "1", "--m", "5", "--ref", "3"]) == 0
         assert "m=5 ref=3: 125 trees" in capsys.readouterr().out
@@ -580,6 +590,9 @@ _VERIFY_PINS = [
      "fa686ded2bf851165c5996c7281df1962dd176c557a8201fed0a2fe47470b7ad"),
     (["--prop", "3", "--m-range", "3:8"], 0,
      "055bdfc8de19812fb798ce58d4d4ce5482eddfda2ecb261370ba2177614ea252"),
+    # m=9..11 beyond the cap: the chain's ratio alone, brute force skipped
+    (["--prop", "3", "--m-range", "8:11"], 0,
+     "e2fea76a912e6bca2504935ee7933ea78362802750c3f838730c330b1832728b"),
     # fails at m=10: a degree-3 tree reaches 5/9 against the chain's 25/36
     (["--prop", "3", "--m-range", "9:12", "--cap", "12"], 3,
      "342391274903b02e6cd194bb49787a03a58e590dbe94a11cf7cb7e7c71b0c879"),

@@ -60,6 +60,14 @@ def hand_made(diagonal, rows, cols, couplings, steps):
     return crlb.FisherMatrix(diagonal, couplings, plan)
 
 
+#: what `crlb_numeric` says when a pivot, or the condition number bound,
+#: rejects the matrix
+PIVOT_REJECTED = r"^information matrix condition number beyond 1e\+12$"
+BOUND_REJECTED = (r"^information matrix condition number bound \(largest "
+                  r"Gershgorin row sum times trace of the inverse\) "
+                  r"beyond 1e\+12$")
+
+
 def accepts(invert, j):
     try:
         invert(j)
@@ -245,7 +253,7 @@ class TestNumericCrlb:
         none = np.empty(0, dtype=np.intp)
         j = hand_made(diagonal, none, none, np.empty(0, dtype=complex),
                       steps=())
-        with pytest.raises(SingularFisherMatrix):
+        with pytest.raises(SingularFisherMatrix, match=PIVOT_REJECTED):
             crlb_numeric(j)
 
     def test_star_condition_checked(self):
@@ -253,7 +261,7 @@ class TestNumericCrlb:
         none = np.empty(0, dtype=np.intp)
         j = hand_made(np.array([1.0, 1e-13]), none, none,
                       np.empty(0, dtype=complex), steps=())
-        with pytest.raises(SingularFisherMatrix):
+        with pytest.raises(SingularFisherMatrix, match=BOUND_REJECTED):
             crlb_numeric(j)
 
     def test_daisy5_pattern(self):
@@ -468,6 +476,21 @@ class TestConditioning:
         assert {k for k, (e, d) in enumerate(zip(eliminated, dense))
                 if d and not e} == stricter
 
+    def test_bound_rejection_is_named(self):
+        # k=12 at m=9 is one of the sweep's `stricter` points: its exact
+        # condition number is below 1e12, so the message names the bound
+        # that rejected it rather than the condition number itself
+        m = 9
+        t = make_daisy(m, (m + 1) // 2)
+        rng = np.random.default_rng(m)
+        for r in self.RATIOS[:13]:  # the sweep's draws up to k=12
+            s = ScenarioParams(tx_amplitude=r, rx_amplitude=1 / r)
+            j = fisher_matrix(t, random_gains(rng, m, s), s)
+        lam = np.linalg.eigvalsh(dense_entries(j))
+        assert 0 < lam[0] and lam[-1] <= 1e12 * lam[0]
+        with pytest.raises(SingularFisherMatrix, match=BOUND_REJECTED):
+            crlb_numeric(j)
+
 
 class TestClosedForm:
     def test_star_all_ones(self):
@@ -572,6 +595,13 @@ class TestChainClosedForms:
         assert daisy_vs_star_ratio(5) == Fraction(3, 4)
         assert daisy_vs_star_ratio(6) == Fraction(9, 10)
         assert daisy_vs_star_ratio(4) == Fraction(4, 3)
+
+    def test_ratio_matches_hops(self):
+        # the mid-referenced chain's mean distance over the rounds the
+        # star's 2(m-1) slots allow it
+        for m in range(3, 201):
+            assert daisy_vs_star_ratio(m) == (
+                make_daisy(m, (m + 1) // 2).mean_distance / ((m - 1) // 2))
 
     def test_ratio_equals_budgeted_average(self):
         for m in range(3, 30):

@@ -32,7 +32,7 @@ from selfcal import (
     verify_star_optimality,
     verify_time_bounds,
 )
-from selfcal import harness
+from selfcal import crlb, harness
 from selfcal.errors import ConfigError
 from selfcal.harness import _CHUNK
 
@@ -365,6 +365,20 @@ class TestDaisyOptimality:
         entry = verify_daisy_optimality([10], brute_force_cap=10).entries[0]
         assert entry.brute_min == Fraction(5, 9) and not entry.passed
         assert verify_daisy_optimality([9], brute_force_cap=9).passed
+
+    @pytest.mark.parametrize("module, verdict", [
+        (harness, "minimizers_as_expected"),  # the chain total it compares
+        (crlb, "brute_min_matches"),          # the ratio it compares
+    ], ids=["harness", "crlb"])
+    def test_closed_form_is_checked(self, monkeypatch, module, verdict):
+        # a chain total one hop off must fail: prop 3 compares the closed
+        # form with the brute force rather than assuming it
+        total = crlb._chain_hop_total
+        monkeypatch.setattr(module, "_chain_hop_total",
+                            lambda m, f: total(m, f) + 1)
+        report = verify_daisy_optimality(range(5, 9))
+        assert not report.passed
+        assert not any(getattr(e, verdict) for e in report.entries)
 
     def test_large_m_skips_brute_force(self):
         report = verify_daisy_optimality([129])
