@@ -170,20 +170,31 @@ def work_size(m: int, trials: int) -> int:
     """Complex elements `ml_estimate_batch` works in for `trials` trials
     of an m-antenna wiring: the (m, 2, trials) estimates and, behind
     them, the 2(m-1) measurements per trial, whose area then holds the
-    hazard check's magnitudes (at most 2m floats per trial)."""
+    hazard check's magnitudes (at most 2m floats per trial) and is free
+    once the call returns."""
     return 2 * (2 * m - 1) * trials
 
 
-def mean_sq_errors(est: np.ndarray, truth: np.ndarray) -> np.ndarray:
+def mean_sq_errors(est: np.ndarray, truth: np.ndarray,
+                   scratch: np.ndarray | None = None) -> np.ndarray:
     """Per-trial average squared error over the ordinary antennas.
 
-    Both arguments are (trials, 2, m) batches, estimates from
+    Both arrays are (trials, 2, m) batches, estimates from
     `ml_estimate_batch`; returns (trials, 2) with the transmit-gain
     average in column 0 and the receive-gain average in column 1. The
     reference column contributes exactly zero, as the estimates copy it.
     Rows of flagged trials may come out inf or NaN.
+
+    `scratch`, a float array of at least `est.size` elements apart from
+    both batches, holds the error magnitudes when given, and the errors
+    themselves are then written over `truth` (C-contiguous), so that
+    nothing the size of a batch is allocated; the scores are the same.
     """
-    sq = np.abs(est - truth)
+    if scratch is None:
+        sq = np.abs(est - truth)
+    else:
+        diff = np.subtract(est, truth, out=truth)
+        sq = np.abs(diff, out=scratch[:diff.size].reshape(diff.shape))
     sq **= 2
     return sq.sum(axis=2) / (truth.shape[2] - 1)
 

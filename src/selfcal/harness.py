@@ -46,7 +46,7 @@ from .crlb import (
 )
 from .errors import ConfigError, is_finite, is_integer
 from .estimator import mean_sq_errors, ml_estimate_batch, work_size
-from .simulate import draw_gain_batch, draw_observations
+from .simulate import add_gain_products, draw_gain_batch, draw_noise
 from .topology import (
     ENUMERATION_CAP,
     Topology,
@@ -233,8 +233,8 @@ def run_snr_sweep(cfg: ExperimentConfig,
     distance are worked out once per sweep, and each point scales them by
     its rho with the float steps of `crlb_closed_form`. Every trial draws
     fresh gains and the collapsed observation of those rounds (the mean
-    of I rounds as one draw, see `draw_observations`), estimates, and
-    scores against the truth. Trials the estimator flags as division
+    of I rounds as one draw, see `draw_noise`), estimates, and scores
+    against the truth. Trials the estimator flags as division
     hazards are counted in `hazard_rate` and excluded from the error
     averages; rates above 1% are logged as flagged rows.
 
@@ -257,16 +257,18 @@ def run_snr_sweep(cfg: ExperimentConfig,
     walk and propagation plan, are built once per process (`make_star`,
     `make_daisy`), and the call allocates, in one block, gain and
     observation buffers and a scratch area for each thread that runs
-    batches (see below). Each chunk is drawn
-    straight into its rows of the buffers, which its batch then reads as
-    contiguous row ranges; the draws and the estimator keep their work
-    arrays in the scratch area.
+    batches (see below). Each chunk draws its normals and its phases
+    straight into its rows of the buffers and the scratch, and every
+    later stage runs once over the batch's rows; the draws, the
+    estimator and the score keep their work arrays in the scratch area.
 
     Batches run on two threads: the calling thread and one helper
     thread per process each take the next batch not yet taken, draw its
-    chunks' gains (`draw_gain_batch`) and observations
-    (`draw_observations`) into rows of their own, estimate and score it
-    (`_run_batch`); numpy releases the GIL in the draws. A batch's result
+    chunks' noise (`draw_noise`), then their gains (`draw_gain_batch`)
+    and the gain products (`add_gain_products`) into rows of their own,
+    estimate and score it (`_run_batch`). numpy releases the GIL in the
+    draws; the threads trade it around every numpy call, and the
+    batch-wide stages keep those calls few and large. A batch's result
     is each chunk's error sum and hazard count, and the call adds them up
     in chunk order once both threads are done, so the output is the same
     bytes whichever thread ran which batch. A sweep of one batch runs it
@@ -286,10 +288,11 @@ def run_snr_sweep(cfg: ExperimentConfig,
     m, pairs = topo.m, 2 * (topo.m - 1)
     batches = _plan_batches(cfg, m)
     capacity = max(batch[-1].rows.stop for batch in batches)
-    # per thread: gain and observation rows, and scratch for a chunk's
-    # phases, then its gain products and gathered transmit gains, then a
-    # batch's estimator work arrays, the largest of the three; the
-    # helper's set only when there is a batch for it. One block, not
+    # per thread: gain and observation rows, and scratch for a batch's
+    # phases, then its gain products and gathered transmit gains, then
+    # its estimator work arrays, the largest of the three, whose
+    # consumed measurements take the score's magnitudes; the helper's
+    # set only when there is a batch for it. One block, not
     # several: glibc raises its mmap and trim thresholds to the largest
     # block it has freed, so the next call's buffers and temporaries stay
     # in a heap it neither trims nor faults in again.
@@ -437,30 +440,39 @@ def _run_batch(batch: list[_Chunk], rows: _Rows, topo: Topology,
     """Draw a batch's chunks into `rows`, then estimate and score them.
 
     Each chunk's gains and observations (the mean of `repetitions`
-    rounds under its grid point's scenario) come from its own two seeds.
-    The estimator reads only the line gain and amplitudes, which every
-    grid point shares, and works in the scratch. Each chunk gives its
-    (grid index, error sum over its sound trials, flagged trial count).
+    rounds under its grid point's scenario) come from its own two seeds,
+    and a chunk draws only what those give: first every chunk's noise
+    (`draw_noise`, each at its grid point's variance), then every chunk's
+    phases, which `draw_gain_batch` turns into gains in one pass over the
+    batch, and last the batch's gain products (`add_gain_products`). The
+    transform, the products and the estimator read only the line gain and
+    amplitudes, which every grid point shares, and work in the scratch;
+    the score takes the gain rows, which it no longer needs, and the
+    scratch behind the estimates. Each chunk gives its (grid index, error
+    sum over its sound trials, flagged trial count).
     """
     gains, observed, scratch = rows
-    floats = scratch.view(float)
     m, ref = topo.m, topo.reference - 1
+    n = batch[-1].rows.stop
+    gain_blocks, noise_blocks = [], []
     for chunk in batch:
         gains_seed, noise_seed = chunk.seeds()
-        s = scenarios[chunk.grid_index]
-        draw_gain_batch(chunk.trials, m, s, gains_seed, out=gains[chunk.rows],
-                        phases=floats[:chunk.trials * 2 * m].reshape(
-                            chunk.trials, 2, m))
-        draw_observations(topo, gains[chunk.rows], s, repetitions,
-                          noise_seed, observed[chunk.rows],
-                          scratch[:2 * chunk.trials * observed.shape[1]])
-    n = batch[-1].rows.stop
+        gain_blocks.append((chunk.trials, gains_seed))
+        noise_blocks.append((
+            chunk.trials, noise_seed,
+            scenarios[chunk.grid_index].noise_variance / repetitions))
+    draw_noise(noise_blocks, observed[:n])
+    draw_gain_batch(gain_blocks, m, scenarios[0], out=gains[:n],
+                    phases=scratch.view(float)[:n * 2 * m].reshape(n, 2, m))
+    add_gain_products(topo, gains[:n], scenarios[0], noise_blocks,
+                      observed[:n], scratch)
     est, hazard_at = ml_estimate_batch(observed[:n], topo, scenarios[0],
                                        gains[:n, 0, ref], gains[:n, 1, ref],
                                        scratch)
     # flagged rows may score inf or NaN; they are masked out
     with np.errstate(over="ignore", invalid="ignore"):
-        errors = mean_sq_errors(est, gains[:n])
+        errors = mean_sq_errors(est, gains[:n],
+                                scratch[est.size:].view(float))
     sound = hazard_at == 0
     return [(chunk.grid_index,
              errors[chunk.rows][sound[chunk.rows]].sum(axis=0),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -28,30 +29,39 @@ def draw_gains(m: int, s: ScenarioParams, seed) -> RfGains:
     """Random gains with fixed amplitudes and phases uniform on [-pi, pi).
 
     Deterministic for a given seed (int or numpy SeedSequence); the batch
-    of one of `draw_gain_batch`.
+    of one trial in one block of `draw_gain_batch`.
     """
-    (alpha, beta), = draw_gain_batch(1, m, s, seed)
+    (alpha, beta), = draw_gain_batch([(1, seed)], m, s)
     return RfGains(alpha=alpha, beta=beta)
 
 
-def draw_gain_batch(trials: int, m: int, s: ScenarioParams, seed,
+def draw_gain_batch(blocks, m: int, s: ScenarioParams,
                     out: np.ndarray | None = None,
                     phases: np.ndarray | None = None) -> np.ndarray:
-    """Gains of `trials` independent arrays as a (trials, 2, m) array.
+    """Gains of independent arrays as a (trials, 2, m) array.
 
-    Row [k, 0] holds trial k's transmit gains and [k, 1] its receive
-    gains, antenna j at column j-1. Trials are drawn in order from one
-    stream, so a batch is a prefix of any larger batch with the same seed.
+    `blocks` lists (trials, seed) for consecutive runs of rows, which
+    together make the batch's trials. Row [k, 0] holds trial k's transmit
+    gains and [k, 1] its receive gains, antenna j at column j-1. A
+    block's trials are drawn in order from the stream of its own seed, so
+    a block is a prefix of any larger block with the same seed, and its
+    rows are those it gives drawn alone: the phases are drawn block by
+    block, and then turned into gains in one pass over the batch.
 
     `out` (complex) receives the gains and `phases` (float) holds the
     phases on their way, both C-contiguous of that shape; either is
     allocated when not given, and neither changes a value.
     """
     _check_m_reference(m, 1)
-    rng = np.random.default_rng(seed)
-    shape = (trials, 2, m)
+    shape = (sum(trials for trials, _ in blocks), 2, m)
+    if phases is None:
+        phases = np.empty(shape)
+    start = 0
+    for trials, seed in blocks:
+        np.random.default_rng(seed).random(
+            out=phases[start:start + trials])
+        start += trials
     # uniform on [-pi, pi), as rng.uniform(-np.pi, np.pi) draws it
-    phases = rng.random(shape, out=phases)
     phases *= 2 * np.pi
     phases += -np.pi
     # exp(1j * phases) as cos + i sin written in place, without temporaries
@@ -89,57 +99,76 @@ def synthesize(t: Topology, gains: RfGains, s: ScenarioParams,
     exact noiseless values.
 
     The full observation table is a pure function of (topology, gains,
-    scenario, repetitions, seed): `draw_observations` draws it as a
-    batch of one trial whose every round is one sounding, in one pass
+    scenario, repetitions, seed): a batch of one trial in one block,
+    whose every round is one sounding, takes its noise (`draw_noise`)
+    and then its gain products (`add_gain_products`), each in one pass
     over the canonical pair order, so results do not depend on how the
     set is later consumed.
     """
-    _check_repetitions(repetitions)
+    if repetitions < 1:
+        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     batch = np.stack((gains.alpha, gains.beta))[None]
     values = np.empty((1, len(t.directed_pairs), repetitions), dtype=complex)
-    draw_observations(t, batch, s, 1, seed, values)
+    blocks = [(1, seed, s.noise_variance)]
+    draw_noise(blocks, values)
+    add_gain_products(t, batch, s, blocks, values)
     return MeasurementSet(t.directed_pairs, values[0])
 
 
-def _check_repetitions(repetitions: int) -> None:
-    if repetitions < 1:
-        raise ValueError(f"repetitions must be >= 1, got {repetitions}")
+def draw_noise(blocks, out: np.ndarray) -> np.ndarray:
+    """The noise of a batch's observations into `out`, block by block.
+
+    `out` is complex and C-contiguous, (trials, 2(m-1)) or (trials,
+    2(m-1), rounds); `blocks` lists (trials, seed, variance) for
+    consecutive runs of its rows, which together make all of them. A
+    block of positive variance fills its rows with circularly symmetric
+    complex Gaussians of that variance: their real and imaginary parts
+    take standard normals from the stream of its seed, which serves
+    nothing else, consecutively in memory order, real part first, scaled
+    in place. A block of zero variance draws nothing and leaves its rows
+    to `add_gain_products`. Returns `out`.
+
+    The sweep's rows are collapsed observations, each standing for the
+    mean of I rounds: that mean is the noiseless value plus one such
+    Gaussian of variance noise_variance / I, so one draw stands for them.
+    """
+    if not out.flags.c_contiguous:
+        raise ValueError("observations need a C-contiguous output array")
+    if sum(trials for trials, _, _ in blocks) != len(out):
+        raise ValueError(f"noise blocks do not cover the {len(out)} rows")
+    start = 0
+    for trials, seed, variance in blocks:
+        rows = out[start:start + trials]
+        start += trials
+        if variance > 0:
+            # the normal pairs, read as complex values, scaled in place
+            np.random.default_rng(seed).standard_normal(
+                out=rows.view(np.float64))
+            rows *= math.sqrt(variance / 2)
+    return out
 
 
-def draw_observations(t: Topology, gains: np.ndarray, s: ScenarioParams,
-                      repetitions: int, seed, out: np.ndarray,
+def add_gain_products(t: Topology, gains: np.ndarray, s: ScenarioParams,
+                      blocks, out: np.ndarray,
                       scratch: np.ndarray | None = None) -> np.ndarray:
-    """Collapsed observations of a gain batch into `out`, each the mean
-    of `repetitions` soundings.
+    """Add each trial's noiseless observations to its noise in `out`.
 
-    `gains` is a (trials, 2, m) batch as from `draw_gain_batch`; `out` is
-    complex and C-contiguous, (trials, 2(m-1)) or (trials, 2(m-1),
-    rounds), pairs in `t.directed_pairs` order. Row k of a (trials,
-    2(m-1)) `out` is distributed as `synthesize(t, gains_k, s,
-    repetitions).values.mean(axis=1)`, the per-direction mean that
-    `ml_estimate` estimates from: the mean of i.i.d. rounds is the
-    noiseless value plus one circularly symmetric complex Gaussian of
-    variance noise_variance / repetitions, so one draw stands for them.
-    Every value's real and imaginary parts take standard normals from the
-    stream of `seed`, which serves nothing else, consecutively in memory
-    order, real part first; they are scaled to that variance in place,
-    and each trial's gain product (rx gain * line gain * tx gain, the
-    sounding signal being 1) is added to every round. Zero variance draws
-    no normals and leaves the products. Returns `out`.
+    `gains` is a (trials, 2, m) batch as from `draw_gain_batch`; `out`
+    holds its noise as `draw_noise` drew it for the same `blocks`, pairs
+    in `t.directed_pairs` order. Every trial's gain products (rx gain *
+    line gain * tx gain, the sounding signal being 1), one pass over the
+    batch, are added to each of its rounds; the rows of zero-variance
+    blocks get the products themselves, exactly. Returns `out`.
 
     `scratch`, at least 2 * trials * 2(m-1) complex elements, holds the
     products and the gathered transmit gains on their way when given; it
     changes no value.
     """
-    _check_repetitions(repetitions)
     if gains.shape[1:] != (2, t.m):
         raise ValueError(f"gain batch has shape {gains.shape}, "
                          f"wiring needs (trials, 2, {t.m})")
-    if not out.flags.c_contiguous:
-        raise ValueError("observations need a C-contiguous output array")
     tx, rx = t.pair_endpoints
     shape = (len(gains), len(tx))
-    observed = out.reshape(shape + (-1,))
     size = 2 * len(gains) * len(tx)
     if scratch is None:
         scratch = np.empty(size, dtype=complex)
@@ -150,14 +179,17 @@ def draw_observations(t: Topology, gains: np.ndarray, s: ScenarioParams,
     noiseless *= s.line_gain
     np.take(gains[:, 0], tx, axis=1, out=tx_gains, mode="clip")
     noiseless *= tx_gains
-    variance = s.noise_variance / repetitions
-    if variance <= 0:
-        observed[...] = noiseless[..., None]
-        return out
-    # the normal pairs, read as complex values, scaled and shifted in place
-    np.random.default_rng(seed).standard_normal(out=out.view(np.float64))
-    observed *= math.sqrt(variance / 2)
-    observed += noiseless[..., None]
+    if out.ndim == 3:
+        noiseless = noiseless[..., None]  # the same for every round
+    # one step per run of blocks that are all noisy or all noiseless
+    start = 0
+    for noisy, run in groupby(blocks, key=lambda block: block[2] > 0):
+        rows = slice(start, start + sum(trials for trials, _, _ in run))
+        start = rows.stop
+        if noisy:
+            out[rows] += noiseless[rows]
+        else:
+            out[rows] = noiseless[rows]
     return out
 
 

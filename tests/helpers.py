@@ -14,7 +14,7 @@ from selfcal import (
     from_edges,
     optimal_reference,
 )
-from selfcal.simulate import draw_observations
+from selfcal.simulate import add_gain_products, draw_noise
 from selfcal.topology import Schedule, color_lines
 from selfcal.harness import (
     DaisyOptimalityEntry,
@@ -197,16 +197,18 @@ def random_gains(rng, m, s):
 
 def collapsed_draw(t, gains, s, repetitions, seed):
     """The collapsed observations of a gain batch, drawn as the sweep
-    draws them: `draw_observations` into rows of a larger C-contiguous
-    buffer, working in the prefix of a larger scratch area, both filled
-    with NaN first. Returns the (trials, 2(m-1)) rows, a view into the
-    buffer."""
+    draws them, in one block of noise variance noise_variance /
+    repetitions: `draw_noise` and then `add_gain_products` into rows of
+    a larger C-contiguous buffer, working in the prefix of a larger
+    scratch area, both filled with NaN first. Returns the (trials,
+    2(m-1)) rows, a view into the buffer."""
     trials, pairs = len(gains), 2 * (t.m - 1)
     size = 2 * trials * pairs
     observed = np.full((trials + 2, pairs), np.nan + 0j)[1:-1]
     scratch = np.full(size + 3, np.nan + 0j)
-    return draw_observations(t, gains, s, repetitions, seed, observed,
-                             scratch[:size])
+    blocks = [(trials, seed, s.noise_variance / repetitions)]
+    draw_noise(blocks, observed)
+    return add_gain_products(t, gains, s, blocks, observed, scratch[:size])
 
 
 def eigh_inverse_diagonal(entries):

@@ -162,7 +162,7 @@ class TestMlEstimate:
         trials = 100_000
         t = make_star(2, 1)
         s = ScenarioParams(noise_variance=0.05)
-        gains = np.repeat(draw_gain_batch(1, 2, s, 11), trials, axis=0)
+        gains = np.repeat(draw_gain_batch([(1, 11)], 2, s), trials, axis=0)
         est, hazard_at = _estimate_batch(t, s, gains, seed=77)
         assert not hazard_at.any()
         errors = est[:, 0, 1] - gains[:, 0, 1]
@@ -175,7 +175,7 @@ class TestMlEstimate:
         t = make_daisy(5, 1)
         s = ScenarioParams(noise_variance=1e-4)  # 40 dB with unit gains
         gains_seed, noise_seed = np.random.SeedSequence(123).spawn(2)
-        gains = draw_gain_batch(trials, 5, s, gains_seed)
+        gains = draw_gain_batch([(trials, gains_seed)], 5, s)
         est, hazard_at = _estimate_batch(t, s, gains, seed=noise_seed)
         assert not hazard_at.any()
         sq_errors = np.abs(est[:, 0, 1:] - gains[:, 0, 1:]) ** 2
@@ -188,7 +188,7 @@ class TestMlEstimate:
         s = ScenarioParams(noise_variance=1e-3)  # 30 dB
         bound = crlb_closed_form(t, s)
         gains_seed, noise_seed = np.random.SeedSequence(55).spawn(2)
-        gains = draw_gain_batch(trials, 10, s, gains_seed)
+        gains = draw_gain_batch([(trials, gains_seed)], 10, s)
         est, hazard_at = _estimate_batch(t, s, gains, seed=noise_seed)
         assert not hazard_at.any()
         mse_alpha, mse_beta = mean_sq_errors(est, gains).mean(axis=0)
@@ -235,7 +235,7 @@ class TestBatchKernel:
         rng = np.random.default_rng(seed)
         t = random_tree(rng, m)
         s = random_scenario(rng)
-        gains = draw_gain_batch(trials, m, s, seed)
+        gains = draw_gain_batch([(trials, seed)], m, s)
         values = collapsed_draw(t, gains, s, reps, seed + 1)
         ref = t.reference - 1
         # one row loses what a random antenna with children is divided by
@@ -281,7 +281,7 @@ class TestBatchKernel:
         rng = np.random.default_rng(42)
         t = random_tree(rng, 9)
         s = random_scenario(rng)
-        gains = draw_gain_batch(3, 9, s, 1)
+        gains = draw_gain_batch([(3, 1)], 9, s)
         values = collapsed_draw(t, gains, s, 2, 2)
         ref = t.reference - 1
         est, _ = ml_estimate_batch(values, t, s, gains[:, 0, ref],
@@ -293,6 +293,29 @@ class TestBatchKernel:
             err = estimation_error(estimate(t, ms, s, truth), truth)
             assert scores[k] == pytest.approx(
                 [err.average_alpha, err.average_beta], rel=1e-12)
+
+
+    @pytest.mark.parametrize("make", [make_star, make_daisy])
+    @pytest.mark.parametrize("trials", [15, 60, 256])
+    def test_scores_in_scratch_keep_their_bytes(self, make, trials):
+        # scored as the sweep scores: errors over the truth and their
+        # magnitudes in the estimator's consumed measurement area
+        t = make(129, 64)
+        ref = t.reference - 1
+        for snr_db in (-5.0, 10.0, 40.0):
+            s = UNIT.at_snr(snr_db)
+            gains = draw_gain_batch([(trials, 5)], t.m, s)
+            values = collapsed_draw(t, gains, s, 4, 6)
+            work = np.full(work_size(t.m, trials), np.nan + 0j)
+            est, _ = ml_estimate_batch(values, t, s, gains[:, 0, ref],
+                                       gains[:, 1, ref], work)
+            truth = gains.copy()
+            with np.errstate(over="ignore", invalid="ignore"):
+                expected = mean_sq_errors(est, gains)
+                scores = mean_sq_errors(est, truth,
+                                        work[est.size:].view(float))
+                assert np.array_equal(truth, est - gains, equal_nan=True)
+            assert scores.tobytes() == expected.tobytes()
 
 
 class TestEstimationError:

@@ -669,9 +669,9 @@ class TestChunking:
             calls.append(len(values))
             return kernel(values, *args)
 
-        def scored_once(est, truth):
+        def scored_once(est, truth, *args):
             scored.append(len(est))
-            return score(est, truth)
+            return score(est, truth, *args)
 
         monkeypatch.setattr(harness, "ml_estimate_batch", counted)
         monkeypatch.setattr(harness, "mean_sq_errors", scored_once)

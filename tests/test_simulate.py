@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import numpy as np
@@ -16,7 +17,7 @@ from selfcal import (
     synthesize,
 )
 
-from selfcal.simulate import draw_gain_batch, draw_observations
+from selfcal.simulate import add_gain_products, draw_gain_batch, draw_noise
 
 from helpers import collapsed_draw, random_scenario, random_tree, trees
 
@@ -119,8 +120,8 @@ class TestSynthesize:
 class TestBatchDraws:
     def test_batch_extends_a_prefix(self):
         s = ScenarioParams(tx_amplitude=2.0, rx_amplitude=0.5)
-        small = draw_gain_batch(3, 7, s, 11)
-        large = draw_gain_batch(5, 7, s, 11)
+        small = draw_gain_batch([(3, 11)], 7, s)
+        large = draw_gain_batch([(5, 11)], 7, s)
         assert small.shape == (3, 2, 7)
         assert np.array_equal(small, large[:3])
         single = draw_gains(7, s, 11)
@@ -130,7 +131,7 @@ class TestBatchDraws:
     def test_noiseless_collapsed_draw(self):
         rng = np.random.default_rng(12)
         t = random_tree(rng, 6)
-        gains = draw_gain_batch(4, 6, NOISELESS, 3)
+        gains = draw_gain_batch([(4, 3)], 6, NOISELESS)
         values = collapsed_draw(t, gains, NOISELESS, 5, seed=1)
         for k in range(4):
             ms = synthesize(t, RfGains(gains[k, 0], gains[k, 1]), NOISELESS)
@@ -148,7 +149,7 @@ class TestBatchDraws:
         s = ScenarioParams(line_gain=0.8 - 0.6j, noise_variance=0.3,
                            tx_amplitude=1.5, rx_amplitude=0.7)
         v = s.noise_variance / reps
-        gains = draw_gain_batch(trials, 3, s, 21)
+        gains = draw_gain_batch([(trials, 21)], 3, s)
         direct = collapsed_draw(t, gains, s, reps, seed=22)
         seeds = np.random.SeedSequence(23).spawn(trials)
         noiseless = np.empty_like(direct)
@@ -180,7 +181,7 @@ class TestBatchDraws:
         # noise, is the same draw: the same bytes
         rng = np.random.default_rng(seed)
         s = random_scenario(rng, allow_zero_noise=not noisy)
-        g = draw_gain_batch(1, t.m, s, seed)[0]
+        g = draw_gain_batch([(1, seed)], t.m, s)[0]
         direct = collapsed_draw(t, g[None], s, 1, seed + 1)[0]
         ms = synthesize(t, RfGains(*g), s, 1, seed + 1)
         assert direct.tobytes() == ms.values[:, 0].tobytes()
@@ -194,34 +195,85 @@ class TestBatchDraws:
         rng = np.random.default_rng(seed)
         s = random_scenario(rng, allow_zero_noise=not noisy)
         pairs = 2 * (t.m - 1)
-        gains = draw_gain_batch(trials, t.m, s, seed)
+        gains = draw_gain_batch([(trials, seed)], t.m, s)
         out = np.full((trials, 2, t.m), np.nan + 0j)
         phases = np.full((trials, 2, t.m), np.nan)
-        assert draw_gain_batch(trials, t.m, s, seed, out=out,
+        assert draw_gain_batch([(trials, seed)], t.m, s, out=out,
                                phases=phases) is out
         assert np.array_equal(out, gains)
         # the draw into fresh arrays, and into rows of a larger buffer
         # with scratch to spare, as the sweep draws, agree
         out = np.empty((trials, pairs), complex)
-        assert draw_observations(t, gains, s, 3, seed + 1, out) is out
+        blocks = [(trials, seed + 1, s.noise_variance / 3)]
+        assert draw_noise(blocks, out) is out
+        assert add_gain_products(t, gains, s, blocks, out) is out
         assert np.array_equal(collapsed_draw(t, gains, s, 3, seed + 1), out)
 
     def test_collapsed_draw_needs_a_contiguous_output(self):
-        t = make_daisy(4, 1)
-        gains = draw_gain_batch(2, 4, UNIT, 0)
         out = np.empty((6, 2), complex).T
         with pytest.raises(ValueError, match="C-contiguous"):
-            draw_observations(t, gains, UNIT, 1, 0, out)
+            draw_noise([(2, 0, UNIT.noise_variance)], out)
 
     def test_collapsed_draw_checks_shapes(self):
         t = make_daisy(4, 1)
         out = np.empty((2, 6), complex)
+        blocks = [(2, 0, UNIT.noise_variance)]
         with pytest.raises(ValueError, match="gain batch"):
-            draw_observations(t, draw_gain_batch(2, 5, UNIT, 0), UNIT, 1, 0,
-                              out)
-        with pytest.raises(ValueError, match="repetitions"):
-            draw_observations(t, draw_gain_batch(2, 4, UNIT, 0), UNIT, 0, 0,
-                              out)
+            add_gain_products(t, draw_gain_batch([(2, 0)], 5, UNIT), UNIT,
+                              blocks, out)
+        with pytest.raises(ValueError, match="do not cover the 2 rows"):
+            draw_noise([(1, 0, UNIT.noise_variance)], out)
+
+    def test_a_batch_draws_what_its_blocks_draw_alone(self):
+        # the sweep's blocks: 15 trials, a full 256-trial chunk and its
+        # short remainder at two grid points' variances, and a noiseless
+        # block beside them; the batch-wide draw gives each block's rows
+        # the bytes of that block drawn alone from its own seeds
+        t = random_tree(np.random.default_rng(40), 9)
+        s = ScenarioParams(line_gain=0.8 - 0.6j, noise_variance=0.3,
+                           tx_amplitude=1.5, rx_amplitude=0.7)
+        sizes, variances = (15, 256, 9, 15), (0.3 / 4, 0.02 / 4, 0.02 / 4, 0.0)
+        gain_blocks = [(size, 100 + b) for b, size in enumerate(sizes)]
+        noise_blocks = [(size, 200 + b, v)
+                        for b, (size, v) in enumerate(zip(sizes, variances))]
+        n, pairs = sum(sizes), 2 * (t.m - 1)
+        gains = draw_gain_batch(gain_blocks, t.m, s)
+        observed = np.full((n + 1, pairs), np.nan + 0j)[:n]
+        draw_noise(noise_blocks, observed)
+        add_gain_products(t, gains, s, noise_blocks, observed)
+        start = 0
+        for gain_block, noise_block in zip(gain_blocks, noise_blocks):
+            rows = slice(start, start + gain_block[0])
+            start = rows.stop
+            alone = draw_gain_batch([gain_block], t.m, s)
+            assert gains[rows].tobytes() == alone.tobytes()
+            values = np.empty((gain_block[0], pairs), complex)
+            draw_noise([noise_block], values)
+            add_gain_products(t, alone, s, [noise_block], values)
+            assert observed[rows].tobytes() == values.tobytes()
+        quiet = ScenarioParams(line_gain=s.line_gain, noise_variance=0.0,
+                               tx_amplitude=1.5, rx_amplitude=0.7)
+        for k in range(n - sizes[-1], n):
+            products = synthesize(t, RfGains(*gains[k]), quiet).values[:, 0]
+            assert observed[k].tobytes() == products.tobytes()
+
+    def test_single_draws_keep_their_bytes(self):
+        # draw_gains and synthesize, noisy and noiseless, keep their
+        # bytes, whatever the batch stages they are built on
+        s = ScenarioParams(line_gain=0.8 - 0.6j, noise_variance=0.3,
+                           tx_amplitude=1.5, rx_amplitude=0.7)
+        quiet = ScenarioParams(line_gain=s.line_gain, noise_variance=0.0,
+                               tx_amplitude=1.5, rx_amplitude=0.7)
+        t = make_daisy(9, 4)
+        g = draw_gains(9, s, 31)
+        digest = hashlib.sha256()
+        for values in (g.alpha, g.beta,
+                       synthesize(t, g, s, 3, seed=32).values,
+                       synthesize(t, g, quiet, 2, seed=33).values,
+                       synthesize(t, g, s, seed=34).values):
+            digest.update(values.tobytes())
+        assert digest.hexdigest() == (
+            "86bb5a606a48388cfe3d9be53e260590ed309b6c2b89c0f9611e9bb02f4b64d6")
 
 
 class TestSerialization:

@@ -5,11 +5,12 @@ The benchmark (`benchmarks/`) calls these names through `selfcal`,
 them where `selfcal.harness` looks them up. Its tracer skips a missing
 name without a word, so deleting or renaming one, or calling it past the
 harness namespace, would zero a per-layer span and still pass every
-other check. The sweep's stages are its batch kernels
-(`draw_gain_batch`, `draw_observations`, `ml_estimate_batch`,
-`mean_sq_errors`), each run on both of the sweep's threads; the
-observation draw is the collapsed draw, one stage from the normals to
-the observations. The single-trial calls (`draw_gains`, `synthesize`,
+other check. The sweep's stages are its batch kernels, each run on
+both of the sweep's threads, in the order a batch calls them:
+`draw_noise` (each chunk's collapsed noise), `draw_gain_batch` (each
+chunk's phases, then the gains of the whole batch), `add_gain_products`
+(the noiseless observations of the whole batch), `ml_estimate_batch`
+and `mean_sq_errors`. The single-trial calls (`draw_gains`, `synthesize`,
 `ml_estimate`, `estimation_error`) serve the CLI and tests, so
 `selfcal.harness` does not import them. Prop 2 colors one labeling of
 every rooted shape that `enumerate_shapes` yields, one shape at a time
@@ -43,8 +44,8 @@ SURFACE = {
         "sweep_rows_to_csv", "verify_star_optimality", "verify_time_bounds",
         "verify_daisy_optimality", "crlb_closed_form",
         "budgeted_average_crlb", "enumerate_shapes", "color_lines",
-        "draw_gain_batch", "draw_observations", "ml_estimate_batch",
-        "mean_sq_errors",
+        "draw_noise", "draw_gain_batch", "add_gain_products",
+        "ml_estimate_batch", "mean_sq_errors",
     ),
     crlb: ("ScenarioParams", "fisher_matrix", "crlb_numeric",
            "crlb_closed_form"),
@@ -60,8 +61,8 @@ def _sweep(budget_mode, budget_value):
 
 #: what each entry point must look up in `selfcal.harness` when it runs,
 #: so that wrapping the name there sees every call
-SWEEP_STAGES = {"draw_gain_batch", "draw_observations", "ml_estimate_batch",
-                "mean_sq_errors"}
+SWEEP_STAGES = {"draw_noise", "draw_gain_batch", "add_gain_products",
+                "ml_estimate_batch", "mean_sq_errors"}
 CALLS_THROUGH_HARNESS = {
     "sweep": (_sweep("measurements", None),
               {"crlb_closed_form"} | SWEEP_STAGES),
