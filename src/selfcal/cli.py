@@ -20,6 +20,7 @@ import numpy as np
 from .crlb import ScenarioParams
 from .errors import ConfigError
 from .estimator import (
+    check_wiring,
     estimates_to_dict,
     estimation_error,
     ml_estimate,
@@ -238,6 +239,7 @@ def _cmd_simulate(args) -> int:
     if args.input_path:
         with open(args.input_path, encoding="utf-8") as fh:
             measured = measurements_from_dict(json.load(fh))
+        check_wiring(measured, topo)  # whether estimated or echoed
     else:
         reps = 1 if args.reps is None else args.reps
         measured = synthesize(topo, gains, scenario, repetitions=reps,

@@ -7,15 +7,17 @@ its hop distance from the reference times an inverse-SNR ratio. The
 module also carries the time-budget arithmetic for repeated measurement
 rounds.
 
-The information matrix is stored as its diagonal and one coupling per
-ordered pair of wired ordinary antennas. A tree wiring's couplings form
-a forest, and the numeric route eliminates it leaf first in O(m)
-time and memory, in the order of the wiring's walk read from its
-deepest line up; it uses no hop distance. Where the entries come from
-and that order depend on the wiring alone: a `Topology` builds them
-once (`Topology.coupling_plan`), and each matrix of it then costs only
-the gathers of its gains and each solve only the elimination
-arithmetic.
+The information matrix is stored in real form, as its diagonal and one
+coupling per measurement. The phase of each complex coupling is the
+difference of two gains' phases, so a diagonal change of phases makes
+the complex matrix the real symmetric matrix of its moduli: only the
+gains' amplitudes are read. A tree wiring's couplings form a forest,
+which the numeric route eliminates leaf first in O(m) time and memory,
+in the order of the wiring's walk read from its deepest line up; it
+uses no hop distance. Which rows each measurement informs and that
+order depend on the wiring alone: a `Topology` builds them once
+(`Topology.coupling_plan`), and each matrix of it then costs one gather
+of the gain amplitudes and each solve only the elimination arithmetic.
 """
 
 from __future__ import annotations
@@ -130,20 +132,22 @@ def _signal_power(amplitude: float, line_gain: complex) -> float:
 
 @dataclass(frozen=True, eq=False)
 class FisherMatrix:
-    """Information matrix for the unknown gains of the ordinary antennas.
+    """Information matrix for the unknown gains of the ordinary antennas,
+    in real form.
 
     Rows/columns 0..n-1 (n = m-1) belong to the transmit gains of the
     ordinary antennas in ascending order and rows n..2n-1 to the receive
-    gains. A transmit gain is informed only by the receive gains of the
-    antennas wired to it, and a receive gain only by their transmit
-    gains, so no dense array is held: `diagonal` has the 2n real diagonal
-    entries, and each ordered pair (a, k) of wired ordinary antennas
-    contributes one coupling, entry (`plan.rows[e]`, `plan.cols[e]`) =
-    `couplings[e]` with row n + index of a and column index of k; its
-    mirror holds the conjugate. Everything already carries the
-    |h|^2 / sigma^2 scaling. The matrix is Hermitian by construction and
-    positive definite whenever the wiring is effective. `plan` is the
-    wiring's `Topology.coupling_plan`, shared by every matrix of it.
+    gains. `diagonal` has the 2n diagonal entries and `couplings` one
+    entry per measurement from tx to rx, |alpha_tx| |beta_rx| in
+    `Topology.directed_pairs` order, which couples the measurement's two
+    rows (`plan.rows`) when both ends are ordinary (`plan.inner`). All
+    carry the |h|^2 / sigma^2 scaling. The complex matrix holds
+    beta_rx conj(alpha_tx) there, whose phase is the difference of its
+    two rows' gain phases, so a diagonal change of phases turns it into
+    this real symmetric one, with the same eigenvalues and inverse
+    diagonal. It is positive definite whenever the wiring is effective.
+    `plan` is the wiring's `Topology.coupling_plan`, shared by every
+    matrix of it.
     """
 
     diagonal: np.ndarray
@@ -168,11 +172,30 @@ def fisher_matrix(t: Topology, gains: "RfGains",
 
     The gains must be vectors of one entry per antenna and carry the
     scenario's nominal amplitudes within a relative 1e-9; phases are
-    free. What depends on the wiring alone, the gather indices and the
-    leaf-first order, is built once per wiring (`Topology.coupling_plan`).
+    free. Each measurement adds |beta_rx|^2 to its sender's transmit row
+    and |alpha_tx|^2 to its receiver's receive row. What depends on the
+    wiring alone, those rows and the leaf-first order, is built once per
+    wiring (`Topology.coupling_plan`).
     """
     _check_gains(gains, s, t.m)
-    return _assemble_fisher(t, gains, s)
+    if s.noise_variance == 0:
+        raise ScenarioError("information matrix undefined for zero noise")
+    plan, size = t.coupling_plan, 2 * (t.m - 1)
+    tx, rx = t.pair_endpoints
+    sent, heard = np.abs(gains.alpha)[tx], np.abs(gains.beta)[rx]
+    scale = abs(s.line_gain) ** 2 / s.noise_variance
+    # entries that overflow are rejected below, by name, not warned about;
+    # row 2n collects the terms of the reference's known gains
+    with np.errstate(over="ignore", invalid="ignore"):
+        diagonal = np.bincount(plan.rows.ravel(),
+                               np.concatenate((heard ** 2, sent ** 2)),
+                               minlength=size + 1)[:size] * scale
+        couplings = scale * sent * heard
+    if not (np.isfinite(diagonal).all() and np.isfinite(couplings).all()):
+        raise ScenarioError(
+            f"information matrix entries overflow: noise variance "
+            f"{s.noise_variance!r} gives the scale |h|^2/sigma^2 = {scale!r}")
+    return FisherMatrix(diagonal, couplings, plan)
 
 
 def _check_gains(gains: "RfGains", s: ScenarioParams, m: int) -> None:
@@ -193,28 +216,6 @@ def _check_gains(gains: "RfGains", s: ScenarioParams, m: int) -> None:
                 "gain amplitudes do not match the scenario's nominal values")
 
 
-def _assemble_fisher(t: Topology, gains: "RfGains",
-                     s: ScenarioParams) -> FisherMatrix:
-    if s.noise_variance == 0:
-        raise ScenarioError("information matrix undefined for zero noise")
-    plan, n = t.coupling_plan, t.m - 1
-    alpha, beta = np.asarray(gains.alpha), np.asarray(gains.beta)
-    scale = abs(s.line_gain) ** 2 / s.noise_variance
-    # entries that overflow are rejected below, by name, not warned about
-    with np.errstate(over="ignore", invalid="ignore"):
-        diagonal = np.concatenate((
-            np.bincount(plan.at, np.abs(beta[plan.far]) ** 2, minlength=n),
-            np.bincount(plan.at, np.abs(alpha[plan.far]) ** 2,
-                        minlength=n))) * scale
-        # cross block: rx gain here times conjugate tx gain there
-        couplings = beta[plan.here] * alpha[plan.there].conj() * scale
-    if not (np.isfinite(diagonal).all() and np.isfinite(couplings).all()):
-        raise ScenarioError(
-            f"information matrix entries overflow: noise variance "
-            f"{s.noise_variance!r} gives the scale |h|^2/sigma^2 = {scale!r}")
-    return FisherMatrix(diagonal, couplings, plan)
-
-
 def crlb_numeric(j: FisherMatrix) -> tuple[np.ndarray, np.ndarray]:
     """Per-antenna bounds from the inverse information matrix diagonal.
 
@@ -226,43 +227,23 @@ def crlb_numeric(j: FisherMatrix) -> tuple[np.ndarray, np.ndarray]:
     matrix: a pivot that is not positive and finite, or the bound on the
     condition number, which can exceed the exact one severalfold.
 
-    A tree wiring's couplings form a forest, which leaf-first
-    elimination factors with no fill-in in O(m). The route is the
-    wiring's walk read from its deepest line up, built once per wiring
-    and carried as `j.plan.steps`; it uses no hop distance, so the
-    numeric bound stays a check on the closed form. A solve runs only
-    the pivots, the back-substitution and the condition check.
-    """
-    diag = _forest_inverse_diagonal(j)
-    n = j.order // 2
-    return diag[:n], diag[n:]
-
-
-def _singular() -> SingularFisherMatrix:
-    return SingularFisherMatrix(
-        f"information matrix condition number beyond {_COND_LIMIT:.0e}")
-
-
-def _forest_inverse_diagonal(j: FisherMatrix) -> np.ndarray:
-    """Diagonal of the inverse by leaf-first elimination (Takahashi,
-    Fagan & Chen, 1973).
-
-    The order is `j.plan.steps`, built once per wiring from its walk
-    read from the deepest line up; it uses no hop distance.
+    A tree wiring's couplings form a forest, which leaf-first elimination
+    (Takahashi, Fagan & Chen, 1973) factors with no fill-in in O(m), in
+    real arithmetic, in the order `j.plan.steps`: the wiring's walk read
+    from its deepest line up, built once per wiring. It uses no hop
+    distance, so the numeric bound stays a check on the closed form.
     Eliminating leaf v into its one remaining neighbour p leaves pivot
-    D_v and subtracts |J_pv|^2 / D_v from p's diagonal; roots keep their
-    pivot. Going back from the roots, Z_v = 1/D_v + |J_pv|^2/D_v^2 * Z_p.
-    With no couplings, as on a star wired at its reference, every row is a
-    root and the diagonal is 1/D, taken on the array as it stands.
-    The condition number is bounded by the largest Gershgorin row sum
-    (at least lambda_max) times trace(Z) (at least 1/lambda_min).
+    D_v and subtracts J_pv^2 / D_v from p's diagonal; roots keep their
+    pivot. Going back from the roots, Z_v = 1/D_v + J_pv^2/D_v^2 * Z_p.
+    With no couplings, as on a star wired at its reference, every row is
+    a root and the diagonal is 1/D, taken on the array as it stands. The
+    condition number is bounded by the largest Gershgorin row sum (at
+    least lambda_max) times trace(Z) (at least 1/lambda_min).
     """
-    plan = j.plan
+    plan, size = j.plan, j.order
     steps = plan.steps
-    size = j.order
-    magnitude = np.abs(j.couplings)
     if steps:
-        weight = (magnitude ** 2).tolist()
+        weight = (j.couplings ** 2).tolist()
         pivot = j.diagonal.tolist()
         # a leaf's pivot is final when it is divided by, so the check of
         # all pivots below sees every divisor; only a zero one must stop
@@ -283,13 +264,21 @@ def _forest_inverse_diagonal(j: FisherMatrix) -> np.ndarray:
         for v, p, e in reversed(steps):
             z[v] += weight[e] / (pivot[v] * pivot[v]) * z[p]
         diag = np.fromiter(z, float, size)
-    row_sums = (j.diagonal + np.bincount(plan.rows, magnitude, minlength=size)
-                + np.bincount(plan.cols, magnitude, minlength=size))
+    # `take` gathers several times faster than fancy indexing here
+    off_diagonal = j.couplings.take(plan.inner)
+    row_sums = j.diagonal + np.bincount(
+        plan.rows.take(plan.inner, axis=1).ravel(),
+        np.concatenate((off_diagonal, off_diagonal)), minlength=size)
     if not row_sums.max() * diag.sum() <= _COND_LIMIT:
         raise SingularFisherMatrix(
             "information matrix condition number bound (largest Gershgorin "
             f"row sum times trace of the inverse) beyond {_COND_LIMIT:.0e}")
-    return diag
+    return diag[:size // 2], diag[size // 2:]
+
+
+def _singular() -> SingularFisherMatrix:
+    return SingularFisherMatrix(
+        f"information matrix condition number beyond {_COND_LIMIT:.0e}")
 
 
 @dataclass(frozen=True, eq=False)

@@ -67,12 +67,7 @@ def ml_estimate(ms: MeasurementSet, t: Topology, s: ScenarioParams,
     """
     if ref_alpha == 0 or ref_beta == 0:
         raise ValueError("reference gains must be nonzero")
-    if ms.pairs != t.directed_pairs:
-        missing = sorted(set(t.directed_pairs) - set(ms.pairs))
-        extra = sorted(set(ms.pairs) - set(t.directed_pairs))
-        raise ValueError(
-            f"measurement pairs do not match the wiring: missing "
-            f"{missing}, not on any line {extra}")
+    check_wiring(ms, t)
     if not ms.values.shape[1]:
         raise ValueError("the measurement set holds no rounds")
     # overflow and NaN are raised on below, by antenna, not warned about
@@ -92,6 +87,18 @@ def ml_estimate(ms: MeasurementSet, t: Topology, s: ScenarioParams,
     picks = np.array(t.ordinary) - 1
     return GainEstimates(t.ordinary, est[0, 0, picks], est[0, 1, picks],
                          t.reference, complex(ref_alpha), complex(ref_beta))
+
+
+def check_wiring(ms: MeasurementSet, t: Topology) -> None:
+    """ValueError, naming what is missing and what is on no line, unless
+    `ms` carries exactly the measurements of `t`, in `t.directed_pairs`
+    order."""
+    if ms.pairs != t.directed_pairs:
+        missing = sorted(set(t.directed_pairs) - set(ms.pairs))
+        extra = sorted(set(ms.pairs) - set(t.directed_pairs))
+        raise ValueError(
+            f"measurement pairs do not match the wiring: missing "
+            f"{missing}, not on any line {extra}")
 
 
 def ml_estimate_batch(values: np.ndarray, t: Topology, s: ScenarioParams,

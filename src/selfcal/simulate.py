@@ -210,7 +210,8 @@ def measurements_to_dict(ms: MeasurementSet) -> dict:
 
 def measurements_from_dict(data: dict) -> MeasurementSet:
     """Inverse of `measurements_to_dict`; the (pair, repetition) grid must
-    be complete, every value finite and the sounding value nonzero."""
+    be complete with each entry listed once, every value finite and the
+    sounding value nonzero."""
     observations, repetitions, sounding = json_fields(
         data, ("observations", "repetitions", "sounding_value"),
         "a replay file", ValueError)
@@ -232,6 +233,9 @@ def measurements_from_dict(data: dict) -> MeasurementSet:
         if not (is_integer(tx) and is_integer(rx) and is_integer(r)):
             raise ValueError(
                 f"observation keys must be integers, got {[tx, rx, r]!r}")
+        if (tx, rx, r) in table:
+            raise ValueError(
+                f"observation {tx}->{rx} repetition {r} listed twice")
         table[(tx, rx, r)] = _finite_complex(
             [re_, im_], f"observation {tx}->{rx} repetition {r}")
     pairs = tuple(sorted({(tx, rx) for tx, rx, _ in table}))

@@ -74,24 +74,21 @@ class CouplingPlan:
 
     Rows 0..n-1 of that matrix (n = m-1) belong to the transmit gains of
     the ordinary antennas, ascending (`Topology.ordinary`), and rows
-    n..2n-1 to their receive gains. Over both directions of every line
-    that leaves an ordinary antenna, `at` is that antenna's index among
-    the ordinary ones and `far` the zero-based antenna at the other end:
-    the gains at `far` sum into the diagonal at `at`. Over the walk's
-    lines between two ordinary antennas, deepest first, each line (p, c)
-    gives two couplings: the receive gain at `here` and the transmit
-    gain at `there` (both zero-based), first at p and c, then at c and
-    p, fill the coupling (`rows[e]`, `cols[e]`). `steps[e]` eliminates
-    coupling e as (the child's row, the parent's row, e): every deeper
-    line is eliminated before it, so the child's row is then a leaf.
+    n..2n-1 to their receive gains. Measurement e, in `directed_pairs`
+    order, informs two rows: its sender's transmit row `rows[0, e]` and
+    its receiver's receive row `rows[1, e]`, each 2n where that end is
+    the reference, whose gains are known. It adds to the diagonal at
+    both, and when both ends are ordinary (the measurements `inner`)
+    it couples the two. `steps` eliminates the couplings leaf first, as
+    (leaf row, into row, measurement), over the walk's lines between two
+    ordinary antennas, deepest first: each line (p, c) by its measurement
+    c->p, whose leaf is c's transmit row, then by p->c, whose leaf is c's
+    receive row. Every deeper line is eliminated before it, so the
+    child's row is then a leaf.
     """
 
-    at: np.ndarray
-    far: np.ndarray
-    here: np.ndarray
-    there: np.ndarray
     rows: np.ndarray
-    cols: np.ndarray
+    inner: np.ndarray
     steps: tuple[tuple[int, int, int], ...]
 
 
@@ -221,31 +218,26 @@ class Topology:
 
     @cached_property
     def coupling_plan(self) -> CouplingPlan:
-        """The information matrix's gather indices and leaf-first order."""
-        m, reference = self.m, self.reference
-        n = m - 1
-        # index of antenna k among the ordinary ones (none at the reference)
-        index = np.arange(m + 1) - 1
-        index[reference + 1:] -= 1
-        lines = np.array(self.edges, dtype=np.intp)
-        # both directions of every line: the antenna here, the one wired to it
-        here = np.concatenate((lines[:, 0], lines[:, 1]))
-        there = np.concatenate((lines[:, 1], lines[:, 0]))
-        own = here != reference
-        at, far = index[here[own]], there[own] - 1
-        # the lines below the reference's own, deepest first, each as
-        # (p, c) then (c, p)
-        below = np.array([line for level in reversed(self.levels[1:])
-                          for line in level], dtype=np.intp).reshape(-1, 2)
-        here, there = below.ravel(), below[:, ::-1].ravel()
-        rows, cols = n + index[here], index[there]
-        # the child's row: its transmit row, then its receive row
-        leaf, into = cols.copy(), rows.copy()
-        leaf[1::2], into[1::2] = rows[1::2], cols[1::2]
-        arrays = [_read_only(a) for a in (at, far, here - 1, there - 1, rows,
-                                          cols)]
-        return CouplingPlan(*arrays, tuple(zip(
-            leaf.tolist(), into.tolist(), range(len(leaf)))))
+        """The information matrix's rows per measurement and leaf-first
+        order."""
+        n, reference = self.m - 1, self.reference - 1
+        # each antenna's transmit row: its index among the ordinary ones
+        transmit = np.arange(self.m)
+        transmit[reference:] -= 1
+        receive = transmit + n
+        transmit[reference] = receive[reference] = 2 * n
+        tx, rx = self.pair_endpoints
+        rows = np.stack((transmit[tx], receive[rx]))
+        inner = np.flatnonzero((tx != reference) & (rx != reference))
+        sender, receiver = rows.tolist()
+        measurement = {pair: e for e, pair in enumerate(self.directed_pairs)}
+        steps = []
+        for level in reversed(self.levels[1:]):
+            for p, c in level:
+                up, down = measurement[(c, p)], measurement[(p, c)]
+                steps += [(sender[up], receiver[up], up),
+                          (receiver[down], sender[down], down)]
+        return CouplingPlan(_read_only(rows), _read_only(inner), tuple(steps))
 
     @cached_property
     def distances(self) -> tuple[int, ...]:

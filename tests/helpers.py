@@ -219,24 +219,26 @@ def eigh_inverse_diagonal(entries):
 
 
 def dense_entries(j):
-    """The dense 2n x 2n matrix that a `FisherMatrix` stores as its
-    diagonal and one coupling per ordered pair of wired antennas."""
-    dense = np.diag(j.diagonal.astype(complex))
-    rows, cols = j.plan.rows, j.plan.cols
-    dense[rows, cols] = j.couplings
-    dense[cols, rows] = j.couplings.conj()
+    """The dense real symmetric 2n x 2n matrix that a `FisherMatrix`
+    stores as its diagonal and one coupling per measurement, placed at
+    the two rows of each measurement in `plan.inner` and their mirror."""
+    dense = np.diag(j.diagonal)
+    inner = j.plan.inner
+    tx, rx = j.plan.rows[:, inner]
+    dense[rx, tx] = dense[tx, rx] = j.couplings[inner]
     return dense
 
 
-def check_leaf_first(steps, rows, cols):
-    """Assert that `steps`, (leaf, into, coupling) triples, take apart
-    the forest whose coupling e joins rows `rows[e]` and `cols[e]` leaf
-    first: every coupling once, along its own ends, and no row met again
-    once eliminated, so each leaf has no other coupling left."""
-    assert sorted(e for *_, e in steps) == list(range(len(rows)))
+def check_leaf_first(steps, rows, inner):
+    """Assert that `steps`, (leaf, into, measurement) triples, take apart
+    the forest in which each measurement e of `inner` joins its rows
+    `rows[0, e]` and `rows[1, e]` leaf first: every such measurement
+    once, along its own rows, and no row met again once eliminated, so
+    each leaf has no other coupling left."""
+    assert sorted(e for *_, e in steps) == sorted(np.asarray(inner).tolist())
     eliminated = set()
     for v, p, e in steps:
-        assert {v, p} == {int(rows[e]), int(cols[e])}
+        assert {v, p} == {int(rows[0, e]), int(rows[1, e])}
         assert v not in eliminated and p not in eliminated
         eliminated.add(v)
 

@@ -138,6 +138,26 @@ class TestSimulateCommand:
         assert "--in" in err and "--reps" in err
         assert main(args + ["--in", str(dump), "--estimate"]) == 0
 
+    def test_replay_of_another_wiring_rejected(self, tmp_path, capsys):
+        # a file recorded on a star replayed on the chain: echoing it
+        # and estimating from it fail alike, on the same check
+        dump = tmp_path / "star.json"
+        assert main(["simulate", "--topology", "star", "--m", "4", "--ref",
+                     "1", "--seed", "5", "--out", str(dump)]) == 0
+        args = ["simulate", "--topology", "daisy", "--m", "4", "--ref", "1",
+                "--seed", "5", "--in", str(dump)]
+        errors = []
+        for extra in ([], ["--estimate"]):
+            capsys.readouterr()
+            assert main(args + extra) == 2
+            out, err = capsys.readouterr()
+            assert out == ""
+            errors.append(err)
+        assert errors[0] == errors[1] == (
+            "selfcal: measurement pairs do not match the wiring: missing "
+            "[(2, 3), (3, 2), (3, 4), (4, 3)], not on any line "
+            "[(1, 3), (1, 4), (3, 1), (4, 1)]\n")
+
     def test_estimate_errors_reported(self, capsys):
         code = main(["simulate", "--topology", "star", "--m", "5", "--ref", "1",
                      "--noise-var", "0", "--seed", "1", "--estimate"])
@@ -178,6 +198,14 @@ class TestReplayHardening:
         code, out, err = self.replay(tmp_path, dump, capsys)
         assert code == 2 and out == ""
         assert "not on any line [(1, 3), (3, 1)]" in err
+
+    def test_repeated_observation_rejected(self, tmp_path, dump, capsys):
+        tx, rx, r, *_ = dump["observations"][0]
+        dump["observations"].append([tx, rx, r, 123.0, 0.0])
+        code, out, err = self.replay(tmp_path, dump, capsys)
+        assert code == 2 and out == ""
+        assert err == (f"selfcal: observation {tx}->{rx} repetition {r} "
+                       "listed twice\n")
 
     @pytest.mark.parametrize("field", ["observation", "sounding_value"])
     def test_non_finite_values_rejected(self, tmp_path, dump, capsys, field):

@@ -50,14 +50,16 @@ def unit_gains(m):
     return RfGains(np.ones(m, dtype=complex), np.ones(m, dtype=complex))
 
 
-def hand_made(diagonal, rows, cols, couplings, steps):
-    """A matrix given by its entries rather than a wiring: its plan holds
-    the couplings' places and their elimination order, leaf first, and
-    no gathers."""
-    check_leaf_first(steps, rows, cols)
-    none = np.empty(0, dtype=np.intp)
-    plan = CouplingPlan(none, none, none, none, rows, cols, steps)
-    return crlb.FisherMatrix(diagonal, couplings, plan)
+def hand_made(diagonal, measured, couplings, steps):
+    """A matrix given by its entries rather than a wiring: each coupling
+    is a measurement between two ordinary ends, given as its (transmit
+    row, receive row), and the plan holds those rows and the elimination
+    order, leaf first."""
+    rows = np.array(measured, dtype=np.intp).reshape(-1, 2).T
+    inner = np.arange(len(measured))
+    check_leaf_first(steps, rows, inner)
+    plan = CouplingPlan(rows, inner, steps)
+    return crlb.FisherMatrix(diagonal, np.asarray(couplings, float), plan)
 
 
 #: what `crlb_numeric` says when a pivot, or the condition number bound,
@@ -139,16 +141,35 @@ class TestFisherMatrix:
     @settings(max_examples=40, deadline=None, database=None)
     @given(t=trees(), seed=st.integers(0, 2**32 - 1))
     def test_equals_loop_assembly(self, t, seed):
-        # the diagonals are summed in another order: a few ulps apart
+        # the real form holds the moduli of the complex entries; the
+        # diagonals are summed in another order: a few ulps apart
         rng = np.random.default_rng(seed)
         s = random_scenario(rng)
         g = random_gains(rng, t.m, s)
         j = fisher_matrix(t, g, s)
         assert j.order == 2 * len(t.ordinary)
         np.testing.assert_allclose(
-            dense_entries(j), loop_fisher_entries(t.m, t.reference, t.edges,
-                                                  g, s),
+            dense_entries(j), np.abs(loop_fisher_entries(
+                t.m, t.reference, t.edges, g, s)),
             rtol=1e-14, atol=0)
+
+    @settings(max_examples=40, deadline=None, database=None)
+    @given(t=trees(), seed=st.integers(0, 2**32 - 1))
+    def test_real_form_has_the_complex_eigenvalues(self, t, seed):
+        # each complex coupling's phase is the difference of its two
+        # rows' gain phases, so a diagonal change of phases turns it into
+        # its modulus, and dropping the phases keeps the matrix similar
+        # to the complex one; `eigvalsh` is accurate to a few ulps of the
+        # largest eigenvalue, which is why the smallest eigenvalues of a
+        # 20-antenna chain need an absolute tolerance beside rtol 1e-12
+        rng = np.random.default_rng(seed)
+        s = random_scenario(rng)
+        g = random_gains(rng, t.m, s)
+        want = np.linalg.eigvalsh(loop_fisher_entries(t.m, t.reference,
+                                                      t.edges, g, s))
+        np.testing.assert_allclose(
+            np.linalg.eigvalsh(dense_entries(fisher_matrix(t, g, s))), want,
+            rtol=1e-12, atol=1e-13 * want[-1])
 
     def test_amplitude_check(self):
         g = RfGains(2 * np.ones(3, dtype=complex), np.ones(3, dtype=complex))
@@ -203,7 +224,7 @@ class TestFisherMatrix:
         j = fisher_matrix(t, unit_gains(6), UNIT)
         assert j.plan is t.coupling_plan
         assert fisher_matrix(t, unit_gains(6), UNIT).plan is j.plan
-        for shared in (j.plan.rows, j.plan.cols):
+        for shared in (j.plan.rows, j.plan.inner):
             with pytest.raises(ValueError, match="read-only"):
                 shared[0] = 0
 
@@ -240,7 +261,7 @@ class TestNumericCrlb:
         s = random_scenario(np.random.default_rng(m))
         gains = random_gains(np.random.default_rng(reference), m, s)
         j = fisher_matrix(make_star(m, reference), gains, s)
-        assert j.plan.steps == () and j.couplings.size == 0
+        assert j.plan.steps == () and j.plan.inner.size == 0
         alpha, beta = crlb_numeric(j)
         assert np.concatenate((alpha, beta)).tobytes() == (
             1.0 / j.diagonal).tobytes()
@@ -250,17 +271,13 @@ class TestNumericCrlb:
         # without couplings the pivots are the diagonal, checked as such
         diagonal = np.ones(6)
         diagonal[4] = bad
-        none = np.empty(0, dtype=np.intp)
-        j = hand_made(diagonal, none, none, np.empty(0, dtype=complex),
-                      steps=())
+        j = hand_made(diagonal, [], [], steps=())
         with pytest.raises(SingularFisherMatrix, match=PIVOT_REJECTED):
             crlb_numeric(j)
 
     def test_star_condition_checked(self):
         # pivots 1 and 1e-13: the bound 1 * (2 + 1e13) passes 1e12
-        none = np.empty(0, dtype=np.intp)
-        j = hand_made(np.array([1.0, 1e-13]), none, none,
-                      np.empty(0, dtype=complex), steps=())
+        j = hand_made(np.array([1.0, 1e-13]), [], [], steps=())
         with pytest.raises(SingularFisherMatrix, match=BOUND_REJECTED):
             crlb_numeric(j)
 
@@ -352,19 +369,18 @@ class TestNumericCrlb:
         # the matrix of lines (1,2) and (3,4) at reference 1, in the
         # assembly's arithmetic: antennas 3 and 4 are wired to each other
         # only, so their 2x2 blocks are singular, but rounding may leave a
-        # pivot near 1e-16 (seeds 3 and 6), which only the condition bound
+        # pivot near 1e-16 (seed 0), which only the condition bound
         # catches; each receive row is eliminated into its transmit row
         rng = np.random.default_rng(seed)
         s = random_scenario(rng)
         g = random_gains(rng, 4, s)
         scale = abs(s.line_gain) ** 2 / s.noise_variance
         far = np.array([0, 3, 2])  # each of antennas 2, 3, 4's one line
-        rows, cols = np.array([4, 5]), np.array([2, 1])
         j = hand_made(
             diagonal=np.concatenate((np.abs(g.beta[far]) ** 2,
                                      np.abs(g.alpha[far]) ** 2)) * scale,
-            rows=rows, cols=cols,
-            couplings=g.beta[[2, 3]] * g.alpha[[3, 2]].conj() * scale,
+            measured=[(2, 4), (1, 5)],  # 4 -> 3, then 3 -> 4
+            couplings=scale * np.abs(g.alpha[[3, 2]]) * np.abs(g.beta[[2, 3]]),
             steps=((5, 1, 1), (4, 2, 0)))
         with pytest.raises(SingularFisherMatrix):
             crlb_numeric(j)
@@ -373,9 +389,8 @@ class TestNumericCrlb:
         # eliminating 1 into 2 leaves pivot 1 - 1/1 = 0 at 2, which is
         # eliminated next; the matrix is indefinite
         j = hand_made(
-            diagonal=np.array([5.0, 1.0, 1.0, 1.0]), rows=np.array([2, 2]),
-            cols=np.array([0, 1]), couplings=np.ones(2, dtype=complex),
-            steps=((1, 2, 1), (2, 0, 0)))
+            diagonal=np.array([5.0, 1.0, 1.0, 1.0]), measured=[(0, 2), (1, 2)],
+            couplings=np.ones(2), steps=((1, 2, 1), (2, 0, 0)))
         with pytest.raises(SingularFisherMatrix):
             crlb_numeric(j)
 
@@ -390,8 +405,9 @@ class TestNumericCrlb:
         lower = np.nonzero(entries[4:, :4])
         rows, cols = lower[0] + 4, lower[1]
         j = hand_made(
-            diagonal=entries.diagonal().real.copy(), rows=rows, cols=cols,
-            couplings=entries[rows, cols],
+            diagonal=entries.diagonal().real.copy(),
+            measured=list(zip(cols, rows)),
+            couplings=np.abs(entries[rows, cols]),
             steps=((7, 2, 3), (2, 5, 0), (3, 6, 2), (6, 1, 1)))
         assert len(j.plan.steps) == len(rows) == 4
         with pytest.raises(SingularFisherMatrix):
@@ -413,16 +429,16 @@ class TestNumericCrlb:
     def test_any_forest_eliminated_exactly(self, couples, steps):
         # the elimination reads only the couplings' forest and its steps,
         # whether or not a tree wiring made them: a diagonally dominant
-        # matrix on each forest inverts to the dense oracle's diagonal
+        # matrix on each forest inverts to the dense oracle's diagonal;
+        # each couple is (receive row, transmit row)
         rng = np.random.default_rng(len(couples))
         rows = np.array([r for r, _ in couples], dtype=np.intp)
         cols = np.array([c for _, c in couples], dtype=np.intp)
-        couplings = (rng.standard_normal(len(couples))
-                     + 1j * rng.standard_normal(len(couples)))
-        magnitude = np.abs(couplings)
+        magnitude = np.abs(rng.standard_normal(len(couples))
+                           + 1j * rng.standard_normal(len(couples)))
         diagonal = (1.0 + np.bincount(rows, magnitude, minlength=8)
                     + np.bincount(cols, magnitude, minlength=8))
-        j = hand_made(diagonal, rows, cols, couplings, steps)
+        j = hand_made(diagonal, list(zip(cols, rows)), magnitude, steps)
         alpha, beta = crlb_numeric(j)
         np.testing.assert_allclose(np.concatenate((alpha, beta)),
                                    eigh_inverse_diagonal(dense_entries(j)),

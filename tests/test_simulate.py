@@ -324,6 +324,22 @@ class TestSerialization:
         with pytest.raises(ValueError):
             measurements_from_dict(data)
 
+    @pytest.mark.parametrize("value", [123.0, None], ids=["other", "same"])
+    def test_repeated_observation_rejected(self, value):
+        # a later row must not silently replace an earlier one, whether
+        # or not it holds the same value
+        t = make_daisy(3, 1)
+        data = measurements_to_dict(synthesize(t, draw_gains(3, UNIT, 2),
+                                               UNIT, seed=1))
+        first = list(data["observations"][0])
+        if value is not None:
+            first[3:] = [value, 0.0]
+        data["observations"].append(first)
+        tx, rx, r = first[:3]
+        with pytest.raises(ValueError, match=(
+                rf"^observation {tx}->{rx} repetition {r} listed twice$")):
+            measurements_from_dict(data)
+
     @pytest.mark.parametrize("field, value", [
         ("observation", [float("nan"), 0.0]),
         ("observation", [0.0, float("inf")]),

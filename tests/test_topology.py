@@ -215,9 +215,8 @@ class TestSharedWirings:
             index for level in plan.levels
             for index in (level.parents, level.children)
             if isinstance(index, np.ndarray)] + [
-            index for index in (couplings.at, couplings.far, couplings.here,
-                                couplings.there, couplings.rows,
-                                couplings.cols) if index.size]
+            index for index in (couplings.rows, couplings.inner)
+            if index.size]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = a[0] + 1
@@ -229,7 +228,7 @@ class TestSharedWirings:
         # forest apart leaf first: a child's rows are leaves once every
         # deeper line is eliminated
         plan = t.coupling_plan
-        check_leaf_first(plan.steps, plan.rows, plan.cols)
+        check_leaf_first(plan.steps, plan.rows, plan.inner)
 
 
 class TestDegreeAndChains:
