@@ -177,12 +177,12 @@ def fisher_matrix(t: Topology, gains: "RfGains",
     wiring alone, those rows and the leaf-first order, is built once per
     wiring (`Topology.coupling_plan`).
     """
-    _check_gains(gains, s, t.m)
+    alpha_amplitudes, beta_amplitudes = _check_gains(gains, s, t.m)
     if s.noise_variance == 0:
         raise ScenarioError("information matrix undefined for zero noise")
     plan, size = t.coupling_plan, 2 * (t.m - 1)
     tx, rx = t.pair_endpoints
-    sent, heard = np.abs(gains.alpha)[tx], np.abs(gains.beta)[rx]
+    sent, heard = alpha_amplitudes[tx], beta_amplitudes[rx]
     scale = abs(s.line_gain) ** 2 / s.noise_variance
     # entries that overflow are rejected below, by name, not warned about;
     # row 2n collects the terms of the reference's known gains
@@ -198,8 +198,11 @@ def fisher_matrix(t: Topology, gains: "RfGains",
     return FisherMatrix(diagonal, couplings, plan)
 
 
-def _check_gains(gains: "RfGains", s: ScenarioParams, m: int) -> None:
-    """ValueError unless both gain vectors have shape (m,), then
+def _check_gains(gains: "RfGains", s: ScenarioParams,
+                 m: int) -> list[np.ndarray]:
+    """The transmit and receive amplitudes, |alpha| and |beta|.
+
+    ValueError unless both gain vectors have shape (m,), then
     AmplitudeMismatch unless every amplitude is within a relative
     `_AMPLITUDE_RTOL` of the scenario's (what `np.allclose` with
     atol=0 accepts, in one comparison per vector)."""
@@ -209,11 +212,14 @@ def _check_gains(gains: "RfGains", s: ScenarioParams, m: int) -> None:
         if np.shape(values) != (m,):
             raise ValueError(f"{side} gains have shape {np.shape(values)}, "
                              f"wiring needs ({m},)")
+    amplitudes = []
     for _, values, amplitude in sides:
-        if not (abs(np.abs(values) - amplitude)
+        amplitudes.append(np.abs(values))
+        if not (abs(amplitudes[-1] - amplitude)
                 <= _AMPLITUDE_RTOL * amplitude).all():
             raise AmplitudeMismatch(
                 "gain amplitudes do not match the scenario's nominal values")
+    return amplitudes
 
 
 def crlb_numeric(j: FisherMatrix) -> tuple[np.ndarray, np.ndarray]:
@@ -409,6 +415,7 @@ def _distance_report(t: Topology, s: ScenarioParams, repetitions: int,
     # d / I is correctly rounded, hence equal to float(Fraction(d, I))
     factors = t.distance_array / repetitions
     mean_factor = float(t.mean_distance / repetitions)
+    _check_resolved(s, repetitions)
     return CrlbReport(
         antennas=t.ordinary,
         distances=t.distances,
@@ -423,6 +430,27 @@ def _distance_report(t: Topology, s: ScenarioParams, repetitions: int,
         remainder_seconds=remainder,
         collection_time=collection_time,
     )
+
+
+def _check_resolved(s: ScenarioParams, repetitions: int) -> None:
+    """BudgetError, naming the SNR and the round count, when the noise
+    is positive but the noise variance of one of `repetitions` rounds,
+    or a bound, underflows to 0: a zero would be stated as the bound,
+    and rows drawn at zero variance would be noiseless. The least bound
+    is an antenna's one hop from the reference, which every wiring has:
+    1 / repetitions times rho_a or rho_b, as `_distance_report` rounds
+    it; rounding keeps order, so no farther antenna or average is less.
+    """
+    factor = 1 / repetitions
+    if s.noise_variance == 0 or min(s.noise_variance / repetitions,
+                                    factor * s.rho_a,
+                                    factor * s.rho_b) > 0:
+        return
+    signal = _signal_power(s.tx_amplitude * s.rx_amplitude, s.line_gain)
+    raise BudgetError(
+        f"SNR {10 * math.log10(signal / s.noise_variance):g} dB over "
+        f"{repetitions:g} rounds gives a bound or a per-round noise "
+        "variance that underflows to 0")
 
 
 def _chain_hop_total(m: int, f: int) -> int:

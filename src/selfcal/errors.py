@@ -71,7 +71,9 @@ class SingularFisherMatrix(ValueError):
 
 
 class BudgetError(ValueError):
-    """Time budget too small for even one collection round."""
+    """Time budget too small for even one collection round, or a budget
+    and SNR under which a bound or a round's noise variance underflows
+    to zero."""
 
 
 class DivisionHazard(ArithmeticError):

@@ -133,15 +133,13 @@ def ml_estimate_batch(values: np.ndarray, t: Topology, s: ScenarioParams,
         work = np.empty(work_size(t.m, n), dtype=complex)
     # antenna-major work arrays holding (alpha, beta) per antenna, so a
     # level reads and writes whole rows; each measurement is used once,
-    # so reorder them to (back, out) per line, in contiguous blocks per
-    # level, and take the line gain out up front. The reordered rows pass
-    # through the front of `work` ("clip" keeps np.take from buffering,
-    # and every index is in range), which the estimates take over once
-    # the rows are stored transposed behind it.
-    gathered = work[:values.size].reshape(values.shape)
-    np.take(values, plan.order, axis=1, out=gathered, mode="clip")
+    # so gather them behind the estimates, ordered (back, out) per line
+    # in contiguous blocks per level, trials along the last axis ("clip"
+    # keeps np.take from buffering, and every index is in range), and
+    # take the line gain out up front
     measured = work[2 * t.m * n:][:values.size].reshape(t.m - 1, 2, n)
-    measured[...] = gathered.T.reshape(measured.shape)
+    np.take(values.T, plan.order, axis=0,
+            out=measured.reshape(values.shape[::-1]), mode="clip")
     work = work[:2 * t.m * n].reshape(t.m, 2, n)
     measured *= 1 / complex(s.line_gain)
     work[t.reference - 1] = ref_alpha, ref_beta

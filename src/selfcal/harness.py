@@ -40,6 +40,7 @@ import numpy as np
 from .crlb import (
     ScenarioParams,
     _chain_hop_total,
+    _check_resolved,
     budgeted_average_crlb,
     crlb_closed_form,
     daisy_vs_star_ratio,
@@ -231,12 +232,15 @@ def run_snr_sweep(cfg: ExperimentConfig,
     Each grid point takes the scenario's noise variance at its SNR
     (`ScenarioParams.at_snr`). The rounds the budget allows and the mean
     distance are worked out once per sweep, and each point scales them by
-    its rho with the float steps of `crlb_closed_form`. Every trial draws
-    fresh gains and the collapsed observation of those rounds (the mean
-    of I rounds as one draw, see `draw_noise`), estimates, and scores
-    against the truth. Trials the estimator flags as division
-    hazards are counted in `hazard_rate` and excluded from the error
-    averages; rates above 1% are logged as flagged rows.
+    its rho with the float steps of `crlb_closed_form`. A point at which
+    a bound of its `crlb_closed_form` report or the noise variance of a
+    round underflows to 0 raises BudgetError before anything is drawn.
+    Every trial draws fresh gains and the collapsed observation of those
+    rounds (the mean of I rounds as one draw, see `draw_noise`),
+    estimates, and scores against the truth.
+    Trials the estimator flags as division hazards are counted in
+    `hazard_rate` and excluded from the error averages; rates above 1%
+    are logged as flagged rows.
 
     Seeding: the trials of a grid point run in consecutive chunks of a
     fixed size (`_CHUNK`; the last chunk holds the rest). Chunk c of grid
@@ -259,8 +263,9 @@ def run_snr_sweep(cfg: ExperimentConfig,
     observation buffers and a scratch area for each thread that runs
     batches (see below). Each chunk draws its normals and its phases
     straight into its rows of the buffers and the scratch, and every
-    later stage runs once over the batch's rows; the draws, the
-    estimator and the score keep their work arrays in the scratch area.
+    later stage runs once over the batch's rows; the draws and the
+    estimator keep their work arrays in the scratch area, and the score
+    its magnitudes in the observation rows the estimator has consumed.
 
     Batches run on two threads: the calling thread and one helper
     thread per process each take the next batch not yet taken, draw its
@@ -285,14 +290,16 @@ def run_snr_sweep(cfg: ExperimentConfig,
     bound = _budget_report(topo, scenarios[0], cfg.budget_mode,
                            cfg.budget_value)
     mean_factor = float(bound.mean_distance / bound.repetitions)
+    for s in scenarios:
+        _check_resolved(s, bound.repetitions)
     m, pairs = topo.m, 2 * (topo.m - 1)
     batches = _plan_batches(cfg, m)
     capacity = max(batch[-1].rows.stop for batch in batches)
-    # per thread: gain and observation rows, and scratch for a batch's
-    # phases, then its gain products and gathered transmit gains, then
-    # its estimator work arrays, the largest of the three, whose
-    # consumed measurements take the score's magnitudes; the helper's
-    # set only when there is a batch for it. One block, not
+    # per thread: gain and observation rows, the observation rows taking
+    # the score's magnitudes once the walk has consumed them, and scratch
+    # for a batch's phases, then its gain products and gathered transmit
+    # gains, then its estimator work arrays, the largest of the three;
+    # the helper's set only when there is a batch for it. One block, not
     # several: glibc raises its mmap and trim thresholds to the largest
     # block it has freed, so the next call's buffers and temporaries stay
     # in a heap it neither trims nor faults in again.
@@ -447,9 +454,9 @@ def _run_batch(batch: list[_Chunk], rows: _Rows, topo: Topology,
     batch, and last the batch's gain products (`add_gain_products`). The
     transform, the products and the estimator read only the line gain and
     amplitudes, which every grid point shares, and work in the scratch;
-    the score takes the gain rows, which it no longer needs, and the
-    scratch behind the estimates. Each chunk gives its (grid index, error
-    sum over its sound trials, flagged trial count).
+    the score takes the gain rows and the observation rows, which the
+    walk has consumed, as its own scratch. Each chunk gives its (grid
+    index, error sum over its sound trials, flagged trial count).
     """
     gains, observed, scratch = rows
     m, ref = topo.m, topo.reference - 1
@@ -464,15 +471,14 @@ def _run_batch(batch: list[_Chunk], rows: _Rows, topo: Topology,
     draw_noise(noise_blocks, observed[:n])
     draw_gain_batch(gain_blocks, m, scenarios[0], out=gains[:n],
                     phases=scratch.view(float)[:n * 2 * m].reshape(n, 2, m))
-    add_gain_products(topo, gains[:n], scenarios[0], noise_blocks,
-                      observed[:n], scratch)
+    add_gain_products(topo, gains[:n], scenarios[0], observed[:n], scratch)
     est, hazard_at = ml_estimate_batch(observed[:n], topo, scenarios[0],
                                        gains[:n, 0, ref], gains[:n, 1, ref],
                                        scratch)
     # flagged rows may score inf or NaN; they are masked out
     with np.errstate(over="ignore", invalid="ignore"):
         errors = mean_sq_errors(est, gains[:n],
-                                scratch[est.size:].view(float))
+                                observed[:n].reshape(-1).view(float))
     sound = hazard_at == 0
     return [(chunk.grid_index,
              errors[chunk.rows][sound[chunk.rows]].sum(axis=0),

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import groupby
 
 import numpy as np
 
@@ -101,17 +100,16 @@ def synthesize(t: Topology, gains: RfGains, s: ScenarioParams,
     The full observation table is a pure function of (topology, gains,
     scenario, repetitions, seed): a batch of one trial in one block,
     whose every round is one sounding, takes its noise (`draw_noise`)
-    and then its gain products (`add_gain_products`), each in one pass
-    over the canonical pair order, so results do not depend on how the
-    set is later consumed.
+    and then adds its gain products to every round
+    (`add_gain_products`), each in one pass over the canonical pair
+    order, so results do not depend on how the set is later consumed.
     """
     if repetitions < 1:
         raise ValueError(f"repetitions must be >= 1, got {repetitions}")
     batch = np.stack((gains.alpha, gains.beta))[None]
     values = np.empty((1, len(t.directed_pairs), repetitions), dtype=complex)
-    blocks = [(1, seed, s.noise_variance)]
-    draw_noise(blocks, values)
-    add_gain_products(t, batch, s, blocks, values)
+    draw_noise([(1, seed, s.noise_variance)], values)
+    add_gain_products(t, batch, s, values)
     return MeasurementSet(t.directed_pairs, values[0])
 
 
@@ -125,8 +123,10 @@ def draw_noise(blocks, out: np.ndarray) -> np.ndarray:
     complex Gaussians of that variance: their real and imaginary parts
     take standard normals from the stream of its seed, which serves
     nothing else, consecutively in memory order, real part first, scaled
-    in place. A block of zero variance draws nothing and leaves its rows
-    to `add_gain_products`. Returns `out`.
+    in place. A block of zero variance draws nothing and fills its rows
+    with -0.0 in both parts, the additive identity: adding the gain
+    products to it (`add_gain_products`) gives them bit for bit, signed
+    zeros included. Returns `out`.
 
     The sweep's rows are collapsed observations, each standing for the
     mean of I rounds: that mean is the noiseless value plus one such
@@ -145,20 +145,23 @@ def draw_noise(blocks, out: np.ndarray) -> np.ndarray:
             np.random.default_rng(seed).standard_normal(
                 out=rows.view(np.float64))
             rows *= math.sqrt(variance / 2)
+        else:
+            # both parts: a complex -0.0 has the imaginary part +0.0
+            rows.view(np.float64).fill(-0.0)
     return out
 
 
 def add_gain_products(t: Topology, gains: np.ndarray, s: ScenarioParams,
-                      blocks, out: np.ndarray,
+                      out: np.ndarray,
                       scratch: np.ndarray | None = None) -> np.ndarray:
     """Add each trial's noiseless observations to its noise in `out`.
 
-    `gains` is a (trials, 2, m) batch as from `draw_gain_batch`; `out`
-    holds its noise as `draw_noise` drew it for the same `blocks`, pairs
-    in `t.directed_pairs` order. Every trial's gain products (rx gain *
-    line gain * tx gain, the sounding signal being 1), one pass over the
-    batch, are added to each of its rounds; the rows of zero-variance
-    blocks get the products themselves, exactly. Returns `out`.
+    `gains` is a (trials, 2, m) batch as from `draw_gain_batch`; `out`,
+    (trials, 2(m-1)) or (trials, 2(m-1), rounds), holds its noise as
+    `draw_noise` drew it, pairs in `t.directed_pairs` order. Every
+    trial's gain products (rx gain * line gain * tx gain, the sounding
+    signal being 1), one pass over the batch, are added to each of its
+    rounds in place. Returns `out`.
 
     `scratch`, at least 2 * trials * 2(m-1) complex elements, holds the
     products and the gathered transmit gains on their way when given; it
@@ -179,17 +182,9 @@ def add_gain_products(t: Topology, gains: np.ndarray, s: ScenarioParams,
     noiseless *= s.line_gain
     np.take(gains[:, 0], tx, axis=1, out=tx_gains, mode="clip")
     noiseless *= tx_gains
-    if out.ndim == 3:
-        noiseless = noiseless[..., None]  # the same for every round
-    # one step per run of blocks that are all noisy or all noiseless
-    start = 0
-    for noisy, run in groupby(blocks, key=lambda block: block[2] > 0):
-        rows = slice(start, start + sum(trials for trials, _, _ in run))
-        start = rows.stop
-        if noisy:
-            out[rows] += noiseless[rows]
-        else:
-            out[rows] = noiseless[rows]
+    # transposed, any round axis of `out` leads, and the products
+    # broadcast over it
+    np.add(out.T, noiseless.T, out=out.T)
     return out
 
 

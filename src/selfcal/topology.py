@@ -416,14 +416,18 @@ def schedule_violations(t: Topology, schedule: Schedule) -> list[str]:
     every line direction not scheduled exactly once (in `directed_pairs`
     order), and every measurement on no line, in order of first use.
     Ends are read as plain ints, so a label outside 1..m, however large,
-    is a measurement on no line. Raises ValueError at the first
-    measurement that is not a pair of integers (bools are not).
+    is a measurement on no line. Raises ValueError, naming the index of
+    the first slot that is not a tuple or list of measurements, or at the
+    first measurement that is not a pair of integers (bools are not).
     """
     expected = 2 * t.max_degree
     problems = ([] if len(schedule.slots) == expected else
                 [f"{len(schedule.slots)} slots, expected {expected}"])
     counts: dict[Edge, int] = {}
     for k, slot in enumerate(schedule.slots):
+        if not isinstance(slot, tuple | list):
+            raise ValueError(f"slot {k} is not a tuple or list of "
+                             f"measurements, got {slot!r}")
         busy: set[int] = set()
         for pair in slot:
             if not (isinstance(pair, tuple | list) and len(pair) == 2

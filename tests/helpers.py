@@ -208,7 +208,7 @@ def collapsed_draw(t, gains, s, repetitions, seed):
     scratch = np.full(size + 3, np.nan + 0j)
     blocks = [(trials, seed, s.noise_variance / repetitions)]
     draw_noise(blocks, observed)
-    return add_gain_products(t, gains, s, blocks, observed, scratch[:size])
+    return add_gain_products(t, gains, s, observed, scratch[:size])
 
 
 def eigh_inverse_diagonal(entries):

@@ -68,6 +68,17 @@ class TestCrlbCommand:
         rows = capsys.readouterr().out.splitlines()[1:]
         assert [row.split(",")[2:6] for row in rows] == [["0.0"] * 4] * 3
 
+    def test_underflowing_bound_rejected(self, capsys):
+        # 2.5e307 rounds at 300 dB take every bound below the smallest
+        # float: a 0.0 would be printed as the bound
+        code = main(["crlb", "--topology", "daisy", "--m", "5", "--ref", "3",
+                     "--snr-db", "300", "--budget", "time:1e308"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == ("selfcal: SNR 300 dB over 2.5e+307 rounds gives a "
+                       "bound or a per-round noise variance that underflows "
+                       "to 0\n")
+
 
 class TestScheduleCommand:
     def test_schedule_json(self, tmp_path):
@@ -519,6 +530,18 @@ class TestSweepCommand:
             trials=7, master_seed=2))
         assert json.loads(capsys.readouterr().out) == json.loads(
             sweep_rows_to_json(rows))
+
+    def test_underflowing_bound_rejected(self, capsys):
+        # at a per-round noise variance of 0 the rows would be noiseless,
+        # and their rounding error would seem to beat a bound of 0.0
+        code = main(["sweep", "--topology", "daisy", "--m", "5", "--ref", "3",
+                     "--snr", "300", "--budget", "time:1e308",
+                     "--trials", "3"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == ("selfcal: SNR 300 dB over 2.5e+307 rounds gives a "
+                       "bound or a per-round noise variance that underflows "
+                       "to 0\n")
 
     def test_rerun_byte_identical(self, tmp_path):
         args = ["sweep", "--topology", "star", "--m", "5", "--ref", "1",

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 import pytest
@@ -552,6 +553,25 @@ class TestTimeBudget:
     def test_budget_too_small(self):
         with pytest.raises(BudgetError):
             repetition_budget(3.0, 4.0)
+
+    @pytest.mark.parametrize("budget, scenario, rounds", [
+        (1e308, ScenarioParams(noise_variance=1e-30), "2.5e+307"),
+        (None, ScenarioParams(noise_variance=1e-320, rx_amplitude=1e10),
+         "1"),
+    ], ids=["many-rounds", "one-round"])
+    def test_bound_underflowing_to_zero_rejected(self, budget, scenario,
+                                                 rounds):
+        # a positive noise variance must not give a bound of 0.0; zero
+        # noise still gives the exact zero bounds
+        t = make_daisy(5, 3)
+        report = (partial(budgeted_average_crlb, budget_seconds=budget)
+                  if budget else crlb_closed_form)
+        with pytest.raises(BudgetError) as raised:
+            report(t, scenario)
+        assert f" over {rounds} rounds gives a bound " in str(raised.value)
+        quiet = ScenarioParams(noise_variance=0.0,
+                               rx_amplitude=scenario.rx_amplitude)
+        assert report(t, quiet).average_alpha == 0.0
 
     def test_collection_time_must_be_positive(self):
         with pytest.raises(ValueError, match="collection time must be positive"):

@@ -33,7 +33,7 @@ from selfcal import (
     verify_time_bounds,
 )
 from selfcal import crlb, harness
-from selfcal.errors import ConfigError
+from selfcal.errors import BudgetError, ConfigError
 from selfcal.harness import _CHUNK
 
 from helpers import (
@@ -522,6 +522,23 @@ class TestSweep:
             assert row.trials == 400
             rho = 10.0 ** (-row.snr_db / 10.0)
             assert row.avg_crlb_alpha == float(Fraction(9, 10)) * rho
+
+    def test_an_underflowing_grid_point_raises_before_drawing(
+            self, monkeypatch):
+        # 2.5e299 rounds leave the bounds at 0 dB positive, and take those
+        # at 300 dB and the noise variance of a round there to 0.0
+        def drawn(*args, **kwargs):
+            raise AssertionError("a sweep that raises draws nothing")
+
+        monkeypatch.setattr(harness, "draw_noise", drawn)
+        monkeypatch.setattr(harness, "draw_gain_batch", drawn)
+        cfg = ExperimentConfig(m=5, reference=3, topology_kind="daisy",
+                               snr_grid_db=(0.0, 300.0), trials=3,
+                               budget_mode="time", budget_value=1e300)
+        with pytest.raises(BudgetError, match=(
+                r"^SNR 300 dB over 2\.5e\+299 rounds gives a bound or a "
+                r"per-round noise variance that underflows to 0$")):
+            run_snr_sweep(cfg)
 
     def test_mse_tracks_bound_at_high_snr(self):
         rows = run_snr_sweep(self.CFG)

@@ -206,7 +206,7 @@ class TestBatchDraws:
         out = np.empty((trials, pairs), complex)
         blocks = [(trials, seed + 1, s.noise_variance / 3)]
         assert draw_noise(blocks, out) is out
-        assert add_gain_products(t, gains, s, blocks, out) is out
+        assert add_gain_products(t, gains, s, out) is out
         assert np.array_equal(collapsed_draw(t, gains, s, 3, seed + 1), out)
 
     def test_collapsed_draw_needs_a_contiguous_output(self):
@@ -217,10 +217,9 @@ class TestBatchDraws:
     def test_collapsed_draw_checks_shapes(self):
         t = make_daisy(4, 1)
         out = np.empty((2, 6), complex)
-        blocks = [(2, 0, UNIT.noise_variance)]
         with pytest.raises(ValueError, match="gain batch"):
             add_gain_products(t, draw_gain_batch([(2, 0)], 5, UNIT), UNIT,
-                              blocks, out)
+                              out)
         with pytest.raises(ValueError, match="do not cover the 2 rows"):
             draw_noise([(1, 0, UNIT.noise_variance)], out)
 
@@ -240,7 +239,7 @@ class TestBatchDraws:
         gains = draw_gain_batch(gain_blocks, t.m, s)
         observed = np.full((n + 1, pairs), np.nan + 0j)[:n]
         draw_noise(noise_blocks, observed)
-        add_gain_products(t, gains, s, noise_blocks, observed)
+        add_gain_products(t, gains, s, observed)
         start = 0
         for gain_block, noise_block in zip(gain_blocks, noise_blocks):
             rows = slice(start, start + gain_block[0])
@@ -249,7 +248,7 @@ class TestBatchDraws:
             assert gains[rows].tobytes() == alone.tobytes()
             values = np.empty((gain_block[0], pairs), complex)
             draw_noise([noise_block], values)
-            add_gain_products(t, alone, s, [noise_block], values)
+            add_gain_products(t, alone, s, values)
             assert observed[rows].tobytes() == values.tobytes()
         quiet = ScenarioParams(line_gain=s.line_gain, noise_variance=0.0,
                                tx_amplitude=1.5, rx_amplitude=0.7)
@@ -274,6 +273,37 @@ class TestBatchDraws:
             digest.update(values.tobytes())
         assert digest.hexdigest() == (
             "86bb5a606a48388cfe3d9be53e260590ed309b6c2b89c0f9611e9bb02f4b64d6")
+
+    def test_noiseless_rounds_keep_signed_zeros(self):
+        # gains -1 give every product 1 - 0j; a noiseless round's noise is
+        # -0.0, the additive identity, so each round keeps the -0.0
+        t = make_daisy(5, 2)
+        gains = RfGains(np.full(5, -1 + 0j), np.full(5, -1 + 0j))
+        values = synthesize(t, gains, NOISELESS, 2).values
+        assert values.shape == (8, 2)
+        assert (values.real == 1).all()
+        assert np.signbit(values.imag).all()
+
+    @pytest.mark.parametrize("rounds", [(), (3,)], ids=["2-D", "rounds"])
+    def test_products_add_into_a_non_contiguous_output(self, rounds):
+        # all but the last column of a wider buffer, whose rows no
+        # reshape can merge, gets what a contiguous array gets: the sum
+        # is written through the view, not into a copy
+        t = random_tree(np.random.default_rng(41), 6)
+        s = ScenarioParams(line_gain=0.8 - 0.6j, noise_variance=0.3,
+                           tx_amplitude=1.5, rx_amplitude=0.7)
+        gains = draw_gain_batch([(4, 42)], t.m, s)
+        shape = (4, 2 * (t.m - 1)) + rounds
+        noise = np.random.default_rng(43).standard_normal(
+            shape + (2,)).view(complex)[..., 0]
+        expected = add_gain_products(t, gains, s, noise.copy())
+        wide = np.full((4, shape[1] + 1) + rounds, np.nan + 0j)
+        out = wide[:, :-1]
+        out[...] = noise
+        assert not out.flags.c_contiguous
+        assert add_gain_products(t, gains, s, out) is out
+        assert wide[:, :-1].tobytes() == expected.tobytes()
+        assert np.isnan(wide[:, -1]).all()
 
 
 class TestSerialization:

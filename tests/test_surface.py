@@ -27,9 +27,14 @@ does not wrap them yet: the verify and sweep functions look them up in
 Every other module-level name has a caller in `src/` too, or is public
 API, so no helper is kept alive by tests alone. A wiring's facts are
 `Topology` properties, so no module-level function only hands one on.
+numpy is the only runtime dependency: every import in `src/` is of the
+standard library, numpy or the package itself, and numpy is the one
+dependency `pyproject.toml` declares.
 """
 
 import ast
+import re
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -169,3 +174,30 @@ def test_no_module_function_only_reads_an_attribute():
     wrappers = [f"{module}.{stmt.name}" for module, stmt in
                 _module_statements() if _hands_on_an_attribute(stmt)]
     assert wrappers == []
+
+
+def test_every_import_is_stdlib_numpy_or_the_package():
+    # imports inside functions count too, as `concurrent.futures` in
+    # the sweep helper
+    allowed = set(sys.stdlib_module_names) | {"numpy", "selfcal"}
+    outside = []
+    for module, stmt in _module_statements():
+        for node in ast.walk(stmt):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:  # not an import, or a relative one of the package
+                continue
+            outside += [f"{module}: {name}" for name in names
+                        if name.partition(".")[0] not in allowed]
+    assert outside == []
+
+
+def test_numpy_is_the_only_declared_dependency():
+    tomllib = pytest.importorskip("tomllib")  # Python 3.11 on
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        dependencies = tomllib.load(fh)["project"]["dependencies"]
+    assert [re.match(r"[A-Za-z0-9._-]+", spec).group()
+            for spec in dependencies] == ["numpy"]

@@ -290,6 +290,19 @@ class TestSchedule:
                            match=re.escape(f"measurement {pair!r} is not")):
             schedule_violations(make_daisy(3, 1), Schedule(((pair,),), 1.0))
 
+    @pytest.mark.parametrize("slot", [5, None, {(1, 2)}],
+                             ids=["int", "none", "set"])
+    def test_rejects_a_slot_not_a_sequence(self, slot):
+        # a slot of measurements, not a bare value: ValueError naming the
+        # slot, not the TypeError of iterating it
+        t = make_daisy(3, 1)
+        slots = measurement_schedule(t, 1.0).slots
+        with pytest.raises(ValueError, match=re.escape(
+                f"slot 1 is not a tuple or list of measurements, "
+                f"got {slot!r}")):
+            schedule_violations(t, Schedule((slots[0], slot) + slots[2:],
+                                            1.0))
+
     def test_accepts_numpy_integers(self):
         t = make_daisy(3, 1)
         slots = tuple(tuple((np.int64(a), np.int64(b)) for a, b in slot)
