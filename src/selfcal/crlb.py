@@ -415,7 +415,7 @@ def _distance_report(t: Topology, s: ScenarioParams, repetitions: int,
     # d / I is correctly rounded, hence equal to float(Fraction(d, I))
     factors = t.distance_array / repetitions
     mean_factor = float(t.mean_distance / repetitions)
-    _check_resolved(s, repetitions)
+    _check_resolved(t, s, repetitions)
     return CrlbReport(
         antennas=t.ordinary,
         distances=t.distances,
@@ -432,25 +432,34 @@ def _distance_report(t: Topology, s: ScenarioParams, repetitions: int,
     )
 
 
-def _check_resolved(s: ScenarioParams, repetitions: int) -> None:
+def _check_resolved(t: Topology, s: ScenarioParams,
+                    repetitions: int) -> None:
     """BudgetError, naming the SNR and the round count, when the noise
     is positive but the noise variance of one of `repetitions` rounds,
-    or a bound, underflows to 0: a zero would be stated as the bound,
-    and rows drawn at zero variance would be noiseless. The least bound
-    is an antenna's one hop from the reference, which every wiring has:
-    1 / repetitions times rho_a or rho_b, as `_distance_report` rounds
-    it; rounding keeps order, so no farther antenna or average is less.
+    or a bound, underflows to 0, or when a bound overflows: a zero or an
+    inf would be stated as the bound, and rows drawn at zero variance
+    would be noiseless. The least bound is an antenna's one hop from the
+    reference, which every wiring has: 1 / repetitions times rho_a or
+    rho_b, as `_distance_report` rounds it. The largest is the farthest
+    antenna's, as many hops away as `t` has levels, times the larger
+    rho. Rounding keeps order, so no other antenna or average lies
+    outside the two.
     """
-    factor = 1 / repetitions
-    if s.noise_variance == 0 or min(s.noise_variance / repetitions,
-                                    factor * s.rho_a,
-                                    factor * s.rho_b) > 0:
+    if s.noise_variance == 0:
         return
+    if min(s.noise_variance / repetitions, 1 / repetitions * s.rho_a,
+           1 / repetitions * s.rho_b) > 0:
+        if math.isfinite(len(t.levels) / repetitions
+                         * max(s.rho_a, s.rho_b)):
+            return
+        problem = "a bound that overflows"
+    else:
+        problem = ("a bound or a per-round noise variance that underflows "
+                   "to 0")
     signal = _signal_power(s.tx_amplitude * s.rx_amplitude, s.line_gain)
     raise BudgetError(
         f"SNR {10 * math.log10(signal / s.noise_variance):g} dB over "
-        f"{repetitions:g} rounds gives a bound or a per-round noise "
-        "variance that underflows to 0")
+        f"{repetitions:g} rounds gives {problem}")
 
 
 def _chain_hop_total(m: int, f: int) -> int:

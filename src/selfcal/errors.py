@@ -73,7 +73,7 @@ class SingularFisherMatrix(ValueError):
 class BudgetError(ValueError):
     """Time budget too small for even one collection round, or a budget
     and SNR under which a bound or a round's noise variance underflows
-    to zero."""
+    to zero, or a bound overflows."""
 
 
 class DivisionHazard(ArithmeticError):

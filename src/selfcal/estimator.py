@@ -113,8 +113,12 @@ def ml_estimate_batch(values: np.ndarray, t: Topology, s: ScenarioParams,
     p to a child q, the receive gain of q is the measurement received at
     q over h * alpha_p, and the transmit gain of q the measurement
     received at p over beta_p * h; every line of a level is solved for
-    every trial at once. Traversal order does not change the result, but
-    a fixed one keeps failures reproducible.
+    every trial at once. Each level's measurements form one contiguous
+    block, divided in place by its parents' pairs, each pair held in the
+    order that `t.propagation_plan` sets by depth so that no divisor is
+    reversed; one gather then writes every antenna's gains into its row.
+    Traversal order does not change the result, but a fixed one keeps
+    failures reproducible.
 
     Returns (estimates, hazard_at). `estimates` is a (trials, 2, m) array
     laid out like `draw_gain_batch`, with the reference gains copied in.
@@ -131,27 +135,30 @@ def ml_estimate_batch(values: np.ndarray, t: Topology, s: ScenarioParams,
     n = len(values)
     if work is None:
         work = np.empty(work_size(t.m, n), dtype=complex)
-    # antenna-major work arrays holding (alpha, beta) per antenna, so a
-    # level reads and writes whole rows; each measurement is used once,
-    # so gather them behind the estimates, ordered (back, out) per line
-    # in contiguous blocks per level, trials along the last axis ("clip"
-    # keeps np.take from buffering, and every index is in range), and
-    # take the line gain out up front
-    measured = work[2 * t.m * n:][:values.size].reshape(t.m - 1, 2, n)
+    # antenna-major (m, 2, trials) estimates, and behind them the walk's
+    # m pairs, trials along the last axis: the reference's gains, then
+    # each line's two measurements, gathered in the plan's order so that
+    # each level is one contiguous block ("clip" keeps np.take from
+    # buffering, and every index is in range), the line gain taken out
+    # up front
+    pairs = work[2 * t.m * n:4 * t.m * n].reshape(t.m, 2, n)
+    measured = pairs[1:]
     np.take(values.T, plan.order, axis=0,
             out=measured.reshape(values.shape[::-1]), mode="clip")
-    work = work[:2 * t.m * n].reshape(t.m, 2, n)
     measured *= 1 / complex(s.line_gain)
-    work[t.reference - 1] = ref_alpha, ref_beta
+    pairs[0] = ref_alpha, ref_beta
     # a hazardous row may divide by zero; it is masked, not raised
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         for level in plan.levels:
-            # (alpha, beta) of a child = (back / beta, out / alpha) of its
-            # parent: one division per level, the parent's pair reversed,
-            # written over the measurements it consumes
-            quotient = measured[level.lines]
-            np.divide(quotient, work[level.parents, ::-1], out=quotient)
-            work[level.children] = quotient
+            # (back, out) over a parent's (beta, alpha) gives the child's
+            # (alpha, beta), and (out, back) over (alpha, beta) gives
+            # (beta, alpha): one division per level, in place
+            quotient = pairs[level.lines]
+            np.divide(quotient, pairs[level.divisor], out=quotient)
+    # one gather puts every antenna's gains in its row, (alpha, beta)
+    work = work[:2 * t.m * n].reshape(t.m, 2, n)
+    np.take(pairs.reshape(2 * t.m, n), plan.gather, axis=0,
+            out=work.reshape(2 * t.m, n), mode="clip")
     # every divisor is final once written, so checking them all afterwards
     # flags exactly the trials the walk would have stopped on. The
     # measurements are consumed by now: their area takes the magnitudes
@@ -160,7 +167,7 @@ def ml_estimate_batch(values: np.ndarray, t: Topology, s: ScenarioParams,
     floors = _HAZARD_FLOOR * np.array([[s.tx_amplitude], [s.rx_amplitude]])
     first, last = plan.parents.min(), plan.parents.max() + 1
     hull = work[first:last]
-    magnitudes = np.abs(hull, out=measured.reshape(-1).view(float)[
+    magnitudes = np.abs(hull, out=pairs.reshape(-1).view(float)[
         :hull.size].reshape(hull.shape))
     low = magnitudes < floors
     low = np.logical_or(low[:, 0], low[:, 1])[plan.parents - first]
@@ -174,10 +181,11 @@ def ml_estimate_batch(values: np.ndarray, t: Topology, s: ScenarioParams,
 def work_size(m: int, trials: int) -> int:
     """Complex elements `ml_estimate_batch` works in for `trials` trials
     of an m-antenna wiring: the (m, 2, trials) estimates and, behind
-    them, the 2(m-1) measurements per trial, whose area then holds the
+    them, the walk's m pairs per trial (the reference's gains and the
+    2(m-1) measurements, divided in place), whose area then holds the
     hazard check's magnitudes (at most 2m floats per trial) and is free
     once the call returns."""
-    return 2 * (2 * m - 1) * trials
+    return 4 * m * trials
 
 
 def mean_sq_errors(est: np.ndarray, truth: np.ndarray,

@@ -234,7 +234,8 @@ def run_snr_sweep(cfg: ExperimentConfig,
     distance are worked out once per sweep, and each point scales them by
     its rho with the float steps of `crlb_closed_form`. A point at which
     a bound of its `crlb_closed_form` report or the noise variance of a
-    round underflows to 0 raises BudgetError before anything is drawn.
+    round underflows to 0, or a bound overflows, raises BudgetError
+    before anything is drawn.
     Every trial draws fresh gains and the collapsed observation of those
     rounds (the mean of I rounds as one draw, see `draw_noise`),
     estimates, and scores against the truth.
@@ -291,7 +292,7 @@ def run_snr_sweep(cfg: ExperimentConfig,
                            cfg.budget_value)
     mean_factor = float(bound.mean_distance / bound.repetitions)
     for s in scenarios:
-        _check_resolved(s, bound.repetitions)
+        _check_resolved(topo, s, bound.repetitions)
     m, pairs = topo.m, 2 * (topo.m - 1)
     batches = _plan_batches(cfg, m)
     capacity = max(batch[-1].rows.stop for batch in batches)

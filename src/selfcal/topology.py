@@ -40,31 +40,39 @@ ENUMERATION_CAP = 8
 class PropagationLevel:
     """The lines from antennas at hop distance d to those at d+1.
 
-    `parents` and `children` select zero-based antenna indices in
-    breadth-first edge order: a slice where the indices are evenly spaced
-    (a one-antenna slice stands for a repeated parent and broadcasts),
-    else an index array. `lines` selects these lines, in the same order,
-    in the plan's reordered measurements.
+    `lines` is their contiguous block among the plan's line pairs, in
+    breadth-first order. `divisor` selects, in the same order, the pair
+    of each line's parent: in the previous level's block, or pair 0, the
+    reference's, for the first level. It is a slice where those
+    positions are evenly spaced (a one-pair slice stands for a repeated
+    parent and broadcasts), else an index array.
     """
 
-    parents: slice | np.ndarray
-    children: slice | np.ndarray
     lines: slice
+    divisor: slice | np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
 class PropagationPlan:
-    """Breadth-first levels from the reference.
+    """Breadth-first levels from the reference, laid out so that every
+    level divides its own block of measurements in place.
 
-    `order` lists rows of `Topology.directed_pairs` two per rooted line,
-    child-to-parent then parent-to-child, lines in breadth-first order,
-    so that each level's measurements form one contiguous block;
-    `parents` holds every antenna with children (zero-based), in the
-    order a walk first divides by it.
+    The walk works in m pairs: pair 0 holds the reference's gains
+    (alpha, beta) and pair i > 0 the two measurements of the i-th rooted
+    line in breadth-first order, which its parent's pair turns into its
+    child's gains. An antenna at even depth ends up stored (alpha, beta)
+    and one at odd depth (beta, alpha), so no divisor is ever reversed:
+    `order` lists rows of `Topology.directed_pairs` two per line,
+    parent-to-child then child-to-parent under a parent at even depth,
+    the other way round under one at odd depth. `gather` lists, for
+    antenna 0's alpha and beta, then antenna 1's and so on, its row
+    among the 2m rows of the pairs. `parents` holds every antenna with
+    children (zero-based), in the order a walk first divides by it.
     """
 
     levels: tuple[PropagationLevel, ...]
     order: np.ndarray
+    gather: np.ndarray
     parents: np.ndarray
 
 
@@ -199,21 +207,29 @@ class Topology:
 
     @cached_property
     def propagation_plan(self) -> PropagationPlan:
-        """The walk's levels as index arrays."""
+        """The walk's levels as blocks of pairs, and where each antenna's
+        gains end up among them."""
         row = {pair: i for i, pair in enumerate(self.directed_pairs)}
+        place = {self.reference: 0}  # by label: the pair holding its gains
+        gather = [0] * (2 * self.m)
+        gather[2 * self.reference - 1] = 1
         levels = []
         order: list[int] = []
-        for level in self.levels:
-            start = len(order) // 2
+        for depth, level in enumerate(self.levels, 1):
+            start = len(place)
+            odd = depth % 2  # the children's pairs come out (beta, alpha)
             for p, c in level:
-                order += [row[(c, p)], row[(p, c)]]
+                out, back = row[(p, c)], row[(c, p)]
+                order += [out, back] if odd else [back, out]
+                place[c] = i = len(place)
+                gather[2 * c - 2:2 * c] = 2 * i + odd, 2 * i + 1 - odd
             levels.append(PropagationLevel(
-                parents=_index_or_slice([p - 1 for p, _ in level]),
-                children=_index_or_slice([c - 1 for _, c in level]),
-                lines=slice(start, start + len(level))))
+                lines=slice(start, len(place)),
+                divisor=_index_or_slice([place[p] for p, _ in level])))
         parents = np.array(list(dict.fromkeys(
             p - 1 for level in self.levels for p, _ in level)))
         return PropagationPlan(tuple(levels), _read_only(np.array(order)),
+                               _read_only(np.array(gather)),
                                _read_only(parents))
 
     @cached_property

@@ -211,6 +211,25 @@ def collapsed_draw(t, gains, s, repetitions, seed):
     return add_gain_products(t, gains, s, observed, scratch[:size])
 
 
+def walked_estimates(values, t, s, ref_alpha, ref_beta):
+    """The estimates of `ml_estimate_batch`, one rooted line at a time:
+    each line's two measurements, over the line gain as the kernel takes
+    it out, divided by its parent's known gains with `np.divide`, in
+    `t.levels` order. Returns the (trials, 2, m) batch."""
+    measured = values * (1 / complex(s.line_gain))
+    column = {pair: e for e, pair in enumerate(t.directed_pairs)}
+    known = {t.reference: (ref_alpha, ref_beta)}
+    for level in t.levels:
+        for p, c in level:
+            alpha, beta = known[p]
+            known[c] = (np.divide(measured[:, column[(c, p)]], beta),
+                        np.divide(measured[:, column[(p, c)]], alpha))
+    est = np.empty((len(values), 2, t.m), dtype=complex)
+    for k, (alpha, beta) in known.items():
+        est[:, 0, k - 1], est[:, 1, k - 1] = alpha, beta
+    return est
+
+
 def eigh_inverse_diagonal(entries):
     """Diagonal of a Hermitian matrix's inverse by dense `eigh`: the test
     oracle for the numeric bound's leaf-first elimination."""

@@ -79,6 +79,19 @@ class TestCrlbCommand:
                        "bound or a per-round noise variance that underflows "
                        "to 0\n")
 
+    def test_overflowing_bound_rejected(self, capsys):
+        # the farthest of 128 hops times rho = 1e307 exceeds the largest
+        # float: inf would be printed as its bound, after an overflow
+        # warning
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["crlb", "--topology", "daisy", "--m", "129",
+                         "--ref", "1", "--noise-var", "1e307"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and caught == []
+        assert err == ("selfcal: SNR -3070 dB over 1 rounds gives a bound "
+                       "that overflows\n")
+
 
 class TestScheduleCommand:
     def test_schedule_json(self, tmp_path):
@@ -542,6 +555,18 @@ class TestSweepCommand:
         assert err == ("selfcal: SNR 300 dB over 2.5e+307 rounds gives a "
                        "bound or a per-round noise variance that underflows "
                        "to 0\n")
+
+    def test_overflowing_bound_rejected(self, capsys):
+        # the farthest antenna's bound would be inf, and the rows scored
+        # beside it inf as well
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code = main(["sweep", "--topology", "daisy", "--m", "129",
+                         "--ref", "1", "--snr", "-3070", "--trials", "2"])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and caught == []
+        assert err == ("selfcal: SNR -3070 dB over 1 rounds gives a bound "
+                       "that overflows\n")
 
     def test_rerun_byte_identical(self, tmp_path):
         args = ["sweep", "--topology", "star", "--m", "5", "--ref", "1",

@@ -20,7 +20,14 @@ from selfcal.errors import DivisionHazard
 from selfcal.estimator import mean_sq_errors, ml_estimate_batch, work_size
 from selfcal.simulate import draw_gain_batch
 
-from helpers import collapsed_draw, random_gains, random_scenario, random_tree
+from helpers import (
+    collapsed_draw,
+    random_gains,
+    random_scenario,
+    random_tree,
+    trees,
+    walked_estimates,
+)
 
 UNIT = ScenarioParams()
 NOISELESS = ScenarioParams(noise_variance=0.0)
@@ -98,7 +105,7 @@ class TestMlEstimate:
     def test_noiseless_exact_recovery_on_sliced_plans(self, t):
         # evenly spaced levels are propagated through slices, not arrays
         plan = t.propagation_plan
-        assert all(isinstance(level.parents, slice) for level in plan.levels)
+        assert all(isinstance(level.divisor, slice) for level in plan.levels)
         rng = np.random.default_rng(t.m * 10 + t.reference)
         s = random_scenario(rng, allow_zero_noise=True)
         g = random_gains(rng, t.m, s)
@@ -156,6 +163,38 @@ class TestMlEstimate:
         estimate(t, damped(1e-6), NOISELESS, g)
         with pytest.raises(DivisionHazard, match="antenna 2 "):
             estimate(t, damped(1e-12), NOISELESS, g)
+
+    @pytest.mark.parametrize("victim", [4, 5], ids=["odd", "even"])
+    def test_hazard_reads_each_side_against_its_own_floor(self, victim):
+        # on the chain from antenna 1, depth = label - 1. With transmit
+        # amplitude 4 and receive amplitude 0.25 the floors are 4e-9 and
+        # 2.5e-10, and 1e-9 lies between them: the victim's transmit gain
+        # at 1e-9 crosses its floor, while the receive gain of the
+        # antenna two hops up (and, as that damping carries on down the
+        # chain, the victim's own) at 1e-9 does not. With the floors
+        # swapped the antenna two hops up would be named instead
+        t = make_daisy(8, 1)
+        s = ScenarioParams(line_gain=0.8 - 0.6j, tx_amplitude=4.0,
+                           rx_amplitude=0.25, noise_variance=0.0)
+        gains = draw_gain_batch([(3, 9)], 8, s)
+        tx, rx = t.pair_endpoints
+        values = gains[:, 0, tx] * s.line_gain * gains[:, 1, rx]
+        decoy = victim - 2
+        values[1, t.directed_pairs.index((decoy - 1, decoy))] *= 4e-9
+        values[1, t.directed_pairs.index((victim, victim - 1))] *= 2.5e-10
+        est, hazard_at = ml_estimate_batch(values, t, s, gains[:, 0, 0],
+                                           gains[:, 1, 0])
+        assert abs(est[1, 1, decoy - 1]) == pytest.approx(1e-9)
+        assert abs(est[1, 0, victim - 1]) == pytest.approx(1e-9)
+        assert hazard_at.tolist() == [0, victim, 0]
+        for k, named in enumerate(hazard_at):
+            ms = MeasurementSet(t.directed_pairs, values[k][:, None])
+            if not named:
+                ml_estimate(ms, t, s, gains[k, 0, 0], gains[k, 1, 0])
+                continue
+            with pytest.raises(DivisionHazard,
+                               match=f"^estimate at antenna {victim} fell"):
+                ml_estimate(ms, t, s, gains[k, 0, 0], gains[k, 1, 0])
 
     def test_star_mse_matches_bound(self):
         # single-division estimator: unbiased, error variance rho_b exactly
@@ -276,6 +315,33 @@ class TestBatchKernel:
                                        rtol=1e-12, atol=0)
             np.testing.assert_allclose(est[k, 1, picks], single.beta_hat,
                                        rtol=1e-12, atol=0)
+
+    @settings(max_examples=60, deadline=None, database=None)
+    @given(t=trees(max_m=20), seed=st.integers(0, 2**32 - 1),
+           trials=st.integers(1, 6),
+           amplitudes=st.tuples(st.sampled_from([0.25, 0.5, 1.0, 3.0]),
+                                st.sampled_from([0.125, 0.75, 2.0, 4.0])))
+    def test_rows_equal_the_walk_oracle_bit_for_bit(self, t, seed, trials,
+                                                    amplitudes):
+        # whatever order the kernel keeps its pairs in, each estimate is
+        # numpy's division of the same two operands as one line at a time
+        rng = np.random.default_rng(seed)
+        s = ScenarioParams(line_gain=complex(*rng.uniform(0.5, 2.0, 2)),
+                           noise_variance=float(rng.uniform(0.01, 1.0)),
+                           tx_amplitude=amplitudes[0],
+                           rx_amplitude=amplitudes[1])
+        gains = draw_gain_batch([(trials, seed)], t.m, s)
+        values = collapsed_draw(t, gains, s, 2, seed + 1)
+        ref = t.reference - 1
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            est, _ = ml_estimate_batch(values, t, s, gains[:, 0, ref],
+                                       gains[:, 1, ref])
+            expected = walked_estimates(values, t, s, gains[:, 0, ref],
+                                        gains[:, 1, ref])
+        # bytes in C order, the real and imaginary parts of every float
+        assert est.shape == expected.shape
+        assert est.tobytes() == expected.tobytes()
 
     def test_scores_match_estimation_error(self):
         rng = np.random.default_rng(42)

@@ -792,8 +792,8 @@ class TestSweepBytes:
         first = _csv(cfg)
         t = make_star(9, 4)
         plan = t.propagation_plan
-        for a in (*t.pair_endpoints, plan.order, plan.parents,
-                  plan.levels[0].children):
+        for a in (*t.pair_endpoints, plan.order, plan.gather,
+                  plan.parents):
             with pytest.raises(ValueError, match="read-only"):
                 a[0] = a[-1]
         assert _csv(cfg) == first

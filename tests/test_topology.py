@@ -204,17 +204,19 @@ class TestSharedWirings:
         with pytest.raises(TypeError):
             make_daisy(5.0, 1)
 
-    # the chain's levels are all slices; the star's children and the
-    # branched tree's parents are index arrays
-    @pytest.mark.parametrize("t", [make_star(9, 4), make_daisy(9, 4), SEVEN],
-                             ids=["star", "chain", "branched"])
+    # the star's, the chain's and the branched tree's divisors are all
+    # slices; a parent with two children among three lines on a level
+    # makes the last wiring's second divisor an index array
+    @pytest.mark.parametrize("t", [make_star(9, 4), make_daisy(9, 4), SEVEN,
+                                   from_edges(7, 1, [(1, 2), (1, 3), (2, 4),
+                                                     (2, 5), (3, 6), (6, 7)])],
+                             ids=["star", "chain", "branched", "uneven"])
     def test_cached_arrays_are_read_only(self, t):
         plan, couplings = t.propagation_plan, t.coupling_plan
-        arrays = [*t.pair_endpoints, plan.order, plan.parents,
+        arrays = [*t.pair_endpoints, plan.order, plan.gather, plan.parents,
                   t.distance_array] + [
-            index for level in plan.levels
-            for index in (level.parents, level.children)
-            if isinstance(index, np.ndarray)] + [
+            level.divisor for level in plan.levels
+            if isinstance(level.divisor, np.ndarray)] + [
             index for index in (couplings.rows, couplings.inner)
             if index.size]
         for a in arrays:
