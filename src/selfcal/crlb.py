@@ -16,8 +16,13 @@ which the numeric route eliminates leaf first in O(m) time and memory,
 in the order of the wiring's walk read from its deepest line up; it
 uses no hop distance. Which rows each measurement informs and that
 order depend on the wiring alone: a `Topology` builds them once
-(`Topology.coupling_plan`), and each matrix of it then costs one gather
-of the gain amplitudes and each solve only the elimination arithmetic.
+(`Topology.coupling_plan`), together with where each measurement's two
+gain amplitudes sit and the rows and couplings of the Gershgorin row
+sums that bound the condition number (`CouplingPlan.gershgorin_rows`,
+`CouplingPlan.gershgorin_couplings`). Each matrix of the wiring then
+costs one gather of the gain amplitudes and one `bincount` for its
+diagonal, and each solve the elimination arithmetic, one gather of the
+couplings and one `bincount` for the row sums.
 """
 
 from __future__ import annotations
@@ -174,49 +179,51 @@ def fisher_matrix(t: Topology, gains: "RfGains",
     scenario's nominal amplitudes within a relative 1e-9; phases are
     free. Each measurement adds |beta_rx|^2 to its sender's transmit row
     and |alpha_tx|^2 to its receiver's receive row. What depends on the
-    wiring alone, those rows and the leaf-first order, is built once per
-    wiring (`Topology.coupling_plan`).
+    wiring alone, those rows, where the two amplitudes sit and the
+    leaf-first order, is built once per wiring (`Topology.coupling_plan`).
     """
-    alpha_amplitudes, beta_amplitudes = _check_gains(gains, s, t.m)
+    amplitudes = _check_gains(gains, s, t.m)
     if s.noise_variance == 0:
         raise ScenarioError("information matrix undefined for zero noise")
     plan, size = t.coupling_plan, 2 * (t.m - 1)
-    tx, rx = t.pair_endpoints
-    sent, heard = alpha_amplitudes[tx], beta_amplitudes[rx]
+    # row 0: each measurement's receive amplitude, row 1: its transmit one
+    ends = amplitudes[plan.ends]
     scale = abs(s.line_gain) ** 2 / s.noise_variance
     # entries that overflow are rejected below, by name, not warned about;
     # row 2n collects the terms of the reference's known gains
     with np.errstate(over="ignore", invalid="ignore"):
-        diagonal = np.bincount(plan.rows.ravel(),
-                               np.concatenate((heard ** 2, sent ** 2)),
+        diagonal = np.bincount(plan.rows.ravel(), (ends * ends).ravel(),
                                minlength=size + 1)[:size] * scale
-        couplings = scale * sent * heard
-    if not (np.isfinite(diagonal).all() and np.isfinite(couplings).all()):
+        couplings = scale * ends[1] * ends[0]
+    # every entry is nonnegative, and NaN fails the test
+    if not (diagonal.max() < math.inf and couplings.max() < math.inf):
         raise ScenarioError(
             f"information matrix entries overflow: noise variance "
             f"{s.noise_variance!r} gives the scale |h|^2/sigma^2 = {scale!r}")
     return FisherMatrix(diagonal, couplings, plan)
 
 
-def _check_gains(gains: "RfGains", s: ScenarioParams,
-                 m: int) -> list[np.ndarray]:
-    """The transmit and receive amplitudes, |alpha| and |beta|.
+def _check_gains(gains: "RfGains", s: ScenarioParams, m: int) -> np.ndarray:
+    """The 2m gain amplitudes, |alpha| then |beta|, in the precision
+    both gain vectors promote to.
 
     ValueError unless both gain vectors have shape (m,), then
     AmplitudeMismatch unless every amplitude is within a relative
     `_AMPLITUDE_RTOL` of the scenario's (what `np.allclose` with
-    atol=0 accepts, in one comparison per vector)."""
-    sides = (("transmit", gains.alpha, s.tx_amplitude),
-             ("receive", gains.beta, s.rx_amplitude))
-    for side, values, _ in sides:
+    atol=0 accepts). Each side is checked by its largest and smallest
+    amplitude: max - a and a - min round as |x - a| does for the
+    farthest x above and below a, so the two tests pass exactly when
+    every amplitude's does, and a NaN fails them."""
+    for side, values in (("transmit", gains.alpha), ("receive", gains.beta)):
         if np.shape(values) != (m,):
             raise ValueError(f"{side} gains have shape {np.shape(values)}, "
                              f"wiring needs ({m},)")
-    amplitudes = []
-    for _, values, amplitude in sides:
-        amplitudes.append(np.abs(values))
-        if not (abs(amplitudes[-1] - amplitude)
-                <= _AMPLITUDE_RTOL * amplitude).all():
+    amplitudes = np.abs(np.concatenate((gains.alpha, gains.beta)))
+    for values, nominal in ((amplitudes[:m], s.tx_amplitude),
+                            (amplitudes[m:], s.rx_amplitude)):
+        tolerance = _AMPLITUDE_RTOL * nominal
+        if not (values.max() - nominal <= tolerance
+                and nominal - values.min() <= tolerance):
             raise AmplitudeMismatch(
                 "gain amplitudes do not match the scenario's nominal values")
     return amplitudes
@@ -249,7 +256,7 @@ def crlb_numeric(j: FisherMatrix) -> tuple[np.ndarray, np.ndarray]:
     plan, size = j.plan, j.order
     steps = plan.steps
     if steps:
-        weight = (j.couplings ** 2).tolist()
+        weight = (j.couplings * j.couplings).tolist()
         pivot = j.diagonal.tolist()
         # a leaf's pivot is final when it is divided by, so the check of
         # all pivots below sees every divisor; only a zero one must stop
@@ -262,7 +269,7 @@ def crlb_numeric(j: FisherMatrix) -> tuple[np.ndarray, np.ndarray]:
         pivots = np.fromiter(pivot, float, size)
     else:  # no couplings, as on a star wired at its reference
         pivots = j.diagonal
-    if not np.all((pivots > 0) & (pivots < math.inf)):
+    if not (pivots.min() > 0 and pivots.max() < math.inf):
         raise _singular()
     diag = 1.0 / pivots
     if steps:
@@ -270,11 +277,9 @@ def crlb_numeric(j: FisherMatrix) -> tuple[np.ndarray, np.ndarray]:
         for v, p, e in reversed(steps):
             z[v] += weight[e] / (pivot[v] * pivot[v]) * z[p]
         diag = np.fromiter(z, float, size)
-    # `take` gathers several times faster than fancy indexing here
-    off_diagonal = j.couplings.take(plan.inner)
     row_sums = j.diagonal + np.bincount(
-        plan.rows.take(plan.inner, axis=1).ravel(),
-        np.concatenate((off_diagonal, off_diagonal)), minlength=size)
+        plan.gershgorin_rows, j.couplings[plan.gershgorin_couplings],
+        minlength=size)
     if not row_sums.max() * diag.sum() <= _COND_LIMIT:
         raise SingularFisherMatrix(
             "information matrix condition number bound (largest Gershgorin "
@@ -412,9 +417,11 @@ def budgeted_average_crlb(t: Topology, s: ScenarioParams,
 def _distance_report(t: Topology, s: ScenarioParams, repetitions: int,
                      remainder: float, collection_time: float) -> CrlbReport:
     rho_a, rho_b = s.rho_a, s.rho_b
-    # d / I is correctly rounded, hence equal to float(Fraction(d, I))
+    # d / I is correctly rounded, hence equal to float(Fraction(d, I)),
+    # and so is an int quotient: the mean over I without a Fraction
     factors = t.distance_array / repetitions
-    mean_factor = float(t.mean_distance / repetitions)
+    mean = t.mean_distance
+    mean_factor = mean.numerator / (mean.denominator * repetitions)
     _check_resolved(t, s, repetitions)
     return CrlbReport(
         antennas=t.ordinary,

@@ -45,7 +45,7 @@ from .crlb import (
     crlb_closed_form,
     daisy_vs_star_ratio,
 )
-from .errors import ConfigError, is_finite, is_integer
+from .errors import BudgetError, ConfigError, is_finite, is_integer
 from .estimator import mean_sq_errors, ml_estimate_batch, work_size
 from .simulate import add_gain_products, draw_gain_batch, draw_noise
 from .topology import (
@@ -235,7 +235,11 @@ def run_snr_sweep(cfg: ExperimentConfig,
     its rho with the float steps of `crlb_closed_form`. A point at which
     a bound of its `crlb_closed_form` report or the noise variance of a
     round underflows to 0, or a bound overflows, raises BudgetError
-    before anything is drawn.
+    before anything is drawn, and so does one whose per-round noise
+    variance sigma^2 / I lies below the float resolution of the gain
+    products a b |h| (`_check_noise_resolved`). A point at which the
+    scored trials' squared errors overflow raises BudgetError once the
+    trials are drawn; one whose every trial is a hazard reports NaN.
     Every trial draws fresh gains and the collapsed observation of those
     rounds (the mean of I rounds as one draw, see `draw_noise`),
     estimates, and scores against the truth.
@@ -293,6 +297,8 @@ def run_snr_sweep(cfg: ExperimentConfig,
     mean_factor = float(bound.mean_distance / bound.repetitions)
     for s in scenarios:
         _check_resolved(topo, s, bound.repetitions)
+    for snr_db, s in zip(cfg.snr_grid_db, scenarios):
+        _check_noise_resolved(snr_db, s, bound.repetitions)
     m, pairs = topo.m, 2 * (topo.m - 1)
     batches = _plan_batches(cfg, m)
     capacity = max(batch[-1].rows.stop for batch in batches)
@@ -325,6 +331,12 @@ def run_snr_sweep(cfg: ExperimentConfig,
             cfg.snr_grid_db, scenarios, sums, hazards):
         completed = cfg.trials - hazard_count
         mse = sum_sq / completed if completed else np.full(2, np.nan)
+        mse_alpha, mse_beta = mse.tolist()
+        if completed and not (math.isfinite(mse_alpha)
+                              and math.isfinite(mse_beta)):
+            raise BudgetError(
+                f"SNR {snr_db:g} dB over {bound.repetitions:g} rounds gives "
+                "squared estimation errors that overflow")
         hazard_rate = int(hazard_count) / cfg.trials
         if hazard_rate > 0.01:
             log.warning("flagged grid point %.1f dB: hazard rate %.4f",
@@ -338,8 +350,8 @@ def run_snr_sweep(cfg: ExperimentConfig,
             remainder_seconds=bound.remainder_seconds,
             avg_crlb_alpha=mean_factor * s.rho_b,
             avg_crlb_beta=mean_factor * s.rho_a,
-            avg_mse_alpha=float(mse[0]),
-            avg_mse_beta=float(mse[1]),
+            avg_mse_alpha=mse_alpha,
+            avg_mse_beta=mse_beta,
             trials=cfg.trials,
             hazard_rate=hazard_rate,
         ))
@@ -485,6 +497,22 @@ def _run_batch(batch: list[_Chunk], rows: _Rows, topo: Topology,
              errors[chunk.rows][sound[chunk.rows]].sum(axis=0),
              int(chunk.trials - sound[chunk.rows].sum()))
             for chunk in batch]
+
+
+def _check_noise_resolved(snr_db: float, s: ScenarioParams,
+                          repetitions: int) -> None:
+    """BudgetError, naming the SNR and the round count, when the noise
+    variance of one of `repetitions` rounds, sigma^2 / I, lies below
+    (2^-52 a b |h|)^2: the noise is then below one ulp of the gain
+    products it is added to, so the sweep's errors would score their
+    rounding, not the noise, beside a bound that keeps falling."""
+    resolution = 2.0 ** -52 * s.tx_amplitude * s.rx_amplitude * abs(
+        s.line_gain)
+    if s.noise_variance / repetitions < resolution * resolution:
+        raise BudgetError(
+            f"SNR {snr_db:g} dB over {repetitions:g} rounds gives a "
+            "per-round noise variance below the float resolution of the "
+            "gain products")
 
 
 def _budget_report(t: Topology, s: ScenarioParams, budget_mode: str,

@@ -9,7 +9,7 @@ enforces the tree property at construction time.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import Iterable, Iterator, NamedTuple
@@ -93,11 +93,31 @@ class CouplingPlan:
     c->p, whose leaf is c's transmit row, then by p->c, whose leaf is c's
     receive row. Every deeper line is eliminated before it, so the
     child's row is then a leaf.
+
+    `ends` places each measurement's amplitudes among a wiring's 2m
+    gain amplitudes, |alpha| then |beta| by antenna: `ends[0, e]` is its
+    receiver's receive amplitude, whose square adds to `rows[0, e]`, and
+    `ends[1, e]` its sender's transmit amplitude, whose square adds to
+    `rows[1, e]`; their product is the coupling. A plan built from a
+    matrix's entries rather than a wiring has no gains and no `ends`.
+    The plan derives the indices of the Gershgorin row sums from `rows`
+    and `inner`: `gershgorin_rows` lists the two rows each inner coupling
+    adds to, every sender's transmit row first, then every receiver's
+    receive row, and `gershgorin_couplings` the coupling added at each.
     """
 
     rows: np.ndarray
     inner: np.ndarray
     steps: tuple[tuple[int, int, int], ...]
+    ends: np.ndarray | None = None
+    gershgorin_rows: np.ndarray = field(init=False, repr=False)
+    gershgorin_couplings: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        rows = self.rows.take(self.inner, axis=1).ravel()
+        couplings = np.concatenate((self.inner, self.inner))
+        object.__setattr__(self, "gershgorin_rows", _read_only(rows))
+        object.__setattr__(self, "gershgorin_couplings", _read_only(couplings))
 
 
 def _index_or_slice(indices: list[int]) -> slice | np.ndarray:
@@ -234,8 +254,8 @@ class Topology:
 
     @cached_property
     def coupling_plan(self) -> CouplingPlan:
-        """The information matrix's rows per measurement and leaf-first
-        order."""
+        """The information matrix's rows and gain amplitudes per
+        measurement, and its leaf-first order."""
         n, reference = self.m - 1, self.reference - 1
         # each antenna's transmit row: its index among the ordinary ones
         transmit = np.arange(self.m)
@@ -253,7 +273,8 @@ class Topology:
                 up, down = measurement[(c, p)], measurement[(p, c)]
                 steps += [(sender[up], receiver[up], up),
                           (receiver[down], sender[down], down)]
-        return CouplingPlan(_read_only(rows), _read_only(inner), tuple(steps))
+        return CouplingPlan(_read_only(rows), _read_only(inner), tuple(steps),
+                            _read_only(np.stack((rx + self.m, tx))))
 
     @cached_property
     def distances(self) -> tuple[int, ...]:

@@ -568,6 +568,23 @@ class TestSweepCommand:
         assert err == ("selfcal: SNR -3070 dB over 1 rounds gives a bound "
                        "that overflows\n")
 
+    @pytest.mark.parametrize("args, message", [
+        (["--m", "129", "--ref", "1", "--snr=-3060", "--trials", "4"],
+         "SNR -3060 dB over 1 rounds gives squared estimation errors that "
+         "overflow"),
+        (["--m", "5", "--ref", "3", "--snr", "0:300:300", "--budget",
+          "time:1e290", "--trials", "3"],
+         "SNR 0 dB over 2.5e+289 rounds gives a per-round noise variance "
+         "below the float resolution of the gain products"),
+    ], ids=["overflowing-errors", "noise-below-resolution"])
+    def test_unscorable_point_rejected(self, capsys, args, message):
+        # inf errors beside a finite bound, or errors that score the
+        # rounding of the gain products rather than their noise
+        code = main(["sweep", "--topology", "daisy", *args])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == ""
+        assert err == f"selfcal: {message}\n"
+
     def test_rerun_byte_identical(self, tmp_path):
         args = ["sweep", "--topology", "star", "--m", "5", "--ref", "1",
                 "--snr", "30", "--trials", "30", "--seed", "3"]

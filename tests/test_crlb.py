@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 from functools import partial
 
@@ -199,6 +200,17 @@ class TestFisherMatrix:
             else:
                 assert want
 
+    def test_amplitudes_of_two_precisions_are_checked_in_the_wider(self):
+        # float32 gains at the nominal 0.7 lie 1.7e-8 of it apart; alone,
+        # they are checked in float32, where the nominal rounds to them,
+        # and beside float64 gains in float64, where they are refused
+        alpha = np.full(3, 0.7, dtype=np.float32)
+        assert abs(float(alpha[0]) - 0.7) > 1e-8 * 0.7
+        t, s = make_daisy(3, 1), ScenarioParams(tx_amplitude=0.7)
+        fisher_matrix(t, RfGains(alpha, np.ones(3, dtype=np.float32)), s)
+        with pytest.raises(AmplitudeMismatch):
+            fisher_matrix(t, RfGains(alpha, np.ones(3)), s)
+
     def test_amplitude_tolerance_is_inclusive(self):
         # a deviation of exactly 1e-9 times the amplitude passes, as it
         # passes np.allclose
@@ -225,7 +237,9 @@ class TestFisherMatrix:
         j = fisher_matrix(t, unit_gains(6), UNIT)
         assert j.plan is t.coupling_plan
         assert fisher_matrix(t, unit_gains(6), UNIT).plan is j.plan
-        for shared in (j.plan.rows, j.plan.inner):
+        plan = j.plan
+        for shared in (plan.rows, plan.inner, plan.ends,
+                       plan.gershgorin_rows, plan.gershgorin_couplings):
             with pytest.raises(ValueError, match="read-only"):
                 shared[0] = 0
 
@@ -364,6 +378,35 @@ class TestNumericCrlb:
             eigh_inverse_diagonal(loop_fisher_entries(513, t.reference,
                                                       t.edges, g, s)),
             rtol=1e-9, atol=0)
+
+    #: sha256 of every matrix's entries and bounds (or its rejection)
+    #: over `test_numeric_bounds_keep_their_bytes`' wirings, as the
+    #: route computed them before a wiring cached its Gershgorin and
+    #: amplitude index arrays
+    NUMERIC_DIGEST = (
+        "622586738389343d62a6fdc86a805ed2445e88eccbbb560d17935081c0e0d461")
+
+    def test_numeric_bounds_keep_their_bytes(self):
+        # stars wired at and off the reference, chains referenced at an
+        # end and in the middle, and a random tree, each at four sizes
+        # with random amplitudes, line gain, noise and phases
+        rng = np.random.default_rng(35)
+        digest = hashlib.sha256()
+        for m in (2, 9, 129, 513):
+            for t in (make_star(m, 1),
+                      from_edges(m, m, [(1, k) for k in range(2, m + 1)]),
+                      make_daisy(m, 1), make_daisy(m, (m + 1) // 2),
+                      random_tree(rng, m)):
+                s = random_scenario(rng)
+                j = fisher_matrix(t, random_gains(rng, m, s), s)
+                digest.update(j.diagonal.tobytes() + j.couplings.tobytes())
+                try:
+                    bounds = crlb_numeric(j)
+                except SingularFisherMatrix as error:
+                    digest.update(str(error).encode())
+                else:
+                    digest.update(np.concatenate(bounds).tobytes())
+        assert digest.hexdigest() == self.NUMERIC_DIGEST
 
     @pytest.mark.parametrize("seed", range(12))
     def test_forest_off_reference_singular(self, seed):

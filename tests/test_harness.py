@@ -540,6 +540,35 @@ class TestSweep:
                 r"per-round noise variance that underflows to 0$")):
             run_snr_sweep(cfg)
 
+    def test_noise_below_the_products_resolution_raises_before_drawing(
+            self, monkeypatch):
+        # with unit amplitudes and line gain, one round's noise variance
+        # at 313 dB, 5.0e-32, lies above (2^-52)^2 = 4.9e-32 and that at
+        # 314 dB, 4.0e-32, below it
+        cfg = ExperimentConfig(m=5, reference=3, topology_kind="daisy",
+                               snr_grid_db=(313.0,), trials=3)
+        assert run_snr_sweep(cfg)[0].hazard_rate == 0.0
+
+        def drawn(*args, **kwargs):
+            raise AssertionError("a sweep that raises draws nothing")
+
+        monkeypatch.setattr(harness, "draw_noise", drawn)
+        with pytest.raises(BudgetError, match=(
+                r"^SNR 314 dB over 1 rounds gives a per-round noise "
+                r"variance below the float resolution of the gain "
+                r"products$")):
+            run_snr_sweep(replace(cfg, snr_grid_db=(313.0, 314.0)))
+
+    def test_a_point_whose_squared_errors_overflow_raises(self):
+        # the bounds at -3060 dB are finite, the errors of a 128-hop walk
+        # near 1e154 and more
+        cfg = ExperimentConfig(m=129, reference=1, topology_kind="daisy",
+                               snr_grid_db=(-3060.0,), trials=4)
+        with pytest.raises(BudgetError, match=(
+                r"^SNR -3060 dB over 1 rounds gives squared estimation "
+                r"errors that overflow$")):
+            run_snr_sweep(cfg)
+
     def test_mse_tracks_bound_at_high_snr(self):
         rows = run_snr_sweep(self.CFG)
         for row in rows:
@@ -652,6 +681,22 @@ class TestChunking:
         assert row.hazard_rate == 2 / (_CHUNK + 10)  # one per chunk
         assert row.avg_mse_alpha == pytest.approx(1e-3, rel=0.2)
         assert row.avg_mse_beta == pytest.approx(1e-3, rel=0.2)
+
+    def test_a_point_of_hazards_only_reports_nan(self, monkeypatch):
+        kernel = harness.ml_estimate_batch
+
+        def flag_every_trial(values, t, *args):
+            est, hazard_at = kernel(values, t, *args)
+            est[:] = np.inf
+            hazard_at[:] = t.reference
+            return est, hazard_at
+
+        monkeypatch.setattr(harness, "ml_estimate_batch", flag_every_trial)
+        cfg = ExperimentConfig(m=4, reference=1, topology_kind="star",
+                               snr_grid_db=(30.0,), trials=20, master_seed=2)
+        row = run_snr_sweep(cfg)[0]
+        assert row.hazard_rate == 1.0
+        assert math.isnan(row.avg_mse_alpha) and math.isnan(row.avg_mse_beta)
 
     def test_a_flagged_grid_point_is_logged(self, monkeypatch, caplog):
         # one trial in ten flagged is above the 1% rate that is logged

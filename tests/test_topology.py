@@ -217,7 +217,9 @@ class TestSharedWirings:
                   t.distance_array] + [
             level.divisor for level in plan.levels
             if isinstance(level.divisor, np.ndarray)] + [
-            index for index in (couplings.rows, couplings.inner)
+            index for index in (couplings.rows, couplings.inner,
+                                couplings.ends, couplings.gershgorin_rows,
+                                couplings.gershgorin_couplings)
             if index.size]
         for a in arrays:
             with pytest.raises(ValueError, match="read-only"):
